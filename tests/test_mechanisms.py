@@ -1,5 +1,7 @@
 """Unit tests for the randomized mechanisms and their branch games."""
 
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -30,7 +32,13 @@ from ospclock.mechanisms import (
     three_item_dm_mechanism,
 )
 from ospclock.osp import verify_ir_nnt, verify_osp
-from ospclock.protocols import materialize, play, run_game, truthful_strategies
+from ospclock.protocols import (
+    materialize,
+    play,
+    protocol_to_json,
+    run_game,
+    truthful_strategies,
+)
 from ospclock.rng import CounterRng
 from ospclock.valuations import (
     AdditiveValuation,
@@ -541,3 +549,113 @@ def test_grand_bundle_combinatorial():
     out = mech.branches()[0].outcome(inst)
     assert out.allocation.bundles[0] == frozenset(ITEMS)
     assert mech.exact_expected_welfare(inst) == F(1)
+
+
+# ---------------------------------------------------------------------------
+# pins: sampler streams and branch-game trees, frozen byte for byte
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+SAMPLER_PINS = [
+    ("grand-bundle", lambda: grand_bundle_auction(2, MultiUnitSetting(2)), "fb74e4b1b05189e8"),
+    ("three-item-dm", three_item_dm_mechanism, "37127bfc934137c8"),
+    ("random-bundles-m1", lambda: random_bundles(2, 1), "fdd27ac0363af4e4"),
+    ("random-bundles-m2", lambda: random_bundles(2, 2), "522f0ccedb8ffb49"),
+    ("random-bundles-m3", lambda: random_bundles(2, 3), "ef58ffeb06ac7873"),
+    ("random-bundles-m5", lambda: random_bundles(2, 5), "490e869554837da8"),
+    ("random-bundles-m8", lambda: random_bundles(2, 8), "f75f74c588df2e0d"),
+    ("m1-2x2-p0", lambda: m1_2x2(F(0)), "2ae11ef7e4655c0f"),
+    ("m1-2x2-default", m1_2x2, "07cdd75b93c7eeba"),
+    ("m1-2x2-p1", lambda: m1_2x2(F(1)), "fb74e4b1b05189e8"),
+    ("m2-2x2", m2_2x2, "bb31ff5ee410da21"),
+    ("m3-2x2-p0", lambda: m3_2x2(F(0)), "bb31ff5ee410da21"),
+    ("m3-2x2-default", m3_2x2, "cfe59c3426c61588"),
+    ("m3-2x2-p1", lambda: m3_2x2(F(1)), "fb74e4b1b05189e8"),
+]
+
+
+@pytest.mark.parametrize(
+    "build,expected", [p[1:] for p in SAMPLER_PINS], ids=[p[0] for p in SAMPLER_PINS]
+)
+def test_sampler_stream_pins(build, expected):
+    # the branch drawn and the words consumed, for seeds 0..63
+    mech = build()
+    draws = []
+    for seed in range(64):
+        rng = CounterRng(seed)
+        label = mech.sample_branch(rng).label
+        draws.append(f"{label}@{rng.counter}")
+    assert _digest(";".join(draws)) == expected
+
+
+def _sm(x, d):
+    return make_single_minded(x, d, 2)
+
+
+def _ud1(x):
+    return UnitDemandValuation(("a",), {"a": F(x)})
+
+
+SM3 = [_sm(1, 1), _sm(2, 1), _sm(3, 2)]
+ADD3 = [additive(1, 0), additive(2, 1), additive(0, 2)]
+UD3 = [unit_demand(1, 0), unit_demand(2, 1), unit_demand(1, 1)]
+
+# each tree has singleton-domain bidders and a serve phase that can run
+# out of supply, so forced moves occur in both phases
+GAME_PINS = [
+    (
+        "sale-mixed",
+        lambda: PartitionSaleGame((0, 2), 4, 2, [SM3, SM3, [_sm(2, 2)], SM3]),
+        "28:173f9733c23ae1e5",
+    ),
+    (
+        "sale-no-sample",
+        lambda: PartitionSaleGame((), 3, 2, [SM3, [_sm(1, 1)], SM3]),
+        "16:31d065de86740a8b",
+    ),
+    (
+        "sale-all-sampled",
+        lambda: PartitionSaleGame((0, 1), 2, 2, [SM3, [_sm(1, 1)]]),
+        "4:78f7c875efb09d3f",
+    ),
+    (
+        "max-price-bundle",
+        lambda: MaxPricePartitionGame(
+            (1, 2), ITEMS, 4, [ADD3, ADD3, [additive(1, 1)], ADD3]
+        ),
+        "40:0a801bd72d1a4307",
+    ),
+    (
+        "max-price-single",
+        lambda: MaxPricePartitionGame(
+            (0, 1), ITEMS, 5, [UD3, [unit_demand(2, 2)], UD3, UD3, UD3], "single"
+        ),
+        "67:92428fd1aa71e1fc",
+    ),
+    (
+        "arrival-3",
+        lambda: ArrivalPricingGame((2, 0, 1), ITEMS, [[unit_demand(1, 2)], UD3, UD3]),
+        "34:60b5de25f9105039",
+    ),
+    (
+        "arrival-4-one-item",
+        lambda: ArrivalPricingGame(
+            (1, 3, 0, 2),
+            ("a",),
+            [[_ud1(1)], [_ud1(2)], [_ud1(x) for x in (0, 1, 2)], [_ud1(x) for x in (0, 1, 2)]],
+        ),
+        "21:cc66ee669034fdba",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build,expected", [p[1:] for p in GAME_PINS], ids=[p[0] for p in GAME_PINS]
+)
+def test_branch_game_tree_pins(build, expected):
+    protocol = materialize(build())
+    text = json.dumps(protocol_to_json(protocol), sort_keys=True)
+    assert f"{protocol.size()}:{_digest(text)}" == expected
