@@ -125,7 +125,7 @@ def _instance_from_args(args: argparse.Namespace) -> Instance:
         raise CliError(f"malformed JSON in {path}: {exc}")
     try:
         return instance_from_json(data)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise CliError(f"bad instance in {path}: {exc}")
 
 
@@ -248,6 +248,8 @@ def _search_domain(args) -> tuple:
             menu = decreasing_marginal_domain(args.m, args.values)
         return setting, menu
     items = tuple("abcdefgh"[: args.m])
+    if len(items) != args.m:
+        raise CliError(f"--m {args.m}: combinatorial domains have at most 8 items")
     setting = CombinatorialSetting(items)
     if args.domain == "additive":
         return setting, additive_domain(items, args.values)

@@ -14,9 +14,17 @@ is OSP on its own.  A :class:`RandomizedMechanism` therefore exposes
   ``game(domains)`` — the extensive-form game for the verifier.
 
 Simulation and verification share each branch's transition code: the
-simulated branch is the same game run with singleton report domains
-(forced reports are contracted away), so the tree and the play-out
-cannot disagree.
+simulated branch is the same game run with singleton report domains,
+whose forced reports the protocol layer contracts (see
+:class:`~ospclock.protocols.Game`), so the tree and the play-out cannot
+disagree.
+
+Sampling: grand-bundle, three-item-dm, random-bundles, m1-2x2, m2-2x2
+and m3-2x2 use the default sampler, one ``weighted_index`` over their
+branches at the common denominator.  mech1 (an arm coin, then one coin
+per bidder), mech2 and naive-max-price (one coin per bidder) and mech3
+(a descending Fisher-Yates shuffle) keep explicit samplers, because
+their supports grow as 2^n and n! and their coin orders are documented.
 
 The mechanisms: bundle-size clocks for single-minded bidders, the
 sample-and-price mechanisms for single-minded/decreasing-marginal,
@@ -73,21 +81,41 @@ ONE = Fraction(1)
 
 @dataclass
 class SupportElement:
-    """One deterministic branch of a randomized mechanism."""
+    """One deterministic branch of a randomized mechanism.
+
+    ``outcome`` plays the branch game truthfully with singleton report
+    domains, so the simulation runs the verified transition code;
+    ``shortcut`` may compute the same outcome faster, or return None to
+    decline.
+    """
 
     label: str
     probability: Fraction
-    outcome_fn: Callable[[Instance], Outcome]
     game_fn: Callable[[Sequence[Sequence[Valuation]]], Game]
+    shortcut: Optional[Callable[[Instance], Optional[Outcome]]] = None
 
     def outcome(self, instance: Instance) -> Outcome:
-        return self.outcome_fn(instance)
+        if self.shortcut is not None:
+            fast = self.shortcut(instance)
+            if fast is not None:
+                return fast
+        game = self.game([[v] for v in instance.valuations])
+        out, _ = run_game(game, instance.valuations)
+        return out
 
     def game(self, domains: Sequence[Sequence[Valuation]]) -> Game:
         return self.game_fn(domains)
 
 
 class RandomizedMechanism:
+    """A distribution over deterministic branches.
+
+    Without ``sample_fn``, ``sample_branch`` draws one
+    ``weighted_index`` over ``branches()`` at their common denominator:
+    ``below(k)`` for k equiprobable branches, and no word at all for a
+    single branch.
+    """
+
     def __init__(
         self,
         name: str,
@@ -95,8 +123,7 @@ class RandomizedMechanism:
         n: int,
         branch_count: int,
         branches_fn: Callable[[], list],
-        sample_fn: Callable[[CounterRng], SupportElement],
-        value_grid: Optional[tuple] = None,
+        sample_fn: Optional[Callable[[CounterRng], SupportElement]] = None,
         exact_fast: Optional[Callable[[Instance], Optional[Fraction]]] = None,
     ) -> None:
         self.name = name
@@ -105,9 +132,9 @@ class RandomizedMechanism:
         self.branch_count = branch_count
         self._branches_fn = branches_fn
         self._sample_fn = sample_fn
-        self.value_grid = value_grid
         self._exact_fast = exact_fast
         self._cache: Optional[list] = None
+        self._weights: Optional[list] = None
 
     def branches(self) -> list:
         """The exact support; raises SizeCapError if too large."""
@@ -124,7 +151,13 @@ class RandomizedMechanism:
         return self._cache
 
     def sample_branch(self, rng: CounterRng) -> SupportElement:
-        return self._sample_fn(rng)
+        if self._sample_fn is not None:
+            return self._sample_fn(rng)
+        branches = self.branches()
+        if self._weights is None:
+            denom = math.lcm(*(b.probability.denominator for b in branches))
+            self._weights = [int(b.probability * denom) for b in branches]
+        return branches[rng.weighted_index(self._weights)]
 
     def _check_instance(self, instance: Instance) -> None:
         if instance.setting != self.setting or instance.n != self.n:
@@ -167,29 +200,11 @@ def _gaa_element(
 ) -> SupportElement:
     """A clock-auction branch; the grid adapts to instance or domains."""
 
-    def outcome_fn(instance: Instance) -> Outcome:
-        domains = [[v] for v in instance.valuations]
-        grid = gaa_grid_for_domains(base, potential, setting, domains)
-        spec = GaaSpec(setting, base, potential, grid)
-        out, _ = run_game(GaaGame(spec), instance.valuations)
-        return out
-
     def game_fn(domains: Sequence[Sequence[Valuation]]) -> Game:
         grid = gaa_grid_for_domains(base, potential, setting, domains)
         return GaaGame(GaaSpec(setting, base, potential, grid))
 
-    return SupportElement(label, probability, outcome_fn, game_fn)
-
-
-def _single_branch_mechanism(name, setting, n, element) -> RandomizedMechanism:
-    return RandomizedMechanism(
-        name,
-        setting,
-        n,
-        branch_count=1,
-        branches_fn=lambda: [element],
-        sample_fn=lambda rng: element,
-    )
+    return SupportElement(label, probability, game_fn)
 
 
 def grand_bundle_auction(n: int, setting: Setting) -> RandomizedMechanism:
@@ -201,7 +216,7 @@ def grand_bundle_auction(n: int, setting: Setting) -> RandomizedMechanism:
         base = (frozenset(),) * n
         potential = (frozenset(setting.items),) * n
     element = _gaa_element("grand-bundle", ONE, setting, base, potential)
-    return _single_branch_mechanism("grand-bundle", setting, n, element)
+    return RandomizedMechanism("grand-bundle", setting, n, 1, lambda: [element])
 
 
 def random_bundles(n: int, m: int) -> RandomizedMechanism:
@@ -211,27 +226,18 @@ def random_bundles(n: int, m: int) -> RandomizedMechanism:
     preserving the usual ceil(log2 m) + 1 bucket count when ``m`` is
     not a power of two.  At size L the default feasibility rule lets at
     most floor(m / L) bidders win L units each.
-
-    Sampling draws ``below(#sizes)`` once.
     """
     setting = MultiUnitSetting(m)
     sizes = sorted({2 ** j for j in range(max(0, (m - 1).bit_length()))} | {m})
     prob = Fraction(1, len(sizes))
 
-    def element(size: int) -> SupportElement:
-        return _gaa_element(
-            f"bundle-size={size}", prob, setting, (0,) * n, (size,) * n
-        )
-
     def branches_fn() -> list:
-        return [element(size) for size in sizes]
+        return [
+            _gaa_element(f"bundle-size={size}", prob, setting, (0,) * n, (size,) * n)
+            for size in sizes
+        ]
 
-    def sample_fn(rng: CounterRng) -> SupportElement:
-        return element(sizes[rng.below(len(sizes))])
-
-    return RandomizedMechanism(
-        "random-bundles", setting, n, len(sizes), branches_fn, sample_fn
-    )
+    return RandomizedMechanism("random-bundles", setting, n, len(sizes), branches_fn)
 
 
 def m1_2x2(p: Fraction = Fraction(1, 2)) -> RandomizedMechanism:
@@ -240,8 +246,7 @@ def m1_2x2(p: Fraction = Fraction(1, 2)) -> RandomizedMechanism:
     With probability ``p`` the grand-bundle clock runs; otherwise a
     uniformly chosen bidder is handed one unit outright and the two
     compete in a clock where the fixed bidder's upgrade is the second
-    unit.  Sampling draws one ``weighted_index`` over the common
-    denominator of (p, (1-p)/2, (1-p)/2).
+    unit.
     """
     p = Fraction(p)
     if not 0 <= p <= 1:
@@ -255,19 +260,7 @@ def m1_2x2(p: Fraction = Fraction(1, 2)) -> RandomizedMechanism:
         out.append(_gaa_element("fixed-award-1", half, setting, (0, 1), (1, 2)))
         return [b for b in out if b.probability > 0]
 
-    def sample_fn(rng: CounterRng) -> SupportElement:
-        branches = elements()
-        denom = 1
-        for b in branches:
-            denom = denom * b.probability.denominator // math.gcd(
-                denom, b.probability.denominator
-            )
-        weights = [int(b.probability * denom) for b in branches]
-        return branches[rng.weighted_index(weights)]
-
-    return RandomizedMechanism(
-        "m1-2x2", setting, 2, len(elements()), elements, sample_fn
-    )
+    return RandomizedMechanism("m1-2x2", setting, 2, len(elements()), elements)
 
 
 def _fixed_award_elements(items: tuple, probability: Fraction) -> list:
@@ -296,25 +289,18 @@ def m2_2x2(items: tuple = ("a", "b")) -> RandomizedMechanism:
 
     Four equiprobable branches (bidder x item); the awarded bidder's
     clock upgrade is the second item, the other bidder clocks for the
-    free item.  Sampling draws ``below(4)``.
+    free item.
     """
     setting = CombinatorialSetting(tuple(items))
 
     def elements() -> list:
         return _fixed_award_elements(setting.items, Fraction(1, 4))
 
-    def sample_fn(rng: CounterRng) -> SupportElement:
-        return elements()[rng.below(4)]
-
-    return RandomizedMechanism("m2-2x2", setting, 2, 4, elements, sample_fn)
+    return RandomizedMechanism("m2-2x2", setting, 2, 4, elements)
 
 
 def m3_2x2(p: Fraction = Fraction(1, 3), items: tuple = ("a", "b")) -> RandomizedMechanism:
-    """Grand-bundle clock with probability ``p``, else a random fixed award.
-
-    Sampling draws one ``weighted_index`` over the common denominator
-    of (p, (1-p)/4 x4).
-    """
+    """Grand-bundle clock with probability ``p``, else a random fixed award."""
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("probability out of range")
@@ -332,19 +318,7 @@ def m3_2x2(p: Fraction = Fraction(1, 3), items: tuple = ("a", "b")) -> Randomize
         out = [grand] + _fixed_award_elements(setting.items, quarter)
         return [b for b in out if b.probability > 0]
 
-    def sample_fn(rng: CounterRng) -> SupportElement:
-        branches = elements()
-        denom = 1
-        for b in branches:
-            denom = denom * b.probability.denominator // math.gcd(
-                denom, b.probability.denominator
-            )
-        weights = [int(b.probability * denom) for b in branches]
-        return branches[rng.weighted_index(weights)]
-
-    return RandomizedMechanism(
-        "m3-2x2", setting, 2, len(elements()), elements, sample_fn
-    )
+    return RandomizedMechanism("m3-2x2", setting, 2, len(elements()), elements)
 
 
 DEFAULT_THREE_ITEM_GRID = (ONE, Fraction(2), Fraction(3), Fraction(4), Fraction(5))
@@ -371,7 +345,7 @@ def three_item_dm(grid: tuple = DEFAULT_THREE_ITEM_GRID):
 def three_item_dm_mechanism() -> RandomizedMechanism:
     setting = MultiUnitSetting(3)
     element = _gaa_element("fixed-pair-clock", ONE, setting, (1, 1), (2, 2))
-    return _single_branch_mechanism("three-item-dm", setting, 2, element)
+    return RandomizedMechanism("three-item-dm", setting, 2, 1, lambda: [element])
 
 
 # ---------------------------------------------------------------------------
@@ -395,22 +369,80 @@ def preferred_quantity(v: MultiUnitValuation, remaining: int, price: Fraction) -
     return best_q
 
 
+class SampleServeGame(Game):
+    """Bidders act one at a time in a fixed order: report, then be served.
+
+    ``state.pos`` indexes ``order``, and ``pos == n`` is terminal.  The
+    first ``cut`` bidders only report.  A reporting bidder names the
+    index of the valuation in the bidder's declared domain
+    (``report:k``); a bidder being served picks from the subclass's
+    menu.  Subclasses supply the root state, the transition, the
+    outcome and the menu.  Forced moves (a singleton domain, an empty
+    menu) are single-message states, contracted by the protocol layer.
+    """
+
+    def __init__(
+        self,
+        order: Sequence[int],
+        setting: Setting,
+        domains: Sequence[Sequence[Valuation]],
+        cut: int,
+    ) -> None:
+        self.order = tuple(order)
+        self.n = len(self.order)
+        self.setting = setting
+        self.domains = [list(d) for d in domains]
+        self.cut = cut
+
+    def _reporting(self, state) -> bool:
+        return state.pos < self.cut
+
+    def _serve_labels(self, state) -> tuple:
+        raise NotImplementedError
+
+    def _serve_choice(self, state, valuation: Valuation) -> int:
+        raise NotImplementedError
+
+    def is_leaf(self, state) -> bool:
+        return state.pos == self.n
+
+    def bidder(self, state) -> int:
+        return self.order[state.pos]
+
+    def messages(self, state) -> tuple:
+        if not self._reporting(state):
+            return self._serve_labels(state)
+        domain = self.domains[self.bidder(state)]
+        return tuple(f"report:{k}" for k in range(len(domain)))
+
+    def truthful_message(self, state, valuation: Valuation) -> int:
+        if not self._reporting(state):
+            return self._serve_choice(state, valuation)
+        bidder = self.bidder(state)
+        try:
+            return self.domains[bidder].index(valuation)
+        except ValueError:
+            raise ValueError(
+                f"bidder {bidder}'s valuation is outside the declared domain"
+            ) from None
+
+
+def _split(sample: Sequence[int], n: int) -> tuple:
+    """Sampled bidders, then the rest, each in ascending index order."""
+    sample = tuple(sorted(sample))
+    return sample, tuple(i for i in range(n) if i not in set(sample))
+
+
 @dataclass(frozen=True)
 class SaleState:
     pos: int
     reports: tuple
     purchases: tuple
     remaining: int
-    price: Optional[Fraction]
+    price: Optional[Fraction]  # set once the serve phase starts
 
 
-@dataclass(frozen=True)
-class SaleLeaf:
-    purchases: tuple
-    price: Fraction
-
-
-class PartitionSaleGame(Game):
+class PartitionSaleGame(SampleServeGame):
     """Discard-and-learn sale for one fair-coin partition.
 
     The sampled bidders (ascending index) each report a valuation and
@@ -426,12 +458,11 @@ class PartitionSaleGame(Game):
         m: int,
         domains: Sequence[Sequence[Valuation]],
     ) -> None:
-        self.n = n
         self.m = m
-        self.setting = MultiUnitSetting(m)
-        self.sample = tuple(sorted(sample))
-        self.buyers = tuple(i for i in range(n) if i not in set(self.sample))
-        self.domains = [list(d) for d in domains]
+        self.sample, self.buyers = _split(sample, n)
+        super().__init__(
+            self.sample + self.buyers, MultiUnitSetting(m), domains, len(self.sample)
+        )
 
     def _price_from_reports(self, reports: tuple) -> Fraction:
         vals = tuple(
@@ -442,43 +473,17 @@ class PartitionSaleGame(Game):
         sample_opt = opt_value_restricted(Instance(self.setting, vals))
         return sample_opt / (10 * self.m)
 
-    def _actor(self, pos: int) -> int:
-        if pos < len(self.sample):
-            return self.sample[pos]
-        return self.buyers[pos - len(self.sample)]
+    def root_state(self):
+        return SaleState(0, (), (), self.m, None if self.sample else ZERO)
 
-    def _normalize(self, state):
-        while True:
-            if state.pos == len(self.sample) + len(self.buyers):
-                price = ZERO if state.price is None else state.price
-                return SaleLeaf(state.purchases, price)
-            if state.pos >= len(self.sample) and state.price is None:
-                state = SaleState(
-                    state.pos,
-                    state.reports,
-                    state.purchases,
-                    state.remaining,
-                    self._price_from_reports(state.reports),
-                )
-            actor = self._actor(state.pos)
-            if state.pos < len(self.sample):
-                if len(self.domains[actor]) > 1:
-                    return state
-                state = self._apply(state, 0)
-            else:
-                if state.remaining > 0:
-                    return state
-                state = self._apply(state, 0)
-
-    def _apply(self, state: SaleState, message: int) -> SaleState:
-        if state.pos < len(self.sample):
-            return SaleState(
-                state.pos + 1,
-                state.reports + (message,),
-                state.purchases,
-                state.remaining,
-                state.price,
-            )
+    def child(self, state, message: int):
+        if self._reporting(state):
+            pos = state.pos + 1
+            reports = state.reports + (message,)
+            price = None
+            if pos == self.cut < self.n:  # the serve phase starts
+                price = self._price_from_reports(reports)
+            return SaleState(pos, reports, state.purchases, state.remaining, price)
         return SaleState(
             state.pos + 1,
             state.reports,
@@ -486,12 +491,6 @@ class PartitionSaleGame(Game):
             state.remaining - message,
             state.price,
         )
-
-    def root_state(self):
-        return self._normalize(SaleState(0, (), (), self.m, None))
-
-    def is_leaf(self, state) -> bool:
-        return isinstance(state, SaleLeaf)
 
     def outcome(self, state) -> Outcome:
         bundles = [0] * self.n
@@ -501,28 +500,15 @@ class PartitionSaleGame(Game):
             payments[buyer] = state.price * q
         return Outcome(Allocation(tuple(bundles)), tuple(payments))
 
-    def bidder(self, state) -> int:
-        return self._actor(state.pos)
-
-    def messages(self, state) -> tuple:
-        if state.pos < len(self.sample):
-            actor = self._actor(state.pos)
-            return tuple(f"report:{k}" for k in range(len(self.domains[actor])))
+    def _serve_labels(self, state) -> tuple:
         return tuple(f"take:{q}" for q in range(state.remaining + 1))
 
-    def child(self, state, message: int):
-        return self._normalize(self._apply(state, message))
-
-    def truthful_message(self, state, valuation: Valuation) -> int:
-        if state.pos < len(self.sample):
-            actor = self._actor(state.pos)
-            try:
-                return self.domains[actor].index(valuation)
-            except ValueError:
-                raise ValueError(
-                    f"bidder {actor}'s valuation is outside the declared domain"
-                ) from None
+    def _serve_choice(self, state, valuation: Valuation) -> int:
         return preferred_quantity(valuation, state.remaining, state.price)
+
+
+def _sample_label(sample: tuple) -> str:
+    return "sample=" + (",".join(map(str, sample)) if sample else "-")
 
 
 def _partition_sale_mechanism(name: str, n: int, m: int) -> RandomizedMechanism:
@@ -531,18 +517,11 @@ def _partition_sale_mechanism(name: str, n: int, m: int) -> RandomizedMechanism:
     part_prob = half * Fraction(1, 2 ** n)
 
     def sale_element(sample: tuple) -> SupportElement:
-        label = "sample=" + (",".join(map(str, sample)) if sample else "-")
-
-        def outcome_fn(instance: Instance) -> Outcome:
-            domains = [[v] for v in instance.valuations]
-            game = PartitionSaleGame(sample, n, m, domains)
-            out, _ = run_game(game, instance.valuations)
-            return out
-
-        def game_fn(domains) -> Game:
-            return PartitionSaleGame(sample, n, m, domains)
-
-        return SupportElement(label, part_prob, outcome_fn, game_fn)
+        return SupportElement(
+            _sample_label(sample),
+            part_prob,
+            lambda domains: PartitionSaleGame(sample, n, m, domains),
+        )
 
     def grand_element() -> SupportElement:
         return _gaa_element("grand-bundle", half, setting, (0,) * n, (m,) * n)
@@ -570,14 +549,10 @@ def mech1_single_minded(n: int, m: int) -> RandomizedMechanism:
 
     Designed for single-minded bidders; the canonical buyer behavior
     (preferred quantity, ties down) is well-defined for any monotone
-    multi-unit valuation.
+    multi-unit valuation, so the registry also serves this mechanism
+    as ``mech1-decreasing-marginals``.
     """
     return _partition_sale_mechanism("mech1-single-minded", n, m)
-
-
-def mech1_decreasing_marginals(n: int, m: int) -> RandomizedMechanism:
-    """The same mixture, stated for decreasing-marginal bidders."""
-    return _partition_sale_mechanism("mech1-decreasing-marginals", n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -590,18 +565,12 @@ class PriceState:
     reports: tuple
     taken: tuple
     unsold: tuple
+    # prices and priority are set once the serve phase starts
     prices: Optional[tuple]
     priority: Optional[tuple]
 
 
-@dataclass(frozen=True)
-class PriceLeaf:
-    taken: tuple
-    unsold: tuple
-    prices: tuple
-
-
-class MaxPricePartitionGame(Game):
+class MaxPricePartitionGame(SampleServeGame):
     """Per-item prices set to the sampled bidders' maxima.
 
     Sampled bidders (ascending) report and are excluded; item j is
@@ -623,13 +592,15 @@ class MaxPricePartitionGame(Game):
     ) -> None:
         if mode not in ("bundle", "single"):
             raise ValueError(f"unknown mode {mode!r}")
-        self.n = n
         self.items = tuple(items)
-        self.setting = CombinatorialSetting(self.items)
-        self.sample = tuple(sorted(sample))
-        self.buyers = tuple(i for i in range(n) if i not in set(self.sample))
-        self.domains = [list(d) for d in domains]
+        self.sample, self.buyers = _split(sample, n)
         self.mode = mode
+        super().__init__(
+            self.sample + self.buyers,
+            CombinatorialSetting(self.items),
+            domains,
+            len(self.sample),
+        )
 
     def _pricing(self, reports: tuple) -> tuple:
         vals = [
@@ -648,26 +619,23 @@ class MaxPricePartitionGame(Game):
             priority.append(self.sample[per.index(top)])
         return tuple(prices), tuple(priority)
 
-    def _actor(self, pos: int) -> int:
-        if pos < len(self.sample):
-            return self.sample[pos]
-        return self.buyers[pos - len(self.sample)]
-
     def _menu(self, state: PriceState) -> list:
         if self.mode == "bundle":
             return all_bundles(state.unsold)
         return [frozenset()] + [frozenset({j}) for j in state.unsold]
 
-    def _apply(self, state: PriceState, message: int):
-        if state.pos < len(self.sample):
-            return PriceState(
-                state.pos + 1,
-                state.reports + (message,),
-                state.taken,
-                state.unsold,
-                state.prices,
-                state.priority,
-            )
+    def root_state(self):
+        prices, priority = (None, None) if self.sample else self._pricing(())
+        return PriceState(0, (), (), self.items, prices, priority)
+
+    def child(self, state, message: int):
+        if self._reporting(state):
+            pos = state.pos + 1
+            reports = state.reports + (message,)
+            prices, priority = None, None
+            if pos == self.cut < self.n:  # the serve phase starts
+                prices, priority = self._pricing(reports)
+            return PriceState(pos, reports, state.taken, state.unsold, prices, priority)
         bundle = self._menu(state)[message]
         return PriceState(
             state.pos + 1,
@@ -678,32 +646,6 @@ class MaxPricePartitionGame(Game):
             state.priority,
         )
 
-    def _normalize(self, state):
-        while True:
-            if state.pos == len(self.sample) + len(self.buyers):
-                return PriceLeaf(state.taken, state.unsold, state.prices or ())
-            if state.pos >= len(self.sample) and state.prices is None:
-                prices, priority = self._pricing(state.reports)
-                state = PriceState(
-                    state.pos, state.reports, state.taken, state.unsold,
-                    prices, priority,
-                )
-            actor = self._actor(state.pos)
-            if state.pos < len(self.sample):
-                if len(self.domains[actor]) > 1:
-                    return state
-                state = self._apply(state, 0)
-            else:
-                if state.unsold:
-                    return state
-                state = self._apply(state, 0)
-
-    def root_state(self):
-        return self._normalize(PriceState(0, (), (), self.items, None, None))
-
-    def is_leaf(self, state) -> bool:
-        return isinstance(state, PriceLeaf)
-
     def outcome(self, state) -> Outcome:
         idx = {j: k for k, j in enumerate(self.items)}
         bundles = [frozenset()] * self.n
@@ -713,20 +655,11 @@ class MaxPricePartitionGame(Game):
             payments[buyer] = sum((state.prices[idx[j]] for j in bundle), ZERO)
         return Outcome(Allocation(tuple(bundles)), tuple(payments))
 
-    def bidder(self, state) -> int:
-        return self._actor(state.pos)
-
-    def messages(self, state) -> tuple:
-        if state.pos < len(self.sample):
-            actor = self._actor(state.pos)
-            return tuple(f"report:{k}" for k in range(len(self.domains[actor])))
-        labels = []
-        for bundle in self._menu(state):
-            labels.append("+".join(sorted(bundle)) if bundle else "none")
-        return tuple(labels)
-
-    def child(self, state, message: int):
-        return self._normalize(self._apply(state, message))
+    def _serve_labels(self, state) -> tuple:
+        return tuple(
+            "+".join(sorted(bundle)) if bundle else "none"
+            for bundle in self._menu(state)
+        )
 
     def _wants(self, buyer: int, valuation: Valuation, item: str, state) -> bool:
         k = self.items.index(item)
@@ -734,19 +667,12 @@ class MaxPricePartitionGame(Game):
         price = state.prices[k]
         return value > price or (value == price and buyer < state.priority[k])
 
-    def truthful_message(self, state, valuation: Valuation) -> int:
-        actor = self._actor(state.pos)
-        if state.pos < len(self.sample):
-            try:
-                return self.domains[actor].index(valuation)
-            except ValueError:
-                raise ValueError(
-                    f"bidder {actor}'s valuation is outside the declared domain"
-                ) from None
+    def _serve_choice(self, state, valuation: Valuation) -> int:
+        buyer = self.bidder(state)
         menu = self._menu(state)
         if self.mode == "bundle":
             take = frozenset(
-                j for j in state.unsold if self._wants(actor, valuation, j, state)
+                j for j in state.unsold if self._wants(buyer, valuation, j, state)
             )
             return menu.index(take)
         best_item = None
@@ -756,7 +682,7 @@ class MaxPricePartitionGame(Game):
             if best_u is None or u > best_u:
                 best_item, best_u = j, u
         if best_u is not None and best_u >= 0 and self._wants(
-            actor, valuation, best_item, state
+            buyer, valuation, best_item, state
         ):
             return menu.index(frozenset({best_item}))
         return menu.index(frozenset())
@@ -769,18 +695,13 @@ def _max_price_mechanism(
     prob = Fraction(1, 2 ** n)
 
     def element(sample: tuple) -> SupportElement:
-        label = "sample=" + (",".join(map(str, sample)) if sample else "-")
-
-        def outcome_fn(instance: Instance) -> Outcome:
-            domains = [[v] for v in instance.valuations]
-            game = MaxPricePartitionGame(sample, setting.items, n, domains, mode)
-            out, _ = run_game(game, instance.valuations)
-            return out
-
-        def game_fn(domains) -> Game:
-            return MaxPricePartitionGame(sample, setting.items, n, domains, mode)
-
-        return SupportElement(label, prob, outcome_fn, game_fn)
+        return SupportElement(
+            _sample_label(sample),
+            prob,
+            lambda domains: MaxPricePartitionGame(
+                sample, setting.items, n, domains, mode
+            ),
+        )
 
     def branches_fn() -> list:
         return [
@@ -885,13 +806,7 @@ class ArrivalState:
     unsold: tuple
 
 
-@dataclass(frozen=True)
-class ArrivalLeaf:
-    taken: tuple
-    payments: tuple
-
-
-class ArrivalPricingGame(Game):
+class ArrivalPricingGame(SampleServeGame):
     """Process bidders in a fixed arrival order with learned prices.
 
     The first floor(n/e) arrivals only report.  Each later arrival
@@ -911,12 +826,13 @@ class ArrivalPricingGame(Game):
         items: tuple,
         domains: Sequence[Sequence[Valuation]],
     ) -> None:
-        self.order = tuple(order)
-        self.n = len(self.order)
         self.items = tuple(items)
-        self.setting = CombinatorialSetting(self.items)
-        self.domains = [list(d) for d in domains]
-        self.cut = arrivals_discarded(self.n)
+        super().__init__(
+            order,
+            CombinatorialSetting(self.items),
+            domains,
+            arrivals_discarded(len(order)),
+        )
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -950,19 +866,22 @@ class ArrivalPricingGame(Game):
         result = opt_restricted(inst, items=unsold)
         return item in result.witness.bundles[position]
 
-    def _serving(self, pos: int) -> bool:
-        return pos >= self.cut
+    def _reporting(self, state) -> bool:
+        return state.reporting
 
     def _menu(self, state: ArrivalState) -> list:
         return [frozenset()] + [frozenset({j}) for j in state.unsold]
 
-    def _apply(self, state: ArrivalState, message: int):
-        bidder = self.order[state.pos]
+    def root_state(self):
+        return ArrivalState(0, 0 < self.cut, (), (), (), self.items)
+
+    def child(self, state, message: int):
         if state.reporting:
+            pos = state.pos + 1
             return ArrivalState(
-                state.pos + 1,
-                not self._serving(state.pos + 1),
-                state.reports + ((bidder, message),),
+                pos,
+                pos < self.cut,
+                state.reports + ((self.bidder(state), message),),
                 state.taken,
                 state.payments,
                 state.unsold,
@@ -973,8 +892,10 @@ class ArrivalPricingGame(Game):
             paid = sum((prices[j] for j in bundle), ZERO)
         else:
             paid = ZERO
+        # the last arrival's report is inconsequential: skip it
+        last = state.pos == self.n - 1
         return ArrivalState(
-            state.pos,
+            self.n if last else state.pos,
             True,
             state.reports,
             state.taken + (bundle,),
@@ -982,68 +903,19 @@ class ArrivalPricingGame(Game):
             tuple(j for j in state.unsold if j not in bundle),
         )
 
-    def _normalize(self, state):
-        while True:
-            if state.pos == self.n:
-                return ArrivalLeaf(state.taken, state.payments)
-            bidder = self.order[state.pos]
-            if state.reporting:
-                if state.pos == self.n - 1:
-                    # the final report is inconsequential: skip it
-                    state = ArrivalState(
-                        self.n, True, state.reports, state.taken,
-                        state.payments, state.unsold,
-                    )
-                    continue
-                if len(self.domains[bidder]) > 1:
-                    return state
-                state = self._apply(state, 0)
-            else:
-                if state.unsold:
-                    return state
-                state = self._apply(state, 0)
-
-    def root_state(self):
-        return self._normalize(
-            ArrivalState(0, not self._serving(0), (), (), (), self.items)
-        )
-
-    def is_leaf(self, state) -> bool:
-        return isinstance(state, ArrivalLeaf)
-
     def outcome(self, state) -> Outcome:
         bundles = [frozenset()] * self.n
         payments = [ZERO] * self.n
-        served = 0
-        for pos in range(self.n):
-            if self._serving(pos):
-                bidder = self.order[pos]
-                bundles[bidder] = state.taken[served]
-                payments[bidder] = state.payments[served]
-                served += 1
+        served = self.order[self.cut :]
+        for bidder, bundle, paid in zip(served, state.taken, state.payments):
+            bundles[bidder] = bundle
+            payments[bidder] = paid
         return Outcome(Allocation(tuple(bundles)), tuple(payments))
 
-    def bidder(self, state) -> int:
-        return self.order[state.pos]
-
-    def messages(self, state) -> tuple:
-        bidder = self.order[state.pos]
-        if state.reporting:
-            return tuple(f"report:{k}" for k in range(len(self.domains[bidder])))
+    def _serve_labels(self, state) -> tuple:
         return ("none",) + state.unsold
 
-    def child(self, state, message: int):
-        return self._normalize(self._apply(state, message))
-
-    def truthful_message(self, state, valuation: Valuation) -> int:
-        bidder = self.order[state.pos]
-        if state.reporting:
-            try:
-                return self.domains[bidder].index(valuation)
-            except ValueError:
-                raise ValueError(
-                    f"bidder {bidder}'s valuation is outside the declared domain"
-                ) from None
+    def _serve_choice(self, state, valuation: Valuation) -> int:
         prices = self._price_vector(state.reports, state.unsold)
         menu = self._menu(state)
         best_item = None
@@ -1060,23 +932,21 @@ class ArrivalPricingGame(Game):
             j for j in state.unsold if valuation.value({j}) - prices[j] == 0
         )
         if self._canonical_assigns(
-            state.reports, state.unsold, bidder, valuation, candidate
+            state.reports, state.unsold, self.bidder(state), valuation, candidate
         ):
             return menu.index(frozenset({candidate}))
         return 0
 
 
-def _mech3_fast_outcome(instance: Instance, order: tuple) -> Optional[Outcome]:
+def _mech3_fast_outcome(instance: Instance, rows: list, order: tuple) -> Outcome:
     """Constant-row shortcut for one arrival order, integer arithmetic.
 
-    When every bidder values all items equally, prices are uniform
-    across items (top-t minus top-(t-1) sums of observed values, t
-    capped at availability), so a buying arrival just takes the
-    earliest unsold item.
+    ``rows`` is ``_constant_integer_rows(instance)``.  When every
+    bidder values all items equally, prices are uniform across items
+    (top-t minus top-(t-1) sums of observed values, t capped at
+    availability), so a buying arrival just takes the earliest unsold
+    item.
     """
-    rows = _constant_integer_rows(instance)
-    if rows is None:
-        return None
     n = instance.n
     cut = arrivals_discarded(n)
     observed: list = []  # ascending; top values live at the tail
@@ -1127,23 +997,24 @@ def mech3_unit_demand(n: int, items: Sequence[str]) -> RandomizedMechanism:
     setting = CombinatorialSetting(tuple(items))
     count = math.factorial(n)
     prob = Fraction(1, count)
+    # the constant rows of the latest instance: Monte Carlo plays many
+    # branches on one instance, and detecting the rows costs more than
+    # the shortcut itself
+    latest: list = [None, None]
+
+    def shortcut(instance: Instance, order: tuple) -> Optional[Outcome]:
+        if latest[0] is not instance:
+            latest[:] = instance, _constant_integer_rows(instance)
+        rows = latest[1]
+        return None if rows is None else _mech3_fast_outcome(instance, rows, order)
 
     def element(order: tuple) -> SupportElement:
-        label = "arrival-order=" + ",".join(map(str, order))
-
-        def outcome_fn(instance: Instance) -> Outcome:
-            fast = _mech3_fast_outcome(instance, order)
-            if fast is not None:
-                return fast
-            domains = [[v] for v in instance.valuations]
-            game = ArrivalPricingGame(order, setting.items, domains)
-            out, _ = run_game(game, instance.valuations)
-            return out
-
-        def game_fn(domains) -> Game:
-            return ArrivalPricingGame(order, setting.items, domains)
-
-        return SupportElement(label, prob, outcome_fn, game_fn)
+        return SupportElement(
+            "arrival-order=" + ",".join(map(str, order)),
+            prob,
+            lambda domains: ArrivalPricingGame(order, setting.items, domains),
+            lambda instance: shortcut(instance, order),
+        )
 
     def branches_fn() -> list:
         return [element(order) for order in permutations(range(n))]
@@ -1170,14 +1041,10 @@ def mechanism_for_instance(name: str, instance: Instance, **params) -> Randomize
         if not multi:
             raise ValueError("random-bundles needs a multi-unit instance")
         return random_bundles(n, instance.m)
-    if name in ("mech1-sm", "mech1-single-minded"):
+    if name in ("mech1-single-minded", "mech1-decreasing-marginals"):
         if not multi:
             raise ValueError("mech1 needs a multi-unit instance")
-        return mech1_single_minded(n, instance.m)
-    if name in ("mech1-dm", "mech1-decreasing-marginals"):
-        if not multi:
-            raise ValueError("mech1 needs a multi-unit instance")
-        return mech1_decreasing_marginals(n, instance.m)
+        return _partition_sale_mechanism(name, n, instance.m)
     if name == "mech2-additive":
         if multi:
             raise ValueError("mech2 needs a combinatorial instance")

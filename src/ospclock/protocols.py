@@ -14,6 +14,11 @@ full trees grow exponentially while one play-out is linear.  Both use
 the same transition code, so the tree and the simulation cannot drift
 apart.
 
+A game may expose a state with a single message.  Such a state is no
+decision (Li, AER 2017), so ``materialize``, ``run_game`` and
+``game_strategy`` follow its only child without recording a node or a
+history entry; a non-leaf state with no message is an error.
+
 The central game here is the generalized ascending auction
 (:class:`GaaSpec`): every bidder holds a base bundle and bids for a
 potential bundle while a price clock rises along a finite grid.
@@ -262,8 +267,11 @@ class Game:
 
     Subclasses define the tree implicitly; ``materialize`` makes it
     explicit and ``run_game`` plays it directly.  States may be any
-    immutable value.  Builders must never expose a state with fewer
-    than two messages — contract such states away in the transition.
+    immutable value.  A state with exactly one message is a forced move:
+    ``materialize``, ``run_game`` and ``game_strategy`` contract it by
+    following message 0, so node ids, play histories and
+    ``Protocol.info`` only ever see states with two or more messages
+    (or leaves).  A non-leaf state must have at least one message.
     """
 
     n: int
@@ -291,6 +299,22 @@ class Game:
         raise NotImplementedError
 
 
+def _decision(game: Game, state) -> tuple:
+    """Follow forced moves from ``state``.
+
+    Returns the first state that is a leaf or has two or more messages,
+    with its message labels (``None`` at a leaf).
+    """
+    while not game.is_leaf(state):
+        labels = game.messages(state)
+        if len(labels) > 1:
+            return state, labels
+        if not labels:
+            raise ValueError("game exposed a non-leaf state with no messages")
+        state = game.child(state, 0)
+    return state, None
+
+
 def materialize(game: Game, max_nodes: Optional[int] = None) -> Protocol:
     """Breadth-first expansion of a game into an explicit Protocol."""
     cap = max_nodes if max_nodes is not None else _cap("OSPCLOCK_TREE_CAP", 2_000_000)
@@ -305,13 +329,11 @@ def materialize(game: Game, max_nodes: Optional[int] = None) -> Protocol:
             count += 1
             if count > cap:
                 raise SizeCapError(f"game tree exceeds {cap} nodes")
+            state, labels = _decision(game, state)
             info[u] = state
-            if game.is_leaf(state):
+            if labels is None:
                 leaves[u] = game.outcome(state)
                 continue
-            labels = game.messages(state)
-            if len(labels) < 2:
-                raise ValueError(f"game exposed a {len(labels)}-message state at {u}")
             nodes[u] = ProtocolNode(game.bidder(state), tuple(labels))
             for k in range(len(labels)):
                 next_queue.append((u + (k,), game.child(state, k)))
@@ -331,16 +353,13 @@ def run_game(
     valuation.  Returns the outcome and the message history, which is
     exactly the leaf's node id in the materialized tree.
     """
-    state = game.root_state()
     history: list[int] = []
-    steps = 0
     limit = _cap("OSPCLOCK_PLAY_CAP", 1_000_000)
-    while not game.is_leaf(state):
-        steps += 1
-        if steps > limit:
+    state, labels = _decision(game, game.root_state())
+    while labels is not None:
+        if len(history) == limit:
             raise SizeCapError(f"play exceeded {limit} steps")
         i = game.bidder(state)
-        labels = game.messages(state)
         if message_fn is None:
             msg = game.truthful_message(state, valuations[i])
         else:
@@ -348,7 +367,7 @@ def run_game(
         if not 0 <= msg < len(labels):
             raise ValueError(f"message {msg} out of range")
         history.append(msg)
-        state = game.child(state, msg)
+        state, labels = _decision(game, game.child(state, msg))
     return game.outcome(state), tuple(history)
 
 
@@ -364,9 +383,9 @@ def game_strategy(game: Game, protocol: Optional[Protocol] = None) -> Strategy:
         if protocol is not None and u in protocol.info:
             state = protocol.info[u]
         else:
-            state = game.root_state()
+            state, _ = _decision(game, game.root_state())
             for msg in u:
-                state = game.child(state, msg)
+                state, _ = _decision(game, game.child(state, msg))
         return game.truthful_message(state, valuation)
 
     return strategy

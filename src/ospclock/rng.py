@@ -81,10 +81,6 @@ class CounterRng:
             if word < limit:
                 return word % n
 
-    def coin(self) -> int:
-        """Fair coin: 0 or 1."""
-        return self.below(2)
-
     def weighted_index(self, weights: Sequence[int]) -> int:
         """Pick index i with probability weights[i] / sum(weights).
 

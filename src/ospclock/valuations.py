@@ -291,13 +291,6 @@ def check_class(v: CombinatorialValuation, cls: str) -> bool:
     raise ValueError(f"unknown valuation class {cls!r}")
 
 
-def bundle_value(v: Valuation, bundle) -> Fraction:
-    """Evaluate any valuation on a quantity or an item set."""
-    if isinstance(v, MultiUnitValuation):
-        return v.value(bundle)
-    return v.value(bundle)
-
-
 # ---------------------------------------------------------------------------
 # Instances
 

@@ -61,7 +61,10 @@ def _cap(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return default
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -118,12 +121,6 @@ def welfare_of(instance: Instance, alloc: Allocation) -> Fraction:
     for v, b in zip(instance.valuations, alloc.bundles):
         total += v.value(b)
     return total
-
-
-def empty_allocation(instance: Instance) -> Allocation:
-    if instance.multiunit:
-        return Allocation(tuple(0 for _ in range(instance.n)))
-    return Allocation(tuple(frozenset() for _ in range(instance.n)))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from ospclock.mechanisms import (
     m1_2x2,
     m2_2x2,
     m3_2x2,
-    mech1_decreasing_marginals,
     mech1_single_minded,
     mech2_additive,
     mech3_unit_demand,
@@ -349,7 +348,7 @@ def test_criterion_07_sampled_price_clock_floor():
         worst = min(worst, mech.exact_expected_welfare(inst) / best)
 
     rng = CounterRng(5)
-    mech = mech1_decreasing_marginals(3, 3)
+    mech = mech1_single_minded(3, 3)
     for _ in range(150):
         profile = []
         for _ in range(3):

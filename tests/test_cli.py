@@ -92,7 +92,7 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
-def test_bad_instance_files_exit_two(tmp_path, capsys):
+def test_bad_instance_files_exit_two(tmp_path, capsys, caplog):
     garbled = tmp_path / "bad.json"
     garbled.write_text("{not json")
     assert main(
@@ -102,6 +102,32 @@ def test_bad_instance_files_exit_two(tmp_path, capsys):
         ["simulate", "--mechanism", "grand-bundle",
          "--instance", str(tmp_path / "missing.json"), "--exact"]
     ) == 2
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({
+        "setting": {"multiunit": 2},
+        "bidders": [{"kind": "single_minded", "x": "1/0", "d": 1}] * 2,
+    }))
+    assert main(
+        ["simulate", "--mechanism", "grand-bundle", "--instance", str(zero), "--exact"]
+    ) == 2
+    assert "bad instance in" in caplog.text
+
+
+def test_search_refuses_more_items_than_it_names(capsys, caplog):
+    code, out = run(capsys, "search", "--mechanism", "mech2-additive",
+                    "--domain", "additive", "--m", "9", "--budget", "1")
+    assert code == 2
+    assert out == ""
+    assert "--m 9" in caplog.text
+
+
+def test_non_integer_cap_names_the_variable(monkeypatch, capsys, caplog):
+    monkeypatch.setenv("OSPCLOCK_SUPPORT_CAP", "abc")
+    code, out = run(capsys, "simulate", "--mechanism", "m2-2x2",
+                    "--fixture", "subadd-split", "--exact")
+    assert code == 2
+    assert out == ""
+    assert "OSPCLOCK_SUPPORT_CAP must be an integer" in caplog.text
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ospclock.mechanisms import (
+    MECHANISM_NAMES,
     ArrivalPricingGame,
     MaxPricePartitionGame,
     PartitionSaleGame,
+    _constant_integer_rows,
     _mech3_fast_outcome,
     _naive_constant_rows_exact,
     arrivals_discarded,
@@ -19,7 +21,6 @@ from ospclock.mechanisms import (
     m1_2x2,
     m2_2x2,
     m3_2x2,
-    mech1_decreasing_marginals,
     mech1_single_minded,
     mech2_additive,
     mech3_unit_demand,
@@ -33,6 +34,7 @@ from ospclock.mechanisms import (
 )
 from ospclock.osp import verify_ir_nnt, verify_osp
 from ospclock.protocols import (
+    game_strategy,
     materialize,
     play,
     protocol_to_json,
@@ -326,7 +328,7 @@ def test_mech3_fast_path_matches_game():
         order = tuple(
             int(t) for t in branch.label.split("=")[1].split(",")
         )
-        fast = _mech3_fast_outcome(inst, order)
+        fast = _mech3_fast_outcome(inst, _constant_integer_rows(inst), order)
         game = ArrivalPricingGame(order, items, [[v] for v in vals])
         slow, _ = run_game(game, vals)
         assert fast.allocation.bundles == slow.allocation.bundles
@@ -409,7 +411,6 @@ def small_sm_domain(values, m):
 MECHS_WITH_DOMAINS = [
     (random_bundles(2, 2), [small_sm_domain((0, 1, 2), 2)] * 2),
     (mech1_single_minded(2, 2), [small_sm_domain((0, 1, 2), 2)] * 2),
-    (mech1_decreasing_marginals(2, 2), [small_sm_domain((0, 1, 2), 2)] * 2),
     (m1_2x2(), [small_sm_domain((0, 1, 2), 2)] * 2),
     (
         mech2_additive(2, ITEMS),
@@ -541,6 +542,14 @@ def test_mechanism_for_instance_round_trip():
         mechanism_for_instance("random-bundles", comb)
     with pytest.raises(ValueError, match="unknown mechanism"):
         mechanism_for_instance("mystery", inst)
+    # every CLI name builds a mechanism that reports that same name
+    shaped = dict.fromkeys(
+        ("mech2-additive", "mech3-unit-demand", "naive-max-price", "m2-2x2", "m3-2x2"),
+        comb,
+    )
+    shaped["three-item-dm"] = sm_instance((4, 1), (3, 1), m=3)
+    for name in MECHANISM_NAMES:
+        assert mechanism_for_instance(name, shaped.get(name, inst)).name == name
 
 
 def test_grand_bundle_combinatorial():
@@ -659,3 +668,18 @@ def test_branch_game_tree_pins(build, expected):
     protocol = materialize(build())
     text = json.dumps(protocol_to_json(protocol), sort_keys=True)
     assert f"{protocol.size()}:{_digest(text)}" == expected
+
+
+@pytest.mark.parametrize(
+    "build", [p[1] for p in GAME_PINS], ids=[p[0] for p in GAME_PINS]
+)
+def test_replayed_strategy_matches_tree_states(build):
+    # replaying a node id through the game contracts the same forced
+    # moves that materialize did
+    game = build()
+    protocol = materialize(game)
+    from_tree = game_strategy(game, protocol)
+    replayed = game_strategy(game)
+    for u in protocol.nodes:
+        for v in game.domains[protocol.bidder(u)]:
+            assert replayed(v, u) == from_tree(v, u)

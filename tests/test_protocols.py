@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ospclock.protocols import (
     GaaGame,
     GaaSpec,
+    Game,
     Outcome,
     Protocol,
     ProtocolNode,
@@ -87,6 +88,62 @@ def test_protocol_rejects_single_message_nodes():
     leaves = {(0,): Outcome(Allocation((0,)), (F(0),))}
     with pytest.raises(ValueError, match="contracted"):
         Protocol(1, MultiUnitSetting(1), nodes, leaves)
+
+
+class ForcedMoveGame(Game):
+    """One bidder, one unit: a forced move, a buy/pass choice, a forced move.
+
+    States are the full move history, forced moves included; with
+    ``dead_end`` the choice leads to a state with no messages.
+    """
+
+    def __init__(self, dead_end=False):
+        self.n = 1
+        self.setting = MultiUnitSetting(1)
+        self.dead_end = dead_end
+
+    def root_state(self):
+        return ()
+
+    def is_leaf(self, state):
+        return len(state) == 3
+
+    def outcome(self, state):
+        return Outcome(Allocation((1 - state[1],)), (F(0),))
+
+    def bidder(self, state):
+        return 0
+
+    def messages(self, state):
+        if len(state) == 1:
+            return ("buy", "pass")
+        return () if self.dead_end and state else ("go",)
+
+    def child(self, state, message):
+        return state + (message,)
+
+    def truthful_message(self, state, valuation):
+        return len(state)  # "pass" once the forced first move is made
+
+
+def test_forced_moves_are_contracted_by_the_protocol_layer():
+    game = ForcedMoveGame()
+    proto = materialize(game)
+    assert proto.nodes == {(): ProtocolNode(0, ("buy", "pass"))}
+    assert sorted(proto.leaves) == [(0,), (1,)]
+    assert proto.info == {(): (0,), (0,): (0, 0, 0), (1,): (0, 1, 0)}
+    seen = []
+    out, history = run_game(
+        game, [None], lambda i, state, labels: seen.append(state) or 1
+    )
+    assert (seen, history) == ([(0,)], (1,))
+    assert out == proto.outcome((1,))
+    assert truthful_strategies(game)[0](None, ()) == 1
+    assert run_game(game, [None])[1] == (1,)
+    with pytest.raises(ValueError, match="no messages"):
+        materialize(ForcedMoveGame(dead_end=True))
+    with pytest.raises(ValueError, match="no messages"):
+        run_game(ForcedMoveGame(dead_end=True), [None])
 
 
 def test_protocol_rejects_missing_children():
