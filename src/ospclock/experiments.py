@@ -19,10 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .mechanisms import RandomizedMechanism, SupportElement
-from .protocols import Protocol, behavior_from_strategy, play
+from .protocols import behavior_from_strategy, play
 from .rng import CounterRng
 from .valuations import (
     AdditiveValuation,
@@ -168,7 +168,9 @@ def mc_ratio(
     """Monte Carlo estimate of welfare/OPT from seeded branch draws.
 
     All draws come from one counter-based stream, so the estimate is a
-    pure function of (mechanism, instance, trials, seed).
+    pure function of (mechanism, instance, trials, seed).  Every trial
+    draws its branch, but a branch is deterministic and its label names
+    it, so each distinct label is played once.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
@@ -178,10 +180,13 @@ def mc_ratio(
     rng = CounterRng(seed)
     total = ZERO
     total_sq = 0.0
+    ratios: dict = {}  # branch label -> welfare ratio
     for _ in range(trials):
         branch = mech.sample_branch(rng)
-        outcome = branch.outcome(instance)
-        ratio = welfare_of(instance, outcome.allocation) / best
+        ratio = ratios.get(branch.label)
+        if ratio is None:
+            allocation = branch.outcome(instance).allocation
+            ratio = ratios[branch.label] = welfare_of(instance, allocation) / best
         total += ratio
         total_sq += float(ratio) * float(ratio)
     mean = total / trials

@@ -833,6 +833,8 @@ class ArrivalPricingGame(SampleServeGame):
             domains,
             arrivals_discarded(len(order)),
         )
+        # the prices depend on the reports and the unsold items alone
+        self._prices: dict = {}
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -840,6 +842,14 @@ class ArrivalPricingGame(SampleServeGame):
         return [(b, self.domains[b][msg]) for b, msg in reports]
 
     def _price_vector(self, reports: tuple, unsold: tuple) -> dict:
+        """Opportunity-cost prices, solved once per (reports, unsold)."""
+        key = (reports, unsold)
+        prices = self._prices.get(key)
+        if prices is None:
+            prices = self._prices[key] = self._solve_prices(reports, unsold)
+        return prices
+
+    def _solve_prices(self, reports: tuple, unsold: tuple) -> dict:
         reported = self._reported_valuations(reports)
         if not reported or not unsold:
             return {j: ZERO for j in unsold}

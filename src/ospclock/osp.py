@@ -16,7 +16,10 @@ compute for every node
 * ``max_free[u]``: the best utility over all continuations,
 
 and the check compares them across sibling edges.  Witnesses carry two
-behavior profiles that replay to exactly the reported utilities.
+behavior profiles that replay to exactly the reported utilities.  The
+behavior tables come from ``behavior_from_strategy``, which keeps them
+on the protocol, so ``verify_osp``, ``verify_ir_nnt`` and
+``realize_rule`` tabulate each (bidder, valuation) once between them.
 
 Also here: ex-post individual rationality + no-negative-transfers,
 weak monotonicity and dominant-strategy checks on realized rules, and
@@ -32,6 +35,7 @@ from typing import Optional, Sequence
 
 from .protocols import (
     NodeId,
+    Outcome,
     Protocol,
     RealizedRule,
     Strategy,
@@ -292,8 +296,7 @@ def verify_ir_nnt(
     for profile in sorted(rule.table):
         outcome = rule.table[profile]
         for i in range(protocol.n):
-            v = rule.domains[i][profile[i]]
-            utility = outcome.utility(i, v)
+            utility = _utility(rule, outcome, i, profile[i])
             if utility < 0:
                 return CheckVerdict(
                     "ir_nnt",
@@ -316,23 +319,33 @@ def _profile_with(profile: tuple, position: int, value: int) -> tuple:
     return profile[:position] + (value,) + profile[position + 1 :]
 
 
+def _utility(rule: RealizedRule, outcome: Outcome, bidder: int, index: int) -> Fraction:
+    """Utility of valuation ``domains[bidder][index]`` for ``outcome``."""
+    bundle = outcome.allocation.bundles[bidder]
+    return rule.value(bidder, index, bundle) - outcome.payments[bidder]
+
+
 def verify_weak_monotonicity(rule: RealizedRule) -> CheckVerdict:
     """f_i must not reward lowering one's own relative valuation.
 
     For each bidder and each unilateral swap v_i -> v_i' with bundles
-    S, S': require v_i(S) - v_i(S') >= v_i'(S) - v_i'(S').
+    S, S': require v_i(S) - v_i(S') >= v_i'(S) - v_i'(S').  The test is
+    symmetric in the two indices, and the swap back from the
+    alternative's profile comes earlier in sorted order, so only
+    alternatives above ``profile[i]`` are scanned: the first failure of
+    the full scan always has one.
     """
     n = len(rule.domains)
+    value = rule.value
     for profile in sorted(rule.table):
+        bundles = rule.table[profile].allocation.bundles
         for i in range(n):
-            v = rule.domains[i][profile[i]]
-            s = rule.table[profile].allocation.bundles[i]
-            for alt in range(len(rule.domains[i])):
-                if alt == profile[i]:
-                    continue
-                w = rule.domains[i][alt]
+            a = profile[i]
+            s = bundles[i]
+            for alt in range(a + 1, len(rule.domains[i])):
                 s_alt = rule.table[_profile_with(profile, i, alt)].allocation.bundles[i]
-                if v.value(s) - v.value(s_alt) < w.value(s) - w.value(s_alt):
+                own = value(i, a, s) - value(i, a, s_alt)
+                if own < value(i, alt, s) - value(i, alt, s_alt):
                     return CheckVerdict(
                         "weak_monotonicity",
                         "fail",
@@ -350,12 +363,12 @@ def verify_dsic(rule: RealizedRule) -> CheckVerdict:
     n = len(rule.domains)
     for profile in sorted(rule.table):
         for i in range(n):
-            v = rule.domains[i][profile[i]]
-            honest = rule.table[profile].utility(i, v)
+            a = profile[i]
+            honest = _utility(rule, rule.table[profile], i, a)
             for alt in range(len(rule.domains[i])):
-                if alt == profile[i]:
+                if alt == a:
                     continue
-                lied = rule.table[_profile_with(profile, i, alt)].utility(i, v)
+                lied = _utility(rule, rule.table[_profile_with(profile, i, alt)], i, a)
                 if lied > honest:
                     return CheckVerdict(
                         "dsic",

@@ -26,7 +26,7 @@ potential bundle while a price clock rises along a finite grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -82,6 +82,9 @@ class Protocol:
     ``leaves`` maps leaf ids to outcomes.  ``info`` optionally maps node
     ids to builder state (clock price, active set, ...) so strategies
     and reports can interpret nodes without replaying.
+
+    The tree is read-only once built: ``behavior_from_strategy`` keeps
+    the tables it tabulates on the protocol and hands them out again.
     """
 
     def __init__(
@@ -97,6 +100,9 @@ class Protocol:
         self.nodes = dict(nodes)
         self.leaves = dict(leaves)
         self.info = dict(info or {})
+        # (bidder, id(strategy), id(valuation)) -> (strategy, valuation,
+        # table); the entry holds both objects so neither id is reused
+        self._behaviors: dict = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -196,13 +202,24 @@ def divergence_vertex(path_a: Sequence[NodeId], path_b: Sequence[NodeId]):
 def behavior_from_strategy(
     protocol: Protocol, bidder: int, strategy: Strategy, valuation: Valuation
 ) -> dict:
-    """Tabulate a strategy into a total behavior for one bidder."""
+    """Tabulate a strategy into a total behavior for one bidder.
+
+    Strategies are pure functions of (valuation, node), so the table is
+    made once per (bidder, strategy, valuation), by identity, and kept on
+    the protocol: ``verify_osp``, ``verify_ir_nnt`` and ``realize_rule``
+    share it.  Callers must not mutate the returned table.
+    """
+    key = (bidder, id(strategy), id(valuation))
+    hit = protocol._behaviors.get(key)
+    if hit is not None:
+        return hit[2]
     table = {}
     for u in protocol.bidder_nodes(bidder):
         msg = strategy(valuation, u)
         if not 0 <= msg < len(protocol.messages(u)):
             raise ValueError(f"strategy returned message {msg} out of range at {u}")
         table[u] = msg
+    protocol._behaviors[key] = (strategy, valuation, table)
     return table
 
 
@@ -210,15 +227,26 @@ def behavior_from_strategy(
 class RealizedRule:
     """Outcome table over a finite domain product.
 
-    ``table`` is keyed by per-bidder indices into ``domains`` (the
-    valuations themselves are not hashable).
+    ``table`` is keyed by per-bidder indices into ``domains``.
+    ``value(bidder, index, bundle)`` reads the valuation
+    ``domains[bidder][index]`` on a bundle through a table filled on
+    first use, so the rule checks evaluate each valuation once per
+    bundle.
     """
 
     domains: tuple[tuple[Valuation, ...], ...]
     table: dict
+    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def outcome(self, profile_indices: tuple[int, ...]) -> Outcome:
         return self.table[profile_indices]
+
+    def value(self, bidder: int, index: int, bundle) -> Fraction:
+        key = (bidder, index, bundle)
+        hit = self._values.get(key)
+        if hit is None:
+            hit = self._values[key] = self.domains[bidder][index].value(bundle)
+        return hit
 
 
 def realize_rule(

@@ -424,11 +424,20 @@ def instance_to_json(instance: Instance) -> dict:
     }
 
 
+def _json_int(value, name: str) -> int:
+    """A JSON integer field: ``true``, ``2.7`` and ``"2"`` are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name!r} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _valuation_from_json(data: Mapping, setting: Setting) -> Valuation:
     kind = data.get("kind")
     if isinstance(setting, MultiUnitSetting):
         if kind == "single_minded":
-            return make_single_minded(as_fraction(data["x"]), int(data["d"]), setting.m)
+            return make_single_minded(
+                as_fraction(data["x"]), _json_int(data["d"], "d"), setting.m
+            )
         if kind == "multi_unit":
             values = [as_fraction(x) for x in data["values"]]
             if len(values) != setting.m:
@@ -455,7 +464,8 @@ def _valuation_from_json(data: Mapping, setting: Setting) -> Valuation:
 def instance_from_json(data: Mapping) -> Instance:
     raw_setting = data["setting"]
     if "multiunit" in raw_setting:
-        setting: Setting = MultiUnitSetting(int(raw_setting["multiunit"]))
+        m = _json_int(raw_setting["multiunit"], "multiunit")
+        setting: Setting = MultiUnitSetting(m)
     elif "items" in raw_setting:
         setting = CombinatorialSetting(tuple(raw_setting["items"]))
     else:

@@ -113,6 +113,27 @@ def test_bad_instance_files_exit_two(tmp_path, capsys, caplog):
     assert "bad instance in" in caplog.text
 
 
+@pytest.mark.parametrize("raw", [True, 2.7, "2"], ids=["bool", "float", "string"])
+@pytest.mark.parametrize("field", ["d", "multiunit"])
+def test_integer_instance_fields_must_be_json_integers(tmp_path, capsys, caplog, field, raw):
+    data = {
+        "setting": {"multiunit": 2},
+        "bidders": [{"kind": "single_minded", "x": "1", "d": 1}] * 2,
+    }
+    if field == "d":
+        data["bidders"] = [{"kind": "single_minded", "x": "1", "d": raw}] * 2
+    else:
+        data["setting"]["multiunit"] = raw
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, "simulate", "--mechanism", "grand-bundle",
+                    "--instance", str(path), "--exact")
+    assert code == 2
+    assert out == ""
+    assert "bad instance in" in caplog.text
+    assert f"'{field}' must be a JSON integer" in caplog.text
+
+
 def test_search_refuses_more_items_than_it_names(capsys, caplog):
     code, out = run(capsys, "search", "--mechanism", "mech2-additive",
                     "--domain", "additive", "--m", "9", "--budget", "1")

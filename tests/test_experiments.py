@@ -23,6 +23,7 @@ from ospclock.experiments import (
     yao_aggregate,
 )
 from ospclock.mechanisms import (
+    SupportElement,
     grand_bundle_auction,
     m1_2x2,
     m2_2x2,
@@ -43,7 +44,7 @@ from ospclock.valuations import (
     check_class,
     make_single_minded,
 )
-from ospclock.welfare import opt
+from ospclock.welfare import opt, welfare_of
 
 ITEMS = ("a", "b")
 SETTING_2x2 = CombinatorialSetting(ITEMS)
@@ -227,6 +228,33 @@ def test_mc_ratio_is_a_pure_function_of_the_seed():
     assert (a.ratio, a.stderr) == (b.ratio, b.stderr)
     c = mc_ratio(mech, inst, trials=100, seed=10)
     assert c.ratio != a.ratio or c.stderr != a.stderr
+
+
+def test_mc_ratio_plays_each_label_once_and_draws_every_trial():
+    """The per-label memo leaves the stream and the estimate as they were."""
+    inst = Instance(SETTING_2x2, (additive(3, 1), additive(2, 4)))
+    mech = mech2_additive(2, ITEMS)
+    best = opt(inst).value
+    rng = CounterRng(9)
+    ratios = []
+    for _ in range(100):
+        branch = mech.sample_branch(rng)
+        ratios.append(welfare_of(inst, branch.outcome(inst).allocation) / best)
+    mean = sum(ratios, F(0)) / 100
+    total_sq = 0.0
+    for r in ratios:
+        total_sq += float(r) * float(r)
+    stderr = math.sqrt(max(total_sq / 100 - float(mean) ** 2, 0.0) / 100)
+
+    draw = mock.Mock(wraps=mech.sample_branch)
+    with mock.patch.object(mech, "sample_branch", draw), mock.patch.object(
+        SupportElement, "outcome", autospec=True, side_effect=SupportElement.outcome
+    ) as play:
+        rep = mc_ratio(mech, inst, trials=100, seed=9)
+    assert (rep.ratio, rep.stderr) == (mean, stderr)
+    assert draw.call_count == 100
+    labels = {call.args[0].label for call in play.call_args_list}
+    assert play.call_count == len(labels) == len(mech.branches())
 
 
 def test_mc_ratio_brackets_the_exact_value():

@@ -1,7 +1,5 @@
 """Tests for the named fixture catalog and domain-grid builders."""
 
-from fractions import Fraction as F
-
 import pytest
 
 from ospclock.fixtures import (

@@ -5,7 +5,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from ospclock.mechanisms import (
@@ -550,6 +550,43 @@ def test_mechanism_for_instance_round_trip():
     shaped["three-item-dm"] = sm_instance((4, 1), (3, 1), m=3)
     for name in MECHANISM_NAMES:
         assert mechanism_for_instance(name, shaped.get(name, inst)).name == name
+
+
+def test_branch_labels_are_unique():
+    """Monte Carlo plays each sampled label once, so a label names one branch."""
+    two = sm_instance((4, 1), (3, 1), m=2)
+    three = sm_instance((4, 1), (3, 2), (2, 1), m=3)
+    comb = {
+        n: Instance(CombinatorialSetting(ITEMS), (unit_demand(1, 1),) * n) for n in (2, 3)
+    }
+    shaped = {
+        "m1-2x2": [two],
+        "three-item-dm": [sm_instance((4, 1), (3, 1), m=3)],
+        "m2-2x2": [comb[2]],
+        "m3-2x2": [comb[2]],
+    }
+    for name in ("mech2-additive", "mech3-unit-demand", "naive-max-price"):
+        shaped[name] = list(comb.values())
+    for name in MECHANISM_NAMES:
+        for inst in shaped.get(name, [two, three]):
+            labels = [b.label for b in mechanism_for_instance(name, inst).branches()]
+            assert len(set(labels)) == len(labels), (name, inst.n)
+
+
+def test_arrival_price_cache_matches_fresh_games():
+    """Every serve state's cached prices equal a fresh game's solve."""
+    domains = [[unit_demand(a, b) for a, b in ((0, 1), (1, 1), (2, 0), (1, 2))]] * 3
+    for branch in mech3_unit_demand(3, ITEMS).branches():
+        game = branch.game(domains)
+        proto = materialize(game)
+        assert verify_osp(proto, truthful_strategies(game, proto), domains).passed
+        serve = [s for s in proto.info.values() if not game.is_leaf(s) and not s.reporting]
+        assert serve
+        for state in serve:
+            key = (state.reports, state.unsold)
+            assert key in game._prices
+            fresh = branch.game(domains)._price_vector(*key)
+            assert game._price_vector(*key) == fresh
 
 
 def test_grand_bundle_combinatorial():

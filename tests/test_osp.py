@@ -1,5 +1,9 @@
 """Tests for the obvious-dominance verifier and related checks."""
 
+import gc
+import itertools
+import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -13,6 +17,7 @@ from ospclock.fixtures import (
     sealed_bid_domains,
 )
 from ospclock.osp import (
+    CheckVerdict,
     check_divergence_lemma,
     replay_witness,
     verify_dsic,
@@ -23,13 +28,23 @@ from ospclock.osp import (
 from ospclock.protocols import (
     GaaGame,
     GaaSpec,
-    build_gaa,
+    Outcome,
+    RealizedRule,
+    behavior_from_strategy,
     gaa_grid_for_domains,
     materialize,
     realize_rule,
     truthful_strategies,
 )
-from ospclock.valuations import MultiUnitSetting, make_single_minded
+from ospclock.valuations import (
+    AdditiveValuation,
+    MultiUnitSetting,
+    MultiUnitValuation,
+    UnitDemandValuation,
+    format_fraction,
+    make_single_minded,
+)
+from ospclock.welfare import Allocation
 
 F = Fraction
 
@@ -202,6 +217,151 @@ def test_constant_rule_is_weakly_monotone():
     domains = [[sm(x, 1, 1) for x in range(4)]]
     rule = realize_rule(proto, [lambda v, u: 1], domains)
     assert verify_weak_monotonicity(rule).passed
+
+
+def _profile_with(profile, position, value):
+    return profile[:position] + (value,) + profile[position + 1 :]
+
+
+def reference_weak_monotonicity(rule):
+    """The full scan over every alternative, straight from the definition."""
+    for profile in sorted(rule.table):
+        for i in range(len(rule.domains)):
+            v = rule.domains[i][profile[i]]
+            s = rule.table[profile].allocation.bundles[i]
+            for alt in range(len(rule.domains[i])):
+                if alt == profile[i]:
+                    continue
+                w = rule.domains[i][alt]
+                s_alt = rule.table[_profile_with(profile, i, alt)].allocation.bundles[i]
+                if v.value(s) - v.value(s_alt) < w.value(s) - w.value(s_alt):
+                    return CheckVerdict(
+                        "weak_monotonicity",
+                        "fail",
+                        {"bidder": i, "profile": list(profile), "alternative": alt},
+                    )
+    return CheckVerdict("weak_monotonicity", "pass")
+
+
+def reference_dsic(rule):
+    """Utilities through ``Outcome.utility``, every misreport scanned."""
+    for profile in sorted(rule.table):
+        for i in range(len(rule.domains)):
+            v = rule.domains[i][profile[i]]
+            honest = rule.table[profile].utility(i, v)
+            for alt in range(len(rule.domains[i])):
+                if alt == profile[i]:
+                    continue
+                lied = rule.table[_profile_with(profile, i, alt)].utility(i, v)
+                if lied > honest:
+                    return CheckVerdict(
+                        "dsic",
+                        "fail",
+                        {
+                            "bidder": i,
+                            "profile": list(profile),
+                            "misreport": alt,
+                            "honest_utility": format_fraction(honest),
+                            "misreport_utility": format_fraction(lied),
+                        },
+                    )
+    return CheckVerdict("dsic", "pass")
+
+
+def random_rule(rng, combinatorial):
+    """A small rule with arbitrary outcomes over random domains."""
+    n = rng.randint(1, 3)
+    sizes = [rng.randint(2, 3) for _ in range(n)]
+    if combinatorial:
+        items = ("a", "b")
+        bundles = [frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")]
+
+        def valuation():
+            kind = rng.choice((AdditiveValuation, UnitDemandValuation))
+            return kind(items, {j: rng.randint(0, 3) for j in items})
+
+    else:
+        bundles = [0, 1, 2]
+
+        def valuation():
+            return MultiUnitValuation(tuple(sorted(rng.randint(0, 3) for _ in range(2))))
+
+    domains = tuple(tuple(valuation() for _ in range(k)) for k in sizes)
+    table = {
+        profile: Outcome(
+            Allocation(tuple(rng.choice(bundles) for _ in range(n))),
+            tuple(Fraction(rng.randint(0, 6), 2) for _ in range(n)),
+        )
+        for profile in itertools.product(*(range(k) for k in sizes))
+    }
+    return RealizedRule(domains, table)
+
+
+@pytest.mark.parametrize("combinatorial", [False, True], ids=["multiunit", "combinatorial"])
+def test_rule_checks_match_the_full_scan(combinatorial):
+    """Same status and witness details as the reference scans."""
+    rng = random.Random(f"rule-checks:{combinatorial}")
+    statuses = {"weak_monotonicity": [], "dsic": []}
+    for _ in range(400):
+        rule = random_rule(rng, combinatorial)
+        for check, reference in (
+            (verify_weak_monotonicity, reference_weak_monotonicity),
+            (verify_dsic, reference_dsic),
+        ):
+            expected = reference(rule)
+            assert check(rule) == expected
+            statuses[expected.check].append(expected.status)
+    for seen in statuses.values():
+        assert seen.count("fail") > len(seen) // 2
+        assert "pass" in seen
+
+
+# ---------------------------------------------------------------------------
+# behavior tables shared on the protocol
+
+
+def test_shared_behavior_tables_match_fresh_protocols():
+    """Two strategy lists on one protocol give the fresh-protocol results."""
+    domains = [[sm(x) for x in range(3)], [sm(x, 2) for x in range(3)]]
+    proto, game, truthful = grand_gaa(domains)
+
+    def always_stay(valuation, node):
+        return 0
+
+    stay = [always_stay] * 2
+
+    def checks(protocol, strategies):
+        return (
+            verify_osp(protocol, strategies, domains),
+            verify_ir_nnt(protocol, strategies, domains),
+            realize_rule(protocol, strategies, domains),
+        )
+
+    def fresh(deviate):
+        protocol = materialize(game)
+        return checks(protocol, stay if deviate else truthful_strategies(game, protocol))
+
+    shared = [checks(proto, s) for s in (truthful, stay, truthful)]
+    assert shared == [fresh(False), fresh(True), fresh(False)]
+    assert shared[0][0].passed and shared[0][1].passed
+    assert not shared[1][0].passed
+    assert shared[0][2] != shared[1][2]
+
+
+def test_behavior_table_is_not_served_to_a_reused_valuation_id():
+    """The protocol keeps each tabulated valuation alive, so its id stays taken."""
+    proto, _, strategies = grand_gaa([[sm(x) for x in range(4)]] * 2)
+    strategy = strategies[0]
+    for x in range(4):
+        table = behavior_from_strategy(proto, 0, strategy, sm(x))
+        valuation = sm(x)
+        assert table == {u: strategy(valuation, u) for u in proto.bidder_nodes(0)}
+    valuation = sm(3)
+    ref = weakref.ref(valuation)
+    behavior_from_strategy(proto, 1, strategy, valuation)
+    del valuation
+    gc.collect()
+    assert ref() is not None
 
 
 # ---------------------------------------------------------------------------
