@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence, Union
 
 from .mechanisms import RandomizedMechanism, SupportElement
@@ -508,21 +509,8 @@ class InstanceGrid:
         return total
 
     def instances(self):
-        indices = [0] * len(self.domains)
-        while True:
-            yield Instance(
-                self.setting,
-                tuple(d[i] for d, i in zip(self.domains, indices)),
-            )
-            pos = len(indices) - 1
-            while pos >= 0:
-                indices[pos] += 1
-                if indices[pos] < len(self.domains[pos]):
-                    break
-                indices[pos] = 0
-                pos -= 1
-            if pos < 0:
-                return
+        for valuations in product(*self.domains):
+            yield Instance(self.setting, valuations)
 
     def sample(self, rng: CounterRng) -> Instance:
         return Instance(

@@ -121,10 +121,6 @@ def negative_transfer_protocol() -> Protocol:
     return Protocol(1, MultiUnitSetting(1), nodes, leaves)
 
 
-def singleton_instance(value=3) -> Instance:
-    return Instance(MultiUnitSetting(1), (make_single_minded(value, 1, 1),))
-
-
 # ---------------------------------------------------------------------------
 # domain-grid builders
 

@@ -41,6 +41,7 @@ from .protocols import (
     Strategy,
     behavior_from_strategy,
     play,
+    realize_rule,
 )
 from .valuations import Valuation, format_fraction, valuation_to_json
 
@@ -290,8 +291,6 @@ def verify_ir_nnt(
                         "payment": format_fraction(payment),
                     },
                 )
-    from .protocols import realize_rule
-
     rule = realize_rule(protocol, strategies, domains)
     for profile in sorted(rule.table):
         outcome = rule.table[profile]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .valuations import (
@@ -238,9 +239,6 @@ class RealizedRule:
     table: dict
     _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def outcome(self, profile_indices: tuple[int, ...]) -> Outcome:
-        return self.table[profile_indices]
-
     def value(self, bidder: int, index: int, bundle) -> Fraction:
         key = (bidder, index, bundle)
         hit = self._values.get(key)
@@ -271,18 +269,9 @@ def realize_rule(
         for i in range(protocol.n)
     ]
     table = {}
-    indices = [0] * protocol.n
-    while True:
-        profile = tuple(indices)
-        outcome, _ = play(protocol, [behaviors[i][indices[i]] for i in range(protocol.n)])
+    for profile in product(*(range(len(d)) for d in doms)):
+        outcome, _ = play(protocol, [behaviors[i][k] for i, k in enumerate(profile)])
         table[profile] = outcome
-        pos = protocol.n - 1
-        while pos >= 0 and indices[pos] == len(doms[pos]) - 1:
-            indices[pos] = 0
-            pos -= 1
-        if pos < 0:
-            break
-        indices[pos] += 1
     return RealizedRule(doms, table)
 
 
@@ -343,9 +332,9 @@ def _decision(game: Game, state) -> tuple:
     return state, None
 
 
-def materialize(game: Game, max_nodes: Optional[int] = None) -> Protocol:
+def materialize(game: Game) -> Protocol:
     """Breadth-first expansion of a game into an explicit Protocol."""
-    cap = max_nodes if max_nodes is not None else _cap("OSPCLOCK_TREE_CAP", 2_000_000)
+    cap = _cap("OSPCLOCK_TREE_CAP", 2_000_000)
     nodes: dict = {}
     leaves: dict = {}
     info: dict = {}
@@ -587,8 +576,8 @@ class GaaGame(Game):
         return 0 if price <= self.spec.marginal(i, valuation) else 1
 
 
-def build_gaa(spec: GaaSpec, max_nodes: Optional[int] = None) -> Protocol:
-    return materialize(GaaGame(spec), max_nodes)
+def build_gaa(spec: GaaSpec) -> Protocol:
+    return materialize(GaaGame(spec))
 
 
 def gaa_truthful_strategy(spec: GaaSpec, protocol: Optional[Protocol] = None) -> Strategy:

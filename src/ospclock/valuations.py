@@ -467,7 +467,14 @@ def instance_from_json(data: Mapping) -> Instance:
         m = _json_int(raw_setting["multiunit"], "multiunit")
         setting: Setting = MultiUnitSetting(m)
     elif "items" in raw_setting:
-        setting = CombinatorialSetting(tuple(raw_setting["items"]))
+        items = tuple(raw_setting["items"])
+        for item in items:
+            # "" is the empty bundle's key and "," separates a bundle's items
+            if not isinstance(item, str) or not item or "," in item:
+                raise ValueError(
+                    f"item name {item!r} must be a non-empty string without ','"
+                )
+        setting = CombinatorialSetting(items)
     else:
         raise ValueError("setting must name 'multiunit' or 'items'")
     bidders = tuple(_valuation_from_json(b, setting) for b in data["bidders"])

@@ -10,9 +10,10 @@
   stay cheap.
 * additive: each item goes to the smallest-index bidder of maximum
   value for it (the "i*_j" rule), independently per item.
-* unit-demand: maximum-weight bipartite matching; instances whose
-  bidders value every available item equally ("constant rows") use a
-  closed form, everything else an exact Hungarian solver on Fractions.
+* unit-demand: instances whose bidders value every available item
+  equally ("constant rows") use a closed form, everything else one
+  exact integer assignment solve whose tie digits make the canonical
+  witness its unique maximum.
 * explicit or mixed combinatorial: DP over (bidder suffix, item mask).
 
 Ties are broken canonically per solver so every caller sees one fixed
@@ -36,9 +37,11 @@ fixed enumeration order.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Optional, Sequence, Union
 
 from .valuations import (
@@ -255,35 +258,30 @@ def _ud_constant_opt(rows: Sequence[Fraction], items: Sequence[str]) -> tuple[
     return value, assigned
 
 
-def _hungarian_max(value: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Maximum-weight assignment value, rows matched to distinct columns.
+def _hungarian_max(weight: Sequence[Sequence[int]]) -> tuple[int, list[Optional[int]]]:
+    """Maximum-weight assignment of rows to distinct columns.
 
     Exact Jonker-Volgenant style shortest augmenting paths over
-    Fractions.  The matrix is padded to square with zeros so partial
-    matchings are allowed (unmatched = matched to a zero pad).
+    integers.  The matrix is padded to square with zeros so partial
+    matchings are allowed (unmatched = matched to a zero pad).  Returns
+    the maximum total weight and each row's column, ``None`` for a row
+    left unmatched.
     """
-    nr = len(value)
-    nc = len(value[0]) if nr else 0
+    nr, nc = len(weight), len(weight[0])
     size = max(nr, nc)
-    if size == 0:
-        return ZERO
-    big = ZERO
-    for row in value:
-        for x in row:
-            if x > big:
-                big = x
+    big = max(max(row) for row in weight)
     # Minimize cost = big - weight on a square matrix.
     cost = [
         [
-            (big - value[r][c]) if r < nr and c < nc else big
+            (big - weight[r][c]) if r < nr and c < nc else big
             for c in range(size)
         ]
         for r in range(size)
     ]
     infinity = big * size + size + 1
     # potentials and column matching, 1-indexed internally
-    u = [ZERO] * (size + 1)
-    v = [ZERO] * (size + 1)
+    u = [0] * (size + 1)
+    v = [0] * (size + 1)
     match = [0] * (size + 1)  # match[col] = row
     for r in range(1, size + 1):
         match[0] = r
@@ -319,54 +317,50 @@ def _hungarian_max(value: Sequence[Sequence[Fraction]]) -> Fraction:
             j1 = prev[j0]
             match[j0] = match[j1]
             j0 = j1
-    total_cost = ZERO
+    total = 0
+    cols: list[Optional[int]] = [None] * nr
     for j in range(1, size + 1):
         r = match[j] - 1
         c = j - 1
         if r < nr and c < nc:
-            total_cost += value[r][c]
-    return total_cost
+            cols[r] = c
+            total += weight[r][c]
+    return total, cols
 
 
-def _ud_opt_value(
-    valuations: Sequence[UnitDemandValuation], items: Sequence[str]
-) -> Fraction:
-    rows = _constant_rows(valuations, items)
-    if rows is not None:
-        t = min(len(rows), len(items))
-        return sum(sorted(rows, reverse=True)[:t], ZERO)
-    matrix = [[v.per_item[j] for j in items] for v in valuations]
-    return _hungarian_max(matrix)
-
-
-def _ud_opt_witness(
+def _ud_opt(
     valuations: Sequence[UnitDemandValuation], items: Sequence[str]
 ) -> tuple[Fraction, list[Optional[str]]]:
+    """Optimal value and the bidder-major canonical witness.
+
+    Constant rows take the closed form.  Otherwise one integer
+    assignment solve: values are scaled to integers and shifted above
+    n tie digits in base m+1, bidder i's digit ``m - rank`` at position
+    n-1-i, where rank is the index of the bidder's item in ``items``
+    (m when unmatched).  The tie digits sum below one unit of value, so
+    every maximum is a welfare optimum; among optima they rank bidder 0
+    first and earlier items first, so the maximum is unique and is the
+    canonical witness.
+    """
     rows = _constant_rows(valuations, items)
     if rows is not None:
         return _ud_constant_opt(rows, items)
-    target = _ud_opt_value(valuations, items)
-    assigned: list[Optional[str]] = [None] * len(valuations)
-    remaining = list(items)
-    rest = list(range(len(valuations)))
-    need = target
-    for i in range(len(valuations)):
-        rest = rest[1:]
-        placed = None
-        for j in remaining:
-            sub = [x for x in remaining if x != j]
-            if valuations[i].per_item[j] + _ud_opt_value(
-                [valuations[k] for k in rest], sub
-            ) == need:
-                placed = j
-                break
-        if placed is not None:
-            assigned[i] = placed
-            remaining.remove(placed)
-            need -= valuations[i].per_item[placed]
-        # else: leaving i unmatched must be consistent (it is: the
-        # remaining bidders alone attain `need`).
-    return target, assigned
+    n, m = len(valuations), len(items)
+    table = [[v.per_item[j] for j in items] for v in valuations]
+    scale = math.lcm(*(x.denominator for row in table for x in row))
+    base = m + 1
+    shift = base**n
+    weight = [
+        [
+            x.numerator * (scale // x.denominator) * shift
+            + (m - c) * base ** (n - 1 - i)
+            for c, x in enumerate(row)
+        ]
+        for i, row in enumerate(table)
+    ]
+    total, cols = _hungarian_max(weight)
+    assigned = [None if c is None else items[c] for c in cols]
+    return Fraction(total // shift, scale), assigned
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +487,7 @@ def opt_restricted(
         for i in ids:
             bundles[i] = frozenset(per_bidder[i])
     elif all(isinstance(v, UnitDemandValuation) for v in vals):
-        value, assigned = _ud_opt_witness(vals, chosen_items)
+        value, assigned = _ud_opt(vals, chosen_items)
         for k, i in enumerate(ids):
             if assigned[k] is not None:
                 bundles[i] = frozenset({assigned[k]})
@@ -514,23 +508,8 @@ def opt_value_restricted(
     bidders: Optional[Iterable[int]] = None,
     items: Union[None, int, Iterable[str]] = None,
 ) -> Fraction:
-    """Value-only fast path (skips witness reconstruction where possible)."""
-    ids = _resolve_bidders(instance, bidders)
-    if instance.multiunit:
-        capacity = instance.m if items is None else int(items)
-        vals = [instance.valuations[i] for i in ids]
-        return _opt_multiunit(vals, capacity)[0]
-    if items is None:
-        chosen_items = list(instance.items)
-    else:
-        subset = set(items)
-        chosen_items = [j for j in instance.items if j in subset]
-    vals = [instance.valuations[i] for i in ids]
-    if not ids or not chosen_items:
-        return ZERO
-    if all(isinstance(v, UnitDemandValuation) for v in vals):
-        return _ud_opt_value(vals, chosen_items)
-    return opt_restricted(instance, ids, chosen_items).value
+    """The optimal value of ``opt_restricted(instance, bidders, items)``."""
+    return opt_restricted(instance, bidders, items).value
 
 
 def brute_force_opt(instance: Instance) -> OptResult:
@@ -569,8 +548,7 @@ def brute_force_opt(instance: Instance) -> OptResult:
     items = instance.items
     best_c: Optional[tuple[Fraction, tuple[frozenset, ...]]] = None
     # owners[j] in 0..n-1 assigns item j; n leaves it unallocated
-    owners = [0] * m
-    while True:
+    for owners in product(range(n + 1), repeat=m):
         bundles = [set() for _ in range(n)]
         for j, owner in enumerate(owners):
             if owner < n:
@@ -580,14 +558,6 @@ def brute_force_opt(instance: Instance) -> OptResult:
             total += instance.valuations[i].value(bundles[i])
         if best_c is None or total > best_c[0]:
             best_c = (total, tuple(frozenset(b) for b in bundles))
-        # odometer over base n+1, item-major
-        j = m - 1
-        while j >= 0 and owners[j] == n:
-            owners[j] = 0
-            j -= 1
-        if j < 0:
-            break
-        owners[j] += 1
     assert best_c is not None
     return OptResult(best_c[0], Allocation(best_c[1]))
 

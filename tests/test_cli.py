@@ -134,6 +134,26 @@ def test_integer_instance_fields_must_be_json_integers(tmp_path, capsys, caplog,
     assert f"'{field}' must be a JSON integer" in caplog.text
 
 
+@pytest.mark.parametrize(
+    "item, bidder",
+    [
+        ("a,b", {"kind": "explicit",
+                 "values": {"": "0", "a,b": "1", "c": "1", "a,b,c": "2"}}),
+        ("", {"kind": "unit_demand", "values": {"": "1", "c": "2"}}),
+    ],
+    ids=["comma", "empty"],
+)
+def test_item_names_must_be_nonempty_without_commas(tmp_path, capsys, caplog, item, bidder):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"setting": {"items": [item, "c"]}, "bidders": [bidder] * 2}))
+    code, out = run(capsys, "simulate", "--mechanism", "grand-bundle",
+                    "--instance", str(path), "--exact")
+    assert code == 2
+    assert out == ""
+    assert f"bad instance in {path}: item name {item!r}" in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
 def test_search_refuses_more_items_than_it_names(capsys, caplog):
     code, out = run(capsys, "search", "--mechanism", "mech2-additive",
                     "--domain", "additive", "--m", "9", "--budget", "1")

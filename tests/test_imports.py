@@ -1,4 +1,6 @@
-"""Static check: every imported name in the package and tests is used."""
+"""Static checks: every imported name in the package and tests is used,
+and every module-level function and class of the package is named
+somewhere besides its definition."""
 
 import ast
 from pathlib import Path
@@ -6,9 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "ospclock").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+PACKAGE = sorted((ROOT / "src" / "ospclock").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -55,3 +56,42 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def referenced_names(source: str) -> set:
+    """Every name a module reads, reads as an attribute, or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreferenced_definitions(package: dict, sources: list) -> list:
+    """Module-level functions and classes of ``package`` (module name to
+    source) that no module of ``package`` or ``sources`` names."""
+    used = set()
+    for source in list(package.values()) + sources:
+        used |= referenced_names(source)
+    return sorted(
+        (module, node.name)
+        for module, source in package.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in used
+    )
+
+
+def test_unreferenced_definition_detector():
+    package = {"m": "def used():\n    pass\ndef dead():\n    pass\nclass K:\n    pass\n"}
+    assert unreferenced_definitions(package, ["used()\nx.K\n"]) == [("m", "dead")]
+
+
+def test_no_unreferenced_definitions():
+    package = {path.stem: path.read_text() for path in PACKAGE}
+    others = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    assert unreferenced_definitions(package, [p.read_text() for p in others]) == []

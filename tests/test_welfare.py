@@ -5,6 +5,7 @@ feasible allocation, so agreement with `opt` across solver routes is
 the core correctness check here.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -256,6 +257,75 @@ def test_value_only_path_agrees(inst):
     assert opt_value_restricted(inst, bidders, sub) == opt_restricted(
         inst, bidders, sub
     ).value
+
+
+@pytest.mark.parametrize("solver", [opt_restricted, opt_value_restricted])
+@pytest.mark.parametrize(
+    "case", ["unknown-item", "count-on-items", "too-many-units"]
+)
+def test_bad_restrictions_are_refused(solver, case):
+    items = ("a", "b")
+    ud = Instance(
+        CombinatorialSetting(items),
+        (UnitDemandValuation(items, {"a": 1, "b": 2}),) * 2,
+    )
+    restricted = {
+        "unknown-item": (ud, ["a", "z"]),
+        "count-on-items": (ud, 1),
+        "too-many-units": (sm_instance([(1, 1), (2, 2)], m=2), 5),
+    }
+    inst, restriction = restricted[case]
+    with pytest.raises(ValueError):
+        solver(inst, items=restriction)
+
+
+def _ud_brute_value(vals, items) -> Fraction:
+    """``brute_force_opt`` of unit-demand rows over a subset of items."""
+    if not vals or not items:
+        return F(0)
+    rows = tuple(UnitDemandValuation(items, {j: v.per_item[j] for j in items}) for v in vals)
+    return brute_force_opt(Instance(CombinatorialSetting(items), rows)).value
+
+
+def canonical_ud_witness(inst, bidders, items):
+    """The bidder-major canonical optimum, from its definition.
+
+    Bidder by bidder, take the earliest remaining item with which the
+    later bidders can still reach the optimum; otherwise take nothing.
+    """
+    vals = [inst.valuations[i] for i in bidders]
+    remaining = [j for j in inst.items if j in items]
+    best = need = _ud_brute_value(vals, remaining)
+    bundles = [frozenset()] * inst.n
+    for k, i in enumerate(bidders):
+        for j in remaining:
+            rest = [x for x in remaining if x != j]
+            if vals[k].per_item[j] + _ud_brute_value(vals[k + 1 :], rest) == need:
+                bundles[i] = frozenset({j})
+                need -= vals[k].per_item[j]
+                remaining = rest
+                break
+    return best, Allocation(tuple(bundles))
+
+
+def test_unit_demand_witness_matches_definition():
+    """Closed form and assignment solve both give the canonical witness."""
+    rng = random.Random(2026)
+    for trial in range(400):
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        items = tuple("abc"[:m])
+        constant = trial % 3 == 0
+        vals = []
+        for _ in range(n):
+            row = [F(rng.choice([0, 0, 1, 2, 2, 3]), rng.choice([1, 1, 2])) for _ in items]
+            if constant:
+                row = [row[0]] * m
+            vals.append(UnitDemandValuation(items, dict(zip(items, row))))
+        inst = Instance(CombinatorialSetting(items), tuple(vals))
+        bidders = sorted(rng.sample(range(n), rng.randint(1, n)))
+        sub = sorted(rng.sample(items, rng.randint(1, m)))
+        result = opt_restricted(inst, bidders, sub)
+        assert (result.value, result.witness) == canonical_ud_witness(inst, bidders, sub)
 
 
 # ---------------------------------------------------------------------------
