@@ -620,6 +620,13 @@ SAMPLER_PINS = [
     ("m3-2x2-p0", lambda: m3_2x2(F(0)), "bb31ff5ee410da21"),
     ("m3-2x2-default", m3_2x2, "cfe59c3426c61588"),
     ("m3-2x2-p1", lambda: m3_2x2(F(1)), "fb74e4b1b05189e8"),
+    ("mech1-n2", lambda: mech1_single_minded(2, 2), "3bf3bf281be28034"),
+    ("mech1-n3", lambda: mech1_single_minded(3, 3), "4cd594d3a49379cc"),
+    ("mech2-n2", lambda: mech2_additive(2, ITEMS), "10d78beb1c74f60a"),
+    ("mech2-n3", lambda: mech2_additive(3, ITEMS), "e6b966d3c5ebe1d4"),
+    ("naive-max-price-n3", lambda: naive_max_price_ud(3, ITEMS), "e6b966d3c5ebe1d4"),
+    ("mech3-n3", lambda: mech3_unit_demand(3, ITEMS), "d20c157845782951"),
+    ("mech3-n4", lambda: mech3_unit_demand(4, ITEMS), "b214478e43975545"),
 ]
 
 
@@ -635,6 +642,40 @@ def test_sampler_stream_pins(build, expected):
         label = mech.sample_branch(rng).label
         draws.append(f"{label}@{rng.counter}")
     assert _digest(";".join(draws)) == expected
+
+
+# one shaping instance per registry name; the digest covers every
+# (label, probability) of the support, in order
+SUPPORT_PINS = [
+    ("grand-bundle", lambda: sm_instance((4, 1), (3, 2), (2, 1), m=3), "c4bf4d024bc42d44"),
+    ("random-bundles", lambda: sm_instance((4, 1), (3, 2), (2, 1), m=3), "7ec8b134f0807859"),
+    ("mech1-single-minded", lambda: sm_instance((4, 1), (3, 2), (2, 1), m=3), "2c3cb9630a2d7449"),
+    ("mech1-decreasing-marginals", lambda: sm_instance((4, 1), (3, 1), m=2), "83744bc1e4748124"),
+    ("mech2-additive", lambda: _comb(3), "4c6066d2dc923fcf"),
+    ("mech3-unit-demand", lambda: _comb(3), "726b42d73ddff90e"),
+    ("naive-max-price", lambda: _comb(3), "4c6066d2dc923fcf"),
+    ("m1-2x2", lambda: sm_instance((4, 1), (3, 1), m=2), "2f97810a697661ee"),
+    ("m2-2x2", lambda: _comb(2), "ff8513f71da19504"),
+    ("m3-2x2", lambda: _comb(2), "2d9d755a75667a2c"),
+    ("three-item-dm", lambda: sm_instance((4, 1), (3, 1), m=3), "ff63197aa6438c09"),
+]
+
+
+def _comb(n):
+    return Instance(CombinatorialSetting(ITEMS), (unit_demand(1, 1),) * n)
+
+
+def test_support_pins_cover_every_name():
+    assert [p[0] for p in SUPPORT_PINS] == list(MECHANISM_NAMES)
+
+
+@pytest.mark.parametrize(
+    "name,build,expected", SUPPORT_PINS, ids=[p[0] for p in SUPPORT_PINS]
+)
+def test_support_pins(name, build, expected):
+    branches = mechanism_for_instance(name, build()).branches()
+    text = ";".join(f"{b.label}:{b.probability}" for b in branches)
+    assert _digest(text) == expected
 
 
 def _sm(x, d):
