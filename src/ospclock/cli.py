@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .experiments import (
     InstanceGrid,
+    RatioReport,
     eval_on_distribution,
     hard_dist_additive,
     hard_dist_mua_sm,
@@ -161,14 +162,10 @@ def cmd_simulate(args) -> tuple:
         best = opt(instance).value
         if best == 0:
             raise CliError("instance has zero optimal welfare")
-        fields = {
-            "expected_welfare": format_fraction(welfare),
-            "opt": format_fraction(best),
-            "ratio": format_fraction(welfare / best),
-            "ci": None,
-        }
+        report = RatioReport(welfare, best, welfare / best)
     else:
-        fields = _report_fields(mc_ratio(mech, instance, args.trials, args.seed))
+        report = mc_ratio(mech, instance, args.trials, args.seed)
+    fields = _report_fields(report)
     payload = {
         "command": "simulate",
         "config": _resolved_config(args),

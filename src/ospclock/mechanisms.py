@@ -21,10 +21,12 @@ disagree.
 
 Sampling: grand-bundle, three-item-dm, random-bundles, m1-2x2, m2-2x2
 and m3-2x2 use the default sampler, one ``weighted_index`` over their
-branches at the common denominator.  mech1 (an arm coin, then one coin
-per bidder), mech2 and naive-max-price (one coin per bidder) and mech3
-(a descending Fisher-Yates shuffle) keep explicit samplers, because
-their supports grow as 2^n and n! and their coin orders are documented.
+branches at the common denominator.  mech1, mech2 and naive-max-price
+share one fair-coin split (``_coin_split_mechanism``): one coin per
+bidder in ascending order, after an arm coin for mech1's grand-bundle
+half.  mech3 draws a descending Fisher-Yates shuffle.  These keep
+explicit samplers because their supports grow as 2^n and n! and their
+coin orders are documented.
 
 The mechanisms: bundle-size clocks for single-minded bidders, the
 sample-and-price mechanisms for single-minded/decreasing-marginal,
@@ -207,15 +209,34 @@ def _gaa_element(
     return SupportElement(label, probability, game_fn)
 
 
+def _grand_element(setting: Setting, n: int, p: Fraction) -> SupportElement:
+    """The grand-bundle clock: everyone clocks for the whole supply."""
+    if isinstance(setting, MultiUnitSetting):
+        base, potential = (0,) * n, (setting.m,) * n
+    else:
+        base, potential = (frozenset(),) * n, (frozenset(setting.items),) * n
+    return _gaa_element("grand-bundle", p, setting, base, potential)
+
+
+def _grand_mixture(
+    name: str, setting: Setting, p, others: Callable[[Fraction], list]
+) -> RandomizedMechanism:
+    """Two bidders: the grand-bundle clock with probability ``p``.
+
+    The rest of the mass goes to the branches ``others(1 - p)``; a
+    branch of probability zero is dropped.
+    """
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError("probability out of range")
+    branches = [_grand_element(setting, 2, p)] + others(ONE - p)
+    branches = [b for b in branches if b.probability > 0]
+    return RandomizedMechanism(name, setting, 2, len(branches), lambda: branches)
+
+
 def grand_bundle_auction(n: int, setting: Setting) -> RandomizedMechanism:
     """Degenerate mechanism: always the grand-bundle ascending auction."""
-    if isinstance(setting, MultiUnitSetting):
-        base = (0,) * n
-        potential = (setting.m,) * n
-    else:
-        base = (frozenset(),) * n
-        potential = (frozenset(setting.items),) * n
-    element = _gaa_element("grand-bundle", ONE, setting, base, potential)
+    element = _grand_element(setting, n, ONE)
     return RandomizedMechanism("grand-bundle", setting, n, 1, lambda: [element])
 
 
@@ -248,19 +269,15 @@ def m1_2x2(p: Fraction = Fraction(1, 2)) -> RandomizedMechanism:
     compete in a clock where the fixed bidder's upgrade is the second
     unit.
     """
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError("probability out of range")
     setting = MultiUnitSetting(2)
-    half = (ONE - p) / 2
 
-    def elements() -> list:
-        out = [_gaa_element("grand-bundle", p, setting, (0, 0), (2, 2))]
-        out.append(_gaa_element("fixed-award-0", half, setting, (1, 0), (2, 1)))
-        out.append(_gaa_element("fixed-award-1", half, setting, (0, 1), (1, 2)))
-        return [b for b in out if b.probability > 0]
+    def fixed_awards(rest: Fraction) -> list:
+        return [
+            _gaa_element("fixed-award-0", rest / 2, setting, (1, 0), (2, 1)),
+            _gaa_element("fixed-award-1", rest / 2, setting, (0, 1), (1, 2)),
+        ]
 
-    return RandomizedMechanism("m1-2x2", setting, 2, len(elements()), elements)
+    return _grand_mixture("m1-2x2", setting, p, fixed_awards)
 
 
 def _fixed_award_elements(items: tuple, probability: Fraction) -> list:
@@ -301,31 +318,13 @@ def m2_2x2(items: tuple = ("a", "b")) -> RandomizedMechanism:
 
 def m3_2x2(p: Fraction = Fraction(1, 3), items: tuple = ("a", "b")) -> RandomizedMechanism:
     """Grand-bundle clock with probability ``p``, else a random fixed award."""
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError("probability out of range")
     setting = CombinatorialSetting(tuple(items))
-    quarter = (ONE - p) / 4
-
-    def elements() -> list:
-        grand = _gaa_element(
-            "grand-bundle",
-            p,
-            setting,
-            (frozenset(), frozenset()),
-            (frozenset(setting.items), frozenset(setting.items)),
-        )
-        out = [grand] + _fixed_award_elements(setting.items, quarter)
-        return [b for b in out if b.probability > 0]
-
-    return RandomizedMechanism("m3-2x2", setting, 2, len(elements()), elements)
+    return _grand_mixture(
+        "m3-2x2", setting, p, lambda rest: _fixed_award_elements(setting.items, rest / 4)
+    )
 
 
 DEFAULT_THREE_ITEM_GRID = (ONE, Fraction(2), Fraction(3), Fraction(4), Fraction(5))
-
-
-def three_item_dm_spec(grid: tuple = DEFAULT_THREE_ITEM_GRID) -> GaaSpec:
-    return GaaSpec(MultiUnitSetting(3), (1, 1), (2, 2), tuple(grid))
 
 
 def three_item_dm(grid: tuple = DEFAULT_THREE_ITEM_GRID):
@@ -336,7 +335,7 @@ def three_item_dm(grid: tuple = DEFAULT_THREE_ITEM_GRID):
     go to bidder 1 as everywhere else.  The default grid covers
     marginal values 0..4.  Returns (protocol, strategies).
     """
-    spec = three_item_dm_spec(grid)
+    spec = GaaSpec(MultiUnitSetting(3), (1, 1), (2, 2), tuple(grid))
     protocol = build_gaa(spec)
     strategy = game_strategy(GaaGame(spec), protocol)
     return protocol, [strategy, strategy]
@@ -349,24 +348,7 @@ def three_item_dm_mechanism() -> RandomizedMechanism:
 
 
 # ---------------------------------------------------------------------------
-# sample-and-price for multi-unit bidders (Mechanism 1 shape)
-
-
-def preferred_quantity(v: MultiUnitValuation, remaining: int, price: Fraction) -> int:
-    """Utility-maximizing quantity at a linear per-unit price.
-
-    Ties break to the smaller quantity, so a bidder never buys into
-    exactly zero utility.  For decreasing-marginal valuations this
-    equals the greedy rule "keep adding units while the marginal beats
-    the price".
-    """
-    best_q = 0
-    best_u = ZERO
-    for q in range(1, remaining + 1):
-        u = v.value(q) - price * q
-        if u > best_u:
-            best_q, best_u = q, u
-    return best_q
+# sample-then-serve games
 
 
 class SampleServeGame(Game):
@@ -376,8 +358,11 @@ class SampleServeGame(Game):
     first ``cut`` bidders only report.  A reporting bidder names the
     index of the valuation in the bidder's declared domain
     (``report:k``); a bidder being served picks from the subclass's
-    menu.  Subclasses supply the root state, the transition, the
-    outcome and the menu.  Forced moves (a singleton domain, an empty
+    menu.  Subclasses supply the root state, the transition and the
+    menu.  Every state records ``taken`` and ``payments``, aligned with
+    the served bidders ``order[cut:]``; ``outcome`` gives each served
+    bidder that bundle at that payment, and everyone else the empty
+    bundle for nothing.  Forced moves (a singleton domain, an empty
     menu) are single-message states, contracted by the protocol layer.
     """
 
@@ -406,6 +391,16 @@ class SampleServeGame(Game):
     def is_leaf(self, state) -> bool:
         return state.pos == self.n
 
+    def outcome(self, state) -> Outcome:
+        empty = 0 if isinstance(self.setting, MultiUnitSetting) else frozenset()
+        bundles = [empty] * self.n
+        payments = [ZERO] * self.n
+        served = self.order[self.cut :]
+        for bidder, bundle, paid in zip(served, state.taken, state.payments):
+            bundles[bidder] = bundle
+            payments[bidder] = paid
+        return Outcome(Allocation(tuple(bundles)), tuple(payments))
+
     def bidder(self, state) -> int:
         return self.order[state.pos]
 
@@ -427,28 +422,153 @@ class SampleServeGame(Game):
             ) from None
 
 
-def _split(sample: Sequence[int], n: int) -> tuple:
-    """Sampled bidders, then the rest, each in ascending index order."""
-    sample = tuple(sorted(sample))
-    return sample, tuple(i for i in range(n) if i not in set(sample))
-
-
 @dataclass(frozen=True)
-class SaleState:
+class SplitState:
     pos: int
     reports: tuple
-    purchases: tuple
-    remaining: int
-    price: Optional[Fraction]  # set once the serve phase starts
+    taken: tuple  # bundles, aligned with the served bidders
+    payments: tuple  # aligned with taken
+    left: object  # the unsold supply: a unit count or an item tuple
+    price: object  # set once the serve phase starts
 
 
-class PartitionSaleGame(SampleServeGame):
-    """Discard-and-learn sale for one fair-coin partition.
+class SplitGame(SampleServeGame):
+    """One fair-coin split: the sample reports, the rest are served.
 
     The sampled bidders (ascending index) each report a valuation and
-    are excluded from trade; the optimum welfare O of the sample alone
-    then prices every unit at O / (10 m), and the remaining bidders
-    (ascending) buy their preferred quantities while supply lasts.
+    are excluded from trade.  When the last of them has reported,
+    ``_price`` turns their reported valuations into the price (an
+    empty sample is priced at the root).  The remaining bidders
+    (ascending) are then served in turn, and ``_serve(state, message)``
+    maps a served bidder's message to (bundle, payment, supply left).
+    """
+
+    def __init__(
+        self,
+        sample: Sequence[int],
+        n: int,
+        setting: Setting,
+        domains: Sequence[Sequence[Valuation]],
+    ) -> None:
+        self.sample = tuple(sorted(sample))
+        rest = tuple(i for i in range(n) if i not in self.sample)
+        super().__init__(self.sample + rest, setting, domains, len(self.sample))
+
+    def _price(self, reported: list):
+        raise NotImplementedError
+
+    def _serve(self, state, message: int) -> tuple:
+        raise NotImplementedError
+
+    def root_state(self):
+        if isinstance(self.setting, MultiUnitSetting):
+            supply = self.setting.m
+        else:
+            supply = self.setting.items
+        price = None if self.sample else self._price([])
+        return SplitState(0, (), (), (), supply, price)
+
+    def child(self, state, message: int):
+        if self._reporting(state):
+            pos = state.pos + 1
+            reports = state.reports + (message,)
+            price = None
+            if pos == self.cut < self.n:  # the serve phase starts
+                price = self._price(
+                    [self.domains[b][k] for b, k in zip(self.sample, reports)]
+                )
+            return SplitState(pos, reports, (), (), state.left, price)
+        bundle, paid, left = self._serve(state, message)
+        return SplitState(
+            state.pos + 1,
+            state.reports,
+            state.taken + (bundle,),
+            state.payments + (paid,),
+            left,
+            state.price,
+        )
+
+
+def _coin_split_mechanism(
+    name: str,
+    setting: Setting,
+    n: int,
+    game_fn: Callable[[tuple, Sequence[Sequence[Valuation]]], Game],
+    grand_arm: bool,
+    exact_fast: Optional[Callable[[Instance], Optional[Fraction]]] = None,
+) -> RandomizedMechanism:
+    """Fair coins split the bidders into a sample and the served rest.
+
+    ``game_fn(sample, domains)`` builds the game of one split.  Each
+    bidder flips one coin, in ascending index order, and 0 sends the
+    bidder into the sample.  With ``grand_arm`` an arm coin comes
+    first: 0 runs the grand-bundle clock, 1 the split.  The support is
+    the grand-bundle branch (if any), then the 2^n samples by bitmask.
+    """
+    head = [_grand_element(setting, n, Fraction(1, 2))] if grand_arm else []
+    prob = Fraction(1, 2 ** (n + len(head)))
+
+    def element(sample: tuple) -> SupportElement:
+        label = "sample=" + (",".join(map(str, sample)) if sample else "-")
+        return SupportElement(label, prob, lambda domains: game_fn(sample, domains))
+
+    def branches_fn() -> list:
+        return head + [
+            element(tuple(i for i in range(n) if mask >> i & 1))
+            for mask in range(2 ** n)
+        ]
+
+    def sample_fn(rng: CounterRng) -> SupportElement:
+        if head and rng.below(2) == 0:
+            return head[0]
+        return element(tuple(i for i in range(n) if rng.below(2) == 0))
+
+    return RandomizedMechanism(
+        name, setting, n, len(head) + 2 ** n, branches_fn, sample_fn, exact_fast
+    )
+
+
+def _best_item(valuation: Valuation, unsold: tuple, prices: dict) -> tuple:
+    """The unsold item of highest surplus, earliest on ties, and its surplus.
+
+    Returns (None, None) when nothing is unsold.
+    """
+    best_item = None
+    best_u = None
+    for j in unsold:
+        u = valuation.value({j}) - prices[j]
+        if best_u is None or u > best_u:
+            best_item, best_u = j, u
+    return best_item, best_u
+
+
+# ---------------------------------------------------------------------------
+# sample-and-price for multi-unit bidders (Mechanism 1 shape)
+
+
+def preferred_quantity(v: MultiUnitValuation, remaining: int, price: Fraction) -> int:
+    """Utility-maximizing quantity at a linear per-unit price.
+
+    Ties break to the smaller quantity, so a bidder never buys into
+    exactly zero utility.  For decreasing-marginal valuations this
+    equals the greedy rule "keep adding units while the marginal beats
+    the price".
+    """
+    best_q = 0
+    best_u = ZERO
+    for q in range(1, remaining + 1):
+        u = v.value(q) - price * q
+        if u > best_u:
+            best_q, best_u = q, u
+    return best_q
+
+
+class PartitionSaleGame(SplitGame):
+    """Discard-and-learn sale for one fair-coin partition.
+
+    The optimum welfare O of the sample alone prices every unit at
+    O / (10 m), and the remaining bidders buy their preferred
+    quantities while supply lasts.
     """
 
     def __init__(
@@ -458,90 +578,32 @@ class PartitionSaleGame(SampleServeGame):
         m: int,
         domains: Sequence[Sequence[Valuation]],
     ) -> None:
-        self.m = m
-        self.sample, self.buyers = _split(sample, n)
-        super().__init__(
-            self.sample + self.buyers, MultiUnitSetting(m), domains, len(self.sample)
-        )
+        super().__init__(sample, n, MultiUnitSetting(m), domains)
 
-    def _price_from_reports(self, reports: tuple) -> Fraction:
-        vals = tuple(
-            self.domains[actor][msg] for actor, msg in zip(self.sample, reports)
-        )
-        if not vals:
+    def _price(self, reported: list) -> Fraction:
+        if not reported:
             return ZERO
-        sample_opt = opt_value_restricted(Instance(self.setting, vals))
-        return sample_opt / (10 * self.m)
+        sample_opt = opt_value_restricted(Instance(self.setting, tuple(reported)))
+        return sample_opt / (10 * self.setting.m)
 
-    def root_state(self):
-        return SaleState(0, (), (), self.m, None if self.sample else ZERO)
-
-    def child(self, state, message: int):
-        if self._reporting(state):
-            pos = state.pos + 1
-            reports = state.reports + (message,)
-            price = None
-            if pos == self.cut < self.n:  # the serve phase starts
-                price = self._price_from_reports(reports)
-            return SaleState(pos, reports, state.purchases, state.remaining, price)
-        return SaleState(
-            state.pos + 1,
-            state.reports,
-            state.purchases + (message,),
-            state.remaining - message,
-            state.price,
-        )
-
-    def outcome(self, state) -> Outcome:
-        bundles = [0] * self.n
-        payments = [ZERO] * self.n
-        for buyer, q in zip(self.buyers, state.purchases):
-            bundles[buyer] = q
-            payments[buyer] = state.price * q
-        return Outcome(Allocation(tuple(bundles)), tuple(payments))
+    def _serve(self, state, message: int) -> tuple:
+        return message, state.price * message, state.left - message
 
     def _serve_labels(self, state) -> tuple:
-        return tuple(f"take:{q}" for q in range(state.remaining + 1))
+        return tuple(f"take:{q}" for q in range(state.left + 1))
 
     def _serve_choice(self, state, valuation: Valuation) -> int:
-        return preferred_quantity(valuation, state.remaining, state.price)
-
-
-def _sample_label(sample: tuple) -> str:
-    return "sample=" + (",".join(map(str, sample)) if sample else "-")
+        return preferred_quantity(valuation, state.left, state.price)
 
 
 def _partition_sale_mechanism(name: str, n: int, m: int) -> RandomizedMechanism:
-    setting = MultiUnitSetting(m)
-    half = Fraction(1, 2)
-    part_prob = half * Fraction(1, 2 ** n)
-
-    def sale_element(sample: tuple) -> SupportElement:
-        return SupportElement(
-            _sample_label(sample),
-            part_prob,
-            lambda domains: PartitionSaleGame(sample, n, m, domains),
-        )
-
-    def grand_element() -> SupportElement:
-        return _gaa_element("grand-bundle", half, setting, (0,) * n, (m,) * n)
-
-    def branches_fn() -> list:
-        out = [grand_element()]
-        for mask in range(2 ** n):
-            sample = tuple(i for i in range(n) if mask >> i & 1)
-            out.append(sale_element(sample))
-        return out
-
-    def sample_fn(rng: CounterRng) -> SupportElement:
-        # one coin for the arm, then one coin per bidder (ascending);
-        # 0 sends the bidder into the discarded sample
-        if rng.below(2) == 0:
-            return grand_element()
-        sample = tuple(i for i in range(n) if rng.below(2) == 0)
-        return sale_element(sample)
-
-    return RandomizedMechanism(name, setting, n, 1 + 2 ** n, branches_fn, sample_fn)
+    return _coin_split_mechanism(
+        name,
+        MultiUnitSetting(m),
+        n,
+        lambda sample, domains: PartitionSaleGame(sample, n, m, domains),
+        grand_arm=True,
+    )
 
 
 def mech1_single_minded(n: int, m: int) -> RandomizedMechanism:
@@ -559,27 +621,15 @@ def mech1_single_minded(n: int, m: int) -> RandomizedMechanism:
 # sample-and-max-price for combinatorial bidders (Mechanism 2 shape)
 
 
-@dataclass(frozen=True)
-class PriceState:
-    pos: int
-    reports: tuple
-    taken: tuple
-    unsold: tuple
-    # prices and priority are set once the serve phase starts
-    prices: Optional[tuple]
-    priority: Optional[tuple]
-
-
-class MaxPricePartitionGame(SampleServeGame):
+class MaxPricePartitionGame(SplitGame):
     """Per-item prices set to the sampled bidders' maxima.
 
-    Sampled bidders (ascending) report and are excluded; item j is
-    priced at the highest sampled value, remembering the smallest
-    sampled index attaining it.  The remaining bidders (ascending)
-    then shop: in ``bundle`` mode each takes every unsold item whose
-    price they beat (or meet, when their index precedes the
-    price-setter's); in ``single`` mode each takes at most one item by
-    the same test, preferring higher surplus then earlier items.
+    Item j is priced at the highest sampled value, remembering the
+    smallest sampled index attaining it.  The remaining bidders then
+    shop: in ``bundle`` mode each takes every unsold item whose price
+    they beat (or meet, when their index precedes the price-setter's);
+    in ``single`` mode each takes at most one item by the same test,
+    preferring higher surplus then earlier items.
     """
 
     def __init__(
@@ -592,68 +642,29 @@ class MaxPricePartitionGame(SampleServeGame):
     ) -> None:
         if mode not in ("bundle", "single"):
             raise ValueError(f"unknown mode {mode!r}")
-        self.items = tuple(items)
-        self.sample, self.buyers = _split(sample, n)
         self.mode = mode
-        super().__init__(
-            self.sample + self.buyers,
-            CombinatorialSetting(self.items),
-            domains,
-            len(self.sample),
-        )
+        super().__init__(sample, n, CombinatorialSetting(tuple(items)), domains)
 
-    def _pricing(self, reports: tuple) -> tuple:
-        vals = [
-            self.domains[actor][msg] for actor, msg in zip(self.sample, reports)
-        ]
-        prices = []
-        priority = []
-        for j in self.items:
-            if not vals:
-                prices.append(ZERO)
-                priority.append(-1)
-                continue
-            per = [v.value({j}) for v in vals]
-            top = max(per)
-            prices.append(top)
-            priority.append(self.sample[per.index(top)])
-        return tuple(prices), tuple(priority)
+    def _price(self, reported: list) -> tuple:
+        """Item prices and their setters; an empty sample prices at 0."""
+        prices = {}
+        setters = {}
+        for j in self.setting.items:
+            per = [v.value({j}) for v in reported]
+            prices[j] = max(per, default=ZERO)
+            setters[j] = self.sample[per.index(prices[j])] if per else -1
+        return prices, setters
 
-    def _menu(self, state: PriceState) -> list:
+    def _menu(self, state: SplitState) -> list:
         if self.mode == "bundle":
-            return all_bundles(state.unsold)
-        return [frozenset()] + [frozenset({j}) for j in state.unsold]
+            return all_bundles(state.left)
+        return [frozenset()] + [frozenset({j}) for j in state.left]
 
-    def root_state(self):
-        prices, priority = (None, None) if self.sample else self._pricing(())
-        return PriceState(0, (), (), self.items, prices, priority)
-
-    def child(self, state, message: int):
-        if self._reporting(state):
-            pos = state.pos + 1
-            reports = state.reports + (message,)
-            prices, priority = None, None
-            if pos == self.cut < self.n:  # the serve phase starts
-                prices, priority = self._pricing(reports)
-            return PriceState(pos, reports, state.taken, state.unsold, prices, priority)
+    def _serve(self, state, message: int) -> tuple:
         bundle = self._menu(state)[message]
-        return PriceState(
-            state.pos + 1,
-            state.reports,
-            state.taken + (bundle,),
-            tuple(j for j in state.unsold if j not in bundle),
-            state.prices,
-            state.priority,
-        )
-
-    def outcome(self, state) -> Outcome:
-        idx = {j: k for k, j in enumerate(self.items)}
-        bundles = [frozenset()] * self.n
-        payments = [ZERO] * self.n
-        for buyer, bundle in zip(self.buyers, state.taken):
-            bundles[buyer] = bundle
-            payments[buyer] = sum((state.prices[idx[j]] for j in bundle), ZERO)
-        return Outcome(Allocation(tuple(bundles)), tuple(payments))
+        prices, _ = state.price
+        paid = sum((prices[j] for j in bundle), ZERO)
+        return bundle, paid, tuple(j for j in state.left if j not in bundle)
 
     def _serve_labels(self, state) -> tuple:
         return tuple(
@@ -662,60 +673,24 @@ class MaxPricePartitionGame(SampleServeGame):
         )
 
     def _wants(self, buyer: int, valuation: Valuation, item: str, state) -> bool:
-        k = self.items.index(item)
+        prices, setters = state.price
         value = valuation.value({item})
-        price = state.prices[k]
-        return value > price or (value == price and buyer < state.priority[k])
+        return value > prices[item] or (value == prices[item] and buyer < setters[item])
 
     def _serve_choice(self, state, valuation: Valuation) -> int:
         buyer = self.bidder(state)
         menu = self._menu(state)
         if self.mode == "bundle":
             take = frozenset(
-                j for j in state.unsold if self._wants(buyer, valuation, j, state)
+                j for j in state.left if self._wants(buyer, valuation, j, state)
             )
             return menu.index(take)
-        best_item = None
-        best_u = None
-        for j in state.unsold:
-            u = valuation.value({j}) - state.prices[self.items.index(j)]
-            if best_u is None or u > best_u:
-                best_item, best_u = j, u
-        if best_u is not None and best_u >= 0 and self._wants(
-            buyer, valuation, best_item, state
+        item, surplus = _best_item(valuation, state.left, state.price[0])
+        if surplus is not None and surplus >= 0 and self._wants(
+            buyer, valuation, item, state
         ):
-            return menu.index(frozenset({best_item}))
-        return menu.index(frozenset())
-
-
-def _max_price_mechanism(
-    name: str, n: int, items: tuple, mode: str, exact_fast=None
-) -> RandomizedMechanism:
-    setting = CombinatorialSetting(tuple(items))
-    prob = Fraction(1, 2 ** n)
-
-    def element(sample: tuple) -> SupportElement:
-        return SupportElement(
-            _sample_label(sample),
-            prob,
-            lambda domains: MaxPricePartitionGame(
-                sample, setting.items, n, domains, mode
-            ),
-        )
-
-    def branches_fn() -> list:
-        return [
-            element(tuple(i for i in range(n) if mask >> i & 1))
-            for mask in range(2 ** n)
-        ]
-
-    def sample_fn(rng: CounterRng) -> SupportElement:
-        # one coin per bidder, ascending; 0 joins the sample
-        return element(tuple(i for i in range(n) if rng.below(2) == 0))
-
-    return RandomizedMechanism(
-        name, setting, n, 2 ** n, branches_fn, sample_fn, exact_fast=exact_fast
-    )
+            return menu.index(frozenset({item}))
+        return 0
 
 
 def mech2_additive(n: int, items: Sequence[str]) -> RandomizedMechanism:
@@ -724,7 +699,16 @@ def mech2_additive(n: int, items: Sequence[str]) -> RandomizedMechanism:
     The intended bidders are additive, for whom per-item shopping is
     exactly preferred-bundle shopping.
     """
-    return _max_price_mechanism("mech2-additive", n, tuple(items), "bundle")
+    setting = CombinatorialSetting(tuple(items))
+    return _coin_split_mechanism(
+        "mech2-additive",
+        setting,
+        n,
+        lambda sample, domains: MaxPricePartitionGame(
+            sample, setting.items, n, domains, "bundle"
+        ),
+        grand_arm=False,
+    )
 
 
 def naive_max_price_ud(n: int, items: Sequence[str]) -> RandomizedMechanism:
@@ -734,11 +718,15 @@ def naive_max_price_ud(n: int, items: Sequence[str]) -> RandomizedMechanism:
     prices: on crowded instances the max-sampled price lets only a
     vanishing fraction of bidders buy.
     """
-    return _max_price_mechanism(
+    setting = CombinatorialSetting(tuple(items))
+    return _coin_split_mechanism(
         "naive-max-price",
+        setting,
         n,
-        tuple(items),
-        "single",
+        lambda sample, domains: MaxPricePartitionGame(
+            sample, setting.items, n, domains, "single"
+        ),
+        grand_arm=False,
         exact_fast=_naive_constant_rows_exact,
     )
 
@@ -913,38 +901,18 @@ class ArrivalPricingGame(SampleServeGame):
             tuple(j for j in state.unsold if j not in bundle),
         )
 
-    def outcome(self, state) -> Outcome:
-        bundles = [frozenset()] * self.n
-        payments = [ZERO] * self.n
-        served = self.order[self.cut :]
-        for bidder, bundle, paid in zip(served, state.taken, state.payments):
-            bundles[bidder] = bundle
-            payments[bidder] = paid
-        return Outcome(Allocation(tuple(bundles)), tuple(payments))
-
     def _serve_labels(self, state) -> tuple:
         return ("none",) + state.unsold
 
     def _serve_choice(self, state, valuation: Valuation) -> int:
         prices = self._price_vector(state.reports, state.unsold)
-        menu = self._menu(state)
-        best_item = None
-        best_u = None
-        for j in state.unsold:
-            u = valuation.value({j}) - prices[j]
-            if best_u is None or u > best_u:
-                best_item, best_u = j, u
-        if best_u is None or best_u < 0:
+        item, surplus = _best_item(valuation, state.unsold, prices)
+        if surplus is None or surplus < 0:
             return 0
-        if best_u > 0:
-            return menu.index(frozenset({best_item}))
-        candidate = next(
-            j for j in state.unsold if valuation.value({j}) - prices[j] == 0
-        )
-        if self._canonical_assigns(
-            state.reports, state.unsold, self.bidder(state), valuation, candidate
+        if surplus > 0 or self._canonical_assigns(
+            state.reports, state.unsold, self.bidder(state), valuation, item
         ):
-            return menu.index(frozenset({candidate}))
+            return self._menu(state).index(frozenset({item}))
         return 0
 
 
@@ -1041,7 +1009,7 @@ def mech3_unit_demand(n: int, items: Sequence[str]) -> RandomizedMechanism:
 # registry
 
 
-def mechanism_for_instance(name: str, instance: Instance, **params) -> RandomizedMechanism:
+def mechanism_for_instance(name: str, instance: Instance) -> RandomizedMechanism:
     """Build the named mechanism shaped to the given instance."""
     n = instance.n
     multi = instance.multiunit
@@ -1070,7 +1038,7 @@ def mechanism_for_instance(name: str, instance: Instance, **params) -> Randomize
     if name == "m1-2x2":
         if not multi or instance.m != 2 or n != 2:
             raise ValueError("m1-2x2 is bound to 2 bidders and 2 units")
-        return m1_2x2(params.get("p", Fraction(1, 2)))
+        return m1_2x2()
     if name == "m2-2x2":
         if multi or n != 2 or len(instance.items) != 2:
             raise ValueError("m2-2x2 is bound to 2 bidders and 2 items")
@@ -1078,7 +1046,7 @@ def mechanism_for_instance(name: str, instance: Instance, **params) -> Randomize
     if name == "m3-2x2":
         if multi or n != 2 or len(instance.items) != 2:
             raise ValueError("m3-2x2 is bound to 2 bidders and 2 items")
-        return m3_2x2(params.get("p", Fraction(1, 3)), instance.items)
+        return m3_2x2(items=instance.items)
     if name == "three-item-dm":
         if not multi or instance.m != 3 or n != 2:
             raise ValueError("three-item-dm is bound to 2 bidders and 3 units")

@@ -435,17 +435,12 @@ class GaaSpec:
     exited bidders' base bundles; winners then pay the last grid price
     that completed a full round (so ties resolve at the tied price, in
     favor of the lowest-index bidder).
-
-    ``feasible`` overrides the default feasibility test (the induced
-    allocation fits in the supply); custom predicates must accept the
-    all-exited set and must imply allocation feasibility.
     """
 
     setting: Setting
     base: tuple
     potential: tuple
     grid: tuple
-    feasible: Optional[Callable] = None
 
     def __post_init__(self) -> None:
         base = tuple(self.base)
@@ -476,8 +471,6 @@ class GaaSpec:
         return len(self.base)
 
     def is_feasible(self, active: frozenset) -> bool:
-        if self.feasible is not None:
-            return bool(self.feasible(active))
         chosen = [
             self.potential[i] if i in active else self.base[i] for i in range(self.n)
         ]
@@ -585,15 +578,15 @@ def gaa_truthful_strategy(spec: GaaSpec, protocol: Optional[Protocol] = None) ->
     return game_strategy(GaaGame(spec), protocol)
 
 
-def clock_grid(marginals: Iterable, sentinel_step: int = 1) -> tuple:
+def clock_grid(marginals: Iterable) -> tuple:
     """Price grid reproducing the continuous clock on given marginals.
 
-    Takes all distinct positive marginal values plus one sentinel price
-    strictly above the maximum, so every bidder has an exact truthful
-    exit point and no bidder stays forever.
+    Takes all distinct positive marginal values plus a sentinel price
+    one above the maximum (1 when no marginal is positive), so every
+    bidder has an exact truthful exit point and no bidder stays forever.
     """
     values = sorted({as_fraction(x) for x in marginals if as_fraction(x) > 0})
-    top = values[-1] + sentinel_step if values else Fraction(sentinel_step)
+    top = values[-1] + 1 if values else Fraction(1)
     return tuple(values) + (top,)
 
 

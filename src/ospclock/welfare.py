@@ -38,6 +38,7 @@ fixed enumeration order.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -429,10 +430,18 @@ def _opt_mask_dp(
 # Public API
 
 
+def _as_int(x, what: str) -> int:
+    """``x`` as an int; a fractional value is refused, not truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x}") from None
+
+
 def _resolve_bidders(instance: Instance, bidders) -> list[int]:
     if bidders is None:
         return list(range(instance.n))
-    ids = sorted(set(int(i) for i in bidders))
+    ids = sorted(set(_as_int(i, "bidder index") for i in bidders))
     for i in ids:
         if not 0 <= i < instance.n:
             raise ValueError(f"bidder index {i} out of range")
@@ -453,7 +462,7 @@ def opt_restricted(
     """
     ids = _resolve_bidders(instance, bidders)
     if instance.multiunit:
-        capacity = instance.m if items is None else int(items)
+        capacity = instance.m if items is None else _as_int(items, "item count")
         if not 0 <= capacity <= instance.m:
             raise ValueError(f"item count {capacity} outside 0..{instance.m}")
         vals = [instance.valuations[i] for i in ids]

@@ -193,17 +193,17 @@ def test_grand_bundle_is_second_price():
 
 
 def test_everyone_exits_to_base_bundles():
+    # only the all-exited profile fits: 3 base units of 3
     spec = GaaSpec(
-        SETTING2,
-        base=(0, 0),
-        potential=(2, 2),
+        MultiUnitSetting(3),
+        base=(1, 1, 1),
+        potential=(2, 2, 2),
         grid=(F(1),),
-        feasible=lambda active: len(active) == 0,
     )
-    zero = sm(0)
-    outcome, _ = run_game(GaaGame(spec), [zero, zero])
-    assert outcome.allocation.bundles == (0, 0)
-    assert outcome.payments == (F(0), F(0))
+    zero = sm(0, m=3)
+    outcome, _ = run_game(GaaGame(spec), [zero, zero, zero])
+    assert outcome.allocation.bundles == (1, 1, 1)
+    assert outcome.payments == (F(0), F(0), F(0))
 
 
 def test_feasible_at_start_short_circuits():

@@ -279,6 +279,18 @@ def test_bad_restrictions_are_refused(solver, case):
         solver(inst, items=restriction)
 
 
+@pytest.mark.parametrize(
+    "restriction,named",
+    [({"items": 1.9}, "1.9"), ({"bidders": [1.7]}, "1.7"), ({"items": F(3, 2)}, "3/2")],
+    ids=["items-float", "bidders-float", "items-fraction"],
+)
+def test_fractional_restrictions_are_refused(restriction, named):
+    # a fractional unit count or bidder index is refused, not truncated
+    inst = sm_instance([(1, 1), (2, 2)], m=2)
+    with pytest.raises(ValueError, match=named):
+        opt_restricted(inst, **restriction)
+
+
 def _ud_brute_value(vals, items) -> Fraction:
     """``brute_force_opt`` of unit-demand rows over a subset of items."""
     if not vals or not items:
