@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 from ospclock.fixtures import (
     SealedBidGame,
     eager_posted_price_protocol,
+    load_game,
     negative_transfer_protocol,
     sealed_bid_domains,
 )
 from ospclock.osp import (
     CheckVerdict,
+    OspVerdict,
+    OspWitness,
     check_divergence_lemma,
     replay_witness,
     verify_dsic,
@@ -33,6 +36,7 @@ from ospclock.protocols import (
     behavior_from_strategy,
     gaa_grid_for_domains,
     materialize,
+    protocol_from_json,
     realize_rule,
     truthful_strategies,
 )
@@ -268,29 +272,37 @@ def reference_dsic(rule):
     return CheckVerdict("dsic", "pass")
 
 
+def random_amount(rng, top=3):
+    """An integer or a fraction with denominator 2, 3 or 5, in [0, top]."""
+    den = rng.choice((1, 1, 2, 3, 5))
+    return Fraction(rng.randint(0, top * den), den)
+
+
+def random_valuation(rng, combinatorial):
+    if combinatorial:
+        kind = rng.choice((AdditiveValuation, UnitDemandValuation))
+        return kind(ITEMS, {j: random_amount(rng) for j in ITEMS})
+    return MultiUnitValuation(tuple(sorted(random_amount(rng) for _ in range(2))))
+
+
+ITEMS = ("a", "b")
+BUNDLES = [frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")]
+
+
 def random_rule(rng, combinatorial):
-    """A small rule with arbitrary outcomes over random domains."""
+    """A small rule with arbitrary outcomes over random domains.
+
+    Values and payments mix denominators 1, 2, 3 and 5, so the exact
+    checks cannot get by on integers.
+    """
     n = rng.randint(1, 3)
     sizes = [rng.randint(2, 3) for _ in range(n)]
-    if combinatorial:
-        items = ("a", "b")
-        bundles = [frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")]
-
-        def valuation():
-            kind = rng.choice((AdditiveValuation, UnitDemandValuation))
-            return kind(items, {j: rng.randint(0, 3) for j in items})
-
-    else:
-        bundles = [0, 1, 2]
-
-        def valuation():
-            return MultiUnitValuation(tuple(sorted(rng.randint(0, 3) for _ in range(2))))
-
-    domains = tuple(tuple(valuation() for _ in range(k)) for k in sizes)
+    bundles = BUNDLES if combinatorial else [0, 1, 2]
+    domains = tuple(tuple(random_valuation(rng, combinatorial) for _ in range(k)) for k in sizes)
     table = {
         profile: Outcome(
             Allocation(tuple(rng.choice(bundles) for _ in range(n))),
-            tuple(Fraction(rng.randint(0, 6), 2) for _ in range(n)),
+            tuple(random_amount(rng) for _ in range(n)),
         )
         for profile in itertools.product(*(range(k) for k in sizes))
     }
@@ -314,6 +326,253 @@ def test_rule_checks_match_the_full_scan(combinatorial):
     for seen in statuses.values():
         assert seen.count("fail") > len(seen) // 2
         assert "pass" in seen
+
+
+# ---------------------------------------------------------------------------
+# the exact verifiers against Fraction references on whole trees
+
+
+def _by_depth(ids):
+    return sorted(ids, key=lambda u: (len(u), u))
+
+
+def reference_utility_passes(protocol, bidder, valuation, behavior):
+    """min-pinned and max-free utilities of every node, on Fractions."""
+    min_pinned = {}
+    max_free = {}
+    for u in reversed(_by_depth(list(protocol.nodes) + list(protocol.leaves))):
+        if protocol.is_leaf(u):
+            util = protocol.outcome(u).utility(bidder, valuation)
+            min_pinned[u] = util
+            max_free[u] = util
+            continue
+        children = [u + (k,) for k in range(len(protocol.messages(u)))]
+        max_free[u] = max(max_free[c] for c in children)
+        if protocol.bidder(u) == bidder:
+            min_pinned[u] = min_pinned[u + (behavior[u],)]
+        else:
+            min_pinned[u] = min(min_pinned[c] for c in children)
+    return min_pinned, max_free
+
+
+def reference_witness(protocol, i, v_idx, valuation, behavior, u, truthful, dev, passes):
+    min_pinned, max_free = passes
+
+    def descend(w, pick):
+        steps = []
+        while not protocol.is_leaf(w):
+            k = pick(w, range(len(protocol.messages(w))))
+            steps.append((w, k))
+            w = w + (k,)
+        return steps
+
+    def pinned(w, ks):
+        if protocol.bidder(w) == i:
+            return behavior[w]
+        return min(ks, key=lambda k: (min_pinned[w + (k,)], k))
+
+    def free(w, ks):
+        return min(ks, key=lambda k: (-max_free[w + (k,)], k))
+
+    def profile(steps):
+        out = [dict() for _ in range(protocol.n)]
+        for w, k in steps:
+            out[protocol.bidder(w)][w] = k
+        return out
+
+    prefix = [(u[:t], u[t]) for t in range(len(u))]
+    return OspWitness(
+        bidder=i,
+        valuation_index=v_idx,
+        valuation=valuation,
+        node=u,
+        truthful_message=truthful,
+        deviating_message=dev,
+        worst_truthful_utility=min_pinned[u + (truthful,)],
+        best_deviating_utility=max_free[u + (dev,)],
+        truthful_profile=profile(prefix + [(u, truthful)] + descend(u + (truthful,), pinned)),
+        deviating_profile=profile(prefix + [(u, dev)] + descend(u + (dev,), free)),
+    )
+
+
+def reference_verify_osp(protocol, strategies, domains):
+    """verify_osp on Fractions: bidders, valuations, attainable nodes of
+    the bidder (shallowest first, then lexicographic), deviations."""
+    for i in range(protocol.n):
+        for v_idx, valuation in enumerate(domains[i]):
+            behavior = behavior_from_strategy(protocol, i, strategies[i], valuation)
+            passes = reference_utility_passes(protocol, i, valuation, behavior)
+            min_pinned, max_free = passes
+            attainable = {()}
+            for u in _by_depth(protocol.nodes):
+                if u not in attainable:
+                    continue
+                messages = range(len(protocol.messages(u)))
+                if protocol.bidder(u) != i:
+                    attainable.update(u + (k,) for k in messages)
+                    continue
+                truthful = behavior[u]
+                attainable.add(u + (truthful,))
+                for dev in messages:
+                    if dev != truthful and max_free[u + (dev,)] > min_pinned[u + (truthful,)]:
+                        witness = reference_witness(
+                            protocol, i, v_idx, valuation, behavior, u, truthful, dev, passes
+                        )
+                        return OspVerdict("fail", witness)
+    return OspVerdict("pass")
+
+
+def reference_ir(protocol, strategies, domains):
+    """NNT over every leaf, then IR through ``Outcome.utility``."""
+    for u in _by_depth(protocol.leaves):
+        for i, payment in enumerate(protocol.outcome(u).payments):
+            if payment < 0:
+                return CheckVerdict(
+                    "ir_nnt",
+                    "fail",
+                    {
+                        "failure": "negative_transfer",
+                        "leaf": ".".join(map(str, u)),
+                        "bidder": i,
+                        "payment": format_fraction(payment),
+                    },
+                )
+    rule = realize_rule(protocol, strategies, domains)
+    for profile in sorted(rule.table):
+        for i in range(protocol.n):
+            utility = rule.table[profile].utility(i, domains[i][profile[i]])
+            if utility < 0:
+                return CheckVerdict(
+                    "ir_nnt",
+                    "fail",
+                    {
+                        "failure": "individual_rationality",
+                        "profile": list(profile),
+                        "bidder": i,
+                        "utility": format_fraction(utility),
+                    },
+                )
+    return CheckVerdict("ir_nnt", "pass")
+
+
+def random_allocation(rng, n, combinatorial):
+    if combinatorial:
+        owners = {j: rng.randrange(-1, n) for j in ITEMS}
+        return [sorted(j for j in ITEMS if owners[j] == i) for i in range(n)]
+    left = 2
+    out = []
+    for _ in range(n):
+        q = rng.randint(0, left)
+        out.append(q)
+        left -= q
+    return out
+
+
+def random_tree(rng, n, combinatorial):
+    """A random tree through ``protocol_from_json``: fractional payments
+    (denominators 1, 2, 3, 5) and, in one tree of eight, a few negative."""
+    nodes, leaves = {}, {}
+    negative = rng.random() < 0.125
+
+    def grow(u):
+        key = ".".join(map(str, u))
+        if len(u) == 4 or (u and rng.random() < 0.35):
+            payments = [
+                random_amount(rng) - (1 if negative and rng.random() < 0.1 else 0)
+                for _ in range(n)
+            ]
+            leaves[key] = {
+                "allocation": random_allocation(rng, n, combinatorial),
+                "payments": [format_fraction(p) for p in payments],
+            }
+            return
+        width = rng.randint(2, 3)
+        nodes[key] = {"bidder": rng.randrange(n), "messages": [f"m{k}" for k in range(width)]}
+        for k in range(width):
+            grow(u + (k,))
+
+    grow(())
+    setting = {"items": list(ITEMS)} if combinatorial else {"multiunit": 2}
+    return protocol_from_json({"n": n, "setting": setting, "nodes": nodes, "leaves": leaves})
+
+
+def random_strategy(rng, protocol, bidder, domain):
+    """A pure strategy: random messages, or (half the time) the message
+    with the best free continuation, so single-bidder trees can pass."""
+    greedy = rng.random() < 0.5
+    table = {}
+    mine = protocol.bidder_nodes(bidder)
+    for k, valuation in enumerate(domain):
+        _, max_free = reference_utility_passes(protocol, bidder, valuation, dict.fromkeys(mine, 0))
+        for u in mine:
+            messages = range(len(protocol.messages(u)))
+            if greedy:
+                table[k, u] = min(messages, key=lambda m: (-max_free[u + (m,)], m))
+            else:
+                table[k, u] = rng.choice(messages)
+
+    def strategy(valuation, u):
+        return table[domain.index(valuation), u]
+
+    return strategy
+
+
+def tree_cases():
+    """Seeded random trees, the sealed-bid control and a clock auction
+    on fractional single-minded values."""
+    rng = random.Random("exact-tree-checks")
+    cases = []
+    for _ in range(160):
+        combinatorial = rng.random() < 0.5
+        n = rng.randint(1, 3)
+        protocol = random_tree(rng, n, combinatorial)
+        domains = [
+            [random_valuation(rng, combinatorial) for _ in range(rng.randint(1, 3))]
+            for _ in range(n)
+        ]
+        strategies = [random_strategy(rng, protocol, i, domains[i]) for i in range(n)]
+        cases.append((protocol, strategies, domains))
+    cases.append(load_game("sealed-bid-2x2"))
+    domains = [[sm(x) for x in (0, F(1, 2), F(4, 3), F(12, 5))], [sm(x, 2) for x in (F(1, 3), 1, F(7, 2))]]
+    proto, _, strategies = grand_gaa(domains)
+    cases.append((proto, strategies, domains))
+    return cases
+
+
+def test_verify_osp_matches_the_fraction_reference():
+    """Same verdict and witness JSON as the Fraction passes, on passing
+    and failing trees."""
+    statuses = []
+    for protocol, strategies, domains in tree_cases():
+        expected = reference_verify_osp(protocol, strategies, domains)
+        got = verify_osp(protocol, strategies, domains)
+        assert got.to_json() == expected.to_json()
+        if expected.witness is not None:
+            utilities = (expected.witness.worst_truthful_utility, expected.witness.best_deviating_utility)
+            assert (got.witness.worst_truthful_utility, got.witness.best_deviating_utility) == utilities
+            assert replay_witness(protocol, got.witness) == utilities
+        statuses.append(expected.status)
+    assert statuses.count("fail") > len(statuses) // 2
+    assert statuses.count("pass") > 10
+    assert statuses[-2:] == ["fail", "pass"]
+
+
+def test_ir_and_rule_checks_match_the_references_on_trees():
+    seen = {"ir_nnt": set(), "weak_monotonicity": set(), "dsic": set()}
+    for protocol, strategies, domains in tree_cases():
+        expected = reference_ir(protocol, strategies, domains)
+        assert verify_ir_nnt(protocol, strategies, domains) == expected
+        seen["ir_nnt"].add(expected.details.get("failure", expected.status))
+        rule = realize_rule(protocol, strategies, domains)
+        for check, reference in (
+            (verify_weak_monotonicity, reference_weak_monotonicity),
+            (verify_dsic, reference_dsic),
+        ):
+            expected = reference(rule)
+            assert check(rule) == expected
+            seen[expected.check].add(expected.status)
+    assert seen["ir_nnt"] == {"pass", "negative_transfer", "individual_rationality"}
+    assert seen["weak_monotonicity"] == seen["dsic"] == {"pass", "fail"}
 
 
 # ---------------------------------------------------------------------------
