@@ -477,7 +477,13 @@ def opt_restricted(
     else:
         if isinstance(items, int):
             raise ValueError("combinatorial settings need an item subset, not a count")
-        subset = set(items)
+        refused = f"combinatorial settings need a collection of item names, got {items!r}"
+        if isinstance(items, str):
+            raise ValueError(refused)
+        try:
+            subset = set(items)
+        except TypeError:
+            raise ValueError(refused) from None
         extra = subset - set(instance.items)
         if extra:
             raise ValueError(f"unknown items {sorted(extra)}")

@@ -291,6 +291,17 @@ def test_fractional_restrictions_are_refused(restriction, named):
         opt_restricted(inst, **restriction)
 
 
+@pytest.mark.parametrize("items,named", [("ab", "'ab'"), (1.5, "1.5")], ids=["str", "float"])
+def test_item_restrictions_must_be_collections_of_names(items, named):
+    # a string is one name, not the set of its letters; a number is no subset
+    inst = Instance(
+        CombinatorialSetting(("a", "b")),
+        (UnitDemandValuation(("a", "b"), {"a": 1, "b": 2}),) * 2,
+    )
+    with pytest.raises(ValueError, match=named):
+        opt_restricted(inst, items=items)
+
+
 def _ud_brute_value(vals, items) -> Fraction:
     """``brute_force_opt`` of unit-demand rows over a subset of items."""
     if not vals or not items:
