@@ -528,6 +528,11 @@ def _coin_split_mechanism(
     )
 
 
+def _single_item_menu(items) -> list:
+    """Nothing, then each of ``items`` alone: the single-item shopping menu."""
+    return [frozenset()] + [frozenset({j}) for j in items]
+
+
 def _best_item(valuation: Valuation, unsold: tuple, prices: dict) -> tuple:
     """The unsold item of highest surplus, earliest on ties, and its surplus.
 
@@ -658,7 +663,7 @@ class MaxPricePartitionGame(SplitGame):
     def _menu(self, state: SplitState) -> list:
         if self.mode == "bundle":
             return all_bundles(state.left)
-        return [frozenset()] + [frozenset({j}) for j in state.left]
+        return _single_item_menu(state.left)
 
     def _serve(self, state, message: int) -> tuple:
         bundle = self._menu(state)[message]
@@ -868,7 +873,7 @@ class ArrivalPricingGame(SampleServeGame):
         return state.reporting
 
     def _menu(self, state: ArrivalState) -> list:
-        return [frozenset()] + [frozenset({j}) for j in state.unsold]
+        return _single_item_menu(state.unsold)
 
     def root_state(self):
         return ArrivalState(0, 0 < self.cut, (), (), (), self.items)
