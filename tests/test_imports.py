@@ -1,6 +1,7 @@
 """Static checks: every imported name in the package and tests is used,
-and every module-level function and class of the package is named
-somewhere besides its definition."""
+every module-level function and class of the package is named somewhere
+besides its definition, and so is every non-dunder method of its
+classes."""
 
 import ast
 from pathlib import Path
@@ -71,24 +72,65 @@ def referenced_names(source: str) -> set:
     return names
 
 
+def string_parts(source: str) -> set:
+    """Every string constant of a module and its dot-separated parts, so
+    that ``getattr(x, "name")`` and ``"module.Class.name"`` name ``name``."""
+    parts = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts.add(node.value)
+            parts.update(node.value.split("."))
+    return parts
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def unreferenced_definitions(package: dict, sources: list) -> list:
-    """Module-level functions and classes of ``package`` (module name to
-    source) that no module of ``package`` or ``sources`` names."""
+    """Definitions of ``package`` (module name to source) that no module
+    of ``package`` or ``sources`` names: module-level functions and
+    classes, read as names or attributes, and non-dunder methods
+    (``Class.method``), read as names, attributes or strings."""
     used = set()
+    strings = set()
     for source in list(package.values()) + sources:
         used |= referenced_names(source)
-    return sorted(
-        (module, node.name)
-        for module, source in package.items()
-        for node in ast.parse(source).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name not in used
-    )
+        strings |= string_parts(source)
+    dead = []
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, FUNCTIONS + (ast.ClassDef,)) and node.name not in used:
+                dead.append((module, node.name))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for member in node.body:
+                name = member.name if isinstance(member, FUNCTIONS) else None
+                if name and not (name.startswith("__") and name.endswith("__")):
+                    if name not in used | strings:
+                        dead.append((module, f"{node.name}.{name}"))
+    return sorted(dead)
 
 
 def test_unreferenced_definition_detector():
-    package = {"m": "def used():\n    pass\ndef dead():\n    pass\nclass K:\n    pass\n"}
-    assert unreferenced_definitions(package, ["used()\nx.K\n"]) == [("m", "dead")]
+    package = {
+        "m": (
+            "def used():\n    pass\n"
+            "def dead():\n    pass\n"
+            "class K:\n"
+            "    def __init__(self):\n        self.called()\n"
+            "    def called(self):\n        pass\n"
+            "    def by_string(self):\n        pass\n"
+            "    @property\n    def by_qualname(self):\n        pass\n"
+            "    def unused(self):\n        pass\n"
+            "    async def unused_async(self):\n        pass\n"
+        )
+    }
+    sources = ["used()\nx.K\ngetattr(x, 'by_string')\nhooks = {'m.K.by_qualname': 1}\n"]
+    assert unreferenced_definitions(package, sources) == [
+        ("m", "K.unused"),
+        ("m", "K.unused_async"),
+        ("m", "dead"),
+    ]
 
 
 def test_no_unreferenced_definitions():
