@@ -17,9 +17,23 @@ compute for every node
 
 and the check compares them across sibling edges.  Witnesses carry two
 behavior profiles that replay to exactly the reported utilities.  The
-behavior tables come from ``behavior_from_strategy``, which keeps them
-on the protocol, so ``verify_osp``, ``verify_ir_nnt`` and
-``realize_rule`` tabulate each (bidder, valuation) once between them.
+behavior tables come from ``behavior_from_strategy`` and the realized
+rule from ``realize_rule``; both keep what they build on the protocol,
+so ``verify_osp``, ``verify_ir_nnt`` and a caller's own ``realize_rule``
+tabulate each (bidder, valuation) and play each profile once between
+them.
+
+All comparisons run on exact integers.  Utilities are rationals, so
+every value and payment a check reads is multiplied by one common
+scale, the least common multiple of their denominators: the leaf
+utilities of one bidder's domain in ``verify_osp``, and the whole rule
+in the rule checks.  Scaling by a positive integer keeps every
+difference, comparison and tie, so verdicts and witnesses are those of
+``Fraction`` arithmetic; a reported utility ``x`` is ``Fraction(x,
+scale)``.  The rule checks read a private view of the realized rule,
+built once per rule: profiles lie flat in ``sorted(rule.table)`` order,
+so bidder ``i``'s unilateral move from index ``a`` to ``alt`` is a step
+of ``(alt - a) * stride[i]``, and each bidder's bundles are interned.
 
 Also here: ex-post individual rationality + no-negative-transfers,
 weak monotonicity and dominant-strategy checks on realized rules, and
@@ -31,11 +45,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, product
+from math import lcm
 from typing import Optional, Sequence
 
 from .protocols import (
     NodeId,
-    Outcome,
     Protocol,
     RealizedRule,
     Strategy,
@@ -117,39 +132,82 @@ class CheckVerdict:
 
 
 # ---------------------------------------------------------------------------
+# exact integer scaling
+
+
+def _common_scale(amounts) -> int:
+    """Least common multiple of the denominators of exact amounts."""
+    return lcm(*{x.denominator for x in amounts})
+
+
+def _scaled(amounts, scale: int) -> list:
+    return [x.numerator * (scale // x.denominator) for x in amounts]
+
+
+def _bidder_columns(outcomes: list, bidder: int, domain) -> tuple:
+    """The bidder's side of a list of outcomes, as exact amounts.
+
+    Returns the interned id of the bidder's bundle in each outcome, the
+    value of each valuation of ``domain`` on each distinct bundle (one
+    row per valuation, one entry per id), and the bidder's payment in
+    each outcome.
+    """
+    bundle_ids: dict = {}
+    picks = [
+        bundle_ids.setdefault(o.allocation.bundles[bidder], len(bundle_ids)) for o in outcomes
+    ]
+    values = [[valuation.value(bundle) for bundle in bundle_ids] for valuation in domain]
+    return picks, values, [o.payments[bidder] for o in outcomes]
+
+
+# ---------------------------------------------------------------------------
 # obvious dominance
 
 
-def _utility_passes(protocol: Protocol, bidder: int, valuation, behavior):
-    """min-pinned and max-free utilities for every node, bottom-up."""
-    min_pinned: dict = {}
-    max_free: dict = {}
-    for u in reversed(protocol.all_ids_by_depth()):
-        if protocol.is_leaf(u):
-            util = protocol.outcome(u).utility(bidder, valuation)
-            min_pinned[u] = util
-            max_free[u] = util
-            continue
-        node = protocol.nodes[u]
-        children = [u + (k,) for k in range(len(node.messages))]
-        max_free[u] = max(max_free[c] for c in children)
-        if node.bidder == bidder:
-            min_pinned[u] = min_pinned[u + (behavior[u],)]
+def _leaf_utilities(protocol: Protocol, bidder: int, domain) -> tuple:
+    """The bidder's scaled utility at every leaf for each valuation.
+
+    Returns the common scale of the whole domain and a generator of one
+    ``{leaf: utility * scale}`` dict per valuation, in domain order.
+    Each valuation is evaluated once per distinct bundle of the bidder.
+    """
+    leaves = list(protocol.leaves)
+    outcomes = [protocol.outcome(u) for u in leaves]
+    picks, values, payments = _bidder_columns(outcomes, bidder, domain)
+    scale = _common_scale(chain(payments, *values))
+    paid = _scaled(payments, scale)
+
+    def utilities():
+        for row in values:
+            worth = _scaled(row, scale)
+            yield {u: worth[k] - p for u, k, p in zip(leaves, picks, paid)}
+
+    return scale, utilities()
+
+
+def _utility_passes(protocol: Protocol, bidder: int, leaf_utility: dict, behavior):
+    """min-pinned and max-free utilities for every node, bottom-up.
+
+    ``leaf_utility`` becomes the max-free table.
+    """
+    min_pinned = dict(leaf_utility)
+    max_free = leaf_utility
+    for u, mover, children in protocol.bottom_up:
+        max_free[u] = max([max_free[c] for c in children])
+        if mover == bidder:
+            min_pinned[u] = min_pinned[children[behavior[u]]]
         else:
-            min_pinned[u] = min(min_pinned[c] for c in children)
+            min_pinned[u] = min([min_pinned[c] for c in children])
     return min_pinned, max_free
 
 
 def _attainable_nodes(protocol: Protocol, bidder: int, behavior) -> set:
     """Nodes whose history agrees with the behavior at the bidder's nodes."""
-    attainable = {(): True}
-    for u in protocol.all_ids_by_depth():
-        if protocol.is_leaf(u) or not attainable.get(u, False):
-            continue
-        node = protocol.nodes[u]
-        for k in range(len(node.messages)):
-            attainable[u + (k,)] = node.bidder != bidder or k == behavior[u]
-    return {u for u, ok in attainable.items() if ok}
+    attainable = {()}
+    for u, mover, children in reversed(protocol.bottom_up):
+        if u in attainable:
+            attainable.update(children if mover != bidder else (children[behavior[u]],))
+    return attainable
 
 
 def _descend(protocol, start, pick):
@@ -185,9 +243,10 @@ def verify_osp(
         raise ValueError("need one strategy and one domain per bidder")
     for i in range(protocol.n):
         my_nodes = protocol.bidder_nodes(i)
-        for v_idx, valuation in enumerate(domains[i]):
+        scale, leaf_utilities = _leaf_utilities(protocol, i, domains[i])
+        for v_idx, (valuation, leaf_utility) in enumerate(zip(domains[i], leaf_utilities)):
             behavior = behavior_from_strategy(protocol, i, strategies[i], valuation)
-            min_pinned, max_free = _utility_passes(protocol, i, valuation, behavior)
+            min_pinned, max_free = _utility_passes(protocol, i, leaf_utility, behavior)
             attainable = _attainable_nodes(protocol, i, behavior)
             for u in my_nodes:
                 if u not in attainable:
@@ -208,8 +267,8 @@ def verify_osp(
                             u,
                             truthful,
                             dev,
-                            worst,
-                            best,
+                            Fraction(worst, scale),
+                            Fraction(best, scale),
                             min_pinned,
                             max_free,
                         )
@@ -221,6 +280,7 @@ def _build_witness(
     protocol, i, v_idx, valuation, behavior, u, truthful, dev, worst, best,
     min_pinned, max_free,
 ) -> OspWitness:
+    # the passes hold scaled integers; scaling keeps the (utility, k) order
     prefix_steps = [(u[:t], u[t]) for t in range(len(u))]
 
     def pick_pinned(w):
@@ -291,20 +351,19 @@ def verify_ir_nnt(
                         "payment": format_fraction(payment),
                     },
                 )
-    rule = realize_rule(protocol, strategies, domains)
-    for profile in sorted(rule.table):
-        outcome = rule.table[profile]
-        for i in range(protocol.n):
-            utility = _utility(rule, outcome, i, profile[i])
+    view = _rule_view(realize_rule(protocol, strategies, domains))
+    for x in range(view.count):
+        for i, (stride, size, bundles, values, payments) in enumerate(view.bidders):
+            utility = values[x // stride % size][bundles[x]] - payments[x]
             if utility < 0:
                 return CheckVerdict(
                     "ir_nnt",
                     "fail",
                     {
                         "failure": "individual_rationality",
-                        "profile": list(profile),
+                        "profile": view.profile(x),
                         "bidder": i,
-                        "utility": format_fraction(utility),
+                        "utility": format_fraction(Fraction(utility, view.scale)),
                     },
                 )
     return CheckVerdict("ir_nnt", "pass")
@@ -314,14 +373,46 @@ def verify_ir_nnt(
 # realized-rule properties
 
 
-def _profile_with(profile: tuple, position: int, value: int) -> tuple:
-    return profile[:position] + (value,) + profile[position + 1 :]
+@dataclass(frozen=True)
+class _RuleView:
+    """A realized rule on scaled integers.
+
+    Profile ``x`` is the x-th of the ``count`` profiles of
+    ``sorted(rule.table)``, which is ``product`` order.  ``bidders[i]``
+    is ``(stride, size, bundles, values, payments)``: bidder i's index in
+    profile x is ``x // stride % size``, so moving it from ``a`` to
+    ``alt`` moves x by ``(alt - a) * stride``; ``bundles[x]`` interns the
+    bidder's bundle at x, ``values[a][b]`` is ``domains[i][a]`` on
+    interned bundle b and ``payments[x]`` is the bidder's payment at x,
+    all times ``scale``.
+    """
+
+    count: int
+    bidders: tuple
+    scale: int
+
+    def profile(self, x: int) -> list:
+        return [x // stride % size for stride, size, *_ in self.bidders]
 
 
-def _utility(rule: RealizedRule, outcome: Outcome, bidder: int, index: int) -> Fraction:
-    """Utility of valuation ``domains[bidder][index]`` for ``outcome``."""
-    bundle = outcome.allocation.bundles[bidder]
-    return rule.value(bidder, index, bundle) - outcome.payments[bidder]
+def _rule_view(rule: RealizedRule) -> _RuleView:
+    """The integer view of ``rule``, built on first use and kept on it."""
+    if rule._view is not None:
+        return rule._view
+    sizes = [len(d) for d in rule.domains]
+    outcomes = [rule.table[profile] for profile in product(*map(range, sizes))]
+    columns = [_bidder_columns(outcomes, i, domain) for i, domain in enumerate(rule.domains)]
+    scale = _common_scale(
+        chain.from_iterable(chain(payments, *values) for _, values, payments in columns)
+    )
+    bidders = []
+    stride = len(outcomes)
+    for size, (bundles, values, payments) in zip(sizes, columns):
+        stride //= size
+        scaled_values = [_scaled(row, scale) for row in values]
+        bidders.append((stride, size, bundles, scaled_values, _scaled(payments, scale)))
+    rule._view = _RuleView(len(outcomes), tuple(bidders), scale)
+    return rule._view
 
 
 def verify_weak_monotonicity(rule: RealizedRule) -> CheckVerdict:
@@ -334,50 +425,47 @@ def verify_weak_monotonicity(rule: RealizedRule) -> CheckVerdict:
     alternatives above ``profile[i]`` are scanned: the first failure of
     the full scan always has one.
     """
-    n = len(rule.domains)
-    value = rule.value
-    for profile in sorted(rule.table):
-        bundles = rule.table[profile].allocation.bundles
-        for i in range(n):
-            a = profile[i]
-            s = bundles[i]
-            for alt in range(a + 1, len(rule.domains[i])):
-                s_alt = rule.table[_profile_with(profile, i, alt)].allocation.bundles[i]
-                own = value(i, a, s) - value(i, a, s_alt)
-                if own < value(i, alt, s) - value(i, alt, s_alt):
+    view = _rule_view(rule)
+    for x in range(view.count):
+        for i, (stride, size, bundles, values, _) in enumerate(view.bidders):
+            a = x // stride % size
+            own = values[a]
+            s = bundles[x]
+            for alt in range(a + 1, size):
+                s_alt = bundles[x + (alt - a) * stride]
+                other = values[alt]
+                if own[s] - own[s_alt] < other[s] - other[s_alt]:
                     return CheckVerdict(
                         "weak_monotonicity",
                         "fail",
-                        {
-                            "bidder": i,
-                            "profile": list(profile),
-                            "alternative": alt,
-                        },
+                        {"bidder": i, "profile": view.profile(x), "alternative": alt},
                     )
     return CheckVerdict("weak_monotonicity", "pass")
 
 
 def verify_dsic(rule: RealizedRule) -> CheckVerdict:
     """Truth-telling beats any in-domain misreport, profile by profile."""
-    n = len(rule.domains)
-    for profile in sorted(rule.table):
-        for i in range(n):
-            a = profile[i]
-            honest = _utility(rule, rule.table[profile], i, a)
-            for alt in range(len(rule.domains[i])):
+    view = _rule_view(rule)
+    for x in range(view.count):
+        for i, (stride, size, bundles, values, payments) in enumerate(view.bidders):
+            a = x // stride % size
+            row = values[a]
+            honest = row[bundles[x]] - payments[x]
+            for alt in range(size):
                 if alt == a:
                     continue
-                lied = _utility(rule, rule.table[_profile_with(profile, i, alt)], i, a)
+                y = x + (alt - a) * stride
+                lied = row[bundles[y]] - payments[y]
                 if lied > honest:
                     return CheckVerdict(
                         "dsic",
                         "fail",
                         {
                             "bidder": i,
-                            "profile": list(profile),
+                            "profile": view.profile(x),
                             "misreport": alt,
-                            "honest_utility": format_fraction(honest),
-                            "misreport_utility": format_fraction(lied),
+                            "honest_utility": format_fraction(Fraction(honest, view.scale)),
+                            "misreport_utility": format_fraction(Fraction(lied, view.scale)),
                         },
                     )
     return CheckVerdict("dsic", "pass")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -84,8 +85,11 @@ class Protocol:
     ids to builder state (clock price, active set, ...) so strategies
     and reports can interpret nodes without replaying.
 
-    The tree is read-only once built: ``behavior_from_strategy`` keeps
-    the tables it tabulates on the protocol and hands them out again.
+    The tree is read-only once built, so what is derived from it is
+    derived once and kept: the node order ``bottom_up``, the behavior
+    tables of ``behavior_from_strategy`` and the realized rules of
+    ``realize_rule``, which hands out the same rule again for the same
+    strategies and domains.
     """
 
     def __init__(
@@ -104,6 +108,9 @@ class Protocol:
         # (bidder, id(strategy), id(valuation)) -> (strategy, valuation,
         # table); the entry holds both objects so neither id is reused
         self._behaviors: dict = {}
+        # (ids of the strategies, ids of every domain valuation) ->
+        # (strategies, domains, rule); held for the same reason
+        self._rules: dict = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -158,15 +165,21 @@ class Protocol:
         return len(self.nodes) + len(self.leaves)
 
     def bidder_nodes(self, bidder: int) -> list[NodeId]:
-        return sorted(
-            (u for u, node in self.nodes.items() if node.bidder == bidder),
-            key=lambda u: (len(u), u),
-        )
+        """The bidder's nodes, shallowest first, then lexicographic."""
+        return [u for u, mover, _ in reversed(self.bottom_up) if mover == bidder]
 
-    def all_ids_by_depth(self) -> list[NodeId]:
-        both = list(self.nodes) + list(self.leaves)
-        both.sort(key=lambda u: (len(u), u))
-        return both
+    @cached_property
+    def bottom_up(self) -> tuple:
+        """Internal nodes as ``(id, bidder, child ids)``, deepest first.
+
+        Within a depth the ids run in reverse lexicographic order, so
+        reversed the order is shallowest first, then lexicographic.
+        """
+        order = sorted(self.nodes, key=lambda u: (len(u), u), reverse=True)
+        return tuple(
+            (u, self.nodes[u].bidder, tuple(u + (k,) for k in range(len(self.nodes[u].messages))))
+            for u in order
+        )
 
 
 def play(protocol: Protocol, behaviors: Sequence[Behavior]) -> tuple[Outcome, list]:
@@ -228,23 +241,15 @@ def behavior_from_strategy(
 class RealizedRule:
     """Outcome table over a finite domain product.
 
-    ``table`` is keyed by per-bidder indices into ``domains``.
-    ``value(bidder, index, bundle)`` reads the valuation
-    ``domains[bidder][index]`` on a bundle through a table filled on
-    first use, so the rule checks evaluate each valuation once per
-    bundle.
+    ``table`` is keyed by per-bidder indices into ``domains``.  A rule is
+    read-only once built: ``realize_rule`` hands the same rule to every
+    caller with the same strategies and domains, and the ``osp`` rule
+    checks keep their exact integer view of it in ``_view``.
     """
 
     domains: tuple[tuple[Valuation, ...], ...]
     table: dict
-    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def value(self, bidder: int, index: int, bundle) -> Fraction:
-        key = (bidder, index, bundle)
-        hit = self._values.get(key)
-        if hit is None:
-            hit = self._values[key] = self.domains[bidder][index].value(bundle)
-        return hit
+    _view: object = field(default=None, init=False, repr=False, compare=False)
 
 
 def realize_rule(
@@ -252,10 +257,19 @@ def realize_rule(
     strategies: Sequence[Strategy],
     domains: Sequence[Sequence[Valuation]],
 ) -> RealizedRule:
-    """Play every profile in the domain product through the strategies."""
+    """Play every profile in the domain product through the strategies.
+
+    The rule is kept on the protocol, keyed by the identity of each
+    strategy and of each domain valuation, so a second call with the same
+    objects returns the same rule without playing a profile again.
+    """
     if len(strategies) != protocol.n or len(domains) != protocol.n:
         raise ValueError("need one strategy and one domain per bidder")
     doms = tuple(tuple(d) for d in domains)
+    key = (tuple(map(id, strategies)), tuple(tuple(map(id, d)) for d in doms))
+    hit = protocol._rules.get(key)
+    if hit is not None:
+        return hit[2]
     total = 1
     for d in doms:
         if not d:
@@ -272,7 +286,9 @@ def realize_rule(
     for profile in product(*(range(len(d)) for d in doms)):
         outcome, _ = play(protocol, [behaviors[i][k] for i, k in enumerate(profile)])
         table[profile] = outcome
-    return RealizedRule(doms, table)
+    rule = RealizedRule(doms, table)
+    protocol._rules[key] = (tuple(strategies), doms, rule)
+    return rule
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ospclock import protocols
 from ospclock.fixtures import (
     SealedBidGame,
     eager_posted_price_protocol,
@@ -533,7 +534,10 @@ def tree_cases():
         strategies = [random_strategy(rng, protocol, i, domains[i]) for i in range(n)]
         cases.append((protocol, strategies, domains))
     cases.append(load_game("sealed-bid-2x2"))
-    domains = [[sm(x) for x in (0, F(1, 2), F(4, 3), F(12, 5))], [sm(x, 2) for x in (F(1, 3), 1, F(7, 2))]]
+    domains = [
+        [sm(x) for x in (0, F(1, 2), F(4, 3), F(12, 5))],
+        [sm(x, 2) for x in (F(1, 3), 1, F(7, 2))],
+    ]
     proto, _, strategies = grand_gaa(domains)
     cases.append((proto, strategies, domains))
     return cases
@@ -548,9 +552,10 @@ def test_verify_osp_matches_the_fraction_reference():
         got = verify_osp(protocol, strategies, domains)
         assert got.to_json() == expected.to_json()
         if expected.witness is not None:
-            utilities = (expected.witness.worst_truthful_utility, expected.witness.best_deviating_utility)
-            assert (got.witness.worst_truthful_utility, got.witness.best_deviating_utility) == utilities
-            assert replay_witness(protocol, got.witness) == utilities
+            want, have = expected.witness, got.witness
+            utilities = (want.worst_truthful_utility, want.best_deviating_utility)
+            assert (have.worst_truthful_utility, have.best_deviating_utility) == utilities
+            assert replay_witness(protocol, have) == utilities
         statuses.append(expected.status)
     assert statuses.count("fail") > len(statuses) // 2
     assert statuses.count("pass") > 10
@@ -621,6 +626,48 @@ def test_behavior_table_is_not_served_to_a_reused_valuation_id():
     del valuation
     gc.collect()
     assert ref() is not None
+
+
+def test_realized_rule_is_kept_per_strategies_and_domains():
+    domains = [[sm(x) for x in range(3)], [sm(x, 2) for x in range(3)]]
+    proto, _, strategies = grand_gaa(domains)
+    rule = realize_rule(proto, strategies, domains)
+    assert realize_rule(proto, list(strategies), [list(d) for d in domains]) is rule
+    stay = [lambda valuation, node: 0] * 2
+    assert realize_rule(proto, stay, domains) is not rule
+    assert realize_rule(proto, strategies, [domains[0][:2], domains[1]]) is not rule
+    copies = [[sm(x) for x in range(3)], domains[1]]
+    fresh = realize_rule(proto, strategies, copies)
+    assert fresh is not rule and fresh == rule
+
+
+def test_rule_memo_keeps_its_domain_valuations_alive():
+    """With the behavior tables dropped, the rule memo alone holds the
+    valuation, so its id cannot be reused by another valuation."""
+    proto, _, strategies = grand_gaa([[sm(x) for x in range(4)]] * 2)
+    valuation = sm(3)
+    ref = weakref.ref(valuation)
+    realize_rule(proto, strategies, [[valuation], [sm(1)]])
+    del valuation
+    proto._behaviors.clear()
+    gc.collect()
+    assert ref() is not None
+
+
+def test_ir_check_and_realize_rule_play_each_profile_once(monkeypatch):
+    domains = [[sm(x) for x in range(3)], [sm(x, 2) for x in range(3)]]
+    proto, _, strategies = grand_gaa(domains)
+    played = []
+    real_play = protocols.play
+
+    def counting_play(protocol, behaviors):
+        played.append(1)
+        return real_play(protocol, behaviors)
+
+    monkeypatch.setattr(protocols, "play", counting_play)
+    assert verify_ir_nnt(proto, strategies, domains).passed
+    rule = realize_rule(proto, strategies, domains)
+    assert len(played) == len(rule.table) == 9
 
 
 # ---------------------------------------------------------------------------
