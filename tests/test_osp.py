@@ -273,6 +273,10 @@ def reference_dsic(rule):
     return CheckVerdict("dsic", "pass")
 
 
+ITEMS = ("a", "b")
+BUNDLES = [frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")]
+
+
 def random_amount(rng, top=3):
     """An integer or a fraction with denominator 2, 3 or 5, in [0, top]."""
     den = rng.choice((1, 1, 2, 3, 5))
@@ -284,10 +288,6 @@ def random_valuation(rng, combinatorial):
         kind = rng.choice((AdditiveValuation, UnitDemandValuation))
         return kind(ITEMS, {j: random_amount(rng) for j in ITEMS})
     return MultiUnitValuation(tuple(sorted(random_amount(rng) for _ in range(2))))
-
-
-ITEMS = ("a", "b")
-BUNDLES = [frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")]
 
 
 def random_rule(rng, combinatorial):
