@@ -33,10 +33,9 @@ from .valuations import (
     Setting,
     UnitDemandValuation,
     Valuation,
-    as_single_minded,
     make_single_minded,
 )
-from .welfare import is_critical, opt, opt_value_restricted, welfare_of
+from .welfare import opt, opt_value_restricted, welfare_of
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -218,12 +217,16 @@ class SamplingReport:
 
 
 def _unit_step_values(instance: Instance) -> Optional[list]:
-    """Per-bidder scalar when everyone wants a single unit, else None."""
+    """Per-bidder scalar when everyone wants a single unit, else None.
+
+    Reads each valuation's recorded ``single_minded`` step: a bidder
+    qualifies with a step at d = 1 or with the all-zero vector.
+    """
     if not instance.multiunit:
         return None
     out = []
     for v in instance.valuations:
-        sm = as_single_minded(v)
+        sm = v.single_minded
         if sm is None or (sm.d != 1 and sm.x != 0):
             return None
         out.append(sm.x)
@@ -272,27 +275,13 @@ def sampling_lemma_experiment(
             return top_in, top_out
 
         best, _ = restricted_opt(lambda i: True)
-        for i, x in enumerate(steps):
-            if x >= critical_threshold * best:
-                raise ValueError(
-                    f"bidder {i} is critical at threshold {critical_threshold}; "
-                    "the split guarantee does not apply"
-                )
-        bar = best * ratio_threshold
 
         def joint(mask: int) -> bool:
             top_s, top_u = restricted_opt(lambda i: mask >> i & 1)
             return top_s >= bar and top_u >= bar
 
     else:
-        for i in range(n):
-            if is_critical(instance, i, critical_threshold):
-                raise ValueError(
-                    f"bidder {i} is critical at threshold {critical_threshold}; "
-                    "the split guarantee does not apply"
-                )
         best = opt(instance).value
-        bar = best * ratio_threshold
 
         def joint(mask: int) -> bool:
             inside = [i for i in range(n) if mask >> i & 1]
@@ -301,6 +290,14 @@ def sampling_lemma_experiment(
                 opt_value_restricted(instance, bidders=inside) >= bar
                 and opt_value_restricted(instance, bidders=outside) >= bar
             )
+
+    for i in range(n):
+        if instance.grand_bundle_value(i) >= critical_threshold * best:
+            raise ValueError(
+                f"bidder {i} is critical at threshold {critical_threshold}; "
+                "the split guarantee does not apply"
+            )
+    bar = best * ratio_threshold
 
     if n <= 12:
         hits = sum(1 for mask in range(1 << n) if joint(mask))

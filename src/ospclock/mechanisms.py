@@ -60,14 +60,16 @@ from .valuations import (
     Instance,
     MultiUnitSetting,
     MultiUnitValuation,
+    PerItemValuation,
     Setting,
+    UnitDemandValuation,
     Valuation,
     all_bundles,
 )
 from .welfare import (
     Allocation,
-    SizeCapError,
     _cap,
+    _refusal,
     opt_restricted,
     opt_value_restricted,
     welfare_of,
@@ -142,10 +144,8 @@ class RandomizedMechanism:
         """The exact support; raises SizeCapError if too large."""
         cap = _cap("OSPCLOCK_SUPPORT_CAP", 50_000)
         if self.branch_count > cap:
-            raise SizeCapError(
-                f"{self.name} has {self.branch_count} branches; cap {cap} "
-                "(override with OSPCLOCK_SUPPORT_CAP)"
-            )
+            what = f"{self.name} has {self.branch_count} branches"
+            raise _refusal("OSPCLOCK_SUPPORT_CAP", cap, what)
         if self._cache is None:
             self._cache = self._branches_fn()
             total = sum((b.probability for b in self._cache), ZERO)
@@ -736,18 +736,14 @@ def naive_max_price_ud(n: int, items: Sequence[str]) -> RandomizedMechanism:
     )
 
 
-def _constant_integer_rows(instance: Instance) -> Optional[list]:
-    """Per-bidder value if every bidder prices all items equally (ints)."""
+def _constant_integer_rows(instance: Instance, kind: type) -> Optional[list]:
+    """Per-bidder value if every bidder is a ``kind`` valuation that
+    prices all items equally at an integer, else None."""
     rows = []
     for v in instance.valuations:
-        if not hasattr(v, "per_item"):
+        if not isinstance(v, kind) or v.constant is None or v.constant.denominator != 1:
             return None
-        values = [v.per_item[j] for j in instance.items]
-        if any(x != values[0] for x in values[1:]):
-            return None
-        if values[0].denominator != 1:
-            return None
-        rows.append(values[0].numerator)
+        rows.append(v.constant.numerator)
     return rows
 
 
@@ -755,9 +751,12 @@ def _naive_constant_rows_exact(instance: Instance) -> Optional[Fraction]:
     """Closed-form support expectation for constant-row instances.
 
     Enumerates all 2^n partitions with integer arithmetic; each buyer
-    takes one (interchangeable) item while supply lasts.
+    takes one (interchangeable) item while supply lasts.  Additive and
+    unit-demand rows value a single item alike, so both qualify.  As in
+    the game, the first sampled bidder sets the price, and only a
+    strictly higher sampled value replaces her.
     """
-    rows = _constant_integer_rows(instance)
+    rows = _constant_integer_rows(instance, PerItemValuation)
     if rows is None:
         return None
     n, m = instance.n, instance.m
@@ -766,7 +765,7 @@ def _naive_constant_rows_exact(instance: Instance) -> Optional[Fraction]:
         price = 0
         setter = -1
         for i in range(n):
-            if mask >> i & 1 and rows[i] > price:
+            if mask >> i & 1 and (setter < 0 or rows[i] > price):
                 price, setter = rows[i], i
         left = m
         welfare = 0
@@ -924,11 +923,11 @@ class ArrivalPricingGame(SampleServeGame):
 def _mech3_fast_outcome(instance: Instance, rows: list, order: tuple) -> Outcome:
     """Constant-row shortcut for one arrival order, integer arithmetic.
 
-    ``rows`` is ``_constant_integer_rows(instance)``.  When every
-    bidder values all items equally, prices are uniform across items
-    (top-t minus top-(t-1) sums of observed values, t capped at
-    availability), so a buying arrival just takes the earliest unsold
-    item.
+    ``rows`` is ``_constant_integer_rows(instance, UnitDemandValuation)``.
+    When every unit-demand bidder values all items equally, prices are
+    uniform across items (top-t minus top-(t-1) sums of observed
+    values, t capped at availability), so a buying arrival just takes
+    the earliest unsold item.
     """
     n = instance.n
     cut = arrivals_discarded(n)
@@ -980,15 +979,12 @@ def mech3_unit_demand(n: int, items: Sequence[str]) -> RandomizedMechanism:
     setting = CombinatorialSetting(tuple(items))
     count = math.factorial(n)
     prob = Fraction(1, count)
-    # the constant rows of the latest instance: Monte Carlo plays many
-    # branches on one instance, and detecting the rows costs more than
-    # the shortcut itself
-    latest: list = [None, None]
 
     def shortcut(instance: Instance, order: tuple) -> Optional[Outcome]:
-        if latest[0] is not instance:
-            latest[:] = instance, _constant_integer_rows(instance)
-        rows = latest[1]
+        # the game prices items by the optimum of the reported
+        # valuations; the closed form is that optimum for unit-demand
+        # rows only, so additive rows are played through the game
+        rows = _constant_integer_rows(instance, UnitDemandValuation)
         return None if rows is None else _mech3_fast_outcome(instance, rows, order)
 
     def element(order: tuple) -> SupportElement:

@@ -40,7 +40,7 @@ from .valuations import (
     as_fraction,
     format_fraction,
 )
-from .welfare import Allocation, SizeCapError, _cap, check_allocation_for
+from .welfare import Allocation, _cap, _refusal, check_allocation_for
 
 ZERO = Fraction(0)
 
@@ -124,7 +124,7 @@ class Protocol:
             raise ValueError("missing root")
         cap = _cap("OSPCLOCK_TREE_CAP", 2_000_000)
         if len(everything) > cap:
-            raise SizeCapError(f"protocol has {len(everything)} nodes; cap {cap}")
+            raise _refusal("OSPCLOCK_TREE_CAP", cap, f"protocol has {len(everything)} nodes")
         for u, node in self.nodes.items():
             if not 0 <= node.bidder < self.n:
                 raise ValueError(f"node {u}: bidder {node.bidder} out of range")
@@ -277,7 +277,7 @@ def realize_rule(
         total *= len(d)
     cap = _cap("OSPCLOCK_PROFILE_CAP", 200_000)
     if total > cap:
-        raise SizeCapError(f"domain product has {total} profiles; cap {cap}")
+        raise _refusal("OSPCLOCK_PROFILE_CAP", cap, f"domain product has {total} profiles")
     behaviors = [
         [behavior_from_strategy(protocol, i, strategies[i], v) for v in doms[i]]
         for i in range(protocol.n)
@@ -361,7 +361,7 @@ def materialize(game: Game) -> Protocol:
         for u, state in queue:
             count += 1
             if count > cap:
-                raise SizeCapError(f"game tree exceeds {cap} nodes")
+                raise _refusal("OSPCLOCK_TREE_CAP", cap, f"game tree has over {cap} nodes")
             state, labels = _decision(game, state)
             info[u] = state
             if labels is None:
@@ -391,7 +391,7 @@ def run_game(
     state, labels = _decision(game, game.root_state())
     while labels is not None:
         if len(history) == limit:
-            raise SizeCapError(f"play exceeded {limit} steps")
+            raise _refusal("OSPCLOCK_PLAY_CAP", limit, f"play needs over {limit} steps")
         i = game.bidder(state)
         if message_fn is None:
             msg = game.truthful_message(state, valuations[i])

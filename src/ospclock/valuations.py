@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Optional, Union
 
 MAX_EXPLICIT_ITEMS = 12
 
@@ -44,6 +44,14 @@ def format_fraction(x: Fraction) -> str:
 # Multi-unit valuations
 
 
+@dataclass(frozen=True, slots=True)
+class SingleMindedParams:
+    """A scalar value ``x`` for any quantity of at least ``d`` units."""
+
+    x: Fraction
+    d: int
+
+
 @dataclass(frozen=True)
 class MultiUnitValuation:
     """Monotone valuation over quantities of a homogeneous good.
@@ -51,9 +59,15 @@ class MultiUnitValuation:
     ``values[q-1]`` is the value for receiving ``q`` units; receiving
     nothing is worth 0.  Construction rejects negative entries and any
     decrease, so every instance of this class is monotone by fiat.
+
+    ``single_minded`` is the step ``(x, d)``: worth ``x`` from ``d`` units
+    on and 0 below, ``(0, 1)`` for all zeros, None for any other shape.
     """
 
     values: tuple[Fraction, ...]
+    single_minded: Optional[SingleMindedParams] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         vals = tuple(as_fraction(v) for v in self.values)
@@ -69,6 +83,14 @@ class MultiUnitValuation:
                     f"valuation decreases from {prev} to {v} at quantity {q}"
                 )
             prev = v
+        # monotone: the values reach their top at d and stay there, so
+        # the valuation is a step exactly when nothing precedes d but 0
+        top = vals[-1]
+        d = vals.index(top) + 1 if top else 1
+        step = d == 1 or vals[d - 2] == 0
+        object.__setattr__(
+            self, "single_minded", SingleMindedParams(top, d) if step else None
+        )
 
     @property
     def m(self) -> int:
@@ -88,14 +110,6 @@ class MultiUnitValuation:
         return self.value(quantity) - self.value(quantity - 1)
 
 
-@dataclass(frozen=True)
-class SingleMindedParams:
-    """A scalar value ``x`` for any quantity of at least ``d`` units."""
-
-    x: Fraction
-    d: int
-
-
 def make_single_minded(
     x: Union[int, str, Fraction], d: int, m: int
 ) -> MultiUnitValuation:
@@ -107,22 +121,6 @@ def make_single_minded(
         raise ValueError(f"demand {d} outside 1..{m}")
     zero = Fraction(0)
     return MultiUnitValuation(tuple(zero if q < d else x for q in range(1, m + 1)))
-
-
-def as_single_minded(v: MultiUnitValuation) -> SingleMindedParams | None:
-    """Recover (x, d) if ``v`` is a single step function, else None.
-
-    The all-zero vector is reported as x=0, d=1.  Used by the welfare
-    oracle to route single-minded instances to the knapsack solver.
-    """
-    positive = [q for q in range(1, v.m + 1) if v.value(q) > 0]
-    if not positive:
-        return SingleMindedParams(Fraction(0), 1)
-    d = positive[0]
-    x = v.value(d)
-    if all(v.value(q) == x for q in positive):
-        return SingleMindedParams(x, d)
-    return None
 
 
 def check_decreasing_marginals(v: MultiUnitValuation) -> bool:
@@ -144,30 +142,37 @@ def _normalize_bundle(bundle: Iterable[str], items: tuple[str, ...]) -> Bundle:
     return b
 
 
-def _check_per_item(values: Mapping[str, object], items: tuple[str, ...]) -> dict:
-    if set(values) != set(items):
-        raise ValueError(
-            f"per-item values keyed by {sorted(values)} but items are {list(items)}"
-        )
-    out = {}
-    for j in items:
-        v = as_fraction(values[j])  # type: ignore[arg-type]
-        if v < 0:
-            raise ValueError(f"negative value {v} for item {j!r}")
-        out[j] = v
-    return out
-
-
 @dataclass(frozen=True)
-class AdditiveValuation:
-    """Bundle value is the sum of per-item values."""
+class PerItemValuation:
+    """A value per item; subclasses say how a bundle combines them.
+
+    ``constant`` is the one value shared by every item, else None.
+    """
 
     items: tuple[str, ...]
     per_item: Mapping[str, Fraction]
+    constant: Optional[Fraction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "items", tuple(self.items))
-        object.__setattr__(self, "per_item", _check_per_item(self.per_item, self.items))
+        items = tuple(self.items)
+        if set(self.per_item) != set(items):
+            raise ValueError(
+                f"per-item values keyed by {sorted(self.per_item)} but items are {list(items)}"
+            )
+        per_item = {}
+        for j in items:
+            v = per_item[j] = as_fraction(self.per_item[j])  # type: ignore[arg-type]
+            if v < 0:
+                raise ValueError(f"negative value {v} for item {j!r}")
+        distinct = set(per_item.values())
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "per_item", per_item)
+        object.__setattr__(self, "constant", distinct.pop() if len(distinct) == 1 else None)
+
+
+@dataclass(frozen=True)
+class AdditiveValuation(PerItemValuation):
+    """Bundle value is the sum of per-item values."""
 
     def value(self, bundle: Iterable[str]) -> Fraction:
         b = _normalize_bundle(bundle, self.items)
@@ -175,15 +180,8 @@ class AdditiveValuation:
 
 
 @dataclass(frozen=True)
-class UnitDemandValuation:
+class UnitDemandValuation(PerItemValuation):
     """Bundle value is the best single item in the bundle."""
-
-    items: tuple[str, ...]
-    per_item: Mapping[str, Fraction]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "items", tuple(self.items))
-        object.__setattr__(self, "per_item", _check_per_item(self.per_item, self.items))
 
     def value(self, bundle: Iterable[str]) -> Fraction:
         b = _normalize_bundle(bundle, self.items)
@@ -394,7 +392,7 @@ def _per_item_json(per_item: Mapping[str, Fraction], items: tuple[str, ...]) -> 
 
 def valuation_to_json(v: Valuation) -> dict:
     if isinstance(v, MultiUnitValuation):
-        sm = as_single_minded(v)
+        sm = v.single_minded
         if sm is not None and sm.x > 0:
             return {"kind": "single_minded", "x": format_fraction(sm.x), "d": sm.d}
         return {"kind": "multi_unit", "values": [format_fraction(x) for x in v.values]}

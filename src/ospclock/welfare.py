@@ -3,11 +3,12 @@
 ``opt`` / ``opt_restricted`` route each instance to an exact solver:
 
 * multi-unit: dynamic program over (bidder suffix, units remaining);
-  single-minded bidders contribute only the candidate quantities
-  ``{0, d}``, which makes the same DP a 0/1 knapsack; the all-unit-
-  demand case (every bidder single-minded with d=1) short-circuits to
-  a top-``m`` sum so sampling experiments with hundreds of bidders
-  stay cheap.
+  single-minded bidders (``MultiUnitValuation.single_minded``, decided
+  once when the valuation is built) contribute only the candidate
+  quantities ``{0, d}``, which makes the same DP a 0/1 knapsack; the
+  all-unit-demand case (every bidder single-minded with d=1)
+  short-circuits to a top-``m`` sum so sampling experiments with
+  hundreds of bidders stay cheap.
 * additive: each item goes to the smallest-index bidder of maximum
   value for it (the "i*_j" rule), independently per item.
 * unit-demand: instances whose bidders value every available item
@@ -51,7 +52,6 @@ from .valuations import (
     MultiUnitValuation,
     SingleMindedParams,
     UnitDemandValuation,
-    as_single_minded,
 )
 
 ZERO = Fraction(0)
@@ -69,6 +69,11 @@ def _cap(name: str, default: int) -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+
+
+def _refusal(name: str, cap: int, what: str) -> SizeCapError:
+    """Refuse a request over the cap read from ``name``, naming ``name``."""
+    return SizeCapError(f"{what}; cap {cap} (override with {name})")
 
 
 @dataclass(frozen=True)
@@ -132,7 +137,7 @@ def welfare_of(instance: Instance, alloc: Allocation) -> Fraction:
 
 
 def _candidate_quantities(v: MultiUnitValuation, limit: int) -> list[int]:
-    sm = as_single_minded(v)
+    sm = v.single_minded
     if sm is not None:
         return [0] if sm.d > limit or sm.x == 0 else [0, sm.d]
     return list(range(limit + 1))
@@ -143,7 +148,7 @@ def _opt_multiunit(
 ) -> tuple[Fraction, list[int]]:
     """Suffix DP; returns (value, lexicographically smallest quantities)."""
     n = len(valuations)
-    sms = [as_single_minded(v) for v in valuations]
+    sms = [v.single_minded for v in valuations]
     if all(sm is not None and sm.d == 1 for sm in sms):
         return _opt_all_unit_step(sms, capacity)  # type: ignore[arg-type]
     # dp[i][r] = best welfare for bidders i.. with r units left
@@ -384,9 +389,8 @@ def _opt_mask_dp(
     cap = _cap("OSPCLOCK_OPT_CAP", 30_000_000)
     work = max(n, 1) * 3 ** m
     if work > cap:
-        raise SizeCapError(
-            f"mask DP needs ~{work} steps for n={n}, m={m}; cap is {cap} "
-            "(override with OSPCLOCK_OPT_CAP)"
+        raise _refusal(
+            "OSPCLOCK_OPT_CAP", cap, f"mask DP needs ~{work} steps for n={n}, m={m}"
         )
     values = [_bundle_values(v, items) for v in valuations]
     full = (1 << m) - 1
@@ -539,7 +543,7 @@ def brute_force_opt(instance: Instance) -> OptResult:
         # quantity vectors with sum <= m, lexicographic order
         est = (m + 1) ** n
         if est > cap:
-            raise SizeCapError(f"brute force would enumerate {est} vectors; cap {cap}")
+            raise _refusal("OSPCLOCK_BRUTE_CAP", cap, f"brute force needs {est} vectors")
         best: Optional[tuple[Fraction, tuple[int, ...]]] = None
 
         def rec(i: int, left: int, acc: list[int], total: Fraction) -> None:
@@ -559,7 +563,7 @@ def brute_force_opt(instance: Instance) -> OptResult:
 
     est = (n + 1) ** m
     if est > cap:
-        raise SizeCapError(f"brute force would enumerate {est} assignments; cap {cap}")
+        raise _refusal("OSPCLOCK_BRUTE_CAP", cap, f"brute force needs {est} assignments")
     items = instance.items
     best_c: Optional[tuple[Fraction, tuple[frozenset, ...]]] = None
     # owners[j] in 0..n-1 assigns item j; n leaves it unallocated

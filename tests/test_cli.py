@@ -240,6 +240,20 @@ def test_simulate_accepts_instance_files(tmp_path, capsys):
     assert from_file["report"] == from_fixture["report"]
 
 
+def test_simulate_mech3_plays_additive_rows_through_the_game(tmp_path, capsys):
+    # constant additive rows are priced by the additive optimum, which
+    # the unit-demand closed form does not play: the branch games give 5/2
+    row = [{"kind": "additive", "values": {"a": c, "b": c}} for c in ("3", "3", "1")]
+    path = tmp_path / "additive.json"
+    path.write_text(json.dumps({"setting": {"items": ["a", "b"]}, "bidders": row}))
+    code, payload = run_json(
+        capsys, "simulate", "--mechanism", "mech3-unit-demand",
+        "--instance", str(path), "--exact",
+    )
+    assert code == 0
+    assert payload["report"]["expected_welfare"] == "5/2"
+
+
 def test_search_finds_the_tight_monotone_point(capsys):
     code, payload = run_json(
         capsys,

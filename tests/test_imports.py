@@ -1,12 +1,16 @@
 """Static checks: every imported name in the package and tests is used,
 every module-level function and class of the package is named somewhere
 besides its definition, and so is every non-dunder method of its
-classes."""
+classes; the size-cap variables are listed alike in README, the CLI
+epilog and the package."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+from ospclock.cli import EPILOG
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "ospclock").glob("*.py"))
@@ -137,3 +141,28 @@ def test_no_unreferenced_definitions():
     package = {path.stem: path.read_text() for path in PACKAGE}
     others = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     assert unreferenced_definitions(package, [p.read_text() for p in others]) == []
+
+
+def cap_variables_read(source: str) -> set:
+    """The variable names passed as string constants to ``_cap(...)``."""
+    return {
+        node.args[0].value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_cap"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    }
+
+
+def test_size_caps_are_listed_alike():
+    """README's "Size caps" section, ``cli.EPILOG`` and the ``_cap``
+    calls of the package name the same six variables."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Size caps", 1)[1].split("\n## ", 1)[0]
+    named = re.compile(r"OSPCLOCK_[A-Z_]+")
+    read = set().union(*(cap_variables_read(path.read_text()) for path in PACKAGE))
+    assert len(read) == 6
+    assert set(named.findall(section)) == read
+    assert set(named.findall(EPILOG)) == read

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -72,6 +73,35 @@ def unit_demand(a, b):
 
 def flat_unit_demand(items, c):
     return UnitDemandValuation(items, {j: F(c) for j in items})
+
+
+def constant_row_instances(count, seed=11):
+    """Seeded constant-row instances: 1-5 bidders over 1-4 items, integer
+    values 0-3 with zeros, all additive, all unit-demand, or mixed."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n, m = rng.randint(1, 5), rng.randint(1, 4)
+        items = tuple("wxyz"[:m])
+        kinds = rng.choice(
+            [(AdditiveValuation,), (UnitDemandValuation,), (AdditiveValuation, UnitDemandValuation)]
+        )
+        vals = tuple(
+            rng.choice(kinds)(items, {j: F(c) for j in items})
+            for c in [rng.randint(0, 3) for _ in range(n)]
+        )
+        out.append(Instance(CombinatorialSetting(items), vals))
+    return out
+
+
+def game_expected_welfare(mech, inst):
+    """Probability-weighted welfare of the branch games, no shortcut."""
+    total = F(0)
+    for branch in mech.branches():
+        game = branch.game([[v] for v in inst.valuations])
+        outcome, _ = run_game(game, inst.valuations)
+        total += branch.probability * welfare_of(inst, outcome.allocation)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +354,27 @@ def test_mech3_fast_path_matches_game():
     items = ("x", "y", "z")
     vals = tuple(flat_unit_demand(items, c) for c in (3, 2, 2))
     inst = Instance(CombinatorialSetting(items), vals)
+    rows = _constant_integer_rows(inst, UnitDemandValuation)
     for branch in mech3_unit_demand(3, items).branches():
         order = tuple(
             int(t) for t in branch.label.split("=")[1].split(",")
         )
-        fast = _mech3_fast_outcome(inst, _constant_integer_rows(inst), order)
+        fast = _mech3_fast_outcome(inst, rows, order)
         game = ArrivalPricingGame(order, items, [[v] for v in vals])
         slow, _ = run_game(game, vals)
         assert fast.allocation.bundles == slow.allocation.bundles
         assert fast.payments == slow.payments
+    # seeded constant rows, additive rows and zeros included: each
+    # arrival order's outcome, and the expectation, is the game's
+    for inst in constant_row_instances(60):
+        mech = mech3_unit_demand(inst.n, inst.items)
+        for branch in mech.branches():
+            game = branch.game([[v] for v in inst.valuations])
+            slow, _ = run_game(game, inst.valuations)
+            fast = branch.outcome(inst)
+            assert fast.allocation == slow.allocation, (inst, branch.label)
+            assert fast.payments == slow.payments, (inst, branch.label)
+        assert mech.exact_expected_welfare(inst) == game_expected_welfare(mech, inst)
 
 
 def test_mech3_two_bidders_nobody_observed():
@@ -387,6 +429,23 @@ def test_naive_fast_expectation_matches_branches():
         F(0),
     )
     assert _naive_constant_rows_exact(inst) == generic == mech.exact_expected_welfare(inst)
+    # seeded constant rows, additive rows and zeros included
+    for inst in constant_row_instances(60):
+        mech = naive_max_price_ud(inst.n, inst.items)
+        assert _naive_constant_rows_exact(inst) is not None
+        assert mech.exact_expected_welfare(inst) == game_expected_welfare(mech, inst), inst
+
+
+def test_naive_fast_path_lets_a_zero_sample_set_the_price():
+    # bidders 0 and 2 value nothing; when 2 is sampled alone she sets
+    # the price 0, and bidder 0 (a lower index) buys at that price
+    items = ("x", "y", "z")
+    inst = Instance(
+        CombinatorialSetting(items),
+        tuple(flat_unit_demand(items, c) for c in (0, 3, 0, 1, 3)),
+    )
+    mech = naive_max_price_ud(5, items)
+    assert _naive_constant_rows_exact(inst) == F(73, 32) == game_expected_welfare(mech, inst)
 
 
 def test_naive_fast_declines_varied_rows():

@@ -16,7 +16,6 @@ from ospclock.valuations import (
     MultiUnitValuation,
     UnitDemandValuation,
     all_bundles,
-    as_single_minded,
     check_class,
     check_decreasing_marginals,
     instance_from_json,
@@ -95,17 +94,56 @@ def test_single_minded_decreasing_marginals_iff_unit_demand(x, d, m):
     d=st.integers(min_value=1, max_value=5),
     m=st.integers(min_value=5, max_value=5),
 )
-def test_as_single_minded_round_trip(x, d, m):
-    got = as_single_minded(make_single_minded(x, d, m))
+def test_single_minded_step_round_trip(x, d, m):
+    got = make_single_minded(x, d, m).single_minded
     assert got is not None
     if x == 0:
-        assert got.x == 0
+        assert (got.x, got.d) == (0, 1)
     else:
         assert (got.x, got.d) == (F(x), d)
 
 
-def test_as_single_minded_rejects_two_steps():
-    assert as_single_minded(MultiUnitValuation((F(1), F(2)))) is None
+def test_single_minded_is_none_for_two_steps():
+    assert MultiUnitValuation((F(1), F(2))).single_minded is None
+    assert MultiUnitValuation((F(0), F(1), F(2))).single_minded is None
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(0,), (0, 0, 0), (2,), (0, 0, 5), (1, 2), (0, 1, 1, 3), (2, 2, 3), (1, 1, 1)],
+)
+def test_single_minded_matches_the_step_definition(values):
+    # a step is worth its top value x from its first positive quantity d
+    # on, and 0 below d; the all-zero vector is the step (0, 1)
+    v = MultiUnitValuation(tuple(map(F, values)))
+    positive = [q for q in range(1, v.m + 1) if v.value(q) > 0]
+    if not positive:
+        expected = (0, 1)
+    elif all(v.value(q) == v.value(v.m) for q in positive):
+        expected = (v.value(v.m), positive[0])
+    else:
+        expected = None
+    got = v.single_minded
+    assert (got and (got.x, got.d)) == expected
+
+
+def test_recorded_shapes_stay_out_of_repr_and_equality():
+    step = make_single_minded(3, 2, 3)
+    assert repr(step) == (
+        "MultiUnitValuation(values=(Fraction(0, 1), Fraction(3, 1), Fraction(3, 1)))"
+    )
+    assert step == MultiUnitValuation((F(0), F(3), F(3)))
+    assert hash(step) == hash(MultiUnitValuation((F(0), F(3), F(3))))
+    with pytest.raises(TypeError):
+        MultiUnitValuation((F(1),), single_minded=None)
+    flat = UnitDemandValuation(("a", "b"), {"a": F(2), "b": F(2)})
+    assert flat.constant == 2
+    assert repr(flat) == (
+        "UnitDemandValuation(items=('a', 'b'), "
+        "per_item={'a': Fraction(2, 1), 'b': Fraction(2, 1)})"
+    )
+    assert AdditiveValuation(("a", "b"), {"a": F(2), "b": F(1)}).constant is None
+    assert flat != AdditiveValuation(("a", "b"), {"a": F(2), "b": F(2)})
 
 
 # ---------------------------------------------------------------------------

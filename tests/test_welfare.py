@@ -12,6 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ospclock.mechanisms import m2_2x2, three_item_dm
+from ospclock.protocols import (
+    GaaGame,
+    GaaSpec,
+    materialize,
+    protocol_from_json,
+    protocol_to_json,
+    realize_rule,
+    run_game,
+)
 from ospclock.valuations import (
     AdditiveValuation,
     CombinatorialSetting,
@@ -392,6 +402,62 @@ def test_mask_dp_cap(monkeypatch):
     )
     with pytest.raises(SizeCapError):
         opt(inst)
+
+
+def _three_unit_clock():
+    return GaaGame(GaaSpec(MultiUnitSetting(3), (1, 1), (2, 2), (F(1), F(2), F(3))))
+
+
+def _explicit_pair():
+    items = ("a", "b", "c")
+    table = {b: F(len(b)) for b in all_bundles(items)}
+    return Instance(CombinatorialSetting(items), (ExplicitValuation(items, table),) * 2)
+
+
+def _play_clock():
+    # both bidders stay in the clock for six steps
+    bidders = (MultiUnitValuation((F(2), F(5), F(5))),) * 2
+    run_game(_three_unit_clock(), bidders)
+
+
+def _profiles_of_clock():
+    protocol, strategies = three_item_dm()
+    domain = [make_single_minded(x, 1, 3) for x in (1, 2)]
+    realize_rule(protocol, strategies, [domain, domain])
+
+
+# each site that refuses a request: (variable, low value, the request);
+# the tree cap guards materialization and explicit protocols, the
+# brute-force cap both settings
+CAP_SITES = {
+    "support": ("OSPCLOCK_SUPPORT_CAP", "1", lambda: m2_2x2().branches()),
+    "tree-materialize": ("OSPCLOCK_TREE_CAP", "3", lambda: materialize(_three_unit_clock())),
+    "tree-protocol": (
+        "OSPCLOCK_TREE_CAP",
+        "3",
+        lambda data=protocol_to_json(materialize(_three_unit_clock())): protocol_from_json(data),
+    ),
+    "play": ("OSPCLOCK_PLAY_CAP", "2", _play_clock),
+    "profile": ("OSPCLOCK_PROFILE_CAP", "1", _profiles_of_clock),
+    "brute-multiunit": (
+        "OSPCLOCK_BRUTE_CAP", "10", lambda: brute_force_opt(sm_instance([(1, 1)] * 4, m=4))
+    ),
+    "brute-combinatorial": (
+        "OSPCLOCK_BRUTE_CAP", "10", lambda: brute_force_opt(_explicit_pair())
+    ),
+    "opt": ("OSPCLOCK_OPT_CAP", "10", lambda: opt(_explicit_pair())),
+}
+
+
+@pytest.mark.parametrize("site", sorted(CAP_SITES))
+def test_every_cap_refusal_names_its_variable(monkeypatch, site):
+    name, low, request = CAP_SITES[site]
+    request()  # within the default caps
+    monkeypatch.setenv(name, low)
+    with pytest.raises(SizeCapError) as refused:
+        request()
+    assert f"(override with {name})" in str(refused.value)
+    assert f"cap {low}" in str(refused.value)
 
 
 def test_unit_demand_zero_value_match_is_canonical():
