@@ -788,6 +788,18 @@ def arrivals_discarded(n: int) -> int:
     return math.floor(n / math.e)
 
 
+def _memoized(memo: dict, key: tuple, held, solve: Callable[[], object]):
+    """``solve()``, computed once per ``key``.
+
+    ``key`` names objects by id; the entry keeps ``held``, those
+    objects, alive with it, so no id in a live key can be reused.
+    """
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (held, solve())
+    return hit[1]
+
+
 @dataclass(frozen=True)
 class ArrivalState:
     pos: int
@@ -810,6 +822,14 @@ class ArrivalPricingGame(SampleServeGame):
     canonical optimum over S plus herself assigns it to her), then
     reports and joins S.  The last arrival's report is skipped: nobody
     is left to price against it.
+
+    Markets are solved once per memo, which ``mech3_unit_demand`` shares
+    among all its branch games (a game built directly gets its own).
+    The prices depend only on which valuations were reported and on the
+    unsold items, and the canonical optimum only on the valuations in
+    bidder-index order and the unsold items, so both are keyed by
+    valuation ids; each entry holds the valuations it is keyed by, so
+    no id is reused while the entry lives.
     """
 
     def __init__(
@@ -817,6 +837,7 @@ class ArrivalPricingGame(SampleServeGame):
         order: Sequence[int],
         items: tuple,
         domains: Sequence[Sequence[Valuation]],
+        _memo: Optional[dict] = None,
     ) -> None:
         self.items = tuple(items)
         super().__init__(
@@ -825,27 +846,29 @@ class ArrivalPricingGame(SampleServeGame):
             domains,
             arrivals_discarded(len(order)),
         )
-        # the prices depend on the reports and the unsold items alone
-        self._prices: dict = {}
+        self._prices: dict = {}  # (reports, unsold) -> this game's prices
+        self._memo = {} if _memo is None else _memo
 
     # -- bookkeeping --------------------------------------------------------
 
-    def _reported_valuations(self, reports: tuple) -> list:
-        return [(b, self.domains[b][msg]) for b, msg in reports]
-
     def _price_vector(self, reports: tuple, unsold: tuple) -> dict:
-        """Opportunity-cost prices, solved once per (reports, unsold)."""
+        """Opportunity-cost prices, looked up per game by (reports,
+        unsold) and solved once per memo for each (reported valuations,
+        unsold) market."""
         key = (reports, unsold)
         prices = self._prices.get(key)
         if prices is None:
-            prices = self._prices[key] = self._solve_prices(reports, unsold)
+            reported = [self.domains[b][msg] for b, msg in reports]
+            market = ("prices", tuple(sorted(map(id, reported))), unsold)
+            prices = self._prices[key] = _memoized(
+                self._memo, market, reported, lambda: self._solve_prices(reported, unsold)
+            )
         return prices
 
-    def _solve_prices(self, reports: tuple, unsold: tuple) -> dict:
-        reported = self._reported_valuations(reports)
+    def _solve_prices(self, reported: list, unsold: tuple) -> dict:
         if not reported or not unsold:
             return {j: ZERO for j in unsold}
-        inst = Instance(self.setting, tuple(v for _, v in reported))
+        inst = Instance(self.setting, tuple(reported))
         base = opt_value_restricted(inst, items=unsold)
         prices = {}
         for j in unsold:
@@ -861,12 +884,19 @@ class ArrivalPricingGame(SampleServeGame):
         The canonical instance contains the observed bidders plus this
         one, ordered by original index (the global tie-break order).
         """
-        entries = self._reported_valuations(reports) + [(bidder, valuation)]
+        entries = [(b, self.domains[b][msg]) for b, msg in reports]
+        entries.append((bidder, valuation))
         entries.sort(key=lambda e: e[0])
-        inst = Instance(self.setting, tuple(v for _, v in entries))
+        valuations = tuple(v for _, v in entries)
+        bundles = _memoized(
+            self._memo,
+            ("optimum", tuple(map(id, valuations)), unsold),
+            valuations,
+            lambda: opt_restricted(Instance(self.setting, valuations), items=unsold)
+            .witness.bundles,
+        )
         position = [b for b, _ in entries].index(bidder)
-        result = opt_restricted(inst, items=unsold)
-        return item in result.witness.bundles[position]
+        return item in bundles[position]
 
     def _reporting(self, state) -> bool:
         return state.reporting
@@ -979,19 +1009,27 @@ def mech3_unit_demand(n: int, items: Sequence[str]) -> RandomizedMechanism:
     setting = CombinatorialSetting(tuple(items))
     count = math.factorial(n)
     prob = Fraction(1, count)
+    # one memo for every branch: markets, canonical optima and each
+    # instance's constant rows are resolved once per mechanism
+    memo: dict = {}
 
     def shortcut(instance: Instance, order: tuple) -> Optional[Outcome]:
         # the game prices items by the optimum of the reported
         # valuations; the closed form is that optimum for unit-demand
         # rows only, so additive rows are played through the game
-        rows = _constant_integer_rows(instance, UnitDemandValuation)
+        rows = _memoized(
+            memo,
+            ("rows", id(instance)),
+            instance,
+            lambda: _constant_integer_rows(instance, UnitDemandValuation),
+        )
         return None if rows is None else _mech3_fast_outcome(instance, rows, order)
 
     def element(order: tuple) -> SupportElement:
         return SupportElement(
             "arrival-order=" + ",".join(map(str, order)),
             prob,
-            lambda domains: ArrivalPricingGame(order, setting.items, domains),
+            lambda domains: ArrivalPricingGame(order, setting.items, domains, memo),
             lambda instance: shortcut(instance, order),
         )
 

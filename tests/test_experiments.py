@@ -22,6 +22,7 @@ from ospclock.experiments import (
     worst_case_search,
     yao_aggregate,
 )
+from ospclock.fixtures import unit_demand_domain
 from ospclock.mechanisms import (
     SupportElement,
     grand_bundle_auction,
@@ -507,6 +508,23 @@ def test_worst_case_search_m2_2x2_is_tight_at_three_quarters():
     inst, rep = worst_case_search(m2_2x2(), grid, budget=10_000)
     assert rep.ratio == F(3, 4)
     assert rep.trials == 99
+
+
+class _FreshMech3:
+    """mech3 rebuilt for every instance, so no market is shared."""
+
+    def exact_expected_welfare(self, instance):
+        return mech3_unit_demand(instance.n, instance.items).exact_expected_welfare(instance)
+
+
+def test_worst_case_search_mech3_shared_memo_matches_fresh_mechanisms():
+    menu = unit_demand_domain(ITEMS, range(3))
+    grid = InstanceGrid(SETTING_2x2, (menu,) * 3)
+    shared = worst_case_search(mech3_unit_demand(3, ITEMS), grid, budget=10_000)
+    fresh = worst_case_search(_FreshMech3(), grid, budget=10_000)
+    assert shared[1].trials == grid.count - 1  # the all-zero instance is skipped
+    assert shared[0] is not None
+    assert shared == fresh
 
 
 def test_worst_case_search_sampled_mode_is_seeded():

@@ -1,5 +1,6 @@
 """Unit tests for the randomized mechanisms and their branch games."""
 
+import gc
 import hashlib
 import json
 import random
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ospclock import mechanisms
+from ospclock.experiments import mc_ratio
 from ospclock.mechanisms import (
     MECHANISM_NAMES,
     ArrivalPricingGame,
@@ -33,12 +36,13 @@ from ospclock.mechanisms import (
     three_item_dm,
     three_item_dm_mechanism,
 )
-from ospclock.osp import verify_ir_nnt, verify_osp
+from ospclock.osp import verify_dsic, verify_ir_nnt, verify_osp, verify_weak_monotonicity
 from ospclock.protocols import (
     game_strategy,
     materialize,
     play,
     protocol_to_json,
+    realize_rule,
     run_game,
     truthful_strategies,
 )
@@ -632,10 +636,13 @@ def test_branch_labels_are_unique():
             assert len(set(labels)) == len(labels), (name, inst.n)
 
 
+UD_VALUES = ((0, 1), (1, 1), (2, 0), (1, 2))
+
+
 def test_arrival_price_cache_matches_fresh_games():
-    """Every serve state's cached prices equal a fresh game's solve."""
-    domains = [[unit_demand(a, b) for a, b in ((0, 1), (1, 1), (2, 0), (1, 2))]] * 3
-    for branch in mech3_unit_demand(3, ITEMS).branches():
+    """Every serve state's cached prices equal a fresh mechanism's solve."""
+    domains = [[unit_demand(a, b) for a, b in UD_VALUES]] * 3
+    for k, branch in enumerate(mech3_unit_demand(3, ITEMS).branches()):
         game = branch.game(domains)
         proto = materialize(game)
         assert verify_osp(proto, truthful_strategies(game, proto), domains).passed
@@ -644,8 +651,115 @@ def test_arrival_price_cache_matches_fresh_games():
         for state in serve:
             key = (state.reports, state.unsold)
             assert key in game._prices
-            fresh = branch.game(domains)._price_vector(*key)
-            assert game._price_vector(*key) == fresh
+            fresh = mech3_unit_demand(3, ITEMS).branches()[k].game(domains)
+            assert game._price_vector(*key) == fresh._price_vector(*key)
+
+
+def test_mech3_branch_games_solve_each_market_once(monkeypatch):
+    """The branch games of one mechanism share their markets' solves."""
+    solves, optima = [], []
+    solve_prices = ArrivalPricingGame._solve_prices
+    restricted = mechanisms.opt_restricted
+
+    def counted_solve(self, reported, unsold):
+        solves.append((tuple(sorted(map(id, reported))), unsold))
+        return solve_prices(self, reported, unsold)
+
+    def counted_opt(inst, items=None):
+        optima.append((tuple(map(id, inst.valuations)), items))
+        return restricted(inst, items=items)
+
+    monkeypatch.setattr(ArrivalPricingGame, "_solve_prices", counted_solve)
+    monkeypatch.setattr(mechanisms, "opt_restricted", counted_opt)
+    domains = [[unit_demand(a, b) for a, b in UD_VALUES]] * 3
+    lookups = 0
+    for branch in mech3_unit_demand(3, ITEMS).branches():
+        game = branch.game(domains)
+        proto = materialize(game)
+        assert verify_osp(proto, truthful_strategies(game, proto), domains).passed
+        lookups += len(game._prices)
+    assert solves and optima
+    assert len(solves) == len(set(solves))
+    assert len(optima) == len(set(optima))
+    # the games looked up more markets than were solved: they shared them
+    assert lookups > len(solves)
+
+
+def _tree_record(game, domains) -> tuple:
+    """The serialized tree, the four verdicts and the realized rule."""
+    proto = materialize(game)
+    strategies = truthful_strategies(game, proto)
+    rule = realize_rule(proto, strategies, domains)
+    verdicts = (
+        verify_osp(proto, strategies, domains),
+        verify_ir_nnt(proto, strategies, domains),
+        verify_weak_monotonicity(rule),
+        verify_dsic(rule),
+    )
+    tree = json.dumps(protocol_to_json(proto), sort_keys=True)
+    return tree, [json.dumps(v.to_json(), sort_keys=True) for v in verdicts], rule.table
+
+
+def _fresh_record(label, domains) -> tuple:
+    """A branch game of a mechanism built for this branch alone."""
+    fresh = {b.label: b for b in mech3_unit_demand(3, ITEMS).branches()}
+    return _tree_record(fresh[label].game(domains), domains)
+
+
+def test_mech3_branch_order_does_not_change_the_games():
+    domains = [[unit_demand(a, b) for a, b in UD_VALUES]] * 3
+    labels = [b.label for b in mech3_unit_demand(3, ITEMS).branches()]
+    expected = {label: _fresh_record(label, domains) for label in labels}
+    shuffled = list(range(len(labels)))
+    random.Random(5).shuffle(shuffled)
+    for order in (list(reversed(range(len(labels)))), shuffled):
+        branches = mech3_unit_demand(3, ITEMS).branches()
+        for k in order:
+            branch = branches[k]
+            got = _tree_record(branch.game(domains), domains)
+            assert got == expected[branch.label], branch.label
+
+
+def _check_shared_against_fresh(mech, values) -> set:
+    """Every branch of ``mech`` on ``values`` against fresh mechanisms;
+    returns the ids of the domain's valuations."""
+    domains = [[unit_demand(a, b) for a, b in values]] * 3
+    for branch in mech.branches():
+        got = _tree_record(branch.game(domains), domains)
+        assert got == _fresh_record(branch.label, domains), branch.label
+    return set(map(id, domains[0]))
+
+
+def test_mech3_memo_ids_outlive_dropped_domains():
+    """Dropped domains stay alive in the memo, so new ones get new ids."""
+    mech = mech3_unit_demand(3, ITEMS)
+    first = _check_shared_against_fresh(mech, UD_VALUES)
+    gc.collect()
+    second = _check_shared_against_fresh(mech, ((1, 0), (2, 1), (0, 2), (2, 2)))
+    assert not first & second
+    memo = mech.branches()[0].game([[unit_demand(0, 0)]] * 3)._memo
+    held = {id(v) for key, entry in memo.items() if key[0] != "rows" for v in entry[0]}
+    assert first <= held and second <= held
+
+
+def test_mech3_shortcut_resolves_rows_once_per_instance(monkeypatch):
+    calls = []
+    rows = mechanisms._constant_integer_rows
+
+    def counted_rows(instance, kind):
+        calls.append(instance)
+        return rows(instance, kind)
+
+    monkeypatch.setattr(mechanisms, "_constant_integer_rows", counted_rows)
+    flat = Instance(
+        CombinatorialSetting(ITEMS), tuple(flat_unit_demand(ITEMS, c) for c in (3, 2, 2, 1))
+    )
+    mixed = Instance(CombinatorialSetting(ITEMS), (unit_demand(1, 2),) * 4)
+    mech = mech3_unit_demand(4, ITEMS)
+    for inst in (flat, mixed, flat):
+        assert mech.exact_expected_welfare(inst) == game_expected_welfare(mech, inst)
+        mc_ratio(mech, inst, 50, 3)
+    assert calls == [flat, mixed]
 
 
 def test_grand_bundle_combinatorial():
