@@ -80,15 +80,14 @@ class CliError(Exception):
 def _fraction_flag(text: str) -> Fraction:
     try:
         return as_fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
 
 
 def _values_flag(text: str) -> tuple:
-    try:
-        return tuple(as_fraction(part) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    return tuple(_fraction_flag(part) for part in text.split(","))
 
 
 def _demands_flag(text: str) -> tuple:

@@ -127,7 +127,7 @@ def _expected_welfare(subject: Evaluable, instance: Instance) -> Fraction:
     if isinstance(subject, RandomizedMechanism):
         return subject.exact_expected_welfare(instance)
     if isinstance(subject, SupportElement):
-        return welfare_of(instance, subject.outcome(instance).allocation)
+        return subject.welfare(instance)
     protocol, strategies = subject
     behaviors = [
         behavior_from_strategy(protocol, i, strategies[i], v)
@@ -185,8 +185,7 @@ def mc_ratio(
         branch = mech.sample_branch(rng)
         ratio = ratios.get(branch.label)
         if ratio is None:
-            allocation = branch.outcome(instance).allocation
-            ratio = ratios[branch.label] = welfare_of(instance, allocation) / best
+            ratio = ratios[branch.label] = branch.welfare(instance) / best
         total += ratio
         total_sq += float(ratio) * float(ratio)
     mean = total / trials
@@ -233,6 +232,11 @@ def _unit_step_values(instance: Instance) -> Optional[list]:
     return out
 
 
+def _check_share(name: str, share: Fraction) -> None:
+    if not 0 < share <= 1:
+        raise ValueError(f"{name} must lie in (0, 1], got {share}")
+
+
 def sampling_lemma_experiment(
     instance: Instance,
     trials: int,
@@ -245,40 +249,48 @@ def sampling_lemma_experiment(
     Splits every bidder by a fair coin into (S, U) and measures
     P[OPT(S) >= OPT * t and OPT(U) >= OPT * t] for t = 1/5.  Exact by
     enumerating all 2^n partitions when n <= 12, Monte Carlo
-    otherwise.  Refuses instances where some bidder is critical (grand
-    bundle worth a ``critical_threshold`` share of OPT): the guarantee
-    simply fails there, a lone pivotal bidder lands on one side only.
+    otherwise, drawing each split as one ``coin_mask``.  Refuses
+    instances where some bidder is critical (grand bundle worth a
+    ``critical_threshold`` share of OPT): the guarantee simply fails
+    there, a lone pivotal bidder lands on one side only.  Both
+    thresholds must lie in (0, 1].
 
-    Markets where every bidder wants just one unit get a closed-form
-    evaluation (top-m sums along one precomputed value order), which
-    keeps hundreds of bidders comfortable.
+    Markets where every bidder wants just one unit get a closed form:
+    the values are scaled to ints once, by the lcm of their
+    denominators, and each side's optimum is its top-m sum along one
+    precomputed value order, compared with the scaled bar.  That keeps
+    hundreds of bidders comfortable.
     """
+    _check_share("critical_threshold", critical_threshold)
+    _check_share("ratio_threshold", ratio_threshold)
     n = instance.n
     steps = _unit_step_values(instance)
     if steps is not None:
         m = instance.m
-        by_value = sorted(range(n), key=lambda i: -steps[i])
-
-        def restricted_opt(member) -> tuple:
-            got_in = got_out = 0
-            top_in = top_out = ZERO
-            for i in by_value:
-                if got_in == m and got_out == m:
-                    break
-                if member(i):
-                    if got_in < m:
-                        top_in += steps[i]
-                        got_in += 1
-                elif got_out < m:
-                    top_out += steps[i]
-                    got_out += 1
-            return top_in, top_out
-
-        best, _ = restricted_opt(lambda i: True)
+        scale = math.lcm(*(x.denominator for x in steps))
+        # (bit, scaled value), highest value first
+        ranked = sorted(
+            ((1 << i, int(x * scale)) for i, x in enumerate(steps)), key=lambda e: -e[1]
+        )
+        best = Fraction(sum(value for _, value in ranked[:m]), scale)
+        need = math.ceil(best * ratio_threshold * scale)  # the bar, scaled
 
         def joint(mask: int) -> bool:
-            top_s, top_u = restricted_opt(lambda i: mask >> i & 1)
-            return top_s >= bar and top_u >= bar
+            got_in = got_out = top_in = top_out = 0
+            for bit, value in ranked:
+                if mask & bit:
+                    if got_in < m:
+                        top_in += value
+                        got_in += 1
+                elif got_out < m:
+                    top_out += value
+                    got_out += 1
+                # values are non-negative: a side's sum never falls
+                if top_in >= need and top_out >= need:
+                    return True
+                if got_in == m and got_out == m:
+                    break
+            return top_in >= need and top_out >= need
 
     else:
         best = opt(instance).value
@@ -307,14 +319,7 @@ def sampling_lemma_experiment(
     if trials <= 0:
         raise ValueError("trials must be positive for Monte Carlo")
     rng = CounterRng(seed)
-    hits = 0
-    for _ in range(trials):
-        mask = 0
-        for i in range(n):
-            if rng.below(2) == 0:  # 0 puts the bidder into S
-                mask |= 1 << i
-        if joint(mask):
-            hits += 1
+    hits = sum(1 for _ in range(trials) if joint(rng.coin_mask(n)))
     return SamplingReport(hits / trials, False, trials, best, ratio_threshold)
 
 

@@ -88,24 +88,34 @@ class SupportElement:
     """One deterministic branch of a randomized mechanism.
 
     ``outcome`` plays the branch game truthfully with singleton report
-    domains, so the simulation runs the verified transition code;
-    ``shortcut`` may compute the same outcome faster, or return None to
-    decline.
+    domains, so the simulation runs the verified transition code.
+    ``shortcut`` may compute the same play faster and return
+    ``(outcome, welfare)``, the outcome with its welfare on the
+    instance, or return None to decline.  ``welfare`` is the one entry
+    for a branch's welfare: the shortcut's number when it answers,
+    else ``welfare_of`` on the played outcome.
     """
 
     label: str
     probability: Fraction
     game_fn: Callable[[Sequence[Sequence[Valuation]]], Game]
-    shortcut: Optional[Callable[[Instance], Optional[Outcome]]] = None
+    shortcut: Optional[Callable[[Instance], Optional[tuple]]] = None
 
-    def outcome(self, instance: Instance) -> Outcome:
+    def _play(self, instance: Instance) -> tuple:
         if self.shortcut is not None:
             fast = self.shortcut(instance)
             if fast is not None:
                 return fast
         game = self.game([[v] for v in instance.valuations])
         out, _ = run_game(game, instance.valuations)
-        return out
+        return out, None
+
+    def outcome(self, instance: Instance) -> Outcome:
+        return self._play(instance)[0]
+
+    def welfare(self, instance: Instance) -> Fraction:
+        out, welfare = self._play(instance)
+        return welfare_of(instance, out.allocation) if welfare is None else welfare
 
     def game(self, domains: Sequence[Sequence[Valuation]]) -> Game:
         return self.game_fn(domains)
@@ -177,8 +187,7 @@ class RandomizedMechanism:
                 return fast
         total = ZERO
         for branch in self.branches():
-            outcome = branch.outcome(instance)
-            total += branch.probability * welfare_of(instance, outcome.allocation)
+            total += branch.probability * branch.welfare(instance)
         return total
 
 
@@ -950,53 +959,46 @@ class ArrivalPricingGame(SampleServeGame):
         return 0
 
 
-def _mech3_fast_outcome(instance: Instance, rows: list, order: tuple) -> Outcome:
+def _mech3_fast_outcome(instance: Instance, rows: list, order: tuple) -> tuple:
     """Constant-row shortcut for one arrival order, integer arithmetic.
 
     ``rows`` is ``_constant_integer_rows(instance, UnitDemandValuation)``.
     When every unit-demand bidder values all items equally, prices are
-    uniform across items (top-t minus top-(t-1) sums of observed
-    values, t capped at availability), so a buying arrival just takes
-    the earliest unsold item.
+    uniform across items: with a items unsold, the a-th highest observed
+    value, or 0 while fewer than a bidders are observed.  So a buying
+    arrival just takes the earliest unsold item.  Returns the outcome
+    and its welfare, the sum of the buyers' rows.
     """
     n = instance.n
     cut = arrivals_discarded(n)
-    observed: list = []  # ascending; top values live at the tail
-
+    items = instance.items
+    ranked: list = []  # (-value, bidder) of the arrivals so far, best first
     bundles = [frozenset()] * n
     payments = [ZERO] * n
-    unsold = list(instance.items)
+    sold = 0
+    welfare = 0
     for pos, bidder in enumerate(order):
         value = rows[bidder]
-        if pos >= cut and unsold:
-            a = len(unsold)
-            t = min(len(observed), a)
-            t2 = min(len(observed), a - 1)
-            price = sum(observed[len(observed) - t :]) - sum(
-                observed[len(observed) - t2 :]
-            )
-            surplus = value - price
-            take = False
-            if surplus > 0:
-                take = True
-            elif surplus == 0:
+        a = len(items) - sold
+        if pos >= cut and a:
+            price = -ranked[a - 1][0] if len(ranked) >= a else 0
+            if value == price:
                 # canonical optimum over observed + this bidder: the
-                # matched set is the top-a of (value desc, index asc);
-                # she gets the earliest unsold item exactly when she
-                # is the smallest-index matched bidder
-                pool = sorted(
-                    [(rows[b], b) for b in order[:pos]] + [(value, bidder)],
-                    key=lambda e: (-e[0], e[1]),
-                )
-                matched = min(b for _, b in pool[:a])
-                take = matched == bidder
+                # matched set is the top-a of (value desc, index asc),
+                # and she gets the earliest unsold item exactly when
+                # she is its smallest index.  Every one of the top a
+                # observed is worth at least the price, her value, so
+                # that holds exactly when each has a larger index.
+                take = all(b > bidder for _, b in ranked[:a])
+            else:
+                take = value > price
             if take:
-                item = unsold.pop(0)
-                bundles[bidder] = frozenset({item})
+                bundles[bidder] = frozenset({items[sold]})
                 payments[bidder] = Fraction(price)
-        if pos < n - 1:
-            bisect.insort(observed, value)
-    return Outcome(Allocation(tuple(bundles)), tuple(payments))
+                sold += 1
+                welfare += value
+        bisect.insort(ranked, (-value, bidder))
+    return Outcome(Allocation(tuple(bundles)), tuple(payments)), Fraction(welfare)
 
 
 def mech3_unit_demand(n: int, items: Sequence[str]) -> RandomizedMechanism:
@@ -1013,7 +1015,7 @@ def mech3_unit_demand(n: int, items: Sequence[str]) -> RandomizedMechanism:
     # instance's constant rows are resolved once per mechanism
     memo: dict = {}
 
-    def shortcut(instance: Instance, order: tuple) -> Optional[Outcome]:
+    def shortcut(instance: Instance, order: tuple) -> Optional[tuple]:
         # the game prices items by the optimum of the reported
         # valuations; the closed form is that optimum for unit-demand
         # rows only, so additive rows are played through the game

@@ -18,6 +18,12 @@ where ``mix64`` is the standard splitmix64 finalizer:
 
 all in 64-bit arithmetic.  Bounded draws use rejection sampling on the
 high bits, so ``below(n)`` is exactly uniform for any ``n < 2**64``.
+
+``coin_mask(n)`` batches n fair coins: it returns the bitmask that n
+calls of ``below(2) == 0`` would build (``below(2)`` never rejects, so
+each coin is one word and heads means an even word).  It draws the same
+words in the same order without going through ``next_word``, so the
+stream, and its name ``splitmix64-v1``, are unchanged.
 """
 
 from __future__ import annotations
@@ -26,11 +32,13 @@ from typing import Sequence
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
 
 
 def _mix64(z: int) -> int:
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    z = (z ^ (z >> 30)) * _MUL1 & _MASK64
+    z = (z ^ (z >> 27)) * _MUL2 & _MASK64
     return (z ^ (z >> 31)) & _MASK64
 
 
@@ -80,6 +88,24 @@ class CounterRng:
             word = self.next_word()
             if word < limit:
                 return word % n
+
+    def coin_mask(self, n: int) -> int:
+        """Bitmask of n fair coins: bit i is set when word i is even.
+
+        Equal to setting bit i whenever the i-th of n ``below(2)`` calls
+        returns 0; advances the counter by n.
+        """
+        mask = 0
+        z = (self.seed + (self.counter + 1) * _GAMMA) & _MASK64
+        for i in range(n):
+            # _mix64 inlined; heads is an even word
+            x = (z ^ (z >> 30)) * _MUL1 & _MASK64
+            x = (x ^ (x >> 27)) * _MUL2 & _MASK64
+            if not (x ^ (x >> 31)) & 1:
+                mask |= 1 << i
+            z = (z + _GAMMA) & _MASK64
+        self.counter += n
+        return mask
 
     def weighted_index(self, weights: Sequence[int]) -> int:
         """Pick index i with probability weights[i] / sum(weights).

@@ -124,11 +124,16 @@ def check_allocation(instance: Instance, alloc: Allocation) -> None:
 
 
 def welfare_of(instance: Instance, alloc: Allocation) -> Fraction:
-    """Total value of an allocation (validates feasibility first)."""
+    """Total value of an allocation (validates feasibility first).
+
+    Empty bundles are skipped: every valuation class prices the empty
+    bundle, or quantity 0, at 0.
+    """
     check_allocation(instance, alloc)
     total = ZERO
     for v, b in zip(instance.valuations, alloc.bundles):
-        total += v.value(b)
+        if b:
+            total += v.value(b)
     return total
 
 

@@ -290,6 +290,36 @@ def test_sampling_lemma_monte_carlo(capsys):
     assert payload["probability"] >= 0.5
 
 
+@pytest.mark.parametrize("flag", ["--ratio-threshold", "--critical-threshold"])
+@pytest.mark.parametrize("value", ["0", "-1/2", "-1", "2"])
+def test_sampling_lemma_refuses_thresholds_outside_the_unit_interval(
+    capsys, caplog, flag, value
+):
+    code, out = run(capsys, "sampling-lemma", "--fixture", "sampling-200", f"{flag}={value}")
+    assert (code, out) == (2, "")
+    name = flag[2:].replace("-", "_")
+    assert f"{name} must lie in (0, 1], got {value}" in caplog.text
+    assert "is critical" not in caplog.text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sampling-lemma", "--fixture", "sampling-10", "--ratio-threshold", "1/0"],
+        ["sampling-lemma", "--fixture", "sampling-10", "--critical-threshold", "1/0"],
+        ["search", "--mechanism", "mech2-additive", "--domain", "additive",
+         "--values", "0,1/0,2"],
+    ],
+)
+def test_zero_denominator_flags_name_the_problem(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "zero denominator in '1/0'" in err
+    assert "Fraction(1, 0)" not in err
+
+
 def test_list_fixtures_lists_the_catalog(capsys):
     code, payload = run_json(capsys, "list-fixtures")
     assert code == 0

@@ -1,6 +1,7 @@
 """Tests for distributional evaluation, sampling splits, and search."""
 
 import math
+import random
 from fractions import Fraction as F
 from unittest import mock
 
@@ -12,6 +13,7 @@ from ospclock.experiments import (
     InstanceGrid,
     ProfileDistribution,
     ProfileEntry,
+    SamplingReport,
     eval_on_distribution,
     hard_dist_additive,
     hard_dist_mua_sm,
@@ -249,13 +251,28 @@ def test_mc_ratio_plays_each_label_once_and_draws_every_trial():
 
     draw = mock.Mock(wraps=mech.sample_branch)
     with mock.patch.object(mech, "sample_branch", draw), mock.patch.object(
-        SupportElement, "outcome", autospec=True, side_effect=SupportElement.outcome
+        SupportElement, "welfare", autospec=True, side_effect=SupportElement.welfare
     ) as play:
         rep = mc_ratio(mech, inst, trials=100, seed=9)
     assert (rep.ratio, rep.stderr) == (mean, stderr)
     assert draw.call_count == 100
     labels = {call.args[0].label for call in play.call_args_list}
     assert play.call_count == len(labels) == len(mech.branches())
+
+
+def test_mc_ratio_on_the_crowded_market_never_calls_welfare_of():
+    """mech3's constant-row shortcut hands mc_ratio each branch's
+    welfare, so no trial re-values an allocation."""
+    inst = ud_failure_instance(16)
+    expected = mc_ratio(mech3_unit_demand(16, inst.items), inst, trials=300, seed=5)
+    with mock.patch(
+        "ospclock.mechanisms.welfare_of", side_effect=AssertionError
+    ) as in_mechanisms, mock.patch(
+        "ospclock.experiments.welfare_of", side_effect=AssertionError
+    ) as in_experiments:
+        rep = mc_ratio(mech3_unit_demand(16, inst.items), inst, trials=300, seed=5)
+    assert in_mechanisms.call_count == in_experiments.call_count == 0
+    assert rep == expected
 
 
 def test_mc_ratio_brackets_the_exact_value():
@@ -361,27 +378,35 @@ def test_sampling_monte_carlo_matches_binomial_tail():
     assert abs(rep.probability - float(tail)) < 0.05
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    values=st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=6),
-    m=st.integers(min_value=1, max_value=4),
+STEP_VALUES = st.builds(
+    F, st.integers(min_value=0, max_value=9), st.sampled_from([1, 1, 2, 3, 4, 6])
 )
-def test_sampling_fast_path_agrees_with_generic(values, m):
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    values=st.lists(STEP_VALUES, min_size=2, max_size=6),
+    m=st.integers(min_value=1, max_value=4),
+    share=st.sampled_from([F(1, 5), F(1, 3), F(1, 2), F(1)]),
+)
+def test_sampling_fast_path_agrees_with_generic(values, m, share):
     """The top-m closed form and the welfare-oracle route are the same
-    experiment: equal exact probabilities, and they refuse together."""
+    experiment: equal exact probabilities, and they refuse together.
+    Steps carry mixed denominators, so the closed form's int scaling
+    and its rounded-up bar are exercised."""
     vals = tuple(make_single_minded(x, 1, m) for x in values)
     inst = Instance(MultiUnitSetting(m), vals)
     threshold = F(1)
     try:
         fast = sampling_lemma_experiment(
-            inst, trials=0, seed=0, critical_threshold=threshold
+            inst, trials=0, seed=0, critical_threshold=threshold, ratio_threshold=share
         )
     except ValueError:
         fast = None
     with mock.patch("ospclock.experiments._unit_step_values", return_value=None):
         try:
             generic = sampling_lemma_experiment(
-                inst, trials=0, seed=0, critical_threshold=threshold
+                inst, trials=0, seed=0, critical_threshold=threshold, ratio_threshold=share
             )
         except ValueError:
             generic = None
@@ -391,6 +416,85 @@ def test_sampling_fast_path_agrees_with_generic(values, m):
         assert generic is not None
         assert fast.probability == generic.probability
         assert fast.opt == generic.opt
+
+
+def fraction_sampling_reference(instance, trials, seed, critical_threshold, ratio_threshold):
+    """The unit-step split experiment on Fraction sums, one ``below(2)``
+    per coin: the reference for the scaled-int kernel and ``coin_mask``."""
+    n, m = instance.n, instance.m
+    steps = [v.single_minded.x for v in instance.valuations]
+    by_value = sorted(range(n), key=lambda i: -steps[i])
+
+    def restricted_opt(member):
+        got_in = got_out = 0
+        top_in = top_out = F(0)
+        for i in by_value:
+            if got_in == m and got_out == m:
+                break
+            if member(i):
+                if got_in < m:
+                    top_in += steps[i]
+                    got_in += 1
+            elif got_out < m:
+                top_out += steps[i]
+                got_out += 1
+        return top_in, top_out
+
+    best, _ = restricted_opt(lambda i: True)
+    if any(steps[i] >= critical_threshold * best for i in range(n)):
+        return None
+    bar = best * ratio_threshold
+
+    def joint(mask):
+        top_s, top_u = restricted_opt(lambda i: mask >> i & 1)
+        return top_s >= bar and top_u >= bar
+
+    if n <= 12:
+        hits = sum(1 for mask in range(1 << n) if joint(mask))
+        return SamplingReport(F(hits, 1 << n), True, None, best, ratio_threshold)
+    rng = CounterRng(seed)
+    hits = 0
+    for _ in range(trials):
+        mask = 0
+        for i in range(n):
+            if rng.below(2) == 0:
+                mask |= 1 << i
+        if joint(mask):
+            hits += 1
+    return SamplingReport(hits / trials, False, trials, best, ratio_threshold)
+
+
+def test_sampling_int_kernel_matches_the_fraction_reference():
+    """Exact probabilities for n <= 12 and equal seeded reports for
+    13 <= n <= 60, on markets with mixed-denominator steps and zeros."""
+    rnd = random.Random(2024)
+    steps = [F(0), F(1), F(2), F(5, 2), F(7, 3), F(3, 4), F(19, 2)]
+    for k in range(48):
+        n = rnd.randint(2, 12) if k % 2 else rnd.randint(13, 60)
+        m = rnd.randint(1, n)
+        inst = Instance(
+            MultiUnitSetting(m),
+            tuple(make_single_minded(rnd.choice(steps), 1, m) for _ in range(n)),
+        )
+        critical = rnd.choice([F(1, 2), F(1)])
+        share = rnd.choice([F(1, 5), F(2, 5), F(1, 2)])
+        ref = fraction_sampling_reference(inst, 70, k, critical, share)
+        if ref is None:
+            with pytest.raises(ValueError, match="critical"):
+                sampling_lemma_experiment(inst, 70, k, critical, share)
+            continue
+        assert sampling_lemma_experiment(inst, 70, k, critical, share) == ref, k
+
+
+@pytest.mark.parametrize("name", ["critical_threshold", "ratio_threshold"])
+@pytest.mark.parametrize("value", [F(0), F(-1, 2), F(-1), F(2), F(101, 100)])
+def test_sampling_refuses_thresholds_outside_the_unit_interval(name, value):
+    inst = flat_market(13, 6)
+    with pytest.raises(ValueError, match=name):
+        sampling_lemma_experiment(inst, trials=10, seed=0, **{name: value})
+    # the interval's closed end is a valid share
+    ok = {"critical_threshold": F(1), name: F(1)}
+    assert sampling_lemma_experiment(inst, trials=10, seed=0, **ok).trials == 10
 
 
 # ---------------------------------------------------------------------------

@@ -363,21 +363,30 @@ def test_mech3_fast_path_matches_game():
         order = tuple(
             int(t) for t in branch.label.split("=")[1].split(",")
         )
-        fast = _mech3_fast_outcome(inst, rows, order)
+        fast, welfare = _mech3_fast_outcome(inst, rows, order)
         game = ArrivalPricingGame(order, items, [[v] for v in vals])
         slow, _ = run_game(game, vals)
         assert fast.allocation.bundles == slow.allocation.bundles
         assert fast.payments == slow.payments
+        assert welfare == welfare_of(inst, slow.allocation)
     # seeded constant rows, additive rows and zeros included: each
-    # arrival order's outcome, and the expectation, is the game's
+    # arrival order's outcome, its welfare, and the expectation, is
+    # the game's
     for inst in constant_row_instances(60):
         mech = mech3_unit_demand(inst.n, inst.items)
+        rows = _constant_integer_rows(inst, UnitDemandValuation)
         for branch in mech.branches():
             game = branch.game([[v] for v in inst.valuations])
             slow, _ = run_game(game, inst.valuations)
             fast = branch.outcome(inst)
             assert fast.allocation == slow.allocation, (inst, branch.label)
             assert fast.payments == slow.payments, (inst, branch.label)
+            welfare = welfare_of(inst, slow.allocation)
+            assert branch.welfare(inst) == welfare, (inst, branch.label)
+            if rows is not None:
+                order = tuple(int(t) for t in branch.label.split("=")[1].split(","))
+                fast, fast_welfare = _mech3_fast_outcome(inst, rows, order)
+                assert fast_welfare == welfare_of(inst, fast.allocation) == welfare
         assert mech.exact_expected_welfare(inst) == game_expected_welfare(mech, inst)
 
 

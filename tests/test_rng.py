@@ -111,3 +111,22 @@ def test_shuffled_hits_every_order_of_three():
     for seed in range(200):
         seen.add(tuple(CounterRng(seed).shuffled([0, 1, 2])))
     assert len(seen) == 6
+
+
+def test_coin_mask_draws_the_words_of_n_fair_coins():
+    """coin_mask(n) is n calls of below(2) == 0 on the same stream: same
+    mask, same counter afterwards, and the next word agrees."""
+    for seed in (0, 1, 9, 2**63 + 5, MASK):
+        for start in (0, 3):
+            for n in (0, 1, 63, 64, 65, 200):
+                rng = CounterRng(seed)
+                rng.counter = start
+                ref = rng.clone()
+                mask = rng.coin_mask(n)
+                expected = 0
+                for i in range(n):
+                    if ref.below(2) == 0:
+                        expected |= 1 << i
+                assert mask == expected, (seed, start, n)
+                assert rng.counter == ref.counter == start + n
+                assert rng.next_word() == ref.next_word()

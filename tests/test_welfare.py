@@ -473,3 +473,63 @@ def test_unit_demand_zero_value_match_is_canonical():
     result = opt(inst)
     assert result.value == 5
     assert result.witness.bundles == (frozenset({"b"}), frozenset({"a"}))
+
+
+# ---------------------------------------------------------------------------
+# welfare_of skips empty bundles
+
+
+def _seeded_valuations(rng, items, m):
+    """One valuation of every class: multi-unit, additive, unit-demand,
+    and explicit tables with and without the monotonicity check."""
+    per_item = {j: F(rng.randint(0, 5), rng.randint(1, 3)) for j in items}
+    weight = {j: rng.randint(0, 3) for j in items}
+    monotone = {b: F(sum(weight[j] for j in b) + len(b) // 2) for b in all_bundles(items)}
+    arbitrary = {b: F(rng.randint(0, 4)) if b else F(0) for b in all_bundles(items)}
+    steps = sorted(F(rng.randint(0, 6), rng.randint(1, 2)) for _ in range(m))
+    return (
+        MultiUnitValuation(tuple(steps)),
+        AdditiveValuation(items, per_item),
+        UnitDemandValuation(items, per_item),
+        ExplicitValuation(items, monotone),
+        ExplicitValuation(items, arbitrary, require_monotone=False),
+    )
+
+
+def test_every_valuation_class_prices_the_empty_bundle_at_zero():
+    rng = random.Random(41)
+    items = ("a", "b", "c")
+    for _ in range(20):
+        multi, *combinatorial = _seeded_valuations(rng, items, 3)
+        assert multi.value(0) == 0
+        for v in combinatorial:
+            assert v.value(frozenset()) == 0, v
+    with pytest.raises(ValueError, match="empty bundle"):
+        table = {b: F(1) for b in all_bundles(("a",))}
+        ExplicitValuation(("a",), table, require_monotone=False)
+
+
+def test_welfare_of_equals_the_plain_sum_over_every_bundle():
+    """Skipping empty bundles changes no total: on seeded feasible
+    allocations welfare_of is the sum of every bidder's value."""
+    rng = random.Random(43)
+    items = ("a", "b", "c")
+    for _ in range(60):
+        multi, *combinatorial = _seeded_valuations(rng, items, 4)
+        vals = tuple(rng.choice(combinatorial) for _ in range(rng.randint(1, 4)))
+        inst = Instance(CombinatorialSetting(items), vals)
+        owner = [rng.randrange(-1, len(vals)) for _ in items]  # -1: unsold
+        bundles = tuple(
+            frozenset(j for j, o in zip(items, owner) if o == i) for i in range(len(vals))
+        )
+        assert welfare_of(inst, Allocation(bundles)) == sum(
+            (v.value(b) for v, b in zip(vals, bundles)), F(0)
+        )
+        k = rng.randint(1, 4)
+        qs = [0] * k
+        for _ in range(rng.randint(0, 4)):
+            qs[rng.randrange(k)] += 1
+        inst = Instance(MultiUnitSetting(4), (multi,) * k)
+        assert welfare_of(inst, Allocation(tuple(qs))) == sum(
+            (multi.value(q) for q in qs), F(0)
+        )
