@@ -170,7 +170,10 @@ def mc_ratio(
     All draws come from one counter-based stream, so the estimate is a
     pure function of (mechanism, instance, trials, seed).  Every trial
     draws its branch, but a branch is deterministic and its label names
-    it, so each distinct label is played once.
+    it, so on an enumerable support (``mech.enumerable``) each distinct
+    label is played once.  A support past the cap, such as mech3's n!
+    arrival orders, seldom repeats a label, so there every trial plays
+    its branch and no memo grows with the trial count.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
@@ -180,12 +183,15 @@ def mc_ratio(
     rng = CounterRng(seed)
     total = ZERO
     total_sq = 0.0
-    ratios: dict = {}  # branch label -> welfare ratio
+    memo = mech.enumerable
+    ratios: dict = {}  # branch label -> welfare ratio; stays empty unless memo
     for _ in range(trials):
         branch = mech.sample_branch(rng)
         ratio = ratios.get(branch.label)
         if ratio is None:
-            ratio = ratios[branch.label] = branch.welfare(instance) / best
+            ratio = branch.welfare(instance) / best
+            if memo:
+                ratios[branch.label] = ratio
         total += ratio
         total_sq += float(ratio) * float(ratio)
     mean = total / trials

@@ -121,6 +121,10 @@ class SupportElement:
         return self.game_fn(domains)
 
 
+def _support_cap() -> int:
+    return _cap("OSPCLOCK_SUPPORT_CAP", 50_000)
+
+
 class RandomizedMechanism:
     """A distribution over deterministic branches.
 
@@ -150,9 +154,14 @@ class RandomizedMechanism:
         self._cache: Optional[list] = None
         self._weights: Optional[list] = None
 
+    @property
+    def enumerable(self) -> bool:
+        """Whether ``branches()`` lists the support (OSPCLOCK_SUPPORT_CAP)."""
+        return self.branch_count <= _support_cap()
+
     def branches(self) -> list:
         """The exact support; raises SizeCapError if too large."""
-        cap = _cap("OSPCLOCK_SUPPORT_CAP", 50_000)
+        cap = _support_cap()
         if self.branch_count > cap:
             what = f"{self.name} has {self.branch_count} branches"
             raise _refusal("OSPCLOCK_SUPPORT_CAP", cap, what)
@@ -510,9 +519,10 @@ def _coin_split_mechanism(
 
     ``game_fn(sample, domains)`` builds the game of one split.  Each
     bidder flips one coin, in ascending index order, and 0 sends the
-    bidder into the sample.  With ``grand_arm`` an arm coin comes
-    first: 0 runs the grand-bundle clock, 1 the split.  The support is
-    the grand-bundle branch (if any), then the 2^n samples by bitmask.
+    bidder into the sample; the n coins are one ``coin_mask(n)``.  With
+    ``grand_arm`` an arm coin comes first: 0 runs the grand-bundle
+    clock, 1 the split.  The support is the grand-bundle branch (if
+    any), then the 2^n samples by bitmask.
     """
     head = [_grand_element(setting, n, Fraction(1, 2))] if grand_arm else []
     prob = Fraction(1, 2 ** (n + len(head)))
@@ -530,7 +540,8 @@ def _coin_split_mechanism(
     def sample_fn(rng: CounterRng) -> SupportElement:
         if head and rng.below(2) == 0:
             return head[0]
-        return element(tuple(i for i in range(n) if rng.below(2) == 0))
+        mask = rng.coin_mask(n)
+        return element(tuple(i for i in range(n) if mask >> i & 1))
 
     return RandomizedMechanism(
         name, setting, n, len(head) + 2 ** n, branches_fn, sample_fn, exact_fast

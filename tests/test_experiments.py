@@ -260,6 +260,23 @@ def test_mc_ratio_plays_each_label_once_and_draws_every_trial():
     assert play.call_count == len(labels) == len(mech.branches())
 
 
+def test_mc_ratio_past_the_support_cap_plays_every_trial(monkeypatch):
+    """With the support cap below the support size, mc_ratio keeps no
+    per-label memo: every trial plays its branch, and the estimate is
+    the memoized one."""
+    inst = Instance(SETTING_2x2, (additive(3, 1), additive(2, 4)))
+    mech = mech2_additive(2, ITEMS)
+    memoized = mc_ratio(mech, inst, trials=100, seed=9)
+    monkeypatch.setenv("OSPCLOCK_SUPPORT_CAP", str(mech.branch_count - 1))
+    assert not mech.enumerable
+    with mock.patch.object(
+        SupportElement, "welfare", autospec=True, side_effect=SupportElement.welfare
+    ) as play:
+        rep = mc_ratio(mech, inst, trials=100, seed=9)
+    assert (rep.ratio, rep.stderr) == (memoized.ratio, memoized.stderr)
+    assert play.call_count == 100
+
+
 def test_mc_ratio_on_the_crowded_market_never_calls_welfare_of():
     """mech3's constant-row shortcut hands mc_ratio each branch's
     welfare, so no trial re-values an allocation."""

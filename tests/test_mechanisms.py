@@ -261,6 +261,16 @@ def test_m1_2x2_probability_knob():
         m1_2x2(F(3, 2))
 
 
+def test_m1_2x2_refuses_a_ticket_wider_than_one_word():
+    """p = 1/2**70 puts the branch weights over 2**71, a ticket no 64-bit
+    word can serve: sample_branch refuses it instead of rejecting every
+    word forever."""
+    rng = CounterRng(0)
+    with pytest.raises(ValueError, match=r"2\*\*64"):
+        m1_2x2(F(1, 2**70)).sample_branch(rng)
+    assert rng.counter == 0
+
+
 def test_m2_2x2_symmetric_unit_demand():
     inst = Instance(CombinatorialSetting(ITEMS), (unit_demand(1, 1), unit_demand(1, 1)))
     mech = m2_2x2()
@@ -809,6 +819,8 @@ SAMPLER_PINS = [
     ("naive-max-price-n3", lambda: naive_max_price_ud(3, ITEMS), "e6b966d3c5ebe1d4"),
     ("mech3-n3", lambda: mech3_unit_demand(3, ITEMS), "d20c157845782951"),
     ("mech3-n4", lambda: mech3_unit_demand(4, ITEMS), "b214478e43975545"),
+    ("mech3-n16", lambda: mech3_unit_demand(16, ITEMS), "f24a930c329da405"),
+    ("mech3-n64", lambda: mech3_unit_demand(64, ITEMS), "795d05247aae30a3"),
 ]
 
 
