@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import logging
+import math
 import sys
 from fractions import Fraction
 
@@ -54,7 +55,7 @@ from .valuations import (
     instance_from_json,
     instance_to_json,
 )
-from .welfare import SizeCapError, opt
+from .welfare import SizeCapError, _brute_cap, _refusal, opt
 
 log = logging.getLogger("ospclock")
 
@@ -234,18 +235,35 @@ def cmd_lower_bound(args) -> tuple:
     return 0, payload, table
 
 
+def _sweep_size(args) -> int:
+    """How many candidate valuations the ``--domain`` menu sweeps."""
+    k = len(args.values)
+    if args.domain == "single-minded":
+        return k * len(args.demands)
+    if args.domain == "decreasing-marginals":
+        return math.comb(len(set(args.values)) + args.m - 1, args.m)
+    if args.domain in ("additive", "unit-demand"):
+        return k**args.m
+    return k ** (2**args.m - 1)  # a value per non-empty bundle
+
+
 def _search_domain(args) -> tuple:
-    """Setting and one shared per-bidder menu for the search grid."""
-    if args.domain in ("single-minded", "decreasing-marginals"):
-        setting = MultiUnitSetting(args.m)
-        if args.domain == "single-minded":
-            menu = single_minded_domain(args.m, args.values, args.demands)
-        else:
-            menu = decreasing_marginal_domain(args.m, args.values)
-        return setting, menu
+    """Setting and one shared per-bidder menu for the search grid.
+
+    A sweep past OSPCLOCK_BRUTE_CAP is refused before it is built.
+    """
+    multiunit = args.domain in ("single-minded", "decreasing-marginals")
     items = tuple("abcdefgh"[: args.m])
-    if len(items) != args.m:
+    if not multiunit and len(items) != args.m:
         raise CliError(f"--m {args.m}: combinatorial domains have at most 8 items")
+    size, cap = _sweep_size(args), _brute_cap()
+    if size > cap:
+        what = f"--domain {args.domain} --m {args.m} sweeps {size} valuations"
+        raise _refusal("OSPCLOCK_BRUTE_CAP", cap, what)
+    if args.domain == "single-minded":
+        return MultiUnitSetting(args.m), single_minded_domain(args.m, args.values, args.demands)
+    if args.domain == "decreasing-marginals":
+        return MultiUnitSetting(args.m), decreasing_marginal_domain(args.m, args.values)
     setting = CombinatorialSetting(items)
     if args.domain == "additive":
         return setting, additive_domain(items, args.values)

@@ -10,14 +10,16 @@ is OSP on its own.  A :class:`RandomizedMechanism` therefore exposes
 * ``sample_branch(rng)`` — a seeded draw with a documented coin order,
   for Monte Carlo at scales where enumeration is hopeless (there are
   16! arrival orders);
-* per-branch ``outcome(instance)`` — direct truthful simulation, and
-  ``game(domains)`` — the extensive-form game for the verifier.
+* per-branch ``outcome(instance)`` — direct truthful simulation,
+  ``welfare(instance)`` — its welfare, and ``game(domains)`` — the
+  extensive-form game for the verifier.
 
 Simulation and verification share each branch's transition code: the
 simulated branch is the same game run with singleton report domains,
 whose forced reports the protocol layer contracts (see
 :class:`~ospclock.protocols.Game`), so the tree and the play-out cannot
-disagree.
+disagree.  Every outcome comes from that play; a branch shortcut (mech3
+on constant rows) answers the branch's welfare only.
 
 Sampling: grand-bundle, three-item-dm, random-bundles, m1-2x2, m2-2x2
 and m3-2x2 use the default sampler, one ``weighted_index`` over their
@@ -87,35 +89,30 @@ ONE = Fraction(1)
 class SupportElement:
     """One deterministic branch of a randomized mechanism.
 
-    ``outcome`` plays the branch game truthfully with singleton report
-    domains, so the simulation runs the verified transition code.
-    ``shortcut`` may compute the same play faster and return
-    ``(outcome, welfare)``, the outcome with its welfare on the
-    instance, or return None to decline.  ``welfare`` is the one entry
-    for a branch's welfare: the shortcut's number when it answers,
-    else ``welfare_of`` on the played outcome.
+    ``outcome`` always plays the branch game truthfully with singleton
+    report domains, so every outcome comes from the verified transition
+    code.  ``shortcut`` may compute the branch's welfare on the
+    instance faster, or return None to decline; it never builds an
+    outcome.  ``welfare`` is the one entry for a branch's welfare: the
+    shortcut's number when it answers, else ``welfare_of`` on the
+    played outcome.
     """
 
     label: str
     probability: Fraction
     game_fn: Callable[[Sequence[Sequence[Valuation]]], Game]
-    shortcut: Optional[Callable[[Instance], Optional[tuple]]] = None
+    shortcut: Optional[Callable[[Instance], Optional[Fraction]]] = None
 
-    def _play(self, instance: Instance) -> tuple:
+    def outcome(self, instance: Instance) -> Outcome:
+        game = self.game([[v] for v in instance.valuations])
+        return run_game(game, instance.valuations)[0]
+
+    def welfare(self, instance: Instance) -> Fraction:
         if self.shortcut is not None:
             fast = self.shortcut(instance)
             if fast is not None:
                 return fast
-        game = self.game([[v] for v in instance.valuations])
-        out, _ = run_game(game, instance.valuations)
-        return out, None
-
-    def outcome(self, instance: Instance) -> Outcome:
-        return self._play(instance)[0]
-
-    def welfare(self, instance: Instance) -> Fraction:
-        out, welfare = self._play(instance)
-        return welfare_of(instance, out.allocation) if welfare is None else welfare
+        return welfare_of(instance, self.outcome(instance).allocation)
 
     def game(self, domains: Sequence[Sequence[Valuation]]) -> Game:
         return self.game_fn(domains)
@@ -970,27 +967,23 @@ class ArrivalPricingGame(SampleServeGame):
         return 0
 
 
-def _mech3_fast_outcome(instance: Instance, rows: list, order: tuple) -> tuple:
-    """Constant-row shortcut for one arrival order, integer arithmetic.
+def _mech3_fast_welfare(rows: list, m: int, order: tuple) -> Fraction:
+    """Constant-row welfare of one arrival order, integer arithmetic.
 
-    ``rows`` is ``_constant_integer_rows(instance, UnitDemandValuation)``.
-    When every unit-demand bidder values all items equally, prices are
-    uniform across items: with a items unsold, the a-th highest observed
-    value, or 0 while fewer than a bidders are observed.  So a buying
-    arrival just takes the earliest unsold item.  Returns the outcome
-    and its welfare, the sum of the buyers' rows.
+    ``rows`` is ``_constant_integer_rows(instance, UnitDemandValuation)``
+    and ``m`` the item count.  When every unit-demand bidder values all
+    items equally, prices are uniform across items: with a items
+    unsold, the a-th highest observed value, or 0 while fewer than a
+    bidders are observed.  So only who buys matters, and the welfare
+    is the sum of the buyers' rows.
     """
-    n = instance.n
-    cut = arrivals_discarded(n)
-    items = instance.items
+    cut = arrivals_discarded(len(order))
     ranked: list = []  # (-value, bidder) of the arrivals so far, best first
-    bundles = [frozenset()] * n
-    payments = [ZERO] * n
     sold = 0
     welfare = 0
     for pos, bidder in enumerate(order):
         value = rows[bidder]
-        a = len(items) - sold
+        a = m - sold
         if pos >= cut and a:
             price = -ranked[a - 1][0] if len(ranked) >= a else 0
             if value == price:
@@ -1004,12 +997,10 @@ def _mech3_fast_outcome(instance: Instance, rows: list, order: tuple) -> tuple:
             else:
                 take = value > price
             if take:
-                bundles[bidder] = frozenset({items[sold]})
-                payments[bidder] = Fraction(price)
                 sold += 1
                 welfare += value
         bisect.insort(ranked, (-value, bidder))
-    return Outcome(Allocation(tuple(bundles)), tuple(payments)), Fraction(welfare)
+    return Fraction(welfare)
 
 
 def mech3_unit_demand(n: int, items: Sequence[str]) -> RandomizedMechanism:
@@ -1026,7 +1017,7 @@ def mech3_unit_demand(n: int, items: Sequence[str]) -> RandomizedMechanism:
     # instance's constant rows are resolved once per mechanism
     memo: dict = {}
 
-    def shortcut(instance: Instance, order: tuple) -> Optional[tuple]:
+    def shortcut(instance: Instance, order: tuple) -> Optional[Fraction]:
         # the game prices items by the optimum of the reported
         # valuations; the closed form is that optimum for unit-demand
         # rows only, so additive rows are played through the game
@@ -1036,7 +1027,7 @@ def mech3_unit_demand(n: int, items: Sequence[str]) -> RandomizedMechanism:
             instance,
             lambda: _constant_integer_rows(instance, UnitDemandValuation),
         )
-        return None if rows is None else _mech3_fast_outcome(instance, rows, order)
+        return None if rows is None else _mech3_fast_welfare(rows, instance.m, order)
 
     def element(order: tuple) -> SupportElement:
         return SupportElement(

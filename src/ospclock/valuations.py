@@ -429,6 +429,20 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_list(value, name: str) -> list:
+    """A JSON list field: a string or an object is refused, not iterated."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name!r} must be a JSON list, got {value!r}")
+    return value
+
+
+def _json_object(value, name: str) -> Mapping:
+    """A JSON object field: a list is refused, not read as keys."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name!r} must be a JSON object, got {value!r}")
+    return value
+
+
 def _valuation_from_json(data: Mapping, setting: Setting) -> Valuation:
     kind = data.get("kind")
     if isinstance(setting, MultiUnitSetting):
@@ -437,7 +451,7 @@ def _valuation_from_json(data: Mapping, setting: Setting) -> Valuation:
                 as_fraction(data["x"]), _json_int(data["d"], "d"), setting.m
             )
         if kind == "multi_unit":
-            values = [as_fraction(x) for x in data["values"]]
+            values = [as_fraction(x) for x in _json_list(data["values"], "values")]
             if len(values) != setting.m:
                 raise ValueError(
                     f"got {len(values)} values in a {setting.m}-unit setting"
@@ -445,7 +459,7 @@ def _valuation_from_json(data: Mapping, setting: Setting) -> Valuation:
             return MultiUnitValuation(tuple(values))
         raise ValueError(f"unknown multi-unit valuation kind {kind!r}")
     items = setting.items
-    values = data.get("values", {})
+    values = _json_object(data.get("values", {}), "values")
     if kind == "additive":
         return AdditiveValuation(items, {j: as_fraction(x) for j, x in values.items()})
     if kind == "unit_demand":
@@ -465,7 +479,7 @@ def instance_from_json(data: Mapping) -> Instance:
         m = _json_int(raw_setting["multiunit"], "multiunit")
         setting: Setting = MultiUnitSetting(m)
     elif "items" in raw_setting:
-        items = tuple(raw_setting["items"])
+        items = tuple(_json_list(raw_setting["items"], "items"))
         for item in items:
             # "" is the empty bundle's key and "," separates a bundle's items
             if not isinstance(item, str) or not item or "," in item:
@@ -475,5 +489,8 @@ def instance_from_json(data: Mapping) -> Instance:
         setting = CombinatorialSetting(items)
     else:
         raise ValueError("setting must name 'multiunit' or 'items'")
-    bidders = tuple(_valuation_from_json(b, setting) for b in data["bidders"])
+    bidders = tuple(
+        _valuation_from_json(_json_object(b, f"bidders[{k}]"), setting)
+        for k, b in enumerate(_json_list(data["bidders"], "bidders"))
+    )
     return Instance(setting, bidders)

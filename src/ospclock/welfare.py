@@ -11,10 +11,8 @@
   hundreds of bidders stay cheap.
 * additive: each item goes to the smallest-index bidder of maximum
   value for it (the "i*_j" rule), independently per item.
-* unit-demand: instances whose bidders value every available item
-  equally ("constant rows") use a closed form, everything else one
-  exact integer assignment solve whose tie digits make the canonical
-  witness its unique maximum.
+* unit-demand: one exact integer assignment solve whose tie digits
+  make the canonical witness its unique maximum.
 * explicit or mixed combinatorial: DP over (bidder suffix, item mask).
 
 Ties are broken canonically per solver so every caller sees one fixed
@@ -69,6 +67,11 @@ def _cap(name: str, default: int) -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+
+
+def _brute_cap() -> int:
+    """The exhaustive-sweep cap: brute-force allocations, search menus."""
+    return _cap("OSPCLOCK_BRUTE_CAP", 2_000_000)
 
 
 def _refusal(name: str, cap: int, what: str) -> SizeCapError:
@@ -234,41 +237,6 @@ def _opt_additive(
 # Unit-demand solvers
 
 
-def _constant_rows(
-    valuations: Sequence[UnitDemandValuation], items: Sequence[str]
-) -> Optional[list[Fraction]]:
-    """Per-bidder value if each bidder values all of ``items`` equally."""
-    if not items:
-        return [ZERO for _ in valuations]
-    rows = []
-    for v in valuations:
-        first = v.per_item[items[0]]
-        if any(v.per_item[j] != first for j in items[1:]):
-            return None
-        rows.append(first)
-    return rows
-
-
-def _ud_constant_opt(rows: Sequence[Fraction], items: Sequence[str]) -> tuple[
-    Fraction, list[Optional[str]]
-]:
-    """Closed-form matching for constant-row unit-demand instances.
-
-    Matched bidders are the ``min(n, m)`` best by (value desc, index
-    asc); they receive items in universe order by ascending bidder
-    index.  This equals the bidder-major canonical witness because
-    items are interchangeable.
-    """
-    t = min(len(rows), len(items))
-    chosen = sorted(range(len(rows)), key=lambda i: (-rows[i], i))[:t]
-    chosen.sort()
-    value = sum((rows[i] for i in chosen), ZERO)
-    assigned: list[Optional[str]] = [None] * len(rows)
-    for pos, i in enumerate(chosen):
-        assigned[i] = items[pos]
-    return value, assigned
-
-
 def _hungarian_max(weight: Sequence[Sequence[int]]) -> tuple[int, list[Optional[int]]]:
     """Maximum-weight assignment of rows to distinct columns.
 
@@ -344,18 +312,14 @@ def _ud_opt(
 ) -> tuple[Fraction, list[Optional[str]]]:
     """Optimal value and the bidder-major canonical witness.
 
-    Constant rows take the closed form.  Otherwise one integer
-    assignment solve: values are scaled to integers and shifted above
-    n tie digits in base m+1, bidder i's digit ``m - rank`` at position
-    n-1-i, where rank is the index of the bidder's item in ``items``
-    (m when unmatched).  The tie digits sum below one unit of value, so
-    every maximum is a welfare optimum; among optima they rank bidder 0
-    first and earlier items first, so the maximum is unique and is the
-    canonical witness.
+    One integer assignment solve: values are scaled to integers and
+    shifted above n tie digits in base m+1, bidder i's digit
+    ``m - rank`` at position n-1-i, where rank is the index of the
+    bidder's item in ``items`` (m when unmatched).  The tie digits sum
+    below one unit of value, so every maximum is a welfare optimum;
+    among optima they rank bidder 0 first and earlier items first, so
+    the maximum is unique and is the canonical witness.
     """
-    rows = _constant_rows(valuations, items)
-    if rows is not None:
-        return _ud_constant_opt(rows, items)
     n, m = len(valuations), len(items)
     table = [[v.per_item[j] for j in items] for v in valuations]
     scale = math.lcm(*(x.denominator for row in table for x in row))
@@ -542,7 +506,7 @@ def brute_force_opt(instance: Instance) -> OptResult:
     Enumerates every feasible allocation in a fixed order and keeps the
     first maximizer, so its witness tie-breaking is its own.
     """
-    cap = _cap("OSPCLOCK_BRUTE_CAP", 2_000_000)
+    cap = _brute_cap()
     n, m = instance.n, instance.m
     if instance.multiunit:
         # quantity vectors with sum <= m, lexicographic order

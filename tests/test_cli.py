@@ -1,9 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+from unittest import mock
 
 import pytest
 
+from ospclock import cli
 from ospclock.cli import main
 from ospclock.fixtures import load_instance
 from ospclock.valuations import instance_to_json
@@ -154,12 +156,58 @@ def test_item_names_must_be_nonempty_without_commas(tmp_path, capsys, caplog, it
     assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "document, field",
+    [
+        ({"setting": {"items": ["a", "b"]}, "bidders": ["x"]}, "bidders[0]"),
+        ({"setting": {"items": ["a", "b"]}, "bidders": "ab"}, "bidders"),
+        ({"setting": {"items": ["a", "b"]},
+          "bidders": [{"kind": "additive", "values": [1]}]}, "values"),
+        ({"setting": {"items": "ab"},
+          "bidders": [{"kind": "unit_demand", "values": {"a": "1", "b": "2"}}]}, "items"),
+        ({"setting": {"multiunit": 2},
+          "bidders": [{"kind": "multi_unit", "values": {"1": 1, "2": 2}}]}, "values"),
+    ],
+    ids=["bidder-string", "bidders-string", "per-item-list", "items-string",
+         "multi-unit-object"],
+)
+def test_wrong_json_types_are_refused(tmp_path, capsys, caplog, document, field):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(document))
+    code, out = run(capsys, "simulate", "--mechanism", "grand-bundle",
+                    "--instance", str(path), "--exact")
+    assert code == 2
+    assert out == ""
+    assert f"bad instance in {path}: {field!r} must be a JSON" in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
 def test_search_refuses_more_items_than_it_names(capsys, caplog):
     code, out = run(capsys, "search", "--mechanism", "mech2-additive",
                     "--domain", "additive", "--m", "9", "--budget", "1")
     assert code == 2
     assert out == ""
     assert "--m 9" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (("--domain", "monotone", "--m", "4"), 4**15),
+        (("--domain", "additive", "--m", "8", "--values", "0,1,2,3,4,5,6"), 7**8),
+    ],
+    ids=["monotone-m4", "additive-m8"],
+)
+def test_search_refuses_huge_menus_before_building_them(
+    monkeypatch, capsys, caplog, argv, size
+):
+    # a menu build would run for hours: make it fail at once instead
+    for builder in ("additive_domain", "explicit_domain"):
+        monkeypatch.setattr(cli, builder, mock.Mock(side_effect=AssertionError(builder)))
+    code, out = run(capsys, "search", "--mechanism", "grand-bundle", *argv, "--budget", "1")
+    assert code == 2
+    assert out == ""
+    assert f"sweeps {size} valuations; cap 2000000 (override with OSPCLOCK_BRUTE_CAP)" in caplog.text
 
 
 def test_non_integer_cap_names_the_variable(monkeypatch, capsys, caplog):

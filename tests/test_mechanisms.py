@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 from ospclock import mechanisms
 from ospclock.experiments import mc_ratio
+from ospclock.fixtures import fixture_names, get_fixture, load_instance
 from ospclock.mechanisms import (
     MECHANISM_NAMES,
     ArrivalPricingGame,
     MaxPricePartitionGame,
     PartitionSaleGame,
     _constant_integer_rows,
-    _mech3_fast_outcome,
     _naive_constant_rows_exact,
     arrivals_discarded,
     grand_bundle_auction,
@@ -365,39 +365,55 @@ def test_mech3_identical_anonymous_values():
 
 
 def test_mech3_fast_path_matches_game():
+    """Each arrival order's shortcut welfare is welfare_of of its game's
+    outcome, on a flat market and on seeded constant rows (additive
+    rows, where the shortcut declines, and zeros included); so is the
+    expectation."""
     items = ("x", "y", "z")
-    vals = tuple(flat_unit_demand(items, c) for c in (3, 2, 2))
-    inst = Instance(CombinatorialSetting(items), vals)
-    rows = _constant_integer_rows(inst, UnitDemandValuation)
-    for branch in mech3_unit_demand(3, items).branches():
-        order = tuple(
-            int(t) for t in branch.label.split("=")[1].split(",")
-        )
-        fast, welfare = _mech3_fast_outcome(inst, rows, order)
-        game = ArrivalPricingGame(order, items, [[v] for v in vals])
-        slow, _ = run_game(game, vals)
-        assert fast.allocation.bundles == slow.allocation.bundles
-        assert fast.payments == slow.payments
-        assert welfare == welfare_of(inst, slow.allocation)
-    # seeded constant rows, additive rows and zeros included: each
-    # arrival order's outcome, its welfare, and the expectation, is
-    # the game's
-    for inst in constant_row_instances(60):
+    flat = Instance(
+        CombinatorialSetting(items), tuple(flat_unit_demand(items, c) for c in (3, 2, 2))
+    )
+    for inst in (flat, *constant_row_instances(60)):
         mech = mech3_unit_demand(inst.n, inst.items)
-        rows = _constant_integer_rows(inst, UnitDemandValuation)
+        answers = _constant_integer_rows(inst, UnitDemandValuation) is not None
         for branch in mech.branches():
             game = branch.game([[v] for v in inst.valuations])
-            slow, _ = run_game(game, inst.valuations)
-            fast = branch.outcome(inst)
-            assert fast.allocation == slow.allocation, (inst, branch.label)
-            assert fast.payments == slow.payments, (inst, branch.label)
-            welfare = welfare_of(inst, slow.allocation)
+            played, _ = run_game(game, inst.valuations)
+            welfare = welfare_of(inst, played.allocation)
+            fast = branch.shortcut(inst)
+            assert fast == (welfare if answers else None), (inst, branch.label)
             assert branch.welfare(inst) == welfare, (inst, branch.label)
-            if rows is not None:
-                order = tuple(int(t) for t in branch.label.split("=")[1].split(","))
-                fast, fast_welfare = _mech3_fast_outcome(inst, rows, order)
-                assert fast_welfare == welfare_of(inst, fast.allocation) == welfare
         assert mech.exact_expected_welfare(inst) == game_expected_welfare(mech, inst)
+
+
+def test_every_branch_outcome_is_its_game(monkeypatch):
+    """With every shortcut patched to raise, each branch's outcome is
+    its game's play, for every registry mechanism on every catalog
+    instance whose support it can enumerate."""
+
+    def refuse(instance):
+        raise AssertionError("a branch outcome consulted its shortcut")
+
+    played = set()
+    for fixture in fixture_names():
+        if get_fixture(fixture).kind != "instance":
+            continue
+        inst = load_instance(fixture)
+        for name in MECHANISM_NAMES:
+            try:
+                mech = mechanism_for_instance(name, inst)
+            except ValueError:
+                continue
+            if not mech.enumerable:
+                continue
+            for branch in mech.branches():
+                monkeypatch.setattr(branch, "shortcut", refuse)
+                game = branch.game([[v] for v in inst.valuations])
+                expected, _ = run_game(game, inst.valuations)
+                assert branch.outcome(inst) == expected, (fixture, name, branch.label)
+            played.add(name)
+    # no catalog instance has two bidders over two units, m1-2x2's shape
+    assert played == set(MECHANISM_NAMES) - {"m1-2x2"}
 
 
 def test_mech3_two_bidders_nobody_observed():

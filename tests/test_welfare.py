@@ -342,7 +342,8 @@ def canonical_ud_witness(inst, bidders, items):
 
 
 def test_unit_demand_witness_matches_definition():
-    """Closed form and assignment solve both give the canonical witness."""
+    """The assignment solve gives the canonical witness, on constant
+    rows as on varied ones."""
     rng = random.Random(2026)
     for trial in range(400):
         n, m = rng.randint(1, 4), rng.randint(1, 3)
@@ -359,6 +360,52 @@ def test_unit_demand_witness_matches_definition():
         sub = sorted(rng.sample(items, rng.randint(1, m)))
         result = opt_restricted(inst, bidders, sub)
         assert (result.value, result.witness) == canonical_ud_witness(inst, bidders, sub)
+
+
+def _ud_constant_opt(rows, items):
+    """Closed-form matching for constant-row unit-demand bidders.
+
+    Matched bidders are the ``min(n, m)`` best by (value desc, index
+    asc); they receive ``items`` in order by ascending bidder index.
+    This is the bidder-major canonical witness because the items are
+    interchangeable.
+    """
+    t = min(len(rows), len(items))
+    chosen = sorted(sorted(range(len(rows)), key=lambda i: (-rows[i], i))[:t])
+    assigned = [None] * len(rows)
+    for pos, i in enumerate(chosen):
+        assigned[i] = items[pos]
+    return sum((rows[i] for i in chosen), F(0)), assigned
+
+
+def test_constant_row_witness_matches_the_closed_form():
+    """On constant rows the assignment solve's value and witness are the
+    closed form's: zero values, ties and denominators 1-3, fewer and
+    more bidders than items, restricted and unrestricted."""
+    rng = random.Random(1403)
+    shapes = set()
+    for _ in range(600):
+        n, m = rng.randint(1, 6), rng.randint(1, 5)
+        items = tuple("abcde"[:m])
+        rows = [F(rng.choice([0, 0, 1, 2, 2, 3]), rng.randint(1, 3)) for _ in range(n)]
+        vals = tuple(UnitDemandValuation(items, dict.fromkeys(items, x)) for x in rows)
+        inst = Instance(CombinatorialSetting(items), vals)
+        if rng.random() < 0.25:
+            bidders, sub = None, None
+            ids, chosen = list(range(n)), list(items)
+        else:
+            bidders = ids = sorted(rng.sample(range(n), rng.randint(1, n)))
+            picked = rng.sample(items, rng.randint(1, m))
+            sub = chosen = [j for j in items if j in picked]
+        value, assigned = _ud_constant_opt([rows[i] for i in ids], chosen)
+        bundles = [frozenset()] * n
+        for i, j in zip(ids, assigned):
+            if j is not None:
+                bundles[i] = frozenset({j})
+        result = opt_restricted(inst, bidders, sub)
+        assert (result.value, result.witness) == (value, Allocation(tuple(bundles)))
+        shapes.add((bidders is None, (len(ids) > len(chosen)) - (len(ids) < len(chosen))))
+    assert shapes == {(r, c) for r in (False, True) for c in (-1, 0, 1)}
 
 
 # ---------------------------------------------------------------------------
