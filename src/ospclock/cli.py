@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -83,8 +84,6 @@ def _fraction_flag(text: str) -> Fraction:
         return as_fraction(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
 
 
 def _values_flag(text: str) -> tuple:
@@ -126,32 +125,26 @@ def _instance_from_args(args: argparse.Namespace) -> Instance:
         raise CliError(f"malformed JSON in {path}: {exc}")
     try:
         return instance_from_json(data)
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad instance in {path}: {exc}")
 
 
-def _render(payload: dict, table: tuple, fmt: str) -> str:
+def _render(payload: dict, columns: tuple, rows: list, fmt: str) -> str:
+    """The JSON payload, or the CSV table of ``rows`` under ``columns``."""
     if fmt == "json":
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    header, rows = table
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer = csv.DictWriter(buf, columns, extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
 
 
-def _report_fields(report) -> dict:
-    return {
-        "expected_welfare": format_fraction(report.expected_welfare),
-        "opt": format_fraction(report.opt),
-        "ratio": format_fraction(report.ratio),
-        "ci": report.ci,
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# Each returns (exit code, its payload fields, CSV columns, CSV rows as
+# dicts); main adds the "command" and "config" fields every payload shares.
 
 
 def cmd_simulate(args) -> tuple:
@@ -165,17 +158,13 @@ def cmd_simulate(args) -> tuple:
         report = RatioReport(welfare, best, welfare / best)
     else:
         report = mc_ratio(mech, instance, args.trials, args.seed)
-    fields = _report_fields(report)
-    payload = {
-        "command": "simulate",
-        "config": _resolved_config(args),
-        "report": fields,
+    fields = {
+        "expected_welfare": format_fraction(report.expected_welfare),
+        "opt": format_fraction(report.opt),
+        "ratio": format_fraction(report.ratio),
+        "ci": report.ci,
     }
-    table = (
-        ["expected_welfare", "opt", "ratio", "ci"],
-        [[fields["expected_welfare"], fields["opt"], fields["ratio"], fields["ci"]]],
-    )
-    return 0, payload, table
+    return 0, {"report": fields}, tuple(fields), [fields]
 
 
 def cmd_verify_osp(args) -> tuple:
@@ -183,18 +172,8 @@ def cmd_verify_osp(args) -> tuple:
     osp = verify_osp(protocol, strategies, domains)
     ir = verify_ir_nnt(protocol, strategies, domains)
     checks = [dict(check="osp", **osp.to_json()), ir.to_json()]
-    payload = {
-        "command": "verify-osp",
-        "config": _resolved_config(args),
-        "fixture": args.fixture,
-        "checks": checks,
-    }
-    table = (
-        ["check", "status"],
-        [[c["check"], c["status"]] for c in checks],
-    )
     code = 0 if osp.passed and ir.passed else 1
-    return code, payload, table
+    return code, {"fixture": args.fixture, "checks": checks}, ("check", "status"), checks
 
 
 _HARD_DISTS = {
@@ -219,20 +198,20 @@ def cmd_lower_bound(args) -> tuple:
         }
         for r in report.breakdown
     ]
-    payload = {
-        "command": "lower-bound",
-        "config": _resolved_config(args),
-        "expected_ratio": format_fraction(report.ratio),
-        "expected_welfare": format_fraction(report.expected_welfare),
+    expected = {
+        "label": "expected",
+        "probability": "1",
+        "welfare": format_fraction(report.expected_welfare),
         "opt": format_fraction(report.opt),
+        "ratio": format_fraction(report.ratio),
+    }
+    fields = {
+        "expected_ratio": expected["ratio"],
+        "expected_welfare": expected["welfare"],
+        "opt": expected["opt"],
         "breakdown": rows,
     }
-    table = (
-        ["label", "probability", "welfare", "opt", "ratio"],
-        [[r["label"], r["probability"], r["welfare"], r["opt"], r["ratio"]] for r in rows]
-        + [["expected", "1", payload["expected_welfare"], payload["opt"], payload["expected_ratio"]]],
-    )
-    return 0, payload, table
+    return 0, fields, tuple(expected), rows + [expected]
 
 
 def _sweep_size(args) -> int:
@@ -252,6 +231,8 @@ def _search_domain(args) -> tuple:
 
     A sweep past OSPCLOCK_BRUTE_CAP is refused before it is built.
     """
+    if args.m < 1:
+        raise CliError(f"--m {args.m}: the grid needs at least one unit or item")
     multiunit = args.domain in ("single-minded", "decreasing-marginals")
     items = tuple("abcdefgh"[: args.m])
     if not multiunit and len(items) != args.m:
@@ -273,25 +254,21 @@ def _search_domain(args) -> tuple:
 
 
 def cmd_search(args) -> tuple:
+    if args.n < 1:
+        raise CliError(f"--n {args.n}: the grid needs at least one bidder")
     setting, menu = _search_domain(args)
     grid = InstanceGrid(setting, tuple(menu for _ in range(args.n)))
     mech = mechanism_for_instance(
         args.mechanism, Instance(setting, tuple(menu[0] for _ in range(args.n)))
     )
     worst, report = worst_case_search(mech, grid, args.budget, args.seed)
-    payload = {
-        "command": "search",
-        "config": _resolved_config(args),
+    fields = {
         "grid_size": grid.count,
         "instances_evaluated": report.trials,
         "worst_ratio": None if worst is None else format_fraction(report.ratio),
         "worst_instance": None if worst is None else instance_to_json(worst),
     }
-    table = (
-        ["grid_size", "instances_evaluated", "worst_ratio"],
-        [[grid.count, report.trials, payload["worst_ratio"]]],
-    )
-    return 0, payload, table
+    return 0, fields, ("grid_size", "instances_evaluated", "worst_ratio"), [fields]
 
 
 def cmd_sampling_lemma(args) -> tuple:
@@ -303,23 +280,16 @@ def cmd_sampling_lemma(args) -> tuple:
         critical_threshold=args.critical_threshold,
         ratio_threshold=args.ratio_threshold,
     )
-    probability = (
-        format_fraction(report.probability) if report.exact else report.probability
-    )
-    payload = {
-        "command": "sampling-lemma",
-        "config": _resolved_config(args),
-        "probability": probability,
+    fields = {
+        "probability": (
+            format_fraction(report.probability) if report.exact else report.probability
+        ),
         "exact": report.exact,
         "trials": report.trials,
         "opt": format_fraction(report.opt),
         "ratio_threshold": format_fraction(report.ratio_threshold),
     }
-    table = (
-        ["probability", "exact", "trials", "opt", "ratio_threshold"],
-        [[probability, report.exact, report.trials, payload["opt"], payload["ratio_threshold"]]],
-    )
-    return 0, payload, table
+    return 0, fields, tuple(fields), [fields]
 
 
 def cmd_list_fixtures(args) -> tuple:
@@ -327,23 +297,21 @@ def cmd_list_fixtures(args) -> tuple:
         {"name": name, "kind": FIXTURES[name].kind, "summary": FIXTURES[name].summary}
         for name in fixture_names()
     ]
-    payload = {
-        "command": "list-fixtures",
-        "config": _resolved_config(args),
-        "fixtures": entries,
-    }
-    table = (
-        ["name", "kind", "summary"],
-        [[e["name"], e["kind"], e["summary"]] for e in entries],
-    )
-    return 0, payload, table
+    return 0, {"fixtures": entries}, ("name", "kind", "summary"), entries
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ospclock`` parser, built on first use and shared by every run.
+
+    It is built lazily rather than at import, so that a subcommand
+    function replaced on this module after import (a tracing wrapper,
+    say) is the one it dispatches to.
+    """
     parser = argparse.ArgumentParser(
         prog="ospclock",
         description=__doc__.splitlines()[0],
@@ -420,15 +388,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
     log.setLevel(logging.INFO)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    log.info("resolved config: %s", json.dumps(_resolved_config(args), sort_keys=True))
+    args = build_parser().parse_args(argv)
+    config = _resolved_config(args)
+    log.info("resolved config: %s", json.dumps(config, sort_keys=True))
     try:
-        code, payload, table = args.func(args)
+        code, fields, columns, rows = args.func(args)
     except (CliError, ValueError, SizeCapError) as exc:
         log.error("%s", exc)
         return 2
-    text = _render(payload, table, args.format)
+    payload = {"command": args.subcommand, "config": config, **fields}
+    text = _render(payload, columns, rows, args.format)
     if args.output == "-":
         sys.stdout.write(text)
     else:

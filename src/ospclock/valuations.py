@@ -13,26 +13,46 @@ expected-welfare identities (5/6, 3/4, ...) hold exactly in tests.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Union
 
 MAX_EXPLICIT_ITEMS = 12
+# The largest decimal exponent a "p/q" literal may carry ("1e4300").
+# ``Fraction("1e999999999")`` builds the power of ten before anything
+# could refuse it; 4,300 is also the digit limit Python applies to
+# ``int(str)``, which already bounds the literal's mantissa.
+MAX_LITERAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?[0_]*(\d[\d_]*)")
 
 Bundle = frozenset  # of item names
 Quantity = int
 
 
 def as_fraction(x: Union[int, str, Fraction]) -> Fraction:
-    """Coerce an int, Fraction, or \"p/q\" string to an exact Fraction."""
+    """Coerce an int, Fraction, or \"p/q\" string to an exact Fraction.
+
+    Anything else (a bool, a float, a malformed literal, a zero
+    denominator, an exponent past ``MAX_LITERAL_EXPONENT``) raises
+    ``ValueError`` naming the input.
+    """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, bool):
-        raise TypeError("bool is not a valuation amount")
-    if isinstance(x, (int, str)):
+    if isinstance(x, str):
+        exponent = _EXPONENT.search(x)
+        digits = exponent[1].replace("_", "") if exponent else "0"
+        # the length test keeps int() off an exponent of thousands of digits
+        if len(digits) > len(str(MAX_LITERAL_EXPONENT)) or int(digits) > MAX_LITERAL_EXPONENT:
+            raise ValueError(f"exponent of {x!r} exceeds {MAX_LITERAL_EXPONENT}")
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    raise ValueError(f"{x!r} is not an exact amount: write an integer or a \"p/q\" string")
 
 
 def format_fraction(x: Fraction) -> str:
@@ -443,15 +463,25 @@ def _json_object(value, name: str) -> Mapping:
     return value
 
 
-def _valuation_from_json(data: Mapping, setting: Setting) -> Valuation:
-    kind = data.get("kind")
+def _json_key(data: Mapping, key: str, name: str):
+    """The required field ``key`` of the JSON object ``name``."""
+    if key not in data:
+        raise ValueError(f"{name} has no {key!r} field")
+    return data[key]
+
+
+def _valuation_from_json(data, setting: Setting, name: str) -> Valuation:
+    kind = _json_object(data, name).get("kind")
     if isinstance(setting, MultiUnitSetting):
         if kind == "single_minded":
             return make_single_minded(
-                as_fraction(data["x"]), _json_int(data["d"], "d"), setting.m
+                as_fraction(_json_key(data, "x", name)),
+                _json_int(_json_key(data, "d", name), "d"),
+                setting.m,
             )
         if kind == "multi_unit":
-            values = [as_fraction(x) for x in _json_list(data["values"], "values")]
+            raw = _json_key(data, "values", name)
+            values = [as_fraction(x) for x in _json_list(raw, "values")]
             if len(values) != setting.m:
                 raise ValueError(
                     f"got {len(values)} values in a {setting.m}-unit setting"
@@ -474,7 +504,13 @@ def _valuation_from_json(data: Mapping, setting: Setting) -> Valuation:
 
 
 def instance_from_json(data: Mapping) -> Instance:
-    raw_setting = data["setting"]
+    """Read an instance document; every malformed field is a ``ValueError``
+    naming it."""
+    if not isinstance(data, dict):
+        raise ValueError(f"an instance must be a JSON object, got a {type(data).__name__}")
+    raw_setting = _json_object(_json_key(data, "setting", "the instance"), "setting")
+    if "multiunit" in raw_setting and "items" in raw_setting:
+        raise ValueError("setting names both 'multiunit' and 'items'")
     if "multiunit" in raw_setting:
         m = _json_int(raw_setting["multiunit"], "multiunit")
         setting: Setting = MultiUnitSetting(m)
@@ -489,8 +525,9 @@ def instance_from_json(data: Mapping) -> Instance:
         setting = CombinatorialSetting(items)
     else:
         raise ValueError("setting must name 'multiunit' or 'items'")
+    raw_bidders = _json_list(_json_key(data, "bidders", "the instance"), "bidders")
     bidders = tuple(
-        _valuation_from_json(_json_object(b, f"bidders[{k}]"), setting)
-        for k, b in enumerate(_json_list(data["bidders"], "bidders"))
+        _valuation_from_json(b, setting, f"bidders[{k}]")
+        for k, b in enumerate(raw_bidders)
     )
     return Instance(setting, bidders)

@@ -241,39 +241,35 @@ def _hungarian_max(weight: Sequence[Sequence[int]]) -> tuple[int, list[Optional[
     """Maximum-weight assignment of rows to distinct columns.
 
     Exact Jonker-Volgenant style shortest augmenting paths over
-    integers.  The matrix is padded to square with zeros so partial
-    matchings are allowed (unmatched = matched to a zero pad).  Returns
-    the maximum total weight and each row's column, ``None`` for a row
-    left unmatched.
+    integers, solved on the rectangle with its shorter side as rows.
+    Every weight must be positive, so a maximum matches the shorter side
+    in full.  Returns the maximum total weight and each row's column,
+    ``None`` for a row left unmatched.
     """
-    nr, nc = len(weight), len(weight[0])
-    size = max(nr, nc)
-    big = max(max(row) for row in weight)
-    # Minimize cost = big - weight on a square matrix.
-    cost = [
-        [
-            (big - weight[r][c]) if r < nr and c < nc else big
-            for c in range(size)
-        ]
-        for r in range(size)
-    ]
-    infinity = big * size + size + 1
+    transposed = len(weight) > len(weight[0])
+    short = [list(col) for col in zip(*weight)] if transposed else weight
+    nr, nc = len(short), len(short[0])
+    big = max(max(row) for row in short)
+    # Minimize cost = big - weight.  The potentials keep every reduced
+    # cost below 2 * big, so 2 * big stands for infinity.
+    cost = [[big - w for w in row] for row in short]
+    infinity = 2 * big
     # potentials and column matching, 1-indexed internally
-    u = [0] * (size + 1)
-    v = [0] * (size + 1)
-    match = [0] * (size + 1)  # match[col] = row
-    for r in range(1, size + 1):
+    u = [0] * (nr + 1)
+    v = [0] * (nc + 1)
+    match = [0] * (nc + 1)  # match[col] = row
+    for r in range(1, nr + 1):
         match[0] = r
         j0 = 0
-        minv = [infinity] * (size + 1)
-        prev = [0] * (size + 1)
-        used = [False] * (size + 1)
+        minv = [infinity] * (nc + 1)
+        prev = [0] * (nc + 1)
+        used = [False] * (nc + 1)
         while True:
             used[j0] = True
             i0 = match[j0]
             delta = infinity
             j1 = 0
-            for j in range(1, size + 1):
+            for j in range(1, nc + 1):
                 if used[j]:
                     continue
                 cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
@@ -283,7 +279,7 @@ def _hungarian_max(weight: Sequence[Sequence[int]]) -> tuple[int, list[Optional[
                 if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
-            for j in range(size + 1):
+            for j in range(nc + 1):
                 if used[j]:
                     u[match[j]] += delta
                     v[j] -= delta
@@ -296,15 +292,12 @@ def _hungarian_max(weight: Sequence[Sequence[int]]) -> tuple[int, list[Optional[
             j1 = prev[j0]
             match[j0] = match[j1]
             j0 = j1
-    total = 0
-    cols: list[Optional[int]] = [None] * nr
-    for j in range(1, size + 1):
-        r = match[j] - 1
-        c = j - 1
-        if r < nr and c < nc:
+    cols: list[Optional[int]] = [None] * len(weight)
+    for j in range(1, nc + 1):
+        if match[j]:
+            r, c = (j - 1, match[j] - 1) if transposed else (match[j] - 1, j - 1)
             cols[r] = c
-            total += weight[r][c]
-    return total, cols
+    return sum(weight[r][c] for r, c in enumerate(cols) if c is not None), cols
 
 
 def _ud_opt(

@@ -1,13 +1,20 @@
 """End-to-end tests for the command-line interface."""
 
+import copy
 import json
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from ospclock import cli
 from ospclock.cli import main
-from ospclock.fixtures import load_instance
+from ospclock.fixtures import FIXTURES, fixture_names, load_instance
 from ospclock.valuations import instance_to_json
 
 
@@ -157,29 +164,114 @@ def test_item_names_must_be_nonempty_without_commas(tmp_path, capsys, caplog, it
 
 
 @pytest.mark.parametrize(
-    "document, field",
+    "document, message",
     [
-        ({"setting": {"items": ["a", "b"]}, "bidders": ["x"]}, "bidders[0]"),
-        ({"setting": {"items": ["a", "b"]}, "bidders": "ab"}, "bidders"),
+        ({"setting": {"items": ["a", "b"]}, "bidders": ["x"]},
+         "'bidders[0]' must be a JSON object"),
+        ({"setting": {"items": ["a", "b"]}, "bidders": "ab"}, "'bidders' must be a JSON list"),
         ({"setting": {"items": ["a", "b"]},
-          "bidders": [{"kind": "additive", "values": [1]}]}, "values"),
+          "bidders": [{"kind": "additive", "values": [1]}]}, "'values' must be a JSON object"),
         ({"setting": {"items": "ab"},
-          "bidders": [{"kind": "unit_demand", "values": {"a": "1", "b": "2"}}]}, "items"),
+          "bidders": [{"kind": "unit_demand", "values": {"a": "1", "b": "2"}}]},
+         "'items' must be a JSON list"),
         ({"setting": {"multiunit": 2},
-          "bidders": [{"kind": "multi_unit", "values": {"1": 1, "2": 2}}]}, "values"),
+          "bidders": [{"kind": "multi_unit", "values": {"1": 1, "2": 2}}]},
+         "'values' must be a JSON list"),
+        ({"bidders": [{"kind": "single_minded", "x": "1", "d": 1}]},
+         "the instance has no 'setting' field"),
+        ([{"setting": {"multiunit": 2}, "bidders": []}],
+         "an instance must be a JSON object, got a list"),
+        ({"setting": 3, "bidders": [{"kind": "single_minded", "x": "1", "d": 1}]},
+         "'setting' must be a JSON object, got 3"),
+        ({"setting": {"multiunit": 2},
+          "bidders": [{"kind": "single_minded", "x": "1/0", "d": 1}]},
+         "zero denominator in '1/0'"),
+        ({"setting": {"multiunit": 2}, "bidders": [{"kind": "single_minded", "x": "1"}]},
+         "bidders[0] has no 'd' field"),
+        ({"setting": {"multiunit": 2},
+          "bidders": [{"kind": "single_minded", "x": 2.5, "d": 1}]},
+         "2.5 is not an exact amount"),
+        ({"setting": {"multiunit": 2, "items": ["a", "b"]},
+          "bidders": [{"kind": "single_minded", "x": "1", "d": 1}]},
+         "setting names both 'multiunit' and 'items'"),
     ],
     ids=["bidder-string", "bidders-string", "per-item-list", "items-string",
-         "multi-unit-object"],
+         "multi-unit-object", "missing-setting", "top-level-list", "setting-int",
+         "zero-denominator", "missing-demand", "float-amount", "both-settings"],
 )
-def test_wrong_json_types_are_refused(tmp_path, capsys, caplog, document, field):
+def test_wrong_json_types_are_refused(tmp_path, capsys, caplog, document, message):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(document))
     code, out = run(capsys, "simulate", "--mechanism", "grand-bundle",
                     "--instance", str(path), "--exact")
     assert code == 2
     assert out == ""
-    assert f"bad instance in {path}: {field!r} must be a JSON" in caplog.text
+    assert f"bad instance in {path}: {message}" in caplog.text
     assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
+def _retyped(value) -> list:
+    """``value`` as other JSON types, keeping its magnitude where it has one."""
+    out = [None, [value], {"value": value}]
+    try:
+        number = None if isinstance(value, bool) else Fraction(value)
+    except (TypeError, ValueError):  # a name, a kind, a list or an object
+        number = None
+    if isinstance(value, int) and number is not None:
+        out += [str(value), float(value)]
+    elif number is not None:
+        out += [float(number)] + ([int(number)] if number.denominator == 1 else [])
+    if number in (0, 1):
+        out.append(bool(number))
+    return out
+
+
+def _mutations(document, rng: random.Random, sites: int) -> list:
+    """The document wrapped in a list, plus, at ``sites`` seeded places,
+    the document with that key dropped (in an object) and with its value
+    swapped to another JSON type."""
+    paths = []
+
+    def walk(node, path):
+        if isinstance(node, (dict, list)):
+            for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+                paths.append(path + (key,))
+                walk(child, path + (key,))
+
+    walk(document, ())
+    out = [[document]]
+    for path in rng.sample(paths, min(sites, len(paths))):
+        for drop in (True, False):
+            mutant = copy.deepcopy(document)
+            parent = mutant
+            for key in path[:-1]:
+                parent = parent[key]
+            if not drop:
+                parent[path[-1]] = rng.choice(_retyped(parent[path[-1]]))
+            elif isinstance(parent, dict):
+                del parent[path[-1]]
+            else:
+                continue
+            out.append(mutant)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in fixture_names() if FIXTURES[n].kind == "instance"]
+)
+def test_mutated_instance_files_exit_zero_or_two(tmp_path, capsys, caplog, name):
+    rng = random.Random(f"mutate-{name}")
+    path = tmp_path / "inst.json"
+    for document in _mutations(instance_to_json(load_instance(name)), rng, sites=8):
+        path.write_text(json.dumps(document))
+        caplog.clear()
+        code, out = run(capsys, "simulate", "--mechanism", "grand-bundle",
+                        "--instance", str(path), "--exact")
+        assert code in (0, 2), document
+        assert "Traceback" not in caplog.text + capsys.readouterr().err, document
+        if code == 2:
+            assert out == "", document
+            assert f"bad instance in {path}: " in caplog.text, document
 
 
 def test_search_refuses_more_items_than_it_names(capsys, caplog):
@@ -188,6 +280,46 @@ def test_search_refuses_more_items_than_it_names(capsys, caplog):
     assert code == 2
     assert out == ""
     assert "--m 9" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--n", "0", "--n 0: the grid needs at least one bidder"),
+        ("--m", "-1", "--m -1: the grid needs at least one unit or item"),
+    ],
+)
+def test_search_refuses_an_empty_grid(capsys, caplog, flag, value, message):
+    code, out = run(capsys, "search", "--mechanism", "grand-bundle",
+                    "--domain", "additive", flag, value)
+    assert (code, out) == (2, "")
+    assert message in caplog.text
+
+
+def test_literal_exponents_past_the_bound_are_refused(tmp_path, capsys, caplog):
+    # 1e4301 still parses fast without the bound, so a regression fails
+    # here at once; the literals that hang are far larger
+    literal = "1e4301"
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "setting": {"multiunit": 1},
+        "bidders": [{"kind": "single_minded", "x": literal, "d": 1}],
+    }))
+    code, out = run(capsys, "simulate", "--mechanism", "grand-bundle",
+                    "--instance", str(path), "--exact")
+    assert (code, out) == (2, "")
+    assert f"bad instance in {path}: exponent of '1e4301' exceeds 4300" in caplog.text
+    for argv in (
+        ["search", "--mechanism", "grand-bundle", "--domain", "additive",
+         "--values", f"0,{literal}"],
+        ["sampling-lemma", "--fixture", "sampling-10", "--ratio-threshold", literal],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exponent of '1e4301' exceeds 4300" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -257,6 +389,121 @@ def test_csv_output(capsys):
     assert code == 0
     assert out.splitlines()[0] == "name,kind,summary"
     assert any(line.startswith("sealed-bid-2x2,game,") for line in out.splitlines())
+
+
+CATALOG_CSV = """\
+name,kind,summary
+add-cross,instance,two additive bidders with crossed favorites
+critical-1,instance,single bidder; sampling gate refuses
+dm-e6,instance,decreasing-marginal pair over three units
+grand-gaa-2x2,game,"grand-bundle clock, two bidders, two units"
+i1-ones,instance,"four unit bidders, four units, all ones"
+mono-split,instance,"monotone pair, bidder 0 sees complements"
+rb-demo,instance,grand-bundle bidder vs two unit bidders
+sampling-10,instance,"ten unit bidders, five units"
+sampling-11,instance,five 2-value and six 1-value unit bidders
+sampling-12,instance,"twelve unit bidders, six units"
+sampling-200,instance,"two hundred unit bidders, full supply"
+sealed-bid-2x2,game,sequential second-price auction (not OSP)
+sm-3bidders,instance,"three single-minded bidders, four units"
+subadd-split,instance,subadditive pair splitting the two items
+tight-dm-3,instance,2/3-tight point of the three-unit mechanism
+ud-failure-16,instance,"crowded unit-demand market, 16 bidders"
+"""
+
+CSV_PINS = [
+    (
+        ("simulate", "--mechanism", "m3-2x2", "--fixture", "subadd-split", "--exact"),
+        0,
+        "expected_welfare,opt,ratio,ci\n4/3,2/1,2/3,\n",
+    ),
+    (
+        ("simulate", "--mechanism", "mech3-unit-demand", "--fixture", "ud-failure-16",
+         "--trials", "40"),
+        0,
+        "expected_welfare,opt,ratio,ci\n101/10,20/1,101/200,0.03387476937190881\n",
+    ),
+    (
+        ("verify-osp", "--fixture", "grand-gaa-2x2"),
+        0,
+        "check,status\nosp,pass\nir_nnt,pass\n",
+    ),
+    (
+        ("verify-osp", "--fixture", "sealed-bid-2x2"),
+        1,
+        "check,status\nosp,fail\nir_nnt,pass\n",
+    ),
+    (
+        ("lower-bound", "--setting", "mua-sm", "--k", "10", "--mechanism", "grand-bundle"),
+        0,
+        "label,probability,welfare,opt,ratio\n"
+        "profile-1,1/3,1/1,2/1,1/2\n"
+        "profile-2,1/6,100/1,100/1,1/1\n"
+        "profile-3,1/6,10000/1,10000/1,1/1\n"
+        "profile-4,1/6,100/1,100/1,1/1\n"
+        "profile-5,1/6,10000/1,10000/1,1/1\n"
+        "expected,1,3367/1,10102/3,5/6\n",
+    ),
+    (
+        ("search", "--mechanism", "mech2-additive", "--domain", "additive",
+         "--values", "0,1,2", "--budget", "20", "--seed", "4"),
+        0,
+        "grid_size,instances_evaluated,worst_ratio\n81,19,5/12\n",
+    ),
+    (
+        ("sampling-lemma", "--fixture", "sampling-12", "--critical-threshold", "1/3"),
+        0,
+        "probability,exact,trials,opt,ratio_threshold\n2035/2048,True,,6/1,1/5\n",
+    ),
+    (
+        ("sampling-lemma", "--fixture", "sampling-200", "--trials", "200"),
+        0,
+        "probability,exact,trials,opt,ratio_threshold\n1.0,False,200,200/1,1/5\n",
+    ),
+    (("list-fixtures",), 0, CATALOG_CSV),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, text",
+    CSV_PINS,
+    ids=["simulate-exact", "simulate-mc", "verify-pass", "verify-fail", "lower-bound",
+         "search", "sampling-exact", "sampling-mc", "list-fixtures"],
+)
+def test_csv_bytes_of_every_subcommand(capsys, argv, code, text):
+    assert run(capsys, *argv, "--format", "csv") == (code, text)
+
+
+def test_runs_in_one_process_print_what_a_first_run_prints(monkeypatch, capsys):
+    # main builds its parser once per process, so the parser must carry
+    # nothing from one run to the next: each run here prints the bytes a
+    # fresh interpreter prints for it
+    argvs = [
+        ("search", "--help"),
+        ("lower-bound", "--setting", "unit-demand", "--k", "2", "--mechanism", "m3-2x2"),
+        ("verify-osp", "--fixture", "sealed-bid-2x2", "--format", "csv"),
+        ("simulate", "--mechanism", "grand-bundle", "--fixture", "rb-demo", "--exact"),
+        ("sampling-lemma", "--fixture", "sampling-12", "--critical-threshold", "1/3"),
+        ("search", "--mechanism", "m3-2x2", "--domain", "monotone", "--values", "0,1,2",
+         "--budget", "50", "--format", "csv"),
+        ("list-fixtures",),
+        ("simulate", "--help"),
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    fresh = {}
+    for argv in argvs:
+        done = subprocess.run(
+            [sys.executable, "-m", "ospclock", *argv], capture_output=True, text=True, env=env
+        )
+        fresh[argv] = (done.returncode, done.stdout)
+    for argv in argvs + argvs[::-1]:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # --help
+            code = exc.code
+        assert (code, capsys.readouterr().out) == fresh[argv]
 
 
 def test_output_file_writing(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for valuation classes, class checks, and JSON round-trips."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ospclock.valuations import (
+    MAX_LITERAL_EXPONENT,
     AdditiveValuation,
     CombinatorialSetting,
     ExplicitValuation,
@@ -16,6 +18,7 @@ from ospclock.valuations import (
     MultiUnitValuation,
     UnitDemandValuation,
     all_bundles,
+    as_fraction,
     check_class,
     check_decreasing_marginals,
     instance_from_json,
@@ -282,6 +285,33 @@ def test_json_round_trip_combinatorial():
     assert data["bidders"][0]["values"]["a"] == "1/3"
     assert set(data["bidders"][2]["values"]) == {"", "a", "b", "a,b"}
     assert instance_from_json(json.loads(json.dumps(data))) == inst
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (True, "True is not an exact amount"),
+        (2.5, "2.5 is not an exact amount"),
+        (None, "None is not an exact amount"),
+        ("1/0", "zero denominator in '1/0'"),
+        ("x/2", "Invalid literal for Fraction: 'x/2'"),
+        ("1e4301", "exponent of '1e4301' exceeds 4300"),
+        ("2E-0_4_301", "exponent of '2E-0_4_301' exceeds 4300"),
+        ("1e" + "9" * 5000, "exponent of '1e999"),
+    ],
+    ids=["bool", "float", "null", "zero-denominator", "malformed", "exponent",
+         "negative-exponent", "exponent-digits"],
+)
+def test_as_fraction_refusals_are_value_errors_naming_the_input(raw, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        as_fraction(raw)
+
+
+def test_as_fraction_reads_exponents_up_to_the_bound():
+    assert MAX_LITERAL_EXPONENT == 4300
+    assert as_fraction("1e4300") == 10**4300
+    assert as_fraction("3E-0_4300") == F(3, 10**4300)
+    assert as_fraction(" 1.5e2 ") == 150
 
 
 def test_json_rejects_unknown_kind():
