@@ -68,6 +68,8 @@ environment:
   OSPCLOCK_SUPPORT_CAP, OSPCLOCK_TREE_CAP, OSPCLOCK_PLAY_CAP,
   OSPCLOCK_PROFILE_CAP, OSPCLOCK_BRUTE_CAP, OSPCLOCK_OPT_CAP
     override the library's size guards; exceeding a cap exits 2.
+    OSPCLOCK_OPT_CAP also bounds a multi-unit instance file's units
+    times bidders, checked before any valuation is built.
 """
 
 
@@ -125,7 +127,7 @@ def _instance_from_args(args: argparse.Namespace) -> Instance:
         raise CliError(f"malformed JSON in {path}: {exc}")
     try:
         return instance_from_json(data)
-    except ValueError as exc:
+    except (ValueError, SizeCapError) as exc:
         raise CliError(f"bad instance in {path}: {exc}")
 
 

@@ -173,7 +173,13 @@ def mc_ratio(
     it, so on an enumerable support (``mech.enumerable``) each distinct
     label is played once.  A support past the cap, such as mech3's n!
     arrival orders, seldom repeats a label, so there every trial plays
-    its branch and no memo grows with the trial count.
+    its branch, its label is never read, and no memo grows with the
+    trial count.
+
+    The branch welfares are summed exactly, on a plain int while every
+    one is an integer, and divided once by ``trials * OPT``.  Each
+    trial's squared ratio for the standard error comes from one
+    correctly rounded int division, which equals ``float(welfare / OPT)``.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
@@ -181,20 +187,25 @@ def mc_ratio(
     if best == 0:
         raise ValueError("instance has zero optimal welfare")
     rng = CounterRng(seed)
-    total = ZERO
+    best_num, best_den = best.numerator, best.denominator
+    total = 0  # exact welfare sum; an int while every welfare is one
     total_sq = 0.0
     memo = mech.enumerable
-    ratios: dict = {}  # branch label -> welfare ratio; stays empty unless memo
+    welfares: dict = {}  # branch label -> welfare; stays empty unless memo
     for _ in range(trials):
         branch = mech.sample_branch(rng)
-        ratio = ratios.get(branch.label)
-        if ratio is None:
-            ratio = branch.welfare(instance) / best
-            if memo:
-                ratios[branch.label] = ratio
-        total += ratio
-        total_sq += float(ratio) * float(ratio)
-    mean = total / trials
+        if memo:
+            label = branch.label
+            welfare = welfares.get(label)
+            if welfare is None:
+                welfare = welfares[label] = branch.welfare(instance)
+        else:
+            welfare = branch.welfare(instance)
+        num, den = welfare.numerator, welfare.denominator
+        total += num if den == 1 else welfare
+        ratio = (num * best_den) / (den * best_num)
+        total_sq += ratio * ratio
+    mean = Fraction(total) / (trials * best)
     variance = max(total_sq / trials - float(mean) ** 2, 0.0)
     stderr = math.sqrt(variance / trials)
     return RatioReport(
@@ -276,7 +287,8 @@ def sampling_lemma_experiment(
         scale = math.lcm(*(x.denominator for x in steps))
         # (bit, scaled value), highest value first
         ranked = sorted(
-            ((1 << i, int(x * scale)) for i, x in enumerate(steps)), key=lambda e: -e[1]
+            ((1 << i, x.numerator * (scale // x.denominator)) for i, x in enumerate(steps)),
+            key=lambda e: -e[1],
         )
         best = Fraction(sum(value for _, value in ranked[:m]), scale)
         need = math.ceil(best * ratio_threshold * scale)  # the bar, scaled
@@ -309,8 +321,9 @@ def sampling_lemma_experiment(
                 and opt_value_restricted(instance, bidders=outside) >= bar
             )
 
+    critical = critical_threshold * best
     for i in range(n):
-        if instance.grand_bundle_value(i) >= critical_threshold * best:
+        if instance.grand_bundle_value(i) >= critical:
             raise ValueError(
                 f"bidder {i} is critical at threshold {critical_threshold}; "
                 "the split guarantee does not apply"

@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from .protocols import (
     GaaGame,
@@ -79,6 +79,7 @@ from .welfare import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+Number = Union[int, Fraction]  # an exact welfare
 
 
 # ---------------------------------------------------------------------------
@@ -92,22 +93,22 @@ class SupportElement:
     ``outcome`` always plays the branch game truthfully with singleton
     report domains, so every outcome comes from the verified transition
     code.  ``shortcut`` may compute the branch's welfare on the
-    instance faster, or return None to decline; it never builds an
-    outcome.  ``welfare`` is the one entry for a branch's welfare: the
-    shortcut's number when it answers, else ``welfare_of`` on the
-    played outcome.
+    instance faster, as an exact int or Fraction, or return None to
+    decline; it never builds an outcome.  ``welfare`` is the one entry
+    for a branch's welfare: the shortcut's number when it answers, else
+    ``welfare_of`` on the played outcome.
     """
 
     label: str
     probability: Fraction
     game_fn: Callable[[Sequence[Sequence[Valuation]]], Game]
-    shortcut: Optional[Callable[[Instance], Optional[Fraction]]] = None
+    shortcut: Optional[Callable[[Instance], Optional[Number]]] = None
 
     def outcome(self, instance: Instance) -> Outcome:
         game = self.game([[v] for v in instance.valuations])
         return run_game(game, instance.valuations)[0]
 
-    def welfare(self, instance: Instance) -> Fraction:
+    def welfare(self, instance: Instance) -> Number:
         if self.shortcut is not None:
             fast = self.shortcut(instance)
             if fast is not None:
@@ -128,7 +129,9 @@ class RandomizedMechanism:
     Without ``sample_fn``, ``sample_branch`` draws one
     ``weighted_index`` over ``branches()`` at their common denominator:
     ``below(k)`` for k equiprobable branches, and no word at all for a
-    single branch.
+    single branch.  A ``sample_fn`` may return any branch with a
+    ``label``, an ``outcome`` and a ``welfare`` (mech3 returns a
+    ``_DrawnBranch``).
     """
 
     def __init__(
@@ -138,7 +141,7 @@ class RandomizedMechanism:
         n: int,
         branch_count: int,
         branches_fn: Callable[[], list],
-        sample_fn: Optional[Callable[[CounterRng], SupportElement]] = None,
+        sample_fn: Optional[Callable[[CounterRng], SupportElement | _DrawnBranch]] = None,
         exact_fast: Optional[Callable[[Instance], Optional[Fraction]]] = None,
     ) -> None:
         self.name = name
@@ -168,7 +171,7 @@ class RandomizedMechanism:
             assert total == ONE, f"{self.name}: probabilities sum to {total}"
         return self._cache
 
-    def sample_branch(self, rng: CounterRng) -> SupportElement:
+    def sample_branch(self, rng: CounterRng) -> SupportElement | _DrawnBranch:
         if self._sample_fn is not None:
             return self._sample_fn(rng)
         branches = self.branches()
@@ -553,12 +556,18 @@ def _single_item_menu(items) -> list:
 def _best_item(valuation: Valuation, unsold: tuple, prices: dict) -> tuple:
     """The unsold item of highest surplus, earliest on ties, and its surplus.
 
-    Returns (None, None) when nothing is unsold.
+    A per-item valuation's single-item values are its ``per_item``
+    table; any other valuation is asked ``value({j})``.  Returns
+    (None, None) when nothing is unsold.
     """
+    if isinstance(valuation, PerItemValuation):
+        single = valuation.per_item
+    else:
+        single = {j: valuation.value({j}) for j in unsold}
     best_item = None
     best_u = None
     for j in unsold:
-        u = valuation.value({j}) - prices[j]
+        u = single[j] - prices[j]
         if best_u is None or u > best_u:
             best_item, best_u = j, u
     return best_item, best_u
@@ -967,25 +976,47 @@ class ArrivalPricingGame(SampleServeGame):
         return 0
 
 
-def _mech3_fast_welfare(rows: list, m: int, order: tuple) -> Fraction:
+def _constant_row_ranking(instance: Instance) -> Optional[tuple]:
+    """The constant-row kernel's view of an instance, or None.
+
+    None unless every bidder is a unit-demand valuation that prices all
+    items equally at an integer.  Otherwise ``(rows, rank, value_at,
+    bidder_at, m, cut)``: ``rows`` from ``_constant_integer_rows``, each
+    bidder's ``rank`` in (value desc, index asc) order, that order's
+    values and bidders, the item count and ``arrivals_discarded(n)``.
+    """
+    rows = _constant_integer_rows(instance, UnitDemandValuation)
+    if rows is None:
+        return None
+    bidder_at = sorted(range(len(rows)), key=lambda i: (-rows[i], i))
+    rank = [0] * len(rows)
+    for r, i in enumerate(bidder_at):
+        rank[i] = r
+    value_at = [rows[i] for i in bidder_at]
+    return rows, rank, value_at, bidder_at, instance.m, arrivals_discarded(len(rows))
+
+
+def _mech3_fast_welfare(ranking: tuple, order: tuple) -> int:
     """Constant-row welfare of one arrival order, integer arithmetic.
 
-    ``rows`` is ``_constant_integer_rows(instance, UnitDemandValuation)``
-    and ``m`` the item count.  When every unit-demand bidder values all
-    items equally, prices are uniform across items: with a items
-    unsold, the a-th highest observed value, or 0 while fewer than a
-    bidders are observed.  So only who buys matters, and the welfare
-    is the sum of the buyers' rows.
+    ``ranking`` is ``_constant_row_ranking(instance)``.  When every
+    unit-demand bidder values all items equally, prices are uniform
+    across items: with a items unsold, the a-th highest observed value,
+    or 0 while fewer than a bidders are observed.  So only who buys
+    matters, and the welfare is the sum of the buyers' rows.  Ranks
+    stand in for (value, index) pairs, so the sorted list of the
+    arrivals so far holds plain ints.
     """
-    cut = arrivals_discarded(len(order))
-    ranked: list = []  # (-value, bidder) of the arrivals so far, best first
-    sold = 0
-    welfare = 0
+    rows, rank, value_at, bidder_at, m, cut = ranking
+    seen: list = []  # ranks of the pos arrivals so far, best first
+    sold = welfare = 0
     for pos, bidder in enumerate(order):
-        value = rows[bidder]
         a = m - sold
-        if pos >= cut and a:
-            price = -ranked[a - 1][0] if len(ranked) >= a else 0
+        if not a:
+            break
+        value = rows[bidder]
+        if pos >= cut:
+            price = value_at[seen[a - 1]] if pos >= a else 0
             if value == price:
                 # canonical optimum over observed + this bidder: the
                 # matched set is the top-a of (value desc, index asc),
@@ -993,41 +1024,76 @@ def _mech3_fast_welfare(rows: list, m: int, order: tuple) -> Fraction:
                 # she is its smallest index.  Every one of the top a
                 # observed is worth at least the price, her value, so
                 # that holds exactly when each has a larger index.
-                take = all(b > bidder for _, b in ranked[:a])
+                take = all(bidder_at[r] > bidder for r in seen[:a])
             else:
                 take = value > price
             if take:
                 sold += 1
                 welfare += value
-        bisect.insort(ranked, (-value, bidder))
-    return Fraction(welfare)
+        bisect.insort(seen, rank[bidder])
+    return welfare
+
+
+class _DrawnBranch:
+    """A sampled branch whose ``SupportElement`` is built on demand.
+
+    ``build(key)`` makes the element; ``shortcut(instance, key)``
+    answers the branch's welfare or returns None, as the element's own
+    shortcut does.  ``welfare`` asks the shortcut first, so a trial it
+    answers builds no label, game closure or element; ``label`` and
+    ``outcome`` build the element once, and ``element`` hands it over.
+    """
+
+    __slots__ = ("key", "_build", "_shortcut", "_element")
+
+    def __init__(self, key, build: Callable, shortcut: Callable) -> None:
+        self.key = key
+        self._build = build
+        self._shortcut = shortcut
+        self._element: Optional[SupportElement] = None
+
+    @property
+    def element(self) -> SupportElement:
+        if self._element is None:
+            self._element = self._build(self.key)
+        return self._element
+
+    @property
+    def label(self) -> str:
+        return self.element.label
+
+    def outcome(self, instance: Instance) -> Outcome:
+        return self.element.outcome(instance)
+
+    def welfare(self, instance: Instance) -> Number:
+        fast = self._shortcut(instance, self.key)
+        return self.element.welfare(instance) if fast is None else fast
 
 
 def mech3_unit_demand(n: int, items: Sequence[str]) -> RandomizedMechanism:
     """Uniform arrival order, observe floor(n/e), then price-and-serve.
 
-    Sampling draws one uniform permutation (descending Fisher-Yates).
-    The exact support has n! branches and is only enumerable for small
-    n; Monte Carlo covers the rest.
+    Sampling draws one uniform permutation (descending Fisher-Yates)
+    and builds its branch on demand (``_DrawnBranch``): on constant
+    rows the kernel answers a drawn order's welfare with no label, game
+    closure or ``SupportElement``.  The exact support has n! branches
+    and is only enumerable for small n; Monte Carlo covers the rest.
     """
     setting = CombinatorialSetting(tuple(items))
     count = math.factorial(n)
     prob = Fraction(1, count)
     # one memo for every branch: markets, canonical optima and each
-    # instance's constant rows are resolved once per mechanism
+    # instance's constant-row ranking are resolved once per mechanism
     memo: dict = {}
 
-    def shortcut(instance: Instance, order: tuple) -> Optional[Fraction]:
+    def shortcut(instance: Instance, order: tuple) -> Optional[int]:
         # the game prices items by the optimum of the reported
-        # valuations; the closed form is that optimum for unit-demand
-        # rows only, so additive rows are played through the game
-        rows = _memoized(
-            memo,
-            ("rows", id(instance)),
-            instance,
-            lambda: _constant_integer_rows(instance, UnitDemandValuation),
+        # valuations; the kernel is that optimum for unit-demand rows
+        # only, so additive rows are played through the game
+        ranking = _memoized(
+            memo, ("rows", id(instance)), instance, lambda: _constant_row_ranking(instance)
         )
-        return None if rows is None else _mech3_fast_welfare(rows, instance.m, order)
+        return None if ranking is None else _mech3_fast_welfare(ranking, order)
 
     def element(order: tuple) -> SupportElement:
         return SupportElement(
@@ -1040,8 +1106,8 @@ def mech3_unit_demand(n: int, items: Sequence[str]) -> RandomizedMechanism:
     def branches_fn() -> list:
         return [element(order) for order in permutations(range(n))]
 
-    def sample_fn(rng: CounterRng) -> SupportElement:
-        return element(tuple(rng.shuffled(range(n))))
+    def sample_fn(rng: CounterRng) -> _DrawnBranch:
+        return _DrawnBranch(tuple(rng.shuffled(range(n))), element, shortcut)
 
     return RandomizedMechanism(
         "mech3-unit-demand", setting, n, count, branches_fn, sample_fn

@@ -14,6 +14,7 @@ expected-welfare identities (5/6, 3/4, ...) hold exactly in tests.
 from __future__ import annotations
 
 import re
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -442,24 +443,33 @@ def instance_to_json(instance: Instance) -> dict:
     }
 
 
+MAX_QUOTE = 80  # characters of an offending JSON value an error message quotes
+
+
+def _brief(value) -> str:
+    """A short prefix of ``repr(value)``: at most ``MAX_QUOTE`` characters."""
+    text = reprlib.repr(value)
+    return text if len(text) <= MAX_QUOTE else text[: MAX_QUOTE - 3] + "..."
+
+
 def _json_int(value, name: str) -> int:
     """A JSON integer field: ``true``, ``2.7`` and ``"2"`` are refused."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name!r} must be a JSON integer, got {value!r}")
+        raise ValueError(f"{name!r} must be a JSON integer, got {_brief(value)}")
     return value
 
 
 def _json_list(value, name: str) -> list:
     """A JSON list field: a string or an object is refused, not iterated."""
     if not isinstance(value, list):
-        raise ValueError(f"{name!r} must be a JSON list, got {value!r}")
+        raise ValueError(f"{name!r} must be a JSON list, got {_brief(value)}")
     return value
 
 
 def _json_object(value, name: str) -> Mapping:
     """A JSON object field: a list is refused, not read as keys."""
     if not isinstance(value, dict):
-        raise ValueError(f"{name!r} must be a JSON object, got {value!r}")
+        raise ValueError(f"{name!r} must be a JSON object, got {_brief(value)}")
     return value
 
 
@@ -487,7 +497,7 @@ def _valuation_from_json(data, setting: Setting, name: str) -> Valuation:
                     f"got {len(values)} values in a {setting.m}-unit setting"
                 )
             return MultiUnitValuation(tuple(values))
-        raise ValueError(f"unknown multi-unit valuation kind {kind!r}")
+        raise ValueError(f"unknown multi-unit valuation kind {_brief(kind)}")
     items = setting.items
     values = _json_object(data.get("values", {}), "values")
     if kind == "additive":
@@ -500,12 +510,17 @@ def _valuation_from_json(data, setting: Setting, name: str) -> Valuation:
             bundle = frozenset(part for part in key.split(",") if part)
             table[bundle] = as_fraction(raw)
         return ExplicitValuation(items, table)
-    raise ValueError(f"unknown combinatorial valuation kind {kind!r}")
+    raise ValueError(f"unknown combinatorial valuation kind {_brief(kind)}")
 
 
 def instance_from_json(data: Mapping) -> Instance:
     """Read an instance document; every malformed field is a ``ValueError``
-    naming it."""
+    naming it.
+
+    A multi-unit document whose unit count times its bidder count
+    exceeds ``OSPCLOCK_OPT_CAP`` is refused with ``SizeCapError`` before
+    any valuation, each a vector of ``multiunit`` values, is built.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"an instance must be a JSON object, got a {type(data).__name__}")
     raw_setting = _json_object(_json_key(data, "setting", "the instance"), "setting")
@@ -520,12 +535,19 @@ def instance_from_json(data: Mapping) -> Instance:
             # "" is the empty bundle's key and "," separates a bundle's items
             if not isinstance(item, str) or not item or "," in item:
                 raise ValueError(
-                    f"item name {item!r} must be a non-empty string without ','"
+                    f"item name {_brief(item)} must be a non-empty string without ','"
                 )
         setting = CombinatorialSetting(items)
     else:
         raise ValueError("setting must name 'multiunit' or 'items'")
     raw_bidders = _json_list(_json_key(data, "bidders", "the instance"), "bidders")
+    if isinstance(setting, MultiUnitSetting):
+        from .welfare import _opt_cap, _refusal
+
+        cap, slots = _opt_cap(), setting.m * len(raw_bidders)
+        if slots > cap:
+            what = f"{setting.m} units for {len(raw_bidders)} bidders need {slots} values"
+            raise _refusal("OSPCLOCK_OPT_CAP", cap, what)
     bidders = tuple(
         _valuation_from_json(b, setting, f"bidders[{k}]")
         for k, b in enumerate(raw_bidders)

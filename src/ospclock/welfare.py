@@ -74,6 +74,11 @@ def _brute_cap() -> int:
     return _cap("OSPCLOCK_BRUTE_CAP", 2_000_000)
 
 
+def _opt_cap() -> int:
+    """The exact-optimum cap: mask-DP steps, multi-unit value slots."""
+    return _cap("OSPCLOCK_OPT_CAP", 30_000_000)
+
+
 def _refusal(name: str, cap: int, what: str) -> SizeCapError:
     """Refuse a request over the cap read from ``name``, naming ``name``."""
     return SizeCapError(f"{what}; cap {cap} (override with {name})")
@@ -348,7 +353,7 @@ def _opt_mask_dp(
 ) -> tuple[Fraction, list[frozenset]]:
     n = len(valuations)
     m = len(items)
-    cap = _cap("OSPCLOCK_OPT_CAP", 30_000_000)
+    cap = _opt_cap()
     work = max(n, 1) * 3 ** m
     if work > cap:
         raise _refusal(

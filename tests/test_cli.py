@@ -12,7 +12,7 @@ from unittest import mock
 
 import pytest
 
-from ospclock import cli
+from ospclock import cli, valuations
 from ospclock.cli import main
 from ospclock.fixtures import FIXTURES, fixture_names, load_instance
 from ospclock.valuations import instance_to_json
@@ -340,6 +340,57 @@ def test_search_refuses_huge_menus_before_building_them(
     assert code == 2
     assert out == ""
     assert f"sweeps {size} valuations; cap 2000000 (override with OSPCLOCK_BRUTE_CAP)" in caplog.text
+
+
+def test_a_wrong_type_quotes_a_short_prefix_of_the_value(tmp_path, capsys, caplog):
+    # the whole bidder list of sampling-200 has a repr of about 9.5 kB
+    document = instance_to_json(load_instance("sampling-200"))
+    document["bidders"] = {"value": document["bidders"]}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(document))
+    code, out = run(capsys, "simulate", "--mechanism", "grand-bundle",
+                    "--instance", str(path), "--exact")
+    assert (code, out) == (2, "")
+    [line] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert "\n" not in line
+    assert len(line.encode()) < 300
+    assert "'bidders' must be a JSON list, got {'value': [" in line
+
+
+def test_multiunit_files_past_the_opt_cap_are_refused_before_any_valuation(
+    monkeypatch, tmp_path, capsys, caplog
+):
+    def document(units, bidders):
+        return json.dumps({
+            "setting": {"multiunit": units},
+            "bidders": [{"kind": "single_minded", "x": "1", "d": 1}] * bidders,
+        })
+
+    path = tmp_path / "inst.json"
+    # at the cap the file is read as before
+    monkeypatch.setenv("OSPCLOCK_OPT_CAP", "10")
+    path.write_text(document(5, 2))
+    code, _ = run(capsys, "simulate", "--mechanism", "grand-bundle",
+                  "--instance", str(path), "--exact")
+    assert code == 0
+    # a build past the cap could run for minutes: make it fail at once instead
+    for builder in ("make_single_minded", "MultiUnitValuation"):
+        monkeypatch.setattr(valuations, builder, mock.Mock(side_effect=AssertionError(builder)))
+
+    def refused(units, bidders, cap):
+        path.write_text(document(units, bidders))
+        caplog.clear()
+        code, out = run(capsys, "simulate", "--mechanism", "grand-bundle",
+                        "--instance", str(path), "--exact")
+        assert (code, out) == (2, "")
+        assert (
+            f"bad instance in {path}: {units} units for {bidders} bidders need "
+            f"{units * bidders} values; cap {cap} (override with OSPCLOCK_OPT_CAP)"
+        ) in caplog.text
+
+    refused(6, 2, 10)
+    monkeypatch.delenv("OSPCLOCK_OPT_CAP")
+    refused(30_000_001, 1, 30_000_000)
 
 
 def test_non_integer_cap_names_the_variable(monkeypatch, capsys, caplog):

@@ -24,8 +24,9 @@ from ospclock.experiments import (
     worst_case_search,
     yao_aggregate,
 )
-from ospclock.fixtures import unit_demand_domain
+from ospclock.fixtures import fixture_names, get_fixture, load_instance, unit_demand_domain
 from ospclock.mechanisms import (
+    MECHANISM_NAMES,
     SupportElement,
     grand_bundle_auction,
     m1_2x2,
@@ -33,6 +34,7 @@ from ospclock.mechanisms import (
     m3_2x2,
     mech2_additive,
     mech3_unit_demand,
+    mechanism_for_instance,
     naive_max_price_ud,
     three_item_dm,
     three_item_dm_mechanism,
@@ -44,6 +46,7 @@ from ospclock.valuations import (
     ExplicitValuation,
     Instance,
     MultiUnitSetting,
+    UnitDemandValuation,
     check_class,
     make_single_minded,
 )
@@ -279,16 +282,19 @@ def test_mc_ratio_past_the_support_cap_plays_every_trial(monkeypatch):
 
 def test_mc_ratio_on_the_crowded_market_never_calls_welfare_of():
     """mech3's constant-row shortcut hands mc_ratio each branch's
-    welfare, so no trial re-values an allocation."""
+    welfare, so no trial re-values an allocation or builds a
+    ``SupportElement``."""
     inst = ud_failure_instance(16)
     expected = mc_ratio(mech3_unit_demand(16, inst.items), inst, trials=300, seed=5)
     with mock.patch(
         "ospclock.mechanisms.welfare_of", side_effect=AssertionError
     ) as in_mechanisms, mock.patch(
         "ospclock.experiments.welfare_of", side_effect=AssertionError
-    ) as in_experiments:
+    ) as in_experiments, mock.patch(
+        "ospclock.mechanisms.SupportElement", side_effect=AssertionError
+    ) as elements:
         rep = mc_ratio(mech3_unit_demand(16, inst.items), inst, trials=300, seed=5)
-    assert in_mechanisms.call_count == in_experiments.call_count == 0
+    assert in_mechanisms.call_count == in_experiments.call_count == elements.call_count == 0
     assert rep == expected
 
 
@@ -312,6 +318,86 @@ def test_mech3_beats_naive_on_the_crowded_market():
     exact = naive.exact_expected_welfare(inst)
     assert exact == F(126975, 65536)
     assert exact / opt(inst).value <= F(4, 10)
+
+
+def fraction_mc_reference(mech, instance, trials, seed):
+    """``mc_ratio``'s (ratio, stderr) as a per-trial ``Fraction`` loop:
+    each trial's ratio is divided out, summed and squared on its own.
+    The reference for the single exact division."""
+    best = opt(instance).value
+    rng = CounterRng(seed)
+    total = F(0)
+    total_sq = 0.0
+    ratios = {}
+    for _ in range(trials):
+        branch = mech.sample_branch(rng)
+        ratio = ratios.get(branch.label) if mech.enumerable else None
+        if ratio is None:
+            ratio = branch.welfare(instance) / best
+            if mech.enumerable:
+                ratios[branch.label] = ratio
+        total += ratio
+        total_sq += float(ratio) * float(ratio)
+    mean = total / trials
+    variance = max(total_sq / trials - float(mean) ** 2, 0.0)
+    return mean, math.sqrt(variance / trials)
+
+
+LARGE_FIXTURES = ("sampling-200", "ud-failure-16")
+
+
+def _catalog_fit(name):
+    """The first catalog instance the named mechanism fits, skipping the
+    two large ones; m1-2x2 fits none, so it gets two bidders over two units."""
+    for fixture in fixture_names():
+        if get_fixture(fixture).kind != "instance" or fixture in LARGE_FIXTURES:
+            continue
+        inst = load_instance(fixture)
+        try:
+            return mechanism_for_instance(name, inst), inst
+        except ValueError:
+            continue
+    inst = Instance(
+        MultiUnitSetting(2), (make_single_minded(4, 1, 2), make_single_minded(3, 2, 2))
+    )
+    return mechanism_for_instance(name, inst), inst
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", MECHANISM_NAMES)
+def test_mc_ratio_equals_the_fraction_reference_on_the_catalog(name, seed):
+    mech, inst = _catalog_fit(name)
+    rep = mc_ratio(mech, inst, 60, seed)
+    assert (rep.ratio, rep.stderr) == fraction_mc_reference(mech, inst, 60, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mc_ratio_equals_the_fraction_reference_past_the_support_cap(seed):
+    inst = ud_failure_instance(16)
+    mech = mech3_unit_demand(16, inst.items)
+    assert not mech.enumerable
+    rep = mc_ratio(mech, inst, 200, seed)
+    assert (rep.ratio, rep.stderr) == fraction_mc_reference(mech, inst, 200, seed)
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["memo", "past-cap"])
+def test_mc_ratio_equals_the_fraction_reference_on_fractional_welfare(monkeypatch, capped):
+    """Unit-demand values with denominators 2, 3 and 5 give branch
+    welfares that are not integers, so the exact sum leaves the int."""
+    items = ("a", "b")
+    rows = ((F(3, 2), F(3, 2)), (F(7, 3), F(1, 5)), (F(5, 2), F(5, 2)), (F(1, 3), F(9, 5)))
+    inst = Instance(
+        CombinatorialSetting(items),
+        tuple(UnitDemandValuation(items, dict(zip(items, row))) for row in rows),
+    )
+    mech = mech3_unit_demand(len(rows), items)
+    assert any(b.welfare(inst).denominator != 1 for b in mech.branches())
+    if capped:
+        monkeypatch.setenv("OSPCLOCK_SUPPORT_CAP", str(mech.branch_count - 1))
+    assert mech.enumerable is not capped
+    for seed in range(3):
+        rep = mc_ratio(mech, inst, 80, seed)
+        assert (rep.ratio, rep.stderr) == fraction_mc_reference(mech, inst, 80, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -446,6 +447,92 @@ def test_mech3_zero_surplus_follows_canonical_optimum():
     assert out.allocation.bundles == (frozenset("y"), frozenset("x"))
     assert out.payments == (F(2), F(0))
     assert welfare_of(inst, out.allocation) == F(4)
+
+
+def value_surplus_best_item(valuation, unsold, prices):
+    """``_best_item`` with every surplus read as ``value({j}) - prices[j]``:
+    the reference for its per-item read."""
+    best_item = best_u = None
+    for j in unsold:
+        u = valuation.value({j}) - prices[j]
+        if best_u is None or u > best_u:
+            best_item, best_u = j, u
+    return best_item, best_u
+
+
+def seeded_single_item_valuation(rng, items):
+    """An additive, unit-demand or explicit valuation over ``items`` with
+    values in halves and thirds; the explicit table is additive plus a
+    bonus per extra item, so monotone but not per-item."""
+    kind = rng.choice(["additive", "unit_demand", "explicit"])
+    values = {j: F(rng.randint(0, 4), rng.choice([1, 2, 3])) for j in items}
+    if kind == "additive":
+        return AdditiveValuation(items, values)
+    if kind == "unit_demand":
+        return UnitDemandValuation(items, values)
+    bonus = F(rng.randint(0, 2))
+    table = {}
+    for size in range(len(items) + 1):
+        for bundle in itertools.combinations(items, size):
+            extra = bonus * (size - 1) if size else 0
+            table[frozenset(bundle)] = sum((values[j] for j in bundle), F(0)) + extra
+    return ExplicitValuation(items, table)
+
+
+def test_best_item_reads_the_value_of_each_single_item():
+    """On seeded markets with additive, unit-demand and explicit
+    valuations, fractional prices and forced zero-surplus ties,
+    ``_best_item`` picks what ``value({j}) - prices[j]`` picks."""
+    rng = random.Random(23)
+    items = ("a", "b", "c")
+    kinds = set()
+    zero = 0
+    for _ in range(400):
+        v = seeded_single_item_valuation(rng, items)
+        kinds.add(type(v).__name__)
+        unsold = tuple(j for j in items if rng.random() < 0.8)
+        prices = {j: F(rng.randint(0, 8), rng.choice([1, 2, 3, 4])) for j in unsold}
+        if unsold and rng.random() < 0.5:
+            j = rng.choice(unsold)
+            prices[j] = v.value({j})
+        expected = value_surplus_best_item(v, unsold, prices)
+        assert mechanisms._best_item(v, unsold, prices) == expected, (v, unsold, prices)
+        zero += expected[1] == 0
+    assert kinds == {"AdditiveValuation", "UnitDemandValuation", "ExplicitValuation"}
+    assert zero > 20
+
+
+def test_mech3_outcomes_match_the_value_surplus_reference(monkeypatch):
+    """Every mech3 branch outcome on seeded mixed-kind markets is the one
+    the ``value({j})`` surplus gives, zero-surplus ties (settled by the
+    canonical optimum) included."""
+    rng = random.Random(29)
+    items = ("a", "b")
+    markets = [
+        Instance(
+            CombinatorialSetting(items),
+            tuple(seeded_single_item_valuation(rng, items) for _ in range(3)),
+        )
+        for _ in range(12)
+    ]
+
+    def outcomes():
+        return [
+            [branch.outcome(inst) for branch in mech3_unit_demand(3, items).branches()]
+            for inst in markets
+        ]
+
+    fast = outcomes()
+    ties = []
+
+    def reference(valuation, unsold, prices):
+        found = value_surplus_best_item(valuation, unsold, prices)
+        ties.append(found[1] == 0)
+        return found
+
+    monkeypatch.setattr(mechanisms, "_best_item", reference)
+    assert outcomes() == fast
+    assert any(ties)
 
 
 def test_mech3_branches_cap():
