@@ -1033,6 +1033,28 @@ GAME_PINS = [
         ),
         "21:cc66ee669034fdba",
     ),
+    (
+        # nobody is discarded: the root is a serve step
+        "arrival-2-no-reports",
+        lambda: ArrivalPricingGame((1, 0), ITEMS, [UD3, UD3]),
+        "34:e06ab596cbdc31dc",
+    ),
+    (
+        "arrival-1",
+        lambda: ArrivalPricingGame((0,), ITEMS, [UD3]),
+        "4:c28bffd9769acfe3",
+    ),
+    (
+        # an empty sample is priced at the root
+        "max-price-bundle-no-sample",
+        lambda: MaxPricePartitionGame((), ITEMS, 2, [ADD3, ADD3]),
+        "13:5e8df8d8bdf72dec",
+    ),
+    (
+        "max-price-single-no-sample",
+        lambda: MaxPricePartitionGame((), ITEMS, 3, [UD3] * 3, "single"),
+        "22:c3dec8c1dd794640",
+    ),
 ]
 
 
