@@ -391,9 +391,9 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
     log.setLevel(logging.INFO)
     args = build_parser().parse_args(argv)
-    config = _resolved_config(args)
-    log.info("resolved config: %s", json.dumps(config, sort_keys=True))
     try:
+        config = _resolved_config(args)
+        log.info("resolved config: %s", json.dumps(config, sort_keys=True))
         code, fields, columns, rows = args.func(args)
     except (CliError, ValueError, SizeCapError) as exc:
         log.error("%s", exc)

@@ -35,7 +35,7 @@ from .valuations import (
     Valuation,
     make_single_minded,
 )
-from .welfare import opt, opt_value_restricted, welfare_of
+from .welfare import opt, opt_value_restricted, unit_step_values, welfare_of
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -232,23 +232,6 @@ class SamplingReport:
     ratio_threshold: Fraction
 
 
-def _unit_step_values(instance: Instance) -> Optional[list]:
-    """Per-bidder scalar when everyone wants a single unit, else None.
-
-    Reads each valuation's recorded ``single_minded`` step: a bidder
-    qualifies with a step at d = 1 or with the all-zero vector.
-    """
-    if not instance.multiunit:
-        return None
-    out = []
-    for v in instance.valuations:
-        sm = v.single_minded
-        if sm is None or (sm.d != 1 and sm.x != 0):
-            return None
-        out.append(sm.x)
-    return out
-
-
 def _check_share(name: str, share: Fraction) -> None:
     if not 0 < share <= 1:
         raise ValueError(f"{name} must lie in (0, 1], got {share}")
@@ -281,7 +264,7 @@ def sampling_lemma_experiment(
     _check_share("critical_threshold", critical_threshold)
     _check_share("ratio_threshold", ratio_threshold)
     n = instance.n
-    steps = _unit_step_values(instance)
+    steps = unit_step_values(instance.valuations) if instance.multiunit else None
     if steps is not None:
         m = instance.m
         scale = math.lcm(*(x.denominator for x in steps))

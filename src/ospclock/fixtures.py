@@ -22,6 +22,7 @@ from typing import Callable
 from .experiments import ud_failure_instance
 
 from .protocols import (
+    GaaGame,
     Game,
     GaaSpec,
     Outcome,
@@ -29,7 +30,7 @@ from .protocols import (
     ProtocolNode,
     build_gaa,
     gaa_grid_for_domains,
-    gaa_truthful_strategy,
+    game_strategy,
     materialize,
     truthful_strategies,
 )
@@ -311,7 +312,7 @@ def _grand_gaa_game():
     grid = gaa_grid_for_domains((0, 0), (2, 2), setting, domains)
     spec = GaaSpec(setting, (0, 0), (2, 2), grid)
     protocol = build_gaa(spec)
-    strategy = gaa_truthful_strategy(spec, protocol)
+    strategy = game_strategy(GaaGame(spec), protocol)
     return protocol, [strategy, strategy], domains
 
 

@@ -369,16 +369,34 @@ def three_item_dm_mechanism() -> RandomizedMechanism:
 # sample-then-serve games
 
 
-class SampleServeGame(Game):
-    """Bidders act one at a time in a fixed order: report, then be served.
+@dataclass(frozen=True)
+class ServeState:
+    step: int  # index into the script; len(script) is terminal
+    reports: tuple  # (bidder, message) pairs, in script order
+    taken: tuple  # bundles, aligned with the serve steps
+    payments: tuple  # aligned with taken
+    left: object  # the unsold supply: a unit count or an item tuple
+    price: object  # None on a report step, else the serve step's price
 
-    ``state.pos`` indexes ``order``, and ``pos == n`` is terminal.  The
-    first ``cut`` bidders only report.  A reporting bidder names the
-    index of the valuation in the bidder's declared domain
-    (``report:k``); a bidder being served picks from the subclass's
-    menu.  Subclasses supply the root state, the transition and the
-    menu.  Every state records ``taken`` and ``payments``, aligned with
-    the served bidders ``order[cut:]``; ``outcome`` gives each served
+
+class SampleServeGame(Game):
+    """A script of steps: some bidders report, the rest are served.
+
+    ``script`` is a tuple of ``(bidder, serves)`` steps played in order.
+    A report step (``serves`` false) has the bidder name the index of a
+    valuation in the bidder's declared domain (``report:k``); a serve
+    step has the bidder pick from the subclass's menu.  A fair-coin
+    split reports its sample in ascending order, then serves the rest
+    (``_split_script``); mech3 reports its first floor(n/e) arrivals,
+    then serves and hears each later arrival in turn (``_arrival_script``).
+
+    Prices come from one rule: a serve step that opens the script or
+    follows a report is priced by ``_price(reports, left)``, the reports
+    so far and the unsold supply; a serve step that follows a serve
+    keeps its price.  ``state.price`` is None exactly on report steps.
+    ``_serve_labels`` and ``_serve_choice`` give a served bidder's menu
+    and truthful pick, ``_serve(state, message)`` maps the pick to
+    (bundle, payment, supply left), and ``outcome`` gives each served
     bidder that bundle at that payment, and everyone else the empty
     bundle for nothing.  Forced moves (a singleton domain, an empty
     menu) are single-message states, contracted by the protocol layer.
@@ -386,52 +404,81 @@ class SampleServeGame(Game):
 
     def __init__(
         self,
-        order: Sequence[int],
+        script: Sequence[tuple],
         setting: Setting,
         domains: Sequence[Sequence[Valuation]],
-        cut: int,
     ) -> None:
-        self.order = tuple(order)
-        self.n = len(self.order)
+        self.n = len(domains)
         self.setting = setting
         self.domains = [list(d) for d in domains]
-        self.cut = cut
+        self._bidders = tuple(b for b, _ in script)
+        # one flag per step, and a report-like sentinel for the leaf
+        self._serves = tuple(s for _, s in script) + (False,)
+        self._served = tuple(b for b, s in script if s)
+        self._end = len(script)
 
-    def _reporting(self, state) -> bool:
-        return state.pos < self.cut
-
-    def _serve_labels(self, state) -> tuple:
+    def _price(self, reports: tuple, left):
         raise NotImplementedError
 
-    def _serve_choice(self, state, valuation: Valuation) -> int:
+    def _serve(self, state: ServeState, message: int) -> tuple:
         raise NotImplementedError
 
-    def is_leaf(self, state) -> bool:
-        return state.pos == self.n
+    def _serve_labels(self, state: ServeState) -> tuple:
+        raise NotImplementedError
 
-    def outcome(self, state) -> Outcome:
+    def _serve_choice(self, state: ServeState, valuation: Valuation) -> int:
+        raise NotImplementedError
+
+    def root_state(self) -> ServeState:
+        if isinstance(self.setting, MultiUnitSetting):
+            supply = self.setting.m
+        else:
+            supply = self.setting.items
+        price = self._price((), supply) if self._serves[0] else None
+        return ServeState(0, (), (), (), supply, price)
+
+    def child(self, state: ServeState, message: int) -> ServeState:
+        step = state.step + 1
+        price = state.price
+        if price is None:
+            reports = state.reports + ((self._bidders[state.step], message),)
+            taken, payments, left = state.taken, state.payments, state.left
+        else:
+            bundle, paid, left = self._serve(state, message)
+            reports = state.reports
+            taken = state.taken + (bundle,)
+            payments = state.payments + (paid,)
+        if not self._serves[step]:
+            price = None
+        elif price is None:
+            price = self._price(reports, left)
+        return ServeState(step, reports, taken, payments, left, price)
+
+    def is_leaf(self, state: ServeState) -> bool:
+        return state.step == self._end
+
+    def outcome(self, state: ServeState) -> Outcome:
         empty = 0 if isinstance(self.setting, MultiUnitSetting) else frozenset()
         bundles = [empty] * self.n
         payments = [ZERO] * self.n
-        served = self.order[self.cut :]
-        for bidder, bundle, paid in zip(served, state.taken, state.payments):
+        for bidder, bundle, paid in zip(self._served, state.taken, state.payments):
             bundles[bidder] = bundle
             payments[bidder] = paid
         return Outcome(Allocation(tuple(bundles)), tuple(payments))
 
-    def bidder(self, state) -> int:
-        return self.order[state.pos]
+    def bidder(self, state: ServeState) -> int:
+        return self._bidders[state.step]
 
-    def messages(self, state) -> tuple:
-        if not self._reporting(state):
+    def messages(self, state: ServeState) -> tuple:
+        if state.price is not None:
             return self._serve_labels(state)
-        domain = self.domains[self.bidder(state)]
+        domain = self.domains[self._bidders[state.step]]
         return tuple(f"report:{k}" for k in range(len(domain)))
 
-    def truthful_message(self, state, valuation: Valuation) -> int:
-        if not self._reporting(state):
+    def truthful_message(self, state: ServeState, valuation: Valuation) -> int:
+        if state.price is not None:
             return self._serve_choice(state, valuation)
-        bidder = self.bidder(state)
+        bidder = self._bidders[state.step]
         try:
             return self.domains[bidder].index(valuation)
         except ValueError:
@@ -440,71 +487,10 @@ class SampleServeGame(Game):
             ) from None
 
 
-@dataclass(frozen=True)
-class SplitState:
-    pos: int
-    reports: tuple
-    taken: tuple  # bundles, aligned with the served bidders
-    payments: tuple  # aligned with taken
-    left: object  # the unsold supply: a unit count or an item tuple
-    price: object  # set once the serve phase starts
-
-
-class SplitGame(SampleServeGame):
-    """One fair-coin split: the sample reports, the rest are served.
-
-    The sampled bidders (ascending index) each report a valuation and
-    are excluded from trade.  When the last of them has reported,
-    ``_price`` turns their reported valuations into the price (an
-    empty sample is priced at the root).  The remaining bidders
-    (ascending) are then served in turn, and ``_serve(state, message)``
-    maps a served bidder's message to (bundle, payment, supply left).
-    """
-
-    def __init__(
-        self,
-        sample: Sequence[int],
-        n: int,
-        setting: Setting,
-        domains: Sequence[Sequence[Valuation]],
-    ) -> None:
-        self.sample = tuple(sorted(sample))
-        rest = tuple(i for i in range(n) if i not in self.sample)
-        super().__init__(self.sample + rest, setting, domains, len(self.sample))
-
-    def _price(self, reported: list):
-        raise NotImplementedError
-
-    def _serve(self, state, message: int) -> tuple:
-        raise NotImplementedError
-
-    def root_state(self):
-        if isinstance(self.setting, MultiUnitSetting):
-            supply = self.setting.m
-        else:
-            supply = self.setting.items
-        price = None if self.sample else self._price([])
-        return SplitState(0, (), (), (), supply, price)
-
-    def child(self, state, message: int):
-        if self._reporting(state):
-            pos = state.pos + 1
-            reports = state.reports + (message,)
-            price = None
-            if pos == self.cut < self.n:  # the serve phase starts
-                price = self._price(
-                    [self.domains[b][k] for b, k in zip(self.sample, reports)]
-                )
-            return SplitState(pos, reports, (), (), state.left, price)
-        bundle, paid, left = self._serve(state, message)
-        return SplitState(
-            state.pos + 1,
-            state.reports,
-            state.taken + (bundle,),
-            state.payments + (paid,),
-            left,
-            state.price,
-        )
+def _split_script(sample: Sequence[int], n: int) -> tuple:
+    """The sample reports in ascending order, then the rest are served."""
+    reports = tuple((b, False) for b in sorted(sample))
+    return reports + tuple((b, True) for b in range(n) if b not in sample)
 
 
 def _coin_split_mechanism(
@@ -548,9 +534,33 @@ def _coin_split_mechanism(
     )
 
 
-def _single_item_menu(items) -> list:
-    """Nothing, then each of ``items`` alone: the single-item shopping menu."""
-    return [frozenset()] + [frozenset({j}) for j in items]
+class ItemSaleGame(SampleServeGame):
+    """A sample-then-serve game that sells items at per-item prices.
+
+    ``state.price`` maps each unsold item to its price.  A served
+    bidder picks from a menu of unsold bundles: with ``bundles`` every
+    subset, smallest first, labelled by its items joined with ``+``;
+    otherwise nothing, then each unsold item alone, labelled by its
+    name.  The empty bundle is labelled ``none`` and free; any other
+    costs the sum of its items' prices.
+    """
+
+    bundles = False
+
+    def _menu(self, state: ServeState) -> list:
+        if self.bundles:
+            return all_bundles(state.left)
+        return [frozenset()] + [frozenset({j}) for j in state.left]
+
+    def _serve_labels(self, state: ServeState) -> tuple:
+        if self.bundles:
+            return tuple("+".join(sorted(b)) if b else "none" for b in self._menu(state))
+        return ("none",) + state.left
+
+    def _serve(self, state: ServeState, message: int) -> tuple:
+        bundle = self._menu(state)[message]
+        paid = sum((state.price[j] for j in bundle), ZERO) if bundle else ZERO
+        return bundle, paid, tuple(j for j in state.left if j not in bundle)
 
 
 def _best_item(valuation: Valuation, unsold: tuple, prices: dict) -> tuple:
@@ -594,7 +604,7 @@ def preferred_quantity(v: MultiUnitValuation, remaining: int, price: Fraction) -
     return best_q
 
 
-class PartitionSaleGame(SplitGame):
+class PartitionSaleGame(SampleServeGame):
     """Discard-and-learn sale for one fair-coin partition.
 
     The optimum welfare O of the sample alone prices every unit at
@@ -609,21 +619,22 @@ class PartitionSaleGame(SplitGame):
         m: int,
         domains: Sequence[Sequence[Valuation]],
     ) -> None:
-        super().__init__(sample, n, MultiUnitSetting(m), domains)
+        super().__init__(_split_script(sample, n), MultiUnitSetting(m), domains)
 
-    def _price(self, reported: list) -> Fraction:
-        if not reported:
+    def _price(self, reports: tuple, left: int) -> Fraction:
+        if not reports:
             return ZERO
-        sample_opt = opt_value_restricted(Instance(self.setting, tuple(reported)))
+        reported = tuple(self.domains[b][k] for b, k in reports)
+        sample_opt = opt_value_restricted(Instance(self.setting, reported))
         return sample_opt / (10 * self.setting.m)
 
-    def _serve(self, state, message: int) -> tuple:
+    def _serve(self, state: ServeState, message: int) -> tuple:
         return message, state.price * message, state.left - message
 
-    def _serve_labels(self, state) -> tuple:
+    def _serve_labels(self, state: ServeState) -> tuple:
         return tuple(f"take:{q}" for q in range(state.left + 1))
 
-    def _serve_choice(self, state, valuation: Valuation) -> int:
+    def _serve_choice(self, state: ServeState, valuation: Valuation) -> int:
         return preferred_quantity(valuation, state.left, state.price)
 
 
@@ -652,11 +663,12 @@ def mech1_single_minded(n: int, m: int) -> RandomizedMechanism:
 # sample-and-max-price for combinatorial bidders (Mechanism 2 shape)
 
 
-class MaxPricePartitionGame(SplitGame):
+class MaxPricePartitionGame(ItemSaleGame):
     """Per-item prices set to the sampled bidders' maxima.
 
-    Item j is priced at the highest sampled value, remembering the
-    smallest sampled index attaining it.  The remaining bidders then
+    Item j is priced at the highest sampled value; its price-setter is
+    the first sampled bidder to report that value (-1 for an empty
+    sample, which prices every item at 0).  The remaining bidders then
     shop: in ``bundle`` mode each takes every unsold item whose price
     they beat (or meet, when their index precedes the price-setter's);
     in ``single`` mode each takes at most one item by the same test,
@@ -673,54 +685,36 @@ class MaxPricePartitionGame(SplitGame):
     ) -> None:
         if mode not in ("bundle", "single"):
             raise ValueError(f"unknown mode {mode!r}")
-        self.mode = mode
-        super().__init__(sample, n, CombinatorialSetting(tuple(items)), domains)
-
-    def _price(self, reported: list) -> tuple:
-        """Item prices and their setters; an empty sample prices at 0."""
-        prices = {}
-        setters = {}
-        for j in self.setting.items:
-            per = [v.value({j}) for v in reported]
-            prices[j] = max(per, default=ZERO)
-            setters[j] = self.sample[per.index(prices[j])] if per else -1
-        return prices, setters
-
-    def _menu(self, state: SplitState) -> list:
-        if self.mode == "bundle":
-            return all_bundles(state.left)
-        return _single_item_menu(state.left)
-
-    def _serve(self, state, message: int) -> tuple:
-        bundle = self._menu(state)[message]
-        prices, _ = state.price
-        paid = sum((prices[j] for j in bundle), ZERO)
-        return bundle, paid, tuple(j for j in state.left if j not in bundle)
-
-    def _serve_labels(self, state) -> tuple:
-        return tuple(
-            "+".join(sorted(bundle)) if bundle else "none"
-            for bundle in self._menu(state)
+        self.bundles = mode == "bundle"
+        super().__init__(
+            _split_script(sample, n), CombinatorialSetting(tuple(items)), domains
         )
 
-    def _wants(self, buyer: int, valuation: Valuation, item: str, state) -> bool:
-        prices, setters = state.price
-        value = valuation.value({item})
-        return value > prices[item] or (value == prices[item] and buyer < setters[item])
+    def _price(self, reports: tuple, left: tuple) -> dict:
+        reported = [self.domains[b][k] for b, k in reports]
+        return {
+            j: max((v.value({j}) for v in reported), default=ZERO)
+            for j in self.setting.items
+        }
 
-    def _serve_choice(self, state, valuation: Valuation) -> int:
-        buyer = self.bidder(state)
-        menu = self._menu(state)
-        if self.mode == "bundle":
-            take = frozenset(
-                j for j in state.left if self._wants(buyer, valuation, j, state)
-            )
-            return menu.index(take)
-        item, surplus = _best_item(valuation, state.left, state.price[0])
-        if surplus is not None and surplus >= 0 and self._wants(
-            buyer, valuation, item, state
-        ):
-            return menu.index(frozenset({item}))
+    def _wants(self, state: ServeState, valuation: Valuation, item: str) -> bool:
+        value = valuation.value({item})
+        price = state.price[item]
+        if value != price:
+            return value > price
+        # an exact tie goes to her only if she precedes the price-setter
+        setter = next(
+            (b for b, k in state.reports if self.domains[b][k].value({item}) == price), -1
+        )
+        return self.bidder(state) < setter
+
+    def _serve_choice(self, state: ServeState, valuation: Valuation) -> int:
+        if self.bundles:
+            take = frozenset(j for j in state.left if self._wants(state, valuation, j))
+            return self._menu(state).index(take)
+        item, surplus = _best_item(valuation, state.left, state.price)
+        if surplus is not None and surplus >= 0 and self._wants(state, valuation, item):
+            return 1 + state.left.index(item)
         return 0
 
 
@@ -826,17 +820,18 @@ def _memoized(memo: dict, key: tuple, held, solve: Callable[[], object]):
     return hit[1]
 
 
-@dataclass(frozen=True)
-class ArrivalState:
-    pos: int
-    reporting: bool
-    reports: tuple  # (bidder, message) in processing order
-    taken: tuple  # bundles, aligned with served positions
-    payments: tuple  # aligned with taken
-    unsold: tuple
+def _arrival_script(order: Sequence[int]) -> tuple:
+    """The first floor(n/e) arrivals report; each later one is served,
+    then reports.  The last arrival's report is dropped: nobody is left
+    to price against it."""
+    cut = arrivals_discarded(len(order))
+    script = [(b, False) for b in order[:cut]]
+    for b in order[cut:]:
+        script += [(b, True), (b, False)]
+    return tuple(script[:-1])
 
 
-class ArrivalPricingGame(SampleServeGame):
+class ArrivalPricingGame(ItemSaleGame):
     """Process bidders in a fixed arrival order with learned prices.
 
     The first floor(n/e) arrivals only report.  Each later arrival
@@ -865,31 +860,17 @@ class ArrivalPricingGame(SampleServeGame):
         domains: Sequence[Sequence[Valuation]],
         _memo: Optional[dict] = None,
     ) -> None:
-        self.items = tuple(items)
-        super().__init__(
-            order,
-            CombinatorialSetting(self.items),
-            domains,
-            arrivals_discarded(len(order)),
-        )
-        self._prices: dict = {}  # (reports, unsold) -> this game's prices
+        super().__init__(_arrival_script(order), CombinatorialSetting(tuple(items)), domains)
         self._memo = {} if _memo is None else _memo
 
-    # -- bookkeeping --------------------------------------------------------
-
-    def _price_vector(self, reports: tuple, unsold: tuple) -> dict:
-        """Opportunity-cost prices, looked up per game by (reports,
-        unsold) and solved once per memo for each (reported valuations,
-        unsold) market."""
-        key = (reports, unsold)
-        prices = self._prices.get(key)
-        if prices is None:
-            reported = [self.domains[b][msg] for b, msg in reports]
-            market = ("prices", tuple(sorted(map(id, reported))), unsold)
-            prices = self._prices[key] = _memoized(
-                self._memo, market, reported, lambda: self._solve_prices(reported, unsold)
-            )
-        return prices
+    def _price(self, reports: tuple, left: tuple) -> dict:
+        """Opportunity-cost prices, solved once per memo for each
+        (reported valuations, unsold) market."""
+        reported = [self.domains[b][k] for b, k in reports]
+        market = ("prices", tuple(sorted(map(id, reported))), left)
+        return _memoized(
+            self._memo, market, reported, lambda: self._solve_prices(reported, left)
+        )
 
     def _solve_prices(self, reported: list, unsold: tuple) -> dict:
         if not reported or not unsold:
@@ -902,77 +883,33 @@ class ArrivalPricingGame(SampleServeGame):
             prices[j] = base - opt_value_restricted(inst, items=rest)
         return prices
 
-    def _canonical_assigns(
-        self, reports: tuple, unsold: tuple, bidder: int, valuation, item: str
-    ) -> bool:
-        """Does the canonical optimum give ``item`` to ``bidder``?
+    def _canonical_assigns(self, state: ServeState, valuation, item: str) -> bool:
+        """Does the canonical optimum give ``item`` to the served bidder?
 
         The canonical instance contains the observed bidders plus this
         one, ordered by original index (the global tie-break order).
         """
-        entries = [(b, self.domains[b][msg]) for b, msg in reports]
+        bidder = self.bidder(state)
+        entries = [(b, self.domains[b][k]) for b, k in state.reports]
         entries.append((bidder, valuation))
         entries.sort(key=lambda e: e[0])
         valuations = tuple(v for _, v in entries)
         bundles = _memoized(
             self._memo,
-            ("optimum", tuple(map(id, valuations)), unsold),
+            ("optimum", tuple(map(id, valuations)), state.left),
             valuations,
-            lambda: opt_restricted(Instance(self.setting, valuations), items=unsold)
+            lambda: opt_restricted(Instance(self.setting, valuations), items=state.left)
             .witness.bundles,
         )
         position = [b for b, _ in entries].index(bidder)
         return item in bundles[position]
 
-    def _reporting(self, state) -> bool:
-        return state.reporting
-
-    def _menu(self, state: ArrivalState) -> list:
-        return _single_item_menu(state.unsold)
-
-    def root_state(self):
-        return ArrivalState(0, 0 < self.cut, (), (), (), self.items)
-
-    def child(self, state, message: int):
-        if state.reporting:
-            pos = state.pos + 1
-            return ArrivalState(
-                pos,
-                pos < self.cut,
-                state.reports + ((self.bidder(state), message),),
-                state.taken,
-                state.payments,
-                state.unsold,
-            )
-        bundle = self._menu(state)[message]
-        if bundle:
-            prices = self._price_vector(state.reports, state.unsold)
-            paid = sum((prices[j] for j in bundle), ZERO)
-        else:
-            paid = ZERO
-        # the last arrival's report is inconsequential: skip it
-        last = state.pos == self.n - 1
-        return ArrivalState(
-            self.n if last else state.pos,
-            True,
-            state.reports,
-            state.taken + (bundle,),
-            state.payments + (paid,),
-            tuple(j for j in state.unsold if j not in bundle),
-        )
-
-    def _serve_labels(self, state) -> tuple:
-        return ("none",) + state.unsold
-
-    def _serve_choice(self, state, valuation: Valuation) -> int:
-        prices = self._price_vector(state.reports, state.unsold)
-        item, surplus = _best_item(valuation, state.unsold, prices)
+    def _serve_choice(self, state: ServeState, valuation: Valuation) -> int:
+        item, surplus = _best_item(valuation, state.left, state.price)
         if surplus is None or surplus < 0:
             return 0
-        if surplus > 0 or self._canonical_assigns(
-            state.reports, state.unsold, self.bidder(state), valuation, item
-        ):
-            return self._menu(state).index(frozenset({item}))
+        if surplus > 0 or self._canonical_assigns(state, valuation, item):
+            return 1 + state.left.index(item)
         return 0
 
 

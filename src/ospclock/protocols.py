@@ -589,11 +589,6 @@ def build_gaa(spec: GaaSpec) -> Protocol:
     return materialize(GaaGame(spec))
 
 
-def gaa_truthful_strategy(spec: GaaSpec, protocol: Optional[Protocol] = None) -> Strategy:
-    """Stay while the clock price is at most v(potential) - v(base)."""
-    return game_strategy(GaaGame(spec), protocol)
-
-
 def clock_grid(marginals: Iterable) -> tuple:
     """Price grid reproducing the continuous clock on given marginals.
 

@@ -13,8 +13,10 @@ expected-welfare identities (5/6, 3/4, ...) hold exactly in tests.
 
 from __future__ import annotations
 
+import math
 import re
 import reprlib
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -56,9 +58,32 @@ def as_fraction(x: Union[int, str, Fraction]) -> Fraction:
     raise ValueError(f"{x!r} is not an exact amount: write an integer or a \"p/q\" string")
 
 
+def _decimal_digits(k: int) -> int:
+    """The number of decimal digits of ``abs(k)``, without printing it."""
+    k = abs(k)
+    digits = max(1, int(k.bit_length() * math.log10(2)))
+    while 10**digits <= k:
+        digits += 1
+    while digits > 1 and 10 ** (digits - 1) > k:
+        digits -= 1
+    return digits
+
+
 def format_fraction(x: Fraction) -> str:
-    """Serialize a Fraction as the canonical \"p/q\" string."""
-    return f"{x.numerator}/{x.denominator}"
+    """Serialize a Fraction as the canonical \"p/q\" string.
+
+    A numerator or denominator past Python's digit limit for printing
+    an int raises ``ValueError`` stating its digit count and the limit.
+    """
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        digits = max(_decimal_digits(x.numerator), _decimal_digits(x.denominator))
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            f"an exact value has {digits} digits, past the {limit}-digit limit "
+            "for printing an integer"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

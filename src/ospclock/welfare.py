@@ -48,7 +48,6 @@ from .valuations import (
     AdditiveValuation,
     Instance,
     MultiUnitValuation,
-    SingleMindedParams,
     UnitDemandValuation,
 )
 
@@ -161,9 +160,9 @@ def _opt_multiunit(
 ) -> tuple[Fraction, list[int]]:
     """Suffix DP; returns (value, lexicographically smallest quantities)."""
     n = len(valuations)
-    sms = [v.single_minded for v in valuations]
-    if all(sm is not None and sm.d == 1 for sm in sms):
-        return _opt_all_unit_step(sms, capacity)  # type: ignore[arg-type]
+    values = unit_step_values(valuations)
+    if values is not None:
+        return _opt_all_unit_step(values, capacity)
     # dp[i][r] = best welfare for bidders i.. with r units left
     dp = [[ZERO] * (capacity + 1) for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
@@ -190,9 +189,24 @@ def _opt_multiunit(
     return dp[0][capacity], quantities
 
 
-def _opt_all_unit_step(
-    sms: Sequence[SingleMindedParams], capacity: int
-) -> tuple[Fraction, list[int]]:
+def unit_step_values(valuations: Sequence[MultiUnitValuation]) -> Optional[list]:
+    """Each bidder's value for one unit when every bidder wants just one
+    unit, else None.
+
+    Reads each valuation's recorded ``single_minded`` step: a bidder
+    qualifies with a step at d = 1, which the all-zero vector records
+    as (0, 1).
+    """
+    values = []
+    for v in valuations:
+        sm = v.single_minded
+        if sm is None or sm.d != 1:
+            return None
+        values.append(sm.x)
+    return values
+
+
+def _opt_all_unit_step(values: Sequence[Fraction], capacity: int) -> tuple[Fraction, list[int]]:
     """All bidders want a single unit: take the top-``capacity`` values.
 
     Reproduces the DP's lex-min witness: when values tie at the cutoff,
@@ -200,12 +214,12 @@ def _opt_all_unit_step(
     bidders 0 when indifferent).
     """
     order = sorted(
-        (i for i, sm in enumerate(sms) if sm.x > 0),
-        key=lambda i: (-sms[i].x, -i),
+        (i for i, x in enumerate(values) if x > 0),
+        key=lambda i: (-values[i], -i),
     )
     chosen = order[:capacity]
-    value = sum((sms[i].x for i in chosen), ZERO)
-    quantities = [0] * len(sms)
+    value = sum((values[i] for i in chosen), ZERO)
+    quantities = [0] * len(values)
     for i in chosen:
         quantities[i] = 1
     return value, quantities

@@ -323,6 +323,31 @@ def test_literal_exponents_past_the_bound_are_refused(tmp_path, capsys, caplog):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--mechanism", "grand-bundle", "--domain", "additive",
+         "--values", "0,1e4300"],
+        ["sampling-lemma", "--fixture", "sampling-10", "--ratio-threshold", "1e-4300"],
+        ["simulate", "--mechanism", "grand-bundle", "--instance", "{path}", "--exact"],
+    ],
+    ids=["config-value", "config-threshold", "derived-opt"],
+)
+def test_values_too_long_to_print_are_refused(tmp_path, capsys, caplog, argv):
+    # each literal is inside the exponent bound, but the config value or
+    # the result (an OPT of 2 * (10^4300 - 1)) has 4,301 digits
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "setting": {"multiunit": 2},
+        "bidders": [{"kind": "single_minded", "x": "9" * 4300, "d": 1}] * 2,
+    }))
+    code = main([a.format(path=path) for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "Traceback" not in captured.err
+    assert "has 4301 digits, past the 4300-digit limit" in caplog.text
+
+
+@pytest.mark.parametrize(
     "argv, size",
     [
         (("--domain", "monotone", "--m", "4"), 4**15),

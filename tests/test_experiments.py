@@ -451,7 +451,7 @@ def test_sampling_gate_refuses_critical_bidders():
 
 def test_sampling_gate_matches_on_both_code_paths():
     inst = flat_market(12, 6)
-    with mock.patch("ospclock.experiments._unit_step_values", return_value=None):
+    with mock.patch("ospclock.experiments.unit_step_values", return_value=None):
         with pytest.raises(ValueError, match="critical"):
             sampling_lemma_experiment(inst, trials=0, seed=0)
         generic = sampling_lemma_experiment(
@@ -506,7 +506,7 @@ def test_sampling_fast_path_agrees_with_generic(values, m, share):
         )
     except ValueError:
         fast = None
-    with mock.patch("ospclock.experiments._unit_step_values", return_value=None):
+    with mock.patch("ospclock.experiments.unit_step_values", return_value=None):
         try:
             generic = sampling_lemma_experiment(
                 inst, trials=0, seed=0, critical_threshold=threshold, ratio_threshold=share

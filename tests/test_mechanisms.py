@@ -761,20 +761,24 @@ def test_branch_labels_are_unique():
 UD_VALUES = ((0, 1), (1, 1), (2, 0), (1, 2))
 
 
+def _serve_states(game, proto) -> list:
+    return [s for s in proto.info.values() if not game.is_leaf(s) and s.price is not None]
+
+
 def test_arrival_price_cache_matches_fresh_games():
-    """Every serve state's cached prices equal a fresh mechanism's solve."""
+    """Every serve state's price, read from the shared memo, equals a fresh
+    mechanism's solve of its market."""
     domains = [[unit_demand(a, b) for a, b in UD_VALUES]] * 3
     for k, branch in enumerate(mech3_unit_demand(3, ITEMS).branches()):
         game = branch.game(domains)
         proto = materialize(game)
         assert verify_osp(proto, truthful_strategies(game, proto), domains).passed
-        serve = [s for s in proto.info.values() if not game.is_leaf(s) and not s.reporting]
+        serve = _serve_states(game, proto)
         assert serve
         for state in serve:
-            key = (state.reports, state.unsold)
-            assert key in game._prices
             fresh = mech3_unit_demand(3, ITEMS).branches()[k].game(domains)
-            assert game._price_vector(*key) == fresh._price_vector(*key)
+            assert not fresh._memo
+            assert state.price == fresh._price(state.reports, state.left)
 
 
 def test_mech3_branch_games_solve_each_market_once(monkeypatch):
@@ -794,17 +798,17 @@ def test_mech3_branch_games_solve_each_market_once(monkeypatch):
     monkeypatch.setattr(ArrivalPricingGame, "_solve_prices", counted_solve)
     monkeypatch.setattr(mechanisms, "opt_restricted", counted_opt)
     domains = [[unit_demand(a, b) for a, b in UD_VALUES]] * 3
-    lookups = 0
+    serves = 0
     for branch in mech3_unit_demand(3, ITEMS).branches():
         game = branch.game(domains)
         proto = materialize(game)
         assert verify_osp(proto, truthful_strategies(game, proto), domains).passed
-        lookups += len(game._prices)
+        serves += len(_serve_states(game, proto))
     assert solves and optima
     assert len(solves) == len(set(solves))
     assert len(optima) == len(set(optima))
-    # the games looked up more markets than were solved: they shared them
-    assert lookups > len(solves)
+    # the games priced more serve states than markets were solved: they shared them
+    assert serves > len(solves)
 
 
 def _tree_record(game, domains) -> tuple:

@@ -18,7 +18,7 @@ from ospclock.protocols import (
     clock_grid,
     divergence_vertex,
     gaa_grid_for_domains,
-    gaa_truthful_strategy,
+    game_strategy,
     materialize,
     play,
     protocol_from_json,
@@ -310,8 +310,8 @@ def test_gaa_truthful_strategy_replays_without_protocol():
     dom = [[sm(2)], [sm(1)]]
     spec = grand_bundle_spec(dom)
     proto = build_gaa(spec)
-    slow = gaa_truthful_strategy(spec)
-    fast = gaa_truthful_strategy(spec, proto)
+    slow = game_strategy(GaaGame(spec))
+    fast = game_strategy(GaaGame(spec), proto)
     for u in proto.nodes:
         assert slow(sm(2), u) == fast(sm(2), u)
 

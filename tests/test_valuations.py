@@ -21,6 +21,7 @@ from ospclock.valuations import (
     as_fraction,
     check_class,
     check_decreasing_marginals,
+    format_fraction,
     instance_from_json,
     instance_to_json,
     make_single_minded,
@@ -312,6 +313,18 @@ def test_as_fraction_reads_exponents_up_to_the_bound():
     assert as_fraction("1e4300") == 10**4300
     assert as_fraction("3E-0_4300") == F(3, 10**4300)
     assert as_fraction(" 1.5e2 ") == 150
+
+
+def test_format_fraction_states_digits_past_the_print_limit():
+    nines = 10**4300 - 1  # 4,300 digits: the most Python prints
+    assert format_fraction(F(-nines, 7)) == f"{-nines}/7"
+    for value, digits in (
+        (F(1, 10**4300), 4301),
+        (F(-2 * nines), 4301),
+        (F(10**5000 + 1, 3), 5001),
+    ):
+        with pytest.raises(ValueError, match=f"has {digits} digits, past the 4300-digit limit"):
+            format_fraction(value)
 
 
 def test_json_rejects_unknown_kind():
