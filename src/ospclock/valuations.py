@@ -59,13 +59,12 @@ def as_fraction(x: Union[int, str, Fraction]) -> Fraction:
 
 
 def _decimal_digits(k: int) -> int:
-    """The number of decimal digits of ``abs(k)``, without printing it."""
+    """The number of decimal digits of ``abs(k)``, for k != 0, without
+    printing it."""
     k = abs(k)
-    digits = max(1, int(k.bit_length() * math.log10(2)))
+    digits = int(k.bit_length() * math.log10(2))  # at most the count
     while 10**digits <= k:
         digits += 1
-    while digits > 1 and 10 ** (digits - 1) > k:
-        digits -= 1
     return digits
 
 
