@@ -169,12 +169,12 @@ def mc_ratio(
 
     All draws come from one counter-based stream, so the estimate is a
     pure function of (mechanism, instance, trials, seed).  Every trial
-    draws its branch, but a branch is deterministic and its label names
-    it, so on an enumerable support (``mech.enumerable``) each distinct
-    label is played once.  A support past the cap, such as mech3's n!
-    arrival orders, seldom repeats a label, so there every trial plays
-    its branch, its label is never read, and no memo grows with the
-    trial count.
+    draws its branch, but a branch is deterministic and its key (its
+    coins) names it, so on an enumerable support (``mech.enumerable``)
+    each distinct key is played once.  A support past the cap, such as
+    mech3's n! arrival orders, seldom repeats a key, so there every
+    trial plays its branch and no memo grows with the trial count.  No
+    trial reads a label.
 
     The branch welfares are summed exactly, on a plain int while every
     one is an integer, and divided once by ``trials * OPT``.  Each
@@ -191,14 +191,14 @@ def mc_ratio(
     total = 0  # exact welfare sum; an int while every welfare is one
     total_sq = 0.0
     memo = mech.enumerable
-    welfares: dict = {}  # branch label -> welfare; stays empty unless memo
+    welfares: dict = {}  # branch key -> welfare; stays empty unless memo
     for _ in range(trials):
         branch = mech.sample_branch(rng)
         if memo:
-            label = branch.label
-            welfare = welfares.get(label)
+            key = branch.key
+            welfare = welfares.get(key)
             if welfare is None:
-                welfare = welfares[label] = branch.welfare(instance)
+                welfare = welfares[key] = branch.welfare(instance)
         else:
             welfare = branch.welfare(instance)
         num, den = welfare.numerator, welfare.denominator

@@ -20,17 +20,12 @@ from itertools import combinations, combinations_with_replacement, product
 from typing import Callable
 
 from .experiments import ud_failure_instance
-
+from .mechanisms import grand_bundle_auction
 from .protocols import (
-    GaaGame,
     Game,
-    GaaSpec,
     Outcome,
     Protocol,
     ProtocolNode,
-    build_gaa,
-    gaa_grid_for_domains,
-    game_strategy,
     materialize,
     truthful_strategies,
 )
@@ -304,16 +299,13 @@ def _sealed_bid_game():
 
 
 def _grand_gaa_game():
-    setting = MultiUnitSetting(2)
     domains = [
         single_minded_domain(2, values=(0, 1, 2, 3), demands=(1, 2))
         for _ in range(2)
     ]
-    grid = gaa_grid_for_domains((0, 0), (2, 2), setting, domains)
-    spec = GaaSpec(setting, (0, 0), (2, 2), grid)
-    protocol = build_gaa(spec)
-    strategy = game_strategy(GaaGame(spec), protocol)
-    return protocol, [strategy, strategy], domains
+    game = grand_bundle_auction(2, MultiUnitSetting(2)).branches()[0].game(domains)
+    protocol = materialize(game)
+    return protocol, truthful_strategies(game, protocol), domains
 
 
 FIXTURES = {

@@ -4,9 +4,8 @@ Every mechanism here is "universally" obviously strategy-proof: a
 probability distribution over deterministic protocols, each of which
 is OSP on its own.  A :class:`RandomizedMechanism` therefore exposes
 
-* ``branches()`` — the exact support as labelled
-  :class:`SupportElement`s with rational probabilities, when the coin
-  space is enumerable;
+* ``branches()`` — the exact support as :class:`SupportElement`s with
+  rational probabilities, when the coin space is enumerable;
 * ``sample_branch(rng)`` — a seeded draw with a documented coin order,
   for Monte Carlo at scales where enumeration is hopeless (there are
   16! arrival orders);
@@ -14,6 +13,8 @@ is OSP on its own.  A :class:`RandomizedMechanism` therefore exposes
   ``welfare(instance)`` — its welfare, and ``game(domains)`` — the
   extensive-form game for the verifier.
 
+There is one branch type: a branch is its coins (a clock arm's name, a
+split's sample, an arrival order) plus the mechanism's shared builder.
 Simulation and verification share each branch's transition code: the
 simulated branch is the same game run with singleton report domains,
 whose forced reports the protocol layer contracts (see
@@ -86,23 +87,43 @@ Number = Union[int, Fraction]  # an exact welfare
 # randomized-mechanism carrier
 
 
-@dataclass
 class SupportElement:
-    """One deterministic branch of a randomized mechanism.
+    """One deterministic branch: its coins plus the mechanism's shared builder.
+
+    ``key`` is the coins that name the branch (a clock arm's name, a
+    split's sample, an arrival order); within a mechanism keys and
+    labels match one to one.  The functions are shared by all branches
+    of a kind: ``build(key, domains)`` makes the game, ``name(key)`` the
+    label, formatted only when read, and ``shortcut(instance, key)``, if
+    any, may compute the branch's welfare faster, as an exact int or
+    Fraction, or return None to decline; it never builds an outcome.
 
     ``outcome`` always plays the branch game truthfully with singleton
     report domains, so every outcome comes from the verified transition
-    code.  ``shortcut`` may compute the branch's welfare on the
-    instance faster, as an exact int or Fraction, or return None to
-    decline; it never builds an outcome.  ``welfare`` is the one entry
-    for a branch's welfare: the shortcut's number when it answers, else
-    ``welfare_of`` on the played outcome.
+    code.  ``welfare`` is the one entry for a branch's welfare: the
+    shortcut's number when it answers, else ``welfare_of`` on the
+    played outcome.
     """
 
-    label: str
-    probability: Fraction
-    game_fn: Callable[[Sequence[Sequence[Valuation]]], Game]
-    shortcut: Optional[Callable[[Instance], Optional[Number]]] = None
+    __slots__ = ("key", "probability", "build", "name", "shortcut")
+
+    def __init__(
+        self,
+        key,
+        probability: Fraction,
+        build: Callable[[object, Sequence[Sequence[Valuation]]], Game],
+        name: Callable[[object], str],
+        shortcut: Optional[Callable[[Instance, object], Optional[Number]]] = None,
+    ) -> None:
+        self.key = key
+        self.probability = probability
+        self.build = build
+        self.name = name
+        self.shortcut = shortcut
+
+    @property
+    def label(self) -> str:
+        return self.name(self.key)
 
     def outcome(self, instance: Instance) -> Outcome:
         game = self.game([[v] for v in instance.valuations])
@@ -110,13 +131,13 @@ class SupportElement:
 
     def welfare(self, instance: Instance) -> Number:
         if self.shortcut is not None:
-            fast = self.shortcut(instance)
+            fast = self.shortcut(instance, self.key)
             if fast is not None:
                 return fast
         return welfare_of(instance, self.outcome(instance).allocation)
 
     def game(self, domains: Sequence[Sequence[Valuation]]) -> Game:
-        return self.game_fn(domains)
+        return self.build(self.key, domains)
 
 
 def _support_cap() -> int:
@@ -129,9 +150,8 @@ class RandomizedMechanism:
     Without ``sample_fn``, ``sample_branch`` draws one
     ``weighted_index`` over ``branches()`` at their common denominator:
     ``below(k)`` for k equiprobable branches, and no word at all for a
-    single branch.  A ``sample_fn`` may return any branch with a
-    ``label``, an ``outcome`` and a ``welfare`` (mech3 returns a
-    ``_DrawnBranch``).
+    single branch.  A ``sample_fn`` builds the drawn branch from its
+    coins, so a drawn branch is a ``SupportElement`` like any other.
     """
 
     def __init__(
@@ -141,7 +161,7 @@ class RandomizedMechanism:
         n: int,
         branch_count: int,
         branches_fn: Callable[[], list],
-        sample_fn: Optional[Callable[[CounterRng], SupportElement | _DrawnBranch]] = None,
+        sample_fn: Optional[Callable[[CounterRng], SupportElement]] = None,
         exact_fast: Optional[Callable[[Instance], Optional[Fraction]]] = None,
     ) -> None:
         self.name = name
@@ -171,7 +191,7 @@ class RandomizedMechanism:
             assert total == ONE, f"{self.name}: probabilities sum to {total}"
         return self._cache
 
-    def sample_branch(self, rng: CounterRng) -> SupportElement | _DrawnBranch:
+    def sample_branch(self, rng: CounterRng) -> SupportElement:
         if self._sample_fn is not None:
             return self._sample_fn(rng)
         branches = self.branches()
@@ -211,29 +231,33 @@ def sample_run(mech: RandomizedMechanism, instance: Instance, seed: int) -> Outc
 # clock-auction branches
 
 
-def _gaa_element(
-    label: str,
-    probability: Fraction,
-    setting: Setting,
-    base: tuple,
-    potential: tuple,
-) -> SupportElement:
-    """A clock-auction branch; the grid adapts to instance or domains."""
+def _clock_branches(setting: Setting, arms: list) -> list:
+    """Clock-auction branches from ``(name, probability, base, potential)`` arms.
 
-    def game_fn(domains: Sequence[Sequence[Valuation]]) -> Game:
-        grid = gaa_grid_for_domains(base, potential, setting, domains)
+    A branch's key is its arm's name, which is also its label; the grid
+    adapts to instance or domains.  An arm of probability zero is
+    dropped.
+    """
+    specs = {name: (base, potential) for name, _, base, potential in arms}
+
+    def build(name: str, domains: Sequence[Sequence[Valuation]]) -> Game:
+        base, potential = specs[name]
+        grid = gaa_grid_for_domains(base, potential, domains)
         return GaaGame(GaaSpec(setting, base, potential, grid))
 
-    return SupportElement(label, probability, game_fn)
+    return [SupportElement(name, p, build, str) for name, p, _, _ in arms if p > 0]
 
 
-def _grand_element(setting: Setting, n: int, p: Fraction) -> SupportElement:
+def _clock_mechanism(name: str, setting: Setting, n: int, arms: list) -> RandomizedMechanism:
+    branches = _clock_branches(setting, arms)
+    return RandomizedMechanism(name, setting, n, len(branches), lambda: branches)
+
+
+def _grand_arm(setting: Setting, n: int, p: Fraction) -> tuple:
     """The grand-bundle clock: everyone clocks for the whole supply."""
     if isinstance(setting, MultiUnitSetting):
-        base, potential = (0,) * n, (setting.m,) * n
-    else:
-        base, potential = (frozenset(),) * n, (frozenset(setting.items),) * n
-    return _gaa_element("grand-bundle", p, setting, base, potential)
+        return "grand-bundle", p, (0,) * n, (setting.m,) * n
+    return "grand-bundle", p, (frozenset(),) * n, (frozenset(setting.items),) * n
 
 
 def _grand_mixture(
@@ -241,21 +265,18 @@ def _grand_mixture(
 ) -> RandomizedMechanism:
     """Two bidders: the grand-bundle clock with probability ``p``.
 
-    The rest of the mass goes to the branches ``others(1 - p)``; a
-    branch of probability zero is dropped.
+    The rest of the mass goes to the arms ``others(1 - p)``; a branch
+    of probability zero is dropped.
     """
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("probability out of range")
-    branches = [_grand_element(setting, 2, p)] + others(ONE - p)
-    branches = [b for b in branches if b.probability > 0]
-    return RandomizedMechanism(name, setting, 2, len(branches), lambda: branches)
+    return _clock_mechanism(name, setting, 2, [_grand_arm(setting, 2, p)] + others(ONE - p))
 
 
 def grand_bundle_auction(n: int, setting: Setting) -> RandomizedMechanism:
     """Degenerate mechanism: always the grand-bundle ascending auction."""
-    element = _grand_element(setting, n, ONE)
-    return RandomizedMechanism("grand-bundle", setting, n, 1, lambda: [element])
+    return _clock_mechanism("grand-bundle", setting, n, [_grand_arm(setting, n, ONE)])
 
 
 def random_bundles(n: int, m: int) -> RandomizedMechanism:
@@ -266,17 +287,10 @@ def random_bundles(n: int, m: int) -> RandomizedMechanism:
     not a power of two.  At size L the default feasibility rule lets at
     most floor(m / L) bidders win L units each.
     """
-    setting = MultiUnitSetting(m)
     sizes = sorted({2 ** j for j in range(max(0, (m - 1).bit_length()))} | {m})
     prob = Fraction(1, len(sizes))
-
-    def branches_fn() -> list:
-        return [
-            _gaa_element(f"bundle-size={size}", prob, setting, (0,) * n, (size,) * n)
-            for size in sizes
-        ]
-
-    return RandomizedMechanism("random-bundles", setting, n, len(sizes), branches_fn)
+    arms = [(f"bundle-size={size}", prob, (0,) * n, (size,) * n) for size in sizes]
+    return _clock_mechanism("random-bundles", MultiUnitSetting(m), n, arms)
 
 
 def m1_2x2(p: Fraction = Fraction(1, 2)) -> RandomizedMechanism:
@@ -287,20 +301,18 @@ def m1_2x2(p: Fraction = Fraction(1, 2)) -> RandomizedMechanism:
     compete in a clock where the fixed bidder's upgrade is the second
     unit.
     """
-    setting = MultiUnitSetting(2)
 
     def fixed_awards(rest: Fraction) -> list:
         return [
-            _gaa_element("fixed-award-0", rest / 2, setting, (1, 0), (2, 1)),
-            _gaa_element("fixed-award-1", rest / 2, setting, (0, 1), (1, 2)),
+            ("fixed-award-0", rest / 2, (1, 0), (2, 1)),
+            ("fixed-award-1", rest / 2, (0, 1), (1, 2)),
         ]
 
-    return _grand_mixture("m1-2x2", setting, p, fixed_awards)
+    return _grand_mixture("m1-2x2", MultiUnitSetting(2), p, fixed_awards)
 
 
-def _fixed_award_elements(items: tuple, probability: Fraction) -> list:
-    """The four (bidder, item) fixed-award clock branches for 2 items."""
-    setting = CombinatorialSetting(items)
+def _fixed_award_arms(items: tuple, probability: Fraction) -> list:
+    """The four (bidder, item) fixed-award clock arms for 2 items."""
     a, b = items
     out = []
     for bidder, award in ((0, a), (0, b), (1, a), (1, b)):
@@ -311,11 +323,7 @@ def _fixed_award_elements(items: tuple, probability: Fraction) -> list:
         else:
             base = (frozenset(), frozenset({award}))
             potential = (frozenset({other}), frozenset(items))
-        out.append(
-            _gaa_element(
-                f"fixed-award-{bidder}-{award}", probability, setting, base, potential
-            )
-        )
+        out.append((f"fixed-award-{bidder}-{award}", probability, base, potential))
     return out
 
 
@@ -327,18 +335,15 @@ def m2_2x2(items: tuple = ("a", "b")) -> RandomizedMechanism:
     free item.
     """
     setting = CombinatorialSetting(tuple(items))
-
-    def elements() -> list:
-        return _fixed_award_elements(setting.items, Fraction(1, 4))
-
-    return RandomizedMechanism("m2-2x2", setting, 2, 4, elements)
+    arms = _fixed_award_arms(setting.items, Fraction(1, 4))
+    return _clock_mechanism("m2-2x2", setting, 2, arms)
 
 
 def m3_2x2(p: Fraction = Fraction(1, 3), items: tuple = ("a", "b")) -> RandomizedMechanism:
     """Grand-bundle clock with probability ``p``, else a random fixed award."""
     setting = CombinatorialSetting(tuple(items))
     return _grand_mixture(
-        "m3-2x2", setting, p, lambda rest: _fixed_award_elements(setting.items, rest / 4)
+        "m3-2x2", setting, p, lambda rest: _fixed_award_arms(setting.items, rest / 4)
     )
 
 
@@ -360,9 +365,8 @@ def three_item_dm(grid: tuple = DEFAULT_THREE_ITEM_GRID):
 
 
 def three_item_dm_mechanism() -> RandomizedMechanism:
-    setting = MultiUnitSetting(3)
-    element = _gaa_element("fixed-pair-clock", ONE, setting, (1, 1), (2, 2))
-    return RandomizedMechanism("three-item-dm", setting, 2, 1, lambda: [element])
+    arms = [("fixed-pair-clock", ONE, (1, 1), (2, 2))]
+    return _clock_mechanism("three-item-dm", MultiUnitSetting(3), 2, arms)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +414,7 @@ class SampleServeGame(Game):
     ) -> None:
         self.n = len(domains)
         self.setting = setting
-        self.domains = [list(d) for d in domains]
+        self.domains = domains
         self._bidders = tuple(b for b, _ in script)
         # one flag per step, and a report-like sentinel for the leaf
         self._serves = tuple(s for _, s in script) + (False,)
@@ -493,41 +497,43 @@ def _split_script(sample: Sequence[int], n: int) -> tuple:
     return reports + tuple((b, True) for b in range(n) if b not in sample)
 
 
+def _sample_label(sample: tuple) -> str:
+    return "sample=" + (",".join(map(str, sample)) if sample else "-")
+
+
 def _coin_split_mechanism(
     name: str,
     setting: Setting,
     n: int,
-    game_fn: Callable[[tuple, Sequence[Sequence[Valuation]]], Game],
+    build: Callable[[tuple, Sequence[Sequence[Valuation]]], Game],
     grand_arm: bool,
     exact_fast: Optional[Callable[[Instance], Optional[Fraction]]] = None,
 ) -> RandomizedMechanism:
     """Fair coins split the bidders into a sample and the served rest.
 
-    ``game_fn(sample, domains)`` builds the game of one split.  Each
+    ``build(sample, domains)`` builds the game of one split.  Each
     bidder flips one coin, in ascending index order, and 0 sends the
     bidder into the sample; the n coins are one ``coin_mask(n)``.  With
     ``grand_arm`` an arm coin comes first: 0 runs the grand-bundle
     clock, 1 the split.  The support is the grand-bundle branch (if
     any), then the 2^n samples by bitmask.
     """
-    head = [_grand_element(setting, n, Fraction(1, 2))] if grand_arm else []
+    head = []
+    if grand_arm:
+        head = _clock_branches(setting, [_grand_arm(setting, n, Fraction(1, 2))])
     prob = Fraction(1, 2 ** (n + len(head)))
 
-    def element(sample: tuple) -> SupportElement:
-        label = "sample=" + (",".join(map(str, sample)) if sample else "-")
-        return SupportElement(label, prob, lambda domains: game_fn(sample, domains))
+    def element(mask: int) -> SupportElement:
+        sample = tuple(i for i in range(n) if mask >> i & 1)
+        return SupportElement(sample, prob, build, _sample_label)
 
     def branches_fn() -> list:
-        return head + [
-            element(tuple(i for i in range(n) if mask >> i & 1))
-            for mask in range(2 ** n)
-        ]
+        return head + [element(mask) for mask in range(2 ** n)]
 
     def sample_fn(rng: CounterRng) -> SupportElement:
         if head and rng.below(2) == 0:
             return head[0]
-        mask = rng.coin_mask(n)
-        return element(tuple(i for i in range(n) if mask >> i & 1))
+        return element(rng.coin_mask(n))
 
     return RandomizedMechanism(
         name, setting, n, len(head) + 2 ** n, branches_fn, sample_fn, exact_fast
@@ -615,11 +621,10 @@ class PartitionSaleGame(SampleServeGame):
     def __init__(
         self,
         sample: Sequence[int],
-        n: int,
-        m: int,
+        setting: MultiUnitSetting,
         domains: Sequence[Sequence[Valuation]],
     ) -> None:
-        super().__init__(_split_script(sample, n), MultiUnitSetting(m), domains)
+        super().__init__(_split_script(sample, len(domains)), setting, domains)
 
     def _price(self, reports: tuple, left: int) -> Fraction:
         if not reports:
@@ -639,13 +644,12 @@ class PartitionSaleGame(SampleServeGame):
 
 
 def _partition_sale_mechanism(name: str, n: int, m: int) -> RandomizedMechanism:
-    return _coin_split_mechanism(
-        name,
-        MultiUnitSetting(m),
-        n,
-        lambda sample, domains: PartitionSaleGame(sample, n, m, domains),
-        grand_arm=True,
-    )
+    setting = MultiUnitSetting(m)
+
+    def build(sample: tuple, domains: Sequence[Sequence[Valuation]]) -> Game:
+        return PartitionSaleGame(sample, setting, domains)
+
+    return _coin_split_mechanism(name, setting, n, build, grand_arm=True)
 
 
 def mech1_single_minded(n: int, m: int) -> RandomizedMechanism:
@@ -669,26 +673,21 @@ class MaxPricePartitionGame(ItemSaleGame):
     Item j is priced at the highest sampled value; its price-setter is
     the first sampled bidder to report that value (-1 for an empty
     sample, which prices every item at 0).  The remaining bidders then
-    shop: in ``bundle`` mode each takes every unsold item whose price
-    they beat (or meet, when their index precedes the price-setter's);
-    in ``single`` mode each takes at most one item by the same test,
-    preferring higher surplus then earlier items.
+    shop: with ``bundles`` each takes every unsold item whose price they
+    beat (or meet, when their index precedes the price-setter's);
+    without, each takes at most one item by the same test, preferring
+    higher surplus then earlier items.
     """
 
     def __init__(
         self,
         sample: Sequence[int],
-        items: tuple,
-        n: int,
+        setting: CombinatorialSetting,
         domains: Sequence[Sequence[Valuation]],
-        mode: str = "bundle",
+        bundles: bool,
     ) -> None:
-        if mode not in ("bundle", "single"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.bundles = mode == "bundle"
-        super().__init__(
-            _split_script(sample, n), CombinatorialSetting(tuple(items)), domains
-        )
+        self.bundles = bundles
+        super().__init__(_split_script(sample, len(domains)), setting, domains)
 
     def _price(self, reports: tuple, left: tuple) -> dict:
         reported = [self.domains[b][k] for b, k in reports]
@@ -725,15 +724,11 @@ def mech2_additive(n: int, items: Sequence[str]) -> RandomizedMechanism:
     exactly preferred-bundle shopping.
     """
     setting = CombinatorialSetting(tuple(items))
-    return _coin_split_mechanism(
-        "mech2-additive",
-        setting,
-        n,
-        lambda sample, domains: MaxPricePartitionGame(
-            sample, setting.items, n, domains, "bundle"
-        ),
-        grand_arm=False,
-    )
+
+    def build(sample: tuple, domains: Sequence[Sequence[Valuation]]) -> Game:
+        return MaxPricePartitionGame(sample, setting, domains, bundles=True)
+
+    return _coin_split_mechanism("mech2-additive", setting, n, build, grand_arm=False)
 
 
 def naive_max_price_ud(n: int, items: Sequence[str]) -> RandomizedMechanism:
@@ -744,13 +739,15 @@ def naive_max_price_ud(n: int, items: Sequence[str]) -> RandomizedMechanism:
     vanishing fraction of bidders buy.
     """
     setting = CombinatorialSetting(tuple(items))
+
+    def build(sample: tuple, domains: Sequence[Sequence[Valuation]]) -> Game:
+        return MaxPricePartitionGame(sample, setting, domains, bundles=False)
+
     return _coin_split_mechanism(
         "naive-max-price",
         setting,
         n,
-        lambda sample, domains: MaxPricePartitionGame(
-            sample, setting.items, n, domains, "single"
-        ),
+        build,
         grand_arm=False,
         exact_fast=_naive_constant_rows_exact,
     )
@@ -856,12 +853,12 @@ class ArrivalPricingGame(ItemSaleGame):
     def __init__(
         self,
         order: Sequence[int],
-        items: tuple,
+        setting: CombinatorialSetting,
         domains: Sequence[Sequence[Valuation]],
-        _memo: Optional[dict] = None,
+        memo: Optional[dict] = None,
     ) -> None:
-        super().__init__(_arrival_script(order), CombinatorialSetting(tuple(items)), domains)
-        self._memo = {} if _memo is None else _memo
+        super().__init__(_arrival_script(order), setting, domains)
+        self._memo = {} if memo is None else memo
 
     def _price(self, reports: tuple, left: tuple) -> dict:
         """Opportunity-cost prices, solved once per memo for each
@@ -971,50 +968,18 @@ def _mech3_fast_welfare(ranking: tuple, order: tuple) -> int:
     return welfare
 
 
-class _DrawnBranch:
-    """A sampled branch whose ``SupportElement`` is built on demand.
-
-    ``build(key)`` makes the element; ``shortcut(instance, key)``
-    answers the branch's welfare or returns None, as the element's own
-    shortcut does.  ``welfare`` asks the shortcut first, so a trial it
-    answers builds no label, game closure or element; ``label`` and
-    ``outcome`` build the element once, and ``element`` hands it over.
-    """
-
-    __slots__ = ("key", "_build", "_shortcut", "_element")
-
-    def __init__(self, key, build: Callable, shortcut: Callable) -> None:
-        self.key = key
-        self._build = build
-        self._shortcut = shortcut
-        self._element: Optional[SupportElement] = None
-
-    @property
-    def element(self) -> SupportElement:
-        if self._element is None:
-            self._element = self._build(self.key)
-        return self._element
-
-    @property
-    def label(self) -> str:
-        return self.element.label
-
-    def outcome(self, instance: Instance) -> Outcome:
-        return self.element.outcome(instance)
-
-    def welfare(self, instance: Instance) -> Number:
-        fast = self._shortcut(instance, self.key)
-        return self.element.welfare(instance) if fast is None else fast
+def _arrival_label(order: tuple) -> str:
+    return "arrival-order=" + ",".join(map(str, order))
 
 
 def mech3_unit_demand(n: int, items: Sequence[str]) -> RandomizedMechanism:
     """Uniform arrival order, observe floor(n/e), then price-and-serve.
 
-    Sampling draws one uniform permutation (descending Fisher-Yates)
-    and builds its branch on demand (``_DrawnBranch``): on constant
-    rows the kernel answers a drawn order's welfare with no label, game
-    closure or ``SupportElement``.  The exact support has n! branches
-    and is only enumerable for small n; Monte Carlo covers the rest.
+    Sampling draws one uniform permutation (descending Fisher-Yates),
+    and the drawn order is the branch's key: on constant rows the kernel
+    answers its welfare with no label read and no game built.  The
+    exact support has n! branches and is only enumerable for small n;
+    Monte Carlo covers the rest.
     """
     setting = CombinatorialSetting(tuple(items))
     count = math.factorial(n)
@@ -1022,6 +987,9 @@ def mech3_unit_demand(n: int, items: Sequence[str]) -> RandomizedMechanism:
     # one memo for every branch: markets, canonical optima and each
     # instance's constant-row ranking are resolved once per mechanism
     memo: dict = {}
+
+    def build(order: tuple, domains: Sequence[Sequence[Valuation]]) -> Game:
+        return ArrivalPricingGame(order, setting, domains, memo)
 
     def shortcut(instance: Instance, order: tuple) -> Optional[int]:
         # the game prices items by the optimum of the reported
@@ -1033,18 +1001,13 @@ def mech3_unit_demand(n: int, items: Sequence[str]) -> RandomizedMechanism:
         return None if ranking is None else _mech3_fast_welfare(ranking, order)
 
     def element(order: tuple) -> SupportElement:
-        return SupportElement(
-            "arrival-order=" + ",".join(map(str, order)),
-            prob,
-            lambda domains: ArrivalPricingGame(order, setting.items, domains, memo),
-            lambda instance: shortcut(instance, order),
-        )
+        return SupportElement(order, prob, build, _arrival_label, shortcut)
 
     def branches_fn() -> list:
         return [element(order) for order in permutations(range(n))]
 
-    def sample_fn(rng: CounterRng) -> _DrawnBranch:
-        return _DrawnBranch(tuple(rng.shuffled(range(n))), element, shortcut)
+    def sample_fn(rng: CounterRng) -> SupportElement:
+        return element(tuple(rng.shuffled(range(n))))
 
     return RandomizedMechanism(
         "mech3-unit-demand", setting, n, count, branches_fn, sample_fn

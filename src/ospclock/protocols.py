@@ -601,7 +601,7 @@ def clock_grid(marginals: Iterable) -> tuple:
     return tuple(values) + (top,)
 
 
-def gaa_grid_for_domains(spec_base, spec_potential, setting, domains) -> tuple:
+def gaa_grid_for_domains(spec_base, spec_potential, domains) -> tuple:
     """Clock grid covering every marginal in per-bidder valuation sets."""
     marginals = []
     for i, dom in enumerate(domains):

@@ -561,15 +561,3 @@ def brute_force_opt(instance: Instance) -> OptResult:
     assert best_c is not None
     return OptResult(best_c[0], Allocation(best_c[1]))
 
-
-def is_critical(
-    instance: Instance, bidder: int, threshold: Fraction = Fraction(1, 100)
-) -> bool:
-    """Does the bidder's grand-bundle value reach ``threshold * OPT``?
-
-    Sampling-based guarantees need every bidder to be non-critical:
-    a critical bidder can land in the discarded sample and take most
-    of the optimum with it.
-    """
-    total = opt(instance).value
-    return instance.grand_bundle_value(bidder) >= threshold * total

@@ -237,7 +237,8 @@ def test_mc_ratio_is_a_pure_function_of_the_seed():
 
 
 def test_mc_ratio_plays_each_label_once_and_draws_every_trial():
-    """The per-label memo leaves the stream and the estimate as they were."""
+    """The per-key memo leaves the stream and the estimate as they were,
+    and plays each branch, by its label, once."""
     inst = Instance(SETTING_2x2, (additive(3, 1), additive(2, 4)))
     mech = mech2_additive(2, ITEMS)
     best = opt(inst).value
@@ -265,7 +266,7 @@ def test_mc_ratio_plays_each_label_once_and_draws_every_trial():
 
 def test_mc_ratio_past_the_support_cap_plays_every_trial(monkeypatch):
     """With the support cap below the support size, mc_ratio keeps no
-    per-label memo: every trial plays its branch, and the estimate is
+    per-key memo: every trial plays its branch, and the estimate is
     the memoized one."""
     inst = Instance(SETTING_2x2, (additive(3, 1), additive(2, 4)))
     mech = mech2_additive(2, ITEMS)
@@ -282,8 +283,8 @@ def test_mc_ratio_past_the_support_cap_plays_every_trial(monkeypatch):
 
 def test_mc_ratio_on_the_crowded_market_never_calls_welfare_of():
     """mech3's constant-row shortcut hands mc_ratio each branch's
-    welfare, so no trial re-values an allocation or builds a
-    ``SupportElement``."""
+    welfare, so no trial formats a label, builds an
+    ``ArrivalPricingGame`` or re-values an allocation."""
     inst = ud_failure_instance(16)
     expected = mc_ratio(mech3_unit_demand(16, inst.items), inst, trials=300, seed=5)
     with mock.patch(
@@ -291,10 +292,13 @@ def test_mc_ratio_on_the_crowded_market_never_calls_welfare_of():
     ) as in_mechanisms, mock.patch(
         "ospclock.experiments.welfare_of", side_effect=AssertionError
     ) as in_experiments, mock.patch(
-        "ospclock.mechanisms.SupportElement", side_effect=AssertionError
-    ) as elements:
+        "ospclock.mechanisms._arrival_label", side_effect=AssertionError
+    ) as labels, mock.patch(
+        "ospclock.mechanisms.ArrivalPricingGame", side_effect=AssertionError
+    ) as games:
         rep = mc_ratio(mech3_unit_demand(16, inst.items), inst, trials=300, seed=5)
-    assert in_mechanisms.call_count == in_experiments.call_count == elements.call_count == 0
+    patched = (in_mechanisms, in_experiments, labels, games)
+    assert [p.call_count for p in patched] == [0, 0, 0, 0]
     assert rep == expected
 
 
@@ -322,8 +326,9 @@ def test_mech3_beats_naive_on_the_crowded_market():
 
 def fraction_mc_reference(mech, instance, trials, seed):
     """``mc_ratio``'s (ratio, stderr) as a per-trial ``Fraction`` loop:
-    each trial's ratio is divided out, summed and squared on its own.
-    The reference for the single exact division."""
+    each trial's ratio is divided out, summed and squared on its own,
+    and an enumerable support's ratios are memoized by label.  The
+    reference for the single exact division and the per-key memo."""
     best = opt(instance).value
     rng = CounterRng(seed)
     total = F(0)
@@ -447,6 +452,33 @@ def test_sampling_gate_refuses_critical_bidders():
     # someone always carries at least a 1/12 share of the optimum.
     with pytest.raises(ValueError, match="critical"):
         sampling_lemma_experiment(flat_market(12, 6), trials=0, seed=0)
+
+
+def test_sampling_gate_refuses_a_single_bidder():
+    """A lone bidder's grand bundle is the whole optimum, critical at
+    any threshold up to 1."""
+    inst = Instance(MultiUnitSetting(2), (make_single_minded(3, 1, 2),))
+    for threshold in (F(1, 100), F(1)):
+        with pytest.raises(ValueError, match="bidder 0 is critical"):
+            sampling_lemma_experiment(inst, trials=0, seed=0, critical_threshold=threshold)
+
+
+def test_sampling_gate_refuses_identical_grand_bundle_bidders():
+    """Eight bidders who each want all three units: every one's grand
+    bundle is worth the whole optimum, so even the top threshold refuses."""
+    inst = Instance(MultiUnitSetting(3), (make_single_minded(1, 3, 3),) * 8)
+    for threshold in (F(1, 100), F(1)):
+        with pytest.raises(ValueError, match="bidder 0 is critical"):
+            sampling_lemma_experiment(inst, trials=0, seed=0, critical_threshold=threshold)
+
+
+def test_sampling_gate_passes_unit_bidders_small_against_many():
+    """200 unit bidders over 200 units: each holds 1/200 of the optimum,
+    below the default 1/100 threshold and exactly at a 1/200 one."""
+    inst = flat_market(200, 200)
+    assert sampling_lemma_experiment(inst, trials=20, seed=0).opt == 200
+    with pytest.raises(ValueError, match="bidder 0 is critical at threshold 1/200"):
+        sampling_lemma_experiment(inst, trials=20, seed=0, critical_threshold=F(1, 200))
 
 
 def test_sampling_gate_matches_on_both_code_paths():

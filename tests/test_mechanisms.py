@@ -381,7 +381,7 @@ def test_mech3_fast_path_matches_game():
             game = branch.game([[v] for v in inst.valuations])
             played, _ = run_game(game, inst.valuations)
             welfare = welfare_of(inst, played.allocation)
-            fast = branch.shortcut(inst)
+            fast = branch.shortcut(inst, branch.key)
             assert fast == (welfare if answers else None), (inst, branch.label)
             assert branch.welfare(inst) == welfare, (inst, branch.label)
         assert mech.exact_expected_welfare(inst) == game_expected_welfare(mech, inst)
@@ -392,7 +392,7 @@ def test_every_branch_outcome_is_its_game(monkeypatch):
     its game's play, for every registry mechanism on every catalog
     instance whose support it can enumerate."""
 
-    def refuse(instance):
+    def refuse(instance, key):
         raise AssertionError("a branch outcome consulted its shortcut")
 
     played = set()
@@ -738,7 +738,8 @@ def test_mechanism_for_instance_round_trip():
 
 
 def test_branch_labels_are_unique():
-    """Monte Carlo plays each sampled label once, so a label names one branch."""
+    """Monte Carlo plays each sampled key once, so keys and labels each
+    name one branch, and match one to one."""
     two = sm_instance((4, 1), (3, 1), m=2)
     three = sm_instance((4, 1), (3, 2), (2, 1), m=3)
     comb = {
@@ -754,8 +755,12 @@ def test_branch_labels_are_unique():
         shaped[name] = list(comb.values())
     for name in MECHANISM_NAMES:
         for inst in shaped.get(name, [two, three]):
-            labels = [b.label for b in mechanism_for_instance(name, inst).branches()]
-            assert len(set(labels)) == len(labels), (name, inst.n)
+            branches = mechanism_for_instance(name, inst).branches()
+            labels = [b.label for b in branches]
+            assert len(set(labels)) == len({b.key for b in branches}) == len(labels), (
+                name,
+                inst.n,
+            )
 
 
 UD_VALUES = ((0, 1), (1, 1), (2, 0), (1, 2))
@@ -990,49 +995,51 @@ def _ud1(x):
 SM3 = [_sm(1, 1), _sm(2, 1), _sm(3, 2)]
 ADD3 = [additive(1, 0), additive(2, 1), additive(0, 2)]
 UD3 = [unit_demand(1, 0), unit_demand(2, 1), unit_demand(1, 1)]
+UNITS2 = MultiUnitSetting(2)
+COMB = CombinatorialSetting(ITEMS)
 
 # each tree has singleton-domain bidders and a serve phase that can run
 # out of supply, so forced moves occur in both phases
 GAME_PINS = [
     (
         "sale-mixed",
-        lambda: PartitionSaleGame((0, 2), 4, 2, [SM3, SM3, [_sm(2, 2)], SM3]),
+        lambda: PartitionSaleGame((0, 2), UNITS2, [SM3, SM3, [_sm(2, 2)], SM3]),
         "28:173f9733c23ae1e5",
     ),
     (
         "sale-no-sample",
-        lambda: PartitionSaleGame((), 3, 2, [SM3, [_sm(1, 1)], SM3]),
+        lambda: PartitionSaleGame((), UNITS2, [SM3, [_sm(1, 1)], SM3]),
         "16:31d065de86740a8b",
     ),
     (
         "sale-all-sampled",
-        lambda: PartitionSaleGame((0, 1), 2, 2, [SM3, [_sm(1, 1)]]),
+        lambda: PartitionSaleGame((0, 1), UNITS2, [SM3, [_sm(1, 1)]]),
         "4:78f7c875efb09d3f",
     ),
     (
         "max-price-bundle",
         lambda: MaxPricePartitionGame(
-            (1, 2), ITEMS, 4, [ADD3, ADD3, [additive(1, 1)], ADD3]
+            (1, 2), COMB, [ADD3, ADD3, [additive(1, 1)], ADD3], bundles=True
         ),
         "40:0a801bd72d1a4307",
     ),
     (
         "max-price-single",
         lambda: MaxPricePartitionGame(
-            (0, 1), ITEMS, 5, [UD3, [unit_demand(2, 2)], UD3, UD3, UD3], "single"
+            (0, 1), COMB, [UD3, [unit_demand(2, 2)], UD3, UD3, UD3], bundles=False
         ),
         "67:92428fd1aa71e1fc",
     ),
     (
         "arrival-3",
-        lambda: ArrivalPricingGame((2, 0, 1), ITEMS, [[unit_demand(1, 2)], UD3, UD3]),
+        lambda: ArrivalPricingGame((2, 0, 1), COMB, [[unit_demand(1, 2)], UD3, UD3]),
         "34:60b5de25f9105039",
     ),
     (
         "arrival-4-one-item",
         lambda: ArrivalPricingGame(
             (1, 3, 0, 2),
-            ("a",),
+            CombinatorialSetting(("a",)),
             [[_ud1(1)], [_ud1(2)], [_ud1(x) for x in (0, 1, 2)], [_ud1(x) for x in (0, 1, 2)]],
         ),
         "21:cc66ee669034fdba",
@@ -1040,23 +1047,23 @@ GAME_PINS = [
     (
         # nobody is discarded: the root is a serve step
         "arrival-2-no-reports",
-        lambda: ArrivalPricingGame((1, 0), ITEMS, [UD3, UD3]),
+        lambda: ArrivalPricingGame((1, 0), COMB, [UD3, UD3]),
         "34:e06ab596cbdc31dc",
     ),
     (
         "arrival-1",
-        lambda: ArrivalPricingGame((0,), ITEMS, [UD3]),
+        lambda: ArrivalPricingGame((0,), COMB, [UD3]),
         "4:c28bffd9769acfe3",
     ),
     (
         # an empty sample is priced at the root
         "max-price-bundle-no-sample",
-        lambda: MaxPricePartitionGame((), ITEMS, 2, [ADD3, ADD3]),
+        lambda: MaxPricePartitionGame((), COMB, [ADD3, ADD3], bundles=True),
         "13:5e8df8d8bdf72dec",
     ),
     (
         "max-price-single-no-sample",
-        lambda: MaxPricePartitionGame((), ITEMS, 3, [UD3] * 3, "single"),
+        lambda: MaxPricePartitionGame((), COMB, [UD3] * 3, bundles=False),
         "22:c3dec8c1dd794640",
     ),
 ]

@@ -63,7 +63,7 @@ def grand_gaa(domains, m=2):
     setting = MultiUnitSetting(m)
     base = (0,) * n
     potential = (m,) * n
-    grid = gaa_grid_for_domains(base, potential, setting, domains)
+    grid = gaa_grid_for_domains(base, potential, domains)
     spec = GaaSpec(setting, base, potential, grid)
     game = GaaGame(spec)
     proto = materialize(game)
@@ -142,7 +142,7 @@ def test_every_clock_auction_passes(values, potentials, bases):
     domains = [
         [sm(x, 1, 2) for x in sorted(values)] for _ in range(2)
     ]
-    grid = gaa_grid_for_domains(tuple(bases), tuple(potentials), setting, domains)
+    grid = gaa_grid_for_domains(tuple(bases), tuple(potentials), domains)
     spec = GaaSpec(setting, tuple(bases), tuple(potentials), grid)
     game = GaaGame(spec)
     proto = materialize(game)

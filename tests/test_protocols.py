@@ -52,7 +52,7 @@ def posted_price_protocol(price):
 def grand_bundle_spec(domains, setting=SETTING2, n=2):
     potential = tuple(setting.m for _ in range(n))
     base = tuple(0 for _ in range(n))
-    grid = gaa_grid_for_domains(base, potential, setting, domains)
+    grid = gaa_grid_for_domains(base, potential, domains)
     return GaaSpec(setting, base, potential, grid)
 
 
@@ -289,7 +289,7 @@ def test_tree_play_matches_direct_run(seedvals, potentials):
     """Materialized-tree play and direct simulation agree everywhere."""
     base = (0, 0)
     dom = [[sm(x, 1, 2), sm(2, 2, 2)] for x in seedvals]
-    grid = gaa_grid_for_domains(base, tuple(potentials), SETTING2, dom)
+    grid = gaa_grid_for_domains(base, tuple(potentials), dom)
     spec = GaaSpec(SETTING2, base, tuple(potentials), grid)
     game = GaaGame(spec)
     proto = materialize(game)

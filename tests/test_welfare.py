@@ -38,7 +38,6 @@ from ospclock.welfare import (
     SizeCapError,
     brute_force_opt,
     check_allocation,
-    is_critical,
     opt,
     opt_restricted,
     opt_value_restricted,
@@ -147,25 +146,6 @@ def test_disjoint_unit_demand_favorites():
 def test_all_zero_brute_force():
     inst = sm_instance([(0, 1), (0, 1)], m=2)
     assert brute_force_opt(inst).value == 0
-
-
-def test_is_critical_single_bidder():
-    inst = sm_instance([(3, 1)], m=2)
-    assert is_critical(inst, 0)
-
-
-def test_is_critical_identical_grand_bundle_bidders():
-    inst = sm_instance([(1, 3)] * 8, m=3)
-    assert all(is_critical(inst, i) for i in range(8))
-
-
-def test_not_critical_when_small_against_many():
-    """200 unit bidders: each holds 1/200 of the optimum."""
-    inst = sm_instance([(1, 1)] * 200, m=200)
-    assert opt(inst).value == 200
-    assert not is_critical(inst, 0)
-    assert not is_critical(inst, 199)
-    assert is_critical(inst, 0, threshold=F(1, 200))
 
 
 # ---------------------------------------------------------------------------
