@@ -846,8 +846,10 @@ class ArrivalPricingGame(ItemSaleGame):
     The prices depend only on which valuations were reported and on the
     unsold items, and the canonical optimum only on the valuations in
     bidder-index order and the unsold items, so both are keyed by
-    valuation ids; each entry holds the valuations it is keyed by, so
-    no id is reused while the entry lives.
+    valuation ids; a served valuation's best item depends only on it
+    and the market's price dict, so it is keyed by both ids.  Each entry
+    holds the objects it is keyed by, so no id is reused while the
+    entry lives.
     """
 
     def __init__(
@@ -902,7 +904,15 @@ class ArrivalPricingGame(ItemSaleGame):
         return item in bundles[position]
 
     def _serve_choice(self, state: ServeState, valuation: Valuation) -> int:
-        item, surplus = _best_item(valuation, state.left, state.price)
+        # every serve step follows a report (or opens the script), so its
+        # price dict is the memo's for one market and its keys are the
+        # unsold items: the pair fixes the best item
+        item, surplus = _memoized(
+            self._memo,
+            ("best", id(valuation), id(state.price)),
+            (valuation, state.price),
+            lambda: _best_item(valuation, state.left, state.price),
+        )
         if surplus is None or surplus < 0:
             return 0
         if surplus > 0 or self._canonical_assigns(state, valuation, item):

@@ -8,15 +8,21 @@ weakly beat the best case of any deviating message, where "worst" and
 deviation, bidder *i* too) might do.
 
 Naively that quantifies over behavior profiles, which is doubly
-exponential.  Instead, two linear tree passes per (bidder, valuation)
-compute for every node
+exponential.  Instead, linear passes per (bidder, valuation) over the
+protocol's flat node index (``Protocol.flat``: every node at an int
+position, a node's children at adjacent positions) compute for every
+position k
 
-* ``min_pinned[u]``: the worst utility over continuations where *i*'s
-  edges follow the candidate behavior and everyone else is free, and
-* ``max_free[u]``: the best utility over all continuations,
+* ``min_pinned[k]``: the worst utility over continuations where *i*'s
+  edges follow the candidate behavior and everyone else is free,
+* ``max_free[k]``: the best utility over all continuations, and
+* whether k is attainable under that behavior,
 
-and the check compares them across sibling edges.  Witnesses carry two
-behavior profiles that replay to exactly the reported utilities.  The
+so a node's values are a slice of its children's, and the check
+compares them across sibling edges.  The behavior table becomes a
+position row once per pass.  Witnesses carry two behavior profiles
+that replay to exactly the reported utilities; the id-keyed tables
+they read are built only on a failure.  The
 behavior tables come from ``behavior_from_strategy`` and the realized
 rule from ``realize_rule``; both keep what they build on the protocol,
 so ``verify_osp``, ``verify_ir_nnt`` and a caller's own ``realize_rule``
@@ -50,10 +56,12 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .protocols import (
+    FlatIndex,
     NodeId,
     Protocol,
     RealizedRule,
     Strategy,
+    _behavior_row,
     behavior_from_strategy,
     play,
     realize_rule,
@@ -168,11 +176,14 @@ def _leaf_utilities(protocol: Protocol, bidder: int, domain) -> tuple:
     """The bidder's scaled utility at every leaf for each valuation.
 
     Returns the common scale of the whole domain and a generator of one
-    ``{leaf: utility * scale}`` dict per valuation, in domain order.
-    Each valuation is evaluated once per distinct bundle of the bidder.
+    position-indexed list per valuation, in domain order: utility *
+    scale at each leaf's position of ``protocol.flat``, 0 at internal
+    positions, which the passes fill.  Each valuation is evaluated once
+    per distinct bundle of the bidder.
     """
-    leaves = list(protocol.leaves)
-    outcomes = [protocol.outcome(u) for u in leaves]
+    flat = protocol.flat
+    leaves = [k for k, mover in enumerate(flat.mover) if mover < 0]
+    outcomes = [protocol.outcome(flat.order[k]) for k in leaves]
     picks, values, payments = _bidder_columns(outcomes, bidder, domain)
     scale = _common_scale(chain(payments, *values))
     paid = _scaled(payments, scale)
@@ -180,33 +191,42 @@ def _leaf_utilities(protocol: Protocol, bidder: int, domain) -> tuple:
     def utilities():
         for row in values:
             worth = _scaled(row, scale)
-            yield {u: worth[k] - p for u, k, p in zip(leaves, picks, paid)}
+            utility = [0] * len(flat.order)
+            for k, b, p in zip(leaves, picks, paid):
+                utility[k] = worth[b] - p
+            yield utility
 
     return scale, utilities()
 
 
-def _utility_passes(protocol: Protocol, bidder: int, leaf_utility: dict, behavior):
-    """min-pinned and max-free utilities for every node, bottom-up.
+def _utility_passes(flat: FlatIndex, bidder: int, leaf_utility: list, behavior: list):
+    """min-pinned and max-free utilities at every position, deepest first.
 
-    ``leaf_utility`` becomes the max-free table.
+    ``behavior`` is the bidder's behavior row; ``leaf_utility`` becomes
+    the max-free list.
     """
-    min_pinned = dict(leaf_utility)
+    min_pinned = list(leaf_utility)
     max_free = leaf_utility
-    for u, mover, children in protocol.bottom_up:
-        max_free[u] = max([max_free[c] for c in children])
+    for k, mover, a, b in flat.walk:
+        max_free[k] = max(max_free[a:b])
         if mover == bidder:
-            min_pinned[u] = min_pinned[children[behavior[u]]]
+            min_pinned[k] = min_pinned[a + behavior[k]]
         else:
-            min_pinned[u] = min([min_pinned[c] for c in children])
+            min_pinned[k] = min(min_pinned[a:b])
     return min_pinned, max_free
 
 
-def _attainable_nodes(protocol: Protocol, bidder: int, behavior) -> set:
-    """Nodes whose history agrees with the behavior at the bidder's nodes."""
-    attainable = {()}
-    for u, mover, children in reversed(protocol.bottom_up):
-        if u in attainable:
-            attainable.update(children if mover != bidder else (children[behavior[u]],))
+def _attainable_nodes(flat: FlatIndex, bidder: int, behavior: list) -> list:
+    """Per position: does its history agree with the behavior row at
+    the bidder's nodes?"""
+    attainable = [False] * len(flat.order)
+    attainable[0] = True
+    for k, mover, a, b in reversed(flat.walk):
+        if attainable[k]:
+            if mover == bidder:
+                attainable[a + behavior[k]] = True
+            else:
+                attainable[a:b] = [True] * (b - a)
     return attainable
 
 
@@ -241,36 +261,35 @@ def verify_osp(
     """
     if len(strategies) != protocol.n or len(domains) != protocol.n:
         raise ValueError("need one strategy and one domain per bidder")
+    flat = protocol.flat
     for i in range(protocol.n):
-        my_nodes = protocol.bidder_nodes(i)
+        mine = [(k, a, b) for k, mover, a, b in reversed(flat.walk) if mover == i]
         scale, leaf_utilities = _leaf_utilities(protocol, i, domains[i])
         for v_idx, (valuation, leaf_utility) in enumerate(zip(domains[i], leaf_utilities)):
             behavior = behavior_from_strategy(protocol, i, strategies[i], valuation)
-            min_pinned, max_free = _utility_passes(protocol, i, leaf_utility, behavior)
-            attainable = _attainable_nodes(protocol, i, behavior)
-            for u in my_nodes:
-                if u not in attainable:
+            row = _behavior_row(protocol, behavior)
+            min_pinned, max_free = _utility_passes(flat, i, leaf_utility, row)
+            attainable = _attainable_nodes(flat, i, row)
+            for k, a, b in mine:
+                if not attainable[k]:
                     continue
-                truthful = behavior[u]
-                worst = min_pinned[u + (truthful,)]
-                for dev in range(len(protocol.messages(u))):
-                    if dev == truthful:
-                        continue
-                    best = max_free[u + (dev,)]
-                    if best > worst:
+                truthful = row[k]
+                worst = min_pinned[a + truthful]
+                for dev, best in enumerate(max_free[a:b]):
+                    if best > worst and dev != truthful:
                         witness = _build_witness(
                             protocol,
                             i,
                             v_idx,
                             valuation,
                             behavior,
-                            u,
+                            flat.order[k],
                             truthful,
                             dev,
                             Fraction(worst, scale),
                             Fraction(best, scale),
-                            min_pinned,
-                            max_free,
+                            dict(zip(flat.order, min_pinned)),
+                            dict(zip(flat.order, max_free)),
                         )
                         return OspVerdict("fail", witness)
     return OspVerdict("pass")
@@ -337,7 +356,10 @@ def verify_ir_nnt(
     domains: Sequence[Sequence[Valuation]],
 ) -> CheckVerdict:
     """Ex-post IR over the realized domain product; NNT over all leaves."""
-    for u in sorted(protocol.leaves, key=lambda w: (len(w), w)):
+    flat = protocol.flat
+    for u, mover in zip(flat.order, flat.mover):
+        if mover >= 0:
+            continue
         outcome = protocol.outcome(u)
         for i, payment in enumerate(outcome.payments):
             if payment < 0:

@@ -77,6 +77,29 @@ class ProtocolNode:
     messages: tuple[str, ...]
 
 
+@dataclass(frozen=True)
+class FlatIndex:
+    """A protocol's nodes at int positions, for the exhaustive tree passes.
+
+    ``order`` lists every id, internal and leaf, in (depth,
+    lexicographic) order, and ``position`` maps an id back to its
+    position k.  In this order a node's children sit next to each
+    other: internal node k's children are the positions ``first[k]``
+    to ``first[k] + deg - 1``, message j at ``first[k] + j``.
+    ``mover[k]`` is the bidder acting at k; a leaf has ``mover`` and
+    ``first`` -1.  ``walk`` is ``(k, mover, first, end)`` for every
+    internal node, deepest first (within a depth, reverse
+    lexicographic), so children come before their parent and
+    ``end = first + deg``; reversed, it runs shallowest first.
+    """
+
+    order: tuple
+    position: dict
+    mover: tuple
+    first: tuple
+    walk: tuple
+
+
 class Protocol:
     """Explicit finite tree with history-tuple node ids.
 
@@ -86,7 +109,7 @@ class Protocol:
     and reports can interpret nodes without replaying.
 
     The tree is read-only once built, so what is derived from it is
-    derived once and kept: the node order ``bottom_up``, the behavior
+    derived once and kept: the flat node index ``flat``, the behavior
     tables of ``behavior_from_strategy`` and the realized rules of
     ``realize_rule``, which hands out the same rule again for the same
     strategies and domains.
@@ -166,19 +189,35 @@ class Protocol:
 
     def bidder_nodes(self, bidder: int) -> list[NodeId]:
         """The bidder's nodes, shallowest first, then lexicographic."""
-        return [u for u, mover, _ in reversed(self.bottom_up) if mover == bidder]
+        flat = self.flat
+        return [u for u, mover in zip(flat.order, flat.mover) if mover == bidder]
 
     @cached_property
-    def bottom_up(self) -> tuple:
-        """Internal nodes as ``(id, bidder, child ids)``, deepest first.
-
-        Within a depth the ids run in reverse lexicographic order, so
-        reversed the order is shallowest first, then lexicographic.
-        """
-        order = sorted(self.nodes, key=lambda u: (len(u), u), reverse=True)
-        return tuple(
-            (u, self.nodes[u].bidder, tuple(u + (k,) for k in range(len(self.nodes[u].messages))))
-            for u in order
+    def flat(self) -> FlatIndex:
+        """Every node at an int position, derived once (see :class:`FlatIndex`)."""
+        nodes = self.nodes
+        order: list = [()]
+        mover = []
+        first = []
+        walk = []
+        for k, u in enumerate(order):  # reaches the children appended below
+            node = nodes.get(u)
+            if node is None:
+                mover.append(-1)
+                first.append(-1)
+                continue
+            a = len(order)
+            order.extend(u + (j,) for j in range(len(node.messages)))
+            mover.append(node.bidder)
+            first.append(a)
+            walk.append((k, node.bidder, a, len(order)))
+        walk.reverse()
+        return FlatIndex(
+            tuple(order),
+            {u: k for k, u in enumerate(order)},
+            tuple(mover),
+            tuple(first),
+            tuple(walk),
         )
 
 
@@ -237,6 +276,27 @@ def behavior_from_strategy(
     return table
 
 
+def _behavior_row(protocol: Protocol, behavior: Behavior) -> list:
+    """A behavior table by position: the message at each of the
+    bidder's nodes, 0 elsewhere."""
+    position = protocol.flat.position
+    row = [0] * len(position)
+    for u, msg in behavior.items():
+        row[position[u]] = msg
+    return row
+
+
+def _walk(flat: FlatIndex, rows: Sequence[list]) -> int:
+    """The leaf position reached from the root when bidder i plays
+    ``rows[i]``.  Unlike ``play`` it checks nothing: the rows come from
+    complete behavior tables whose messages are already in range."""
+    first, mover = flat.first, flat.mover
+    k = 0
+    while mover[k] >= 0:
+        k = first[k] + rows[mover[k]][k]
+    return k
+
+
 @dataclass
 class RealizedRule:
     """Outcome table over a finite domain product.
@@ -259,9 +319,11 @@ def realize_rule(
 ) -> RealizedRule:
     """Play every profile in the domain product through the strategies.
 
-    The rule is kept on the protocol, keyed by the identity of each
-    strategy and of each domain valuation, so a second call with the same
-    objects returns the same rule without playing a profile again.
+    Each profile walks the protocol's flat index from the root to its
+    leaf on the bidders' behavior rows.  The rule is kept on the
+    protocol, keyed by the identity of each strategy and of each domain
+    valuation, so a second call with the same objects returns the same
+    rule without playing a profile again.
     """
     if len(strategies) != protocol.n or len(domains) != protocol.n:
         raise ValueError("need one strategy and one domain per bidder")
@@ -278,14 +340,15 @@ def realize_rule(
     cap = _cap("OSPCLOCK_PROFILE_CAP", 200_000)
     if total > cap:
         raise _refusal("OSPCLOCK_PROFILE_CAP", cap, f"domain product has {total} profiles")
-    behaviors = [
-        [behavior_from_strategy(protocol, i, strategies[i], v) for v in doms[i]]
-        for i in range(protocol.n)
+    rows = [
+        [_behavior_row(protocol, behavior_from_strategy(protocol, i, s, v)) for v in doms[i]]
+        for i, s in enumerate(strategies)
     ]
+    flat = protocol.flat
+    outcome_at = [protocol.leaves.get(u) for u in flat.order]
     table = {}
     for profile in product(*(range(len(d)) for d in doms)):
-        outcome, _ = play(protocol, [behaviors[i][k] for i, k in enumerate(profile)])
-        table[profile] = outcome
+        table[profile] = outcome_at[_walk(flat, [rows[i][k] for i, k in enumerate(profile)])]
     rule = RealizedRule(doms, table)
     protocol._rules[key] = (tuple(strategies), doms, rule)
     return rule

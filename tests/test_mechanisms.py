@@ -39,6 +39,7 @@ from ospclock.mechanisms import (
 )
 from ospclock.osp import verify_dsic, verify_ir_nnt, verify_osp, verify_weak_monotonicity
 from ospclock.protocols import (
+    behavior_from_strategy,
     game_strategy,
     materialize,
     play,
@@ -814,6 +815,44 @@ def test_mech3_branch_games_solve_each_market_once(monkeypatch):
     assert len(optima) == len(set(optima))
     # the games priced more serve states than markets were solved: they shared them
     assert serves > len(solves)
+
+
+def test_mech3_best_item_runs_once_per_valuation_and_market(monkeypatch):
+    """Across one mechanism's branch trees a served valuation's best item
+    is found once per market price dict, and every behavior table is
+    the one a game with its own memo tabulates."""
+    calls = []
+    best_item = mechanisms._best_item
+
+    def counted(valuation, unsold, prices):
+        calls.append((valuation, prices))
+        return best_item(valuation, unsold, prices)
+
+    monkeypatch.setattr(mechanisms, "_best_item", counted)
+    domains = [[unit_demand(a, b) for a, b in UD_VALUES]] * 3
+    tables = {}
+    serves = 0
+    for branch in mech3_unit_demand(3, ITEMS).branches():
+        game = branch.game(domains)
+        proto = materialize(game)
+        strategy = game_strategy(game, proto)
+        serves += len(_serve_states(game, proto))
+        for i, domain in enumerate(domains):
+            for k, v in enumerate(domain):
+                tables[branch.key, i, k] = behavior_from_strategy(proto, i, strategy, v)
+    keys = [(id(v), id(prices)) for v, prices in calls]
+    assert calls and len(keys) == len(set(keys))
+    # the trees asked for more best items than were computed: they shared them
+    assert serves * len(domains[0]) > len(calls)
+    monkeypatch.undo()
+    for branch in mech3_unit_demand(3, ITEMS).branches():
+        game = ArrivalPricingGame(branch.key, CombinatorialSetting(ITEMS), domains, memo=None)
+        proto = materialize(game)
+        strategy = game_strategy(game, proto)
+        for i, domain in enumerate(domains):
+            for k, v in enumerate(domain):
+                table = behavior_from_strategy(proto, i, strategy, v)
+                assert table == tables[branch.key, i, k], (branch.label, i, k)
 
 
 def _tree_record(game, domains) -> tuple:

@@ -17,7 +17,10 @@ from ospclock.fixtures import (
     load_game,
     negative_transfer_protocol,
     sealed_bid_domains,
+    single_minded_domain,
+    unit_demand_domain,
 )
+from ospclock.mechanisms import mech3_unit_demand, random_bundles
 from ospclock.osp import (
     CheckVerdict,
     OspVerdict,
@@ -37,6 +40,7 @@ from ospclock.protocols import (
     behavior_from_strategy,
     gaa_grid_for_domains,
     materialize,
+    play,
     protocol_from_json,
     realize_rule,
     truthful_strategies,
@@ -580,6 +584,64 @@ def test_ir_and_rule_checks_match_the_references_on_trees():
     assert seen["weak_monotonicity"] == seen["dsic"] == {"pass", "fail"}
 
 
+def catalog_trees():
+    """The branch trees of mech3 and random-bundles on the verify
+    catalog's domains: six unit-demand valuations on two items, and the
+    single-minded grid over four units."""
+    values = (0, 1, 2)
+    entries = [
+        (mech3_unit_demand(3, ITEMS), unit_demand_domain(ITEMS, values)[:6]),
+        (random_bundles(3, 4), single_minded_domain(4, values, range(1, 5))),
+    ]
+    cases = []
+    for mech, domain in entries:
+        domains = [domain] * mech.n
+        for branch in mech.branches():
+            game = branch.game(domains)
+            protocol = materialize(game)
+            cases.append((protocol, truthful_strategies(game, protocol), domains))
+    return cases
+
+
+def test_realized_rule_walk_matches_play():
+    """Every profile of the rule has the outcome ``play`` reaches."""
+    profiles = 0
+    for protocol, strategies, domains in tree_cases() + catalog_trees():
+        rule = realize_rule(protocol, strategies, domains)
+        assert len(rule.table) == len(list(itertools.product(*domains)))
+        for profile, outcome in rule.table.items():
+            behaviors = [
+                behavior_from_strategy(protocol, i, strategies[i], domains[i][k])
+                for i, k in enumerate(profile)
+            ]
+            assert outcome == play(protocol, behaviors)[0], profile
+        profiles += len(rule.table)
+    assert profiles > 4_000
+
+
+def test_flat_index_lays_children_side_by_side():
+    for protocol, _, _ in tree_cases() + catalog_trees():
+        flat = protocol.flat
+        assert list(flat.order) == _by_depth(list(protocol.nodes) + list(protocol.leaves))
+        assert flat.position == {u: k for k, u in enumerate(flat.order)}
+        for k, u in enumerate(flat.order):
+            if protocol.is_leaf(u):
+                assert flat.mover[k] == flat.first[k] == -1
+                continue
+            assert flat.mover[k] == protocol.bidder(u)
+            for j in range(len(protocol.messages(u))):
+                assert flat.order[flat.first[k] + j] == u + (j,)
+        internal = [k for k, mover in enumerate(flat.mover) if mover >= 0]
+        assert [k for k, *_ in flat.walk] == internal[::-1]
+        done = set()
+        for k, mover, a, b in flat.walk:
+            u = flat.order[k]
+            assert (mover, a, b) == (flat.mover[k], flat.first[k], a + len(protocol.messages(u)))
+            # deepest first: every internal child is walked before its parent
+            assert {c for c in range(a, b) if flat.mover[c] >= 0} <= done
+            done.add(k)
+
+
 # ---------------------------------------------------------------------------
 # behavior tables shared on the protocol
 
@@ -655,16 +717,17 @@ def test_rule_memo_keeps_its_domain_valuations_alive():
 
 
 def test_ir_check_and_realize_rule_play_each_profile_once(monkeypatch):
+    """Each profile is walked to its leaf once, by ``protocols._walk``."""
     domains = [[sm(x) for x in range(3)], [sm(x, 2) for x in range(3)]]
     proto, _, strategies = grand_gaa(domains)
     played = []
-    real_play = protocols.play
+    real_walk = protocols._walk
 
-    def counting_play(protocol, behaviors):
+    def counting_walk(flat, rows):
         played.append(1)
-        return real_play(protocol, behaviors)
+        return real_walk(flat, rows)
 
-    monkeypatch.setattr(protocols, "play", counting_play)
+    monkeypatch.setattr(protocols, "_walk", counting_walk)
     assert verify_ir_nnt(proto, strategies, domains).passed
     rule = realize_rule(proto, strategies, domains)
     assert len(played) == len(rule.table) == 9
