@@ -19,15 +19,14 @@ position k
 * whether k is attainable under that behavior,
 
 so a node's values are a slice of its children's, and the check
-compares them across sibling edges.  The behavior table becomes a
-position row once per pass.  Witnesses carry two behavior profiles
-that replay to exactly the reported utilities; the id-keyed tables
-they read are built only on a failure.  The
-behavior tables come from ``behavior_from_strategy`` and the realized
-rule from ``realize_rule``; both keep what they build on the protocol,
-so ``verify_osp``, ``verify_ir_nnt`` and a caller's own ``realize_rule``
-tabulate each (bidder, valuation) and play each profile once between
-them.
+compares them across sibling edges.  Witnesses carry two behavior
+profiles that replay to exactly the reported utilities; the id-keyed
+tables they read are built from the position lists only on a failure.
+``verify_osp``, ``verify_ir_nnt`` and a caller's own ``realize_rule``
+read one record kept on the protocol per (strategies, domains): its
+behavior rows, one per (bidder, valuation) built once through
+``behavior_from_strategy``, and its realized rule, whose profiles are
+played once between them.
 
 All comparisons run on exact integers.  Utilities are rationals, so
 every value and payment a check reads is multiplied by one common
@@ -61,7 +60,7 @@ from .protocols import (
     Protocol,
     RealizedRule,
     Strategy,
-    _behavior_row,
+    _tabulation,
     behavior_from_strategy,
     play,
     realize_rule,
@@ -259,15 +258,13 @@ def verify_osp(
     lexicographic), then deviating messages are scanned in a fixed
     order, so the reported witness is deterministic.
     """
-    if len(strategies) != protocol.n or len(domains) != protocol.n:
-        raise ValueError("need one strategy and one domain per bidder")
+    tab = _tabulation(protocol, strategies, domains)
     flat = protocol.flat
-    for i in range(protocol.n):
+    for i, domain in enumerate(tab.domains):
         mine = [(k, a, b) for k, mover, a, b in reversed(flat.walk) if mover == i]
-        scale, leaf_utilities = _leaf_utilities(protocol, i, domains[i])
-        for v_idx, (valuation, leaf_utility) in enumerate(zip(domains[i], leaf_utilities)):
-            behavior = behavior_from_strategy(protocol, i, strategies[i], valuation)
-            row = _behavior_row(protocol, behavior)
+        scale, leaf_utilities = _leaf_utilities(protocol, i, domain)
+        for v_idx, (valuation, leaf_utility) in enumerate(zip(domain, leaf_utilities)):
+            row = tab.row(protocol, i, v_idx)
             min_pinned, max_free = _utility_passes(flat, i, leaf_utility, row)
             attainable = _attainable_nodes(flat, i, row)
             for k, a, b in mine:
@@ -282,7 +279,7 @@ def verify_osp(
                             i,
                             v_idx,
                             valuation,
-                            behavior,
+                            dict(zip(flat.order, row)),
                             flat.order[k],
                             truthful,
                             dev,

@@ -109,10 +109,11 @@ class Protocol:
     and reports can interpret nodes without replaying.
 
     The tree is read-only once built, so what is derived from it is
-    derived once and kept: the flat node index ``flat``, the behavior
-    tables of ``behavior_from_strategy`` and the realized rules of
-    ``realize_rule``, which hands out the same rule again for the same
-    strategies and domains.
+    derived once and kept: the flat node index ``flat``, and one
+    tabulation per (strategies, domains) that ``verify_osp``,
+    ``verify_ir_nnt`` and ``realize_rule`` all read: each bidder's
+    behavior row per domain valuation, built once, and the realized
+    rule, played once.
     """
 
     def __init__(
@@ -128,12 +129,9 @@ class Protocol:
         self.nodes = dict(nodes)
         self.leaves = dict(leaves)
         self.info = dict(info or {})
-        # (bidder, id(strategy), id(valuation)) -> (strategy, valuation,
-        # table); the entry holds both objects so neither id is reused
-        self._behaviors: dict = {}
         # (ids of the strategies, ids of every domain valuation) ->
-        # (strategies, domains, rule); held for the same reason
-        self._rules: dict = {}
+        # _Tabulation, which holds those objects so no id is reused
+        self._tabulations: dict = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -257,22 +255,16 @@ def behavior_from_strategy(
 ) -> dict:
     """Tabulate a strategy into a total behavior for one bidder.
 
-    Strategies are pure functions of (valuation, node), so the table is
-    made once per (bidder, strategy, valuation), by identity, and kept on
-    the protocol: ``verify_osp``, ``verify_ir_nnt`` and ``realize_rule``
-    share it.  Callers must not mutate the returned table.
+    Each call builds a fresh table.  The checks do not call it per use:
+    they read the protocol's one tabulation of their strategies and
+    domains, which builds each (bidder, valuation) row once through it.
     """
-    key = (bidder, id(strategy), id(valuation))
-    hit = protocol._behaviors.get(key)
-    if hit is not None:
-        return hit[2]
     table = {}
     for u in protocol.bidder_nodes(bidder):
         msg = strategy(valuation, u)
         if not 0 <= msg < len(protocol.messages(u)):
             raise ValueError(f"strategy returned message {msg} out of range at {u}")
         table[u] = msg
-    protocol._behaviors[key] = (strategy, valuation, table)
     return table
 
 
@@ -312,6 +304,44 @@ class RealizedRule:
     _view: object = field(default=None, init=False, repr=False, compare=False)
 
 
+class _Tabulation:
+    """One (strategies, domains) as the checks read it on one tree.
+
+    ``rows[i][k]`` is bidder i's behavior row for ``domains[i][k]``
+    (None until ``row`` builds it) and ``rule`` the realized rule (None
+    until ``realize_rule`` plays it).  It holds the objects whose ids
+    key it, and not the protocol, so it closes no reference cycle.
+    """
+
+    __slots__ = ("strategies", "domains", "rows", "rule")
+
+    def __init__(self, strategies: tuple, domains: tuple) -> None:
+        self.strategies = strategies
+        self.domains = domains
+        self.rows = [[None] * len(d) for d in domains]
+        self.rule = None
+
+    def row(self, protocol: Protocol, i: int, k: int) -> list:
+        row = self.rows[i][k]
+        if row is None:
+            table = behavior_from_strategy(protocol, i, self.strategies[i], self.domains[i][k])
+            row = self.rows[i][k] = _behavior_row(protocol, table)
+        return row
+
+
+def _tabulation(protocol: Protocol, strategies: Sequence, domains: Sequence) -> _Tabulation:
+    """The protocol's tabulation of these strategies and domains, by
+    the identity of each strategy and domain valuation."""
+    if len(strategies) != protocol.n or len(domains) != protocol.n:
+        raise ValueError("need one strategy and one domain per bidder")
+    doms = tuple(tuple(d) for d in domains)
+    key = (tuple(map(id, strategies)), tuple(tuple(map(id, d)) for d in doms))
+    tab = protocol._tabulations.get(key)
+    if tab is None:
+        tab = protocol._tabulations[key] = _Tabulation(tuple(strategies), doms)
+    return tab
+
+
 def realize_rule(
     protocol: Protocol,
     strategies: Sequence[Strategy],
@@ -320,18 +350,16 @@ def realize_rule(
     """Play every profile in the domain product through the strategies.
 
     Each profile walks the protocol's flat index from the root to its
-    leaf on the bidders' behavior rows.  The rule is kept on the
-    protocol, keyed by the identity of each strategy and of each domain
-    valuation, so a second call with the same objects returns the same
-    rule without playing a profile again.
+    leaf on the bidders' behavior rows.  The rule is kept in the
+    protocol's tabulation of these strategies and domains (the one
+    ``verify_osp`` and ``verify_ir_nnt`` read), so a second call with
+    the same objects returns the same rule without playing a profile
+    again.
     """
-    if len(strategies) != protocol.n or len(domains) != protocol.n:
-        raise ValueError("need one strategy and one domain per bidder")
-    doms = tuple(tuple(d) for d in domains)
-    key = (tuple(map(id, strategies)), tuple(tuple(map(id, d)) for d in doms))
-    hit = protocol._rules.get(key)
-    if hit is not None:
-        return hit[2]
+    tab = _tabulation(protocol, strategies, domains)
+    if tab.rule is not None:
+        return tab.rule
+    doms = tab.domains
     total = 1
     for d in doms:
         if not d:
@@ -340,18 +368,14 @@ def realize_rule(
     cap = _cap("OSPCLOCK_PROFILE_CAP", 200_000)
     if total > cap:
         raise _refusal("OSPCLOCK_PROFILE_CAP", cap, f"domain product has {total} profiles")
-    rows = [
-        [_behavior_row(protocol, behavior_from_strategy(protocol, i, s, v)) for v in doms[i]]
-        for i, s in enumerate(strategies)
-    ]
+    rows = [[tab.row(protocol, i, k) for k in range(len(d))] for i, d in enumerate(doms)]
     flat = protocol.flat
     outcome_at = [protocol.leaves.get(u) for u in flat.order]
     table = {}
     for profile in product(*(range(len(d)) for d in doms)):
         table[profile] = outcome_at[_walk(flat, [rows[i][k] for i, k in enumerate(profile)])]
-    rule = RealizedRule(doms, table)
-    protocol._rules[key] = (tuple(strategies), doms, rule)
-    return rule
+    tab.rule = RealizedRule(doms, table)
+    return tab.rule
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +496,15 @@ def game_strategy(game: Game, protocol: Optional[Protocol] = None) -> Strategy:
 
     With ``protocol`` given (and materialized from the same game) the
     state is read off ``protocol.info``; otherwise the node history is
-    replayed through the game, which is slower but standalone.
+    replayed through the game, which is slower but standalone.  The
+    strategy keeps the info map, not the protocol, so a protocol whose
+    tabulations hold the strategy is still freed by reference counting.
     """
+    info = {} if protocol is None else protocol.info
 
     def strategy(valuation: Valuation, u: NodeId) -> int:
-        if protocol is not None and u in protocol.info:
-            state = protocol.info[u]
+        if u in info:
+            state = info[u]
         else:
             state, _ = _decision(game, game.root_state())
             for msg in u:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ospclock import protocols
+from ospclock import osp, protocols
 from ospclock.fixtures import (
     SealedBidGame,
     eager_posted_price_protocol,
@@ -643,7 +643,7 @@ def test_flat_index_lays_children_side_by_side():
 
 
 # ---------------------------------------------------------------------------
-# behavior tables shared on the protocol
+# one tabulation per checked tree, kept on the protocol
 
 
 def test_shared_behavior_tables_match_fresh_protocols():
@@ -674,22 +674,6 @@ def test_shared_behavior_tables_match_fresh_protocols():
     assert shared[0][2] != shared[1][2]
 
 
-def test_behavior_table_is_not_served_to_a_reused_valuation_id():
-    """The protocol keeps each tabulated valuation alive, so its id stays taken."""
-    proto, _, strategies = grand_gaa([[sm(x) for x in range(4)]] * 2)
-    strategy = strategies[0]
-    for x in range(4):
-        table = behavior_from_strategy(proto, 0, strategy, sm(x))
-        valuation = sm(x)
-        assert table == {u: strategy(valuation, u) for u in proto.bidder_nodes(0)}
-    valuation = sm(3)
-    ref = weakref.ref(valuation)
-    behavior_from_strategy(proto, 1, strategy, valuation)
-    del valuation
-    gc.collect()
-    assert ref() is not None
-
-
 def test_realized_rule_is_kept_per_strategies_and_domains():
     domains = [[sm(x) for x in range(3)], [sm(x, 2) for x in range(3)]]
     proto, _, strategies = grand_gaa(domains)
@@ -704,33 +688,71 @@ def test_realized_rule_is_kept_per_strategies_and_domains():
 
 
 def test_rule_memo_keeps_its_domain_valuations_alive():
-    """With the behavior tables dropped, the rule memo alone holds the
-    valuation, so its id cannot be reused by another valuation."""
+    """The protocol's tabulation holds the valuation, so its id cannot be
+    reused by another valuation; each table is the strategy at each node."""
     proto, _, strategies = grand_gaa([[sm(x) for x in range(4)]] * 2)
+    strategy = strategies[0]
+    for x in range(4):
+        table = behavior_from_strategy(proto, 0, strategy, sm(x))
+        valuation = sm(x)
+        assert table == {u: strategy(valuation, u) for u in proto.bidder_nodes(0)}
     valuation = sm(3)
     ref = weakref.ref(valuation)
     realize_rule(proto, strategies, [[valuation], [sm(1)]])
     del valuation
-    proto._behaviors.clear()
     gc.collect()
     assert ref() is not None
+    assert len(proto._tabulations) == 1
+
+
+def test_verified_protocol_is_freed_without_the_cyclic_collector():
+    """No reference cycle runs through a checked tree: with ``gc`` off, the
+    last ``del`` frees a mech3 branch protocol and what was derived from it."""
+    domains = [unit_demand_domain(ITEMS, (0, 1, 2))[:6]] * 3
+    game = mech3_unit_demand(3, ITEMS).branches()[0].game(domains)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        protocol = materialize(game)
+        strategies = truthful_strategies(game, protocol)
+        assert verify_osp(protocol, strategies, domains).passed
+        assert verify_ir_nnt(protocol, strategies, domains).passed
+        assert verify_dsic(realize_rule(protocol, strategies, domains)).passed
+        ref = weakref.ref(protocol)
+        del protocol
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_ir_check_and_realize_rule_play_each_profile_once(monkeypatch):
-    """Each profile is walked to its leaf once, by ``protocols._walk``."""
+    """Each profile is walked to its leaf once, by ``protocols._walk``, and
+    each (bidder, valuation) behavior row is built once."""
     domains = [[sm(x) for x in range(3)], [sm(x, 2) for x in range(3)]]
     proto, _, strategies = grand_gaa(domains)
     played = []
+    built = []
     real_walk = protocols._walk
+    real_row = protocols._behavior_row
 
     def counting_walk(flat, rows):
         played.append(1)
         return real_walk(flat, rows)
 
+    def counting_row(protocol, behavior):
+        built.append(1)
+        return real_row(protocol, behavior)
+
     monkeypatch.setattr(protocols, "_walk", counting_walk)
+    monkeypatch.setattr(protocols, "_behavior_row", counting_row)
+    if hasattr(osp, "_behavior_row"):
+        monkeypatch.setattr(osp, "_behavior_row", counting_row)
+    assert verify_osp(proto, strategies, domains).passed
     assert verify_ir_nnt(proto, strategies, domains).passed
     rule = realize_rule(proto, strategies, domains)
     assert len(played) == len(rule.table) == 9
+    assert len(built) == 3 + 3
 
 
 # ---------------------------------------------------------------------------
