@@ -6,6 +6,11 @@ is OSP on its own.  A :class:`RandomizedMechanism` therefore exposes
 
 * ``branches()`` — the exact support as :class:`SupportElement`s with
   rational probabilities, when the coin space is enumerable;
+* ``exact_expected_welfare(instance)`` — exact, by summing the support,
+  or by a closed form that lists no branch: mech2 on additive or
+  constant unit-demand rows and naive-max-price on constant integer
+  rows condition on the price-setter (``_setter_expectation``), at O(n^2)
+  per column, so they answer at any n;
 * ``sample_branch(rng)`` — a seeded draw with a documented coin order,
   for Monte Carlo at scales where enumeration is hopeless (there are
   16! arrival orders);
@@ -59,6 +64,7 @@ from .protocols import (
 )
 from .rng import CounterRng
 from .valuations import (
+    AdditiveValuation,
     CombinatorialSetting,
     Instance,
     MultiUnitSetting,
@@ -208,7 +214,8 @@ class RandomizedMechanism:
             )
 
     def exact_expected_welfare(self, instance: Instance) -> Fraction:
-        """Probability-weighted welfare over the full support, exact."""
+        """Exact expected welfare: the closed form ``exact_fast`` when it
+        answers, else the probability-weighted sum over the full support."""
         self._check_instance(instance)
         if self._exact_fast is not None:
             fast = self._exact_fast(instance)
@@ -717,18 +724,69 @@ class MaxPricePartitionGame(ItemSaleGame):
         return 0
 
 
+def _setter_expectation(column: Sequence[Number], k: int) -> Number:
+    """2^n times the expected sum of the values of the first ``k``
+    bidders, in index order, who want one item priced by a fair-coin
+    sample's maximum; ``column`` holds each bidder's value for it.
+
+    Conditioning on the price-setter makes every term closed.  The empty
+    sample (weight 1) prices the item at 0 and leaves no setter, so the
+    wanters are the bidders of positive value.  Otherwise the setter s is
+    the first sampled bidder of the highest sampled value: s is sampled
+    and every bidder of F_s = {i : c_i > c_s, or c_i = c_s and i < s} is
+    served, with the other n - 1 - |F_s| coins free.  The wanters are
+    then exactly F_s, since a served bidder wants the item when she
+    beats the price, or meets it and precedes s; a zero-valued member
+    takes a unit at price 0.  F_s is the set of bidders before s in
+    (value desc, index asc) order, so one pass over that order, adding
+    one bidder at a time, gives every setter's term, summed by Horner's
+    rule over the weights 2^(n-1-|F_s|).
+    """
+    total = 0
+    forced: list = []  # F_s in ascending index order
+    for s in sorted(range(len(column)), key=lambda i: (-column[i], i)):
+        total = 2 * total + sum(column[i] for i in forced[:k])
+        bisect.insort(forced, s)
+    return total + sum([c for c in column if c > 0][:k])
+
+
+def _mech2_exact(instance: Instance) -> Optional[Fraction]:
+    """mech2's expected welfare in closed form, or None.
+
+    Each item's first wanter in serving order takes it.  On additive
+    rows an item's wanters and its welfare depend on its column only, so
+    the expectation is one setter term per item.  When every row is a
+    constant unit-demand row, every item has the same price and setter,
+    so the first wanter takes the whole unsold supply and is worth her
+    constant.
+    """
+    vals = instance.valuations
+    if all(isinstance(v, AdditiveValuation) for v in vals):
+        total = sum(
+            _setter_expectation([v.per_item[j] for v in vals], 1) for j in instance.items
+        )
+    elif all(isinstance(v, UnitDemandValuation) and v.constant is not None for v in vals):
+        total = _setter_expectation([v.constant for v in vals], 1)
+    else:
+        return None
+    return Fraction(total, 1 << instance.n)
+
+
 def mech2_additive(n: int, items: Sequence[str]) -> RandomizedMechanism:
     """Fair-coin sample, max-sampled-value item prices, bundle shopping.
 
     The intended bidders are additive, for whom per-item shopping is
-    exactly preferred-bundle shopping.
+    exactly preferred-bundle shopping.  On additive or constant
+    unit-demand rows the expectation is ``_mech2_exact``'s closed form.
     """
     setting = CombinatorialSetting(tuple(items))
 
     def build(sample: tuple, domains: Sequence[Sequence[Valuation]]) -> Game:
         return MaxPricePartitionGame(sample, setting, domains, bundles=True)
 
-    return _coin_split_mechanism("mech2-additive", setting, n, build, grand_arm=False)
+    return _coin_split_mechanism(
+        "mech2-additive", setting, n, build, grand_arm=False, exact_fast=_mech2_exact
+    )
 
 
 def naive_max_price_ud(n: int, items: Sequence[str]) -> RandomizedMechanism:
@@ -767,33 +825,16 @@ def _constant_integer_rows(instance: Instance, kind: type) -> Optional[list]:
 def _naive_constant_rows_exact(instance: Instance) -> Optional[Fraction]:
     """Closed-form support expectation for constant-row instances.
 
-    Enumerates all 2^n partitions with integer arithmetic; each buyer
-    takes one (interchangeable) item while supply lasts.  Additive and
-    unit-demand rows value a single item alike, so both qualify.  As in
-    the game, the first sampled bidder sets the price, and only a
-    strictly higher sampled value replaces her.
+    Every item has the same price and setter, and each buyer takes one
+    (interchangeable) item while supply lasts, so the welfare is the
+    first m wanters' values: ``_setter_expectation(rows, m)``, on
+    integers.  Additive and unit-demand rows value a single item alike,
+    so both qualify.
     """
     rows = _constant_integer_rows(instance, PerItemValuation)
     if rows is None:
         return None
-    n, m = instance.n, instance.m
-    total = 0
-    for mask in range(1 << n):
-        price = 0
-        setter = -1
-        for i in range(n):
-            if mask >> i & 1 and (setter < 0 or rows[i] > price):
-                price, setter = rows[i], i
-        left = m
-        welfare = 0
-        for i in range(n):
-            if mask >> i & 1 or left == 0:
-                continue
-            if rows[i] > price or (rows[i] == price and i < setter):
-                welfare += rows[i]
-                left -= 1
-        total += welfare
-    return Fraction(total, 1 << n)
+    return Fraction(_setter_expectation(rows, instance.m), 1 << instance.n)
 
 
 # ---------------------------------------------------------------------------

@@ -625,6 +625,35 @@ def test_simulate_mech3_plays_additive_rows_through_the_game(tmp_path, capsys):
     assert payload["report"]["expected_welfare"] == "5/2"
 
 
+def test_simulate_exact_mech2_on_the_crowded_market(capsys):
+    # 2^16 coin splits, past the support cap: the setter closed form answers
+    code, payload = run_json(
+        capsys, "simulate", "--exact", "--mechanism", "mech2-additive",
+        "--fixture", "ud-failure-16",
+    )
+    assert code == 0
+    assert payload["report"] == {
+        "ci": None, "expected_welfare": "1/1", "opt": "20/1", "ratio": "1/20",
+    }
+
+
+@pytest.mark.parametrize("kind", ["unit_demand", "explicit"])
+def test_simulate_exact_mech2_past_the_support_cap_exits_two(tmp_path, capsys, caplog, kind):
+    # rows outside the closed form still enumerate 2^16 splits, so they are refused
+    if kind == "explicit":
+        row = {"kind": kind, "values": {"": "0", "a": "1", "b": "1", "a,b": "2"}}
+        bidders = [row] * 16
+    else:
+        bidders = [{"kind": kind, "values": {"a": "2", "b": "1"}}] * 16
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"setting": {"items": ["a", "b"]}, "bidders": bidders}))
+    code, out = run(capsys, "simulate", "--exact", "--mechanism", "mech2-additive",
+                    "--instance", str(path))
+    assert code == 2
+    assert out == ""
+    assert "65536 branches" in caplog.text and "OSPCLOCK_SUPPORT_CAP" in caplog.text
+
+
 def test_search_finds_the_tight_monotone_point(capsys):
     code, payload = run_json(
         capsys,

@@ -12,14 +12,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ospclock import mechanisms
-from ospclock.experiments import mc_ratio
+from ospclock.experiments import mc_ratio, ud_failure_instance
 from ospclock.fixtures import fixture_names, get_fixture, load_instance
 from ospclock.mechanisms import (
     MECHANISM_NAMES,
     ArrivalPricingGame,
     MaxPricePartitionGame,
     PartitionSaleGame,
+    RandomizedMechanism,
     _constant_integer_rows,
+    _mech2_exact,
     _naive_constant_rows_exact,
     arrivals_discarded,
     grand_bundle_auction,
@@ -57,6 +59,7 @@ from ospclock.valuations import (
     MultiUnitSetting,
     MultiUnitValuation,
     UnitDemandValuation,
+    all_bundles,
     make_single_minded,
 )
 from ospclock.welfare import SizeCapError, opt, welfare_of
@@ -578,6 +581,138 @@ def test_naive_fast_path_lets_a_zero_sample_set_the_price():
 def test_naive_fast_declines_varied_rows():
     inst = Instance(CombinatorialSetting(ITEMS), (unit_demand(2, 1), unit_demand(1, 1)))
     assert _naive_constant_rows_exact(inst) is None
+
+
+# ---------------------------------------------------------------------------
+# mech2's closed form: conditioning on the price-setter
+
+MAX_PRICE_VALUES = (F(0), F(1), F(1), F(2), F(3), F(5, 2))
+
+
+def seeded_max_price_instances(count, seed, row):
+    """Seeded markets of 1-8 bidders over 1-3 items; ``row(rng, items)``
+    draws one bidder from ``MAX_PRICE_VALUES``, so ties, zeros and
+    fractions all occur."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n, m = rng.randint(1, 8), rng.randint(1, 3)
+        items = ("x", "y", "z")[:m]
+        vals = tuple(row(rng, items) for _ in range(n))
+        out.append(Instance(CombinatorialSetting(items), vals))
+    return out
+
+
+def test_mech2_closed_form_matches_the_branch_games_on_additive_rows():
+    def row(rng, items):
+        return AdditiveValuation(items, {j: rng.choice(MAX_PRICE_VALUES) for j in items})
+
+    for inst in seeded_max_price_instances(200, 5, row):
+        mech = mech2_additive(inst.n, inst.items)
+        assert _mech2_exact(inst) == game_expected_welfare(mech, inst), inst
+
+
+def test_max_price_closed_forms_match_the_branch_games_on_constant_unit_demand_rows():
+    """mech2 answers every market; naive-max-price those on integer rows."""
+
+    def row(rng, items):
+        return flat_unit_demand(items, rng.choice(MAX_PRICE_VALUES))
+
+    instances = seeded_max_price_instances(60, 9, row)
+    assert any(F(0) in (v.constant for v in inst.valuations) for inst in instances)
+    naive_answered = 0
+    for inst in instances:
+        mech = mech2_additive(inst.n, inst.items)
+        assert _mech2_exact(inst) == game_expected_welfare(mech, inst), inst
+        naive = _naive_constant_rows_exact(inst)
+        if any(v.constant.denominator != 1 for v in inst.valuations):
+            assert naive is None
+        else:
+            naive_answered += 1
+            assert naive == game_expected_welfare(naive_max_price_ud(inst.n, inst.items), inst)
+    assert naive_answered >= 20
+
+
+def test_mech2_closed_form_declines_other_rows():
+    mixed = (additive(1, 1), flat_unit_demand(ITEMS, 1))
+    varied = (unit_demand(2, 1), unit_demand(1, 1))
+    table = {b: F(len(b)) for b in all_bundles(ITEMS)}
+    explicit = (ExplicitValuation(ITEMS, table),) * 2
+    for vals in (mixed, varied, explicit):
+        assert _mech2_exact(Instance(CombinatorialSetting(ITEMS), vals)) is None
+
+
+def test_mech2_on_one_late_valued_bidder_is_a_quarter_plus_two_to_the_minus_n():
+    """The column (0, ..., 0, 1) gives exactly 1/4 + 2^-n for n >= 2.
+
+    The empty sample sells to the last bidder, and of the setters only
+    bidder 0 leaves her first in line; every other sample with a setter
+    gives the item to a zero-valued bidder.  A lone bidder is served only
+    by the empty sample, so n = 1 gives 1/2.  Criterion 03's floor of 1/4
+    is therefore an infimum that no finite instance attains.
+    """
+    items = ("x",)
+    for n in range(1, 65):
+        vals = tuple(AdditiveValuation(items, {"x": F(i == n - 1)}) for i in range(n))
+        welfare = mech2_additive(n, items).exact_expected_welfare(
+            Instance(CombinatorialSetting(items), vals)
+        )
+        assert welfare == (F(1, 2) if n == 1 else F(1, 4) + F(1, 2**n)), n
+
+
+def formula_additive_instance(n, m):
+    """Bidder i values item t at ((i + 1)(t + 2) mod 23) / 2."""
+    items = tuple(f"j{t:02d}" for t in range(m))
+    vals = tuple(
+        AdditiveValuation(items, {j: F((i + 1) * (t + 2) % 23, 2) for t, j in enumerate(items)})
+        for i in range(n)
+    )
+    return Instance(CombinatorialSetting(items), vals)
+
+
+def test_mech2_closed_form_plays_no_branch(monkeypatch):
+    """200 additive bidders over 20 items: 2^200 branches, answered
+    without listing one or building a game."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed form enumerated or built a game")
+
+    monkeypatch.setattr(RandomizedMechanism, "branches", refuse)
+    monkeypatch.setattr(mechanisms, "MaxPricePartitionGame", refuse)
+    inst = formula_additive_instance(200, 20)
+    welfare = mech2_additive(200, inst.items).exact_expected_welfare(inst)
+    assert welfare == F(
+        5267601334341272483085251659546217427028063525466012927, 2**175
+    )
+    assert opt(inst).value == 220
+
+
+@pytest.mark.parametrize(
+    "n, mech2, naive",
+    [
+        (16, F(1), F(126975, 2**16)),
+        (25, F(1), F(66060287, 2**25)),
+        (100, F(1), F(2534063260417173422718507286527, 2**100)),
+    ],
+    ids=["n16", "n25", "n100"],
+)
+def test_max_price_closed_forms_on_the_crowded_market(n, mech2, naive):
+    inst = ud_failure_instance(n)
+    assert mech2_additive(n, inst.items).exact_expected_welfare(inst) == mech2
+    assert naive_max_price_ud(n, inst.items).exact_expected_welfare(inst) == naive
+
+
+@pytest.mark.parametrize("row", ["varied unit-demand", "explicit"])
+def test_mech2_past_the_support_cap_still_refuses_other_rows(row):
+    items = ("a", "b")
+    if row == "explicit":
+        table = {b: F(len(b)) for b in all_bundles(items)}
+        vals = (ExplicitValuation(items, table),) * 16
+    else:
+        vals = (unit_demand(2, 1),) * 15 + (unit_demand(1, 1),)
+    mech = mech2_additive(16, items)
+    with pytest.raises(SizeCapError, match="OSPCLOCK_SUPPORT_CAP"):
+        mech.exact_expected_welfare(Instance(CombinatorialSetting(items), vals))
 
 
 # ---------------------------------------------------------------------------
