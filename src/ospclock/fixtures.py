@@ -203,8 +203,8 @@ class Fixture:
     build: Callable
 
 
-def _flat_market(n: int, m: int, value=1) -> Instance:
-    vals = tuple(make_single_minded(value, 1, m) for _ in range(n))
+def _flat_market(n: int, m: int) -> Instance:
+    vals = tuple(make_single_minded(1, 1, m) for _ in range(n))
     return Instance(MultiUnitSetting(m), vals)
 
 

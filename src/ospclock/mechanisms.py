@@ -8,8 +8,8 @@ is OSP on its own.  A :class:`RandomizedMechanism` therefore exposes
   rational probabilities, when the coin space is enumerable;
 * ``exact_expected_welfare(instance)`` — exact, by summing the support,
   or by a closed form that lists no branch: mech2 on additive or
-  constant unit-demand rows and naive-max-price on constant integer
-  rows condition on the price-setter (``_setter_expectation``), at O(n^2)
+  constant unit-demand rows and naive-max-price on constant rows
+  condition on the price-setter (``_setter_expectation``), at O(n^2)
   per column, so they answer at any n;
 * ``sample_branch(rng)`` — a seeded draw with a documented coin order,
   for Monte Carlo at scales where enumeration is hopeless (there are
@@ -811,12 +811,14 @@ def naive_max_price_ud(n: int, items: Sequence[str]) -> RandomizedMechanism:
     )
 
 
-def _constant_integer_rows(instance: Instance, kind: type) -> Optional[list]:
-    """Per-bidder value if every bidder is a ``kind`` valuation that
+def _constant_integer_rows(instance: Instance) -> Optional[list]:
+    """Per-bidder value if every bidder is a unit-demand valuation that
     prices all items equally at an integer, else None."""
     rows = []
     for v in instance.valuations:
-        if not isinstance(v, kind) or v.constant is None or v.constant.denominator != 1:
+        if not isinstance(v, UnitDemandValuation) or v.constant is None:
+            return None
+        if v.constant.denominator != 1:
             return None
         rows.append(v.constant.numerator)
     return rows
@@ -827,14 +829,14 @@ def _naive_constant_rows_exact(instance: Instance) -> Optional[Fraction]:
 
     Every item has the same price and setter, and each buyer takes one
     (interchangeable) item while supply lasts, so the welfare is the
-    first m wanters' values: ``_setter_expectation(rows, m)``, on
-    integers.  Additive and unit-demand rows value a single item alike,
-    so both qualify.
+    first m wanters' values: ``_setter_expectation(rows, m)``.  Additive
+    and unit-demand rows value a single item alike, so both qualify.
     """
-    rows = _constant_integer_rows(instance, PerItemValuation)
-    if rows is None:
+    vals = instance.valuations
+    if not all(isinstance(v, PerItemValuation) and v.constant is not None for v in vals):
         return None
-    return Fraction(_setter_expectation(rows, instance.m), 1 << instance.n)
+    total = _setter_expectation([v.constant for v in vals], instance.m)
+    return Fraction(total, 1 << instance.n)
 
 
 # ---------------------------------------------------------------------------
@@ -970,7 +972,7 @@ def _constant_row_ranking(instance: Instance) -> Optional[tuple]:
     bidder's ``rank`` in (value desc, index asc) order, that order's
     values and bidders, the item count and ``arrivals_discarded(n)``.
     """
-    rows = _constant_integer_rows(instance, UnitDemandValuation)
+    rows = _constant_integer_rows(instance)
     if rows is None:
         return None
     bidder_at = sorted(range(len(rows)), key=lambda i: (-rows[i], i))

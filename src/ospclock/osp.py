@@ -20,8 +20,10 @@ position k
 
 so a node's values are a slice of its children's, and the check
 compares them across sibling edges.  Witnesses carry two behavior
-profiles that replay to exactly the reported utilities; the id-keyed
-tables they read are built from the position lists only on a failure.
+profiles that replay to exactly the reported utilities; each follows
+positions down the same index from the failing node, taking the first
+child with the least ``min_pinned`` (the bidder keeping to her behavior
+row) or the greatest ``max_free``.
 ``verify_osp``, ``verify_ir_nnt`` and a caller's own ``realize_rule``
 read one record kept on the protocol per (strategies, domains): its
 behavior rows, one per (bidder, valuation) built once through
@@ -229,21 +231,34 @@ def _attainable_nodes(flat: FlatIndex, bidder: int, behavior: list) -> list:
     return attainable
 
 
-def _descend(protocol, start, pick):
-    """Extend a path from ``start`` to a leaf, choosing edges via ``pick``."""
-    steps = []
-    u = start
-    while not protocol.is_leaf(u):
-        k = pick(u)
-        steps.append((u, k))
-        u = protocol.child(u, k)
-    return steps
+def _witness_profile(
+    protocol: Protocol, k: int, message: int, values: list, best, pinned: dict
+) -> list:
+    """One witness path's behavior profile: a table per bidder of her
+    messages on the path.
 
-
-def _profile_from_steps(protocol: Protocol, steps) -> list:
-    profile = [dict() for _ in range(protocol.n)]
-    for u, k in steps:
-        profile[protocol.bidder(u)][u] = k
+    The path runs from the root to position k, sends ``message`` there,
+    and below it takes the first child with the ``best`` (``min`` or
+    ``max``) of ``values``, except at the nodes of a bidder whose
+    behavior row ``pinned`` holds, where it follows that row.
+    """
+    flat = protocol.flat
+    order, mover, first = flat.order, flat.mover, flat.first
+    forced = order[k] + (message,)
+    profile: list = [{} for _ in range(protocol.n)]
+    c = 0
+    while mover[c] >= 0:
+        depth = len(order[c])
+        if depth < len(forced):
+            j = forced[depth]
+        elif mover[c] in pinned:
+            j = pinned[mover[c]][c]
+        else:
+            a = first[c]
+            children = range(a, a + len(protocol.messages(order[c])))
+            j = best(children, key=values.__getitem__) - a
+        profile[mover[c]][order[c]] = j
+        c = first[c] + j
     return profile
 
 
@@ -274,63 +289,24 @@ def verify_osp(
                 worst = min_pinned[a + truthful]
                 for dev, best in enumerate(max_free[a:b]):
                     if best > worst and dev != truthful:
-                        witness = _build_witness(
-                            protocol,
-                            i,
-                            v_idx,
-                            valuation,
-                            dict(zip(flat.order, row)),
-                            flat.order[k],
-                            truthful,
-                            dev,
-                            Fraction(worst, scale),
-                            Fraction(best, scale),
-                            dict(zip(flat.order, min_pinned)),
-                            dict(zip(flat.order, max_free)),
+                        witness = OspWitness(
+                            bidder=i,
+                            valuation_index=v_idx,
+                            valuation=valuation,
+                            node=flat.order[k],
+                            truthful_message=truthful,
+                            deviating_message=dev,
+                            worst_truthful_utility=Fraction(worst, scale),
+                            best_deviating_utility=Fraction(best, scale),
+                            truthful_profile=_witness_profile(
+                                protocol, k, truthful, min_pinned, min, {i: row}
+                            ),
+                            deviating_profile=_witness_profile(
+                                protocol, k, dev, max_free, max, {}
+                            ),
                         )
                         return OspVerdict("fail", witness)
     return OspVerdict("pass")
-
-
-def _build_witness(
-    protocol, i, v_idx, valuation, behavior, u, truthful, dev, worst, best,
-    min_pinned, max_free,
-) -> OspWitness:
-    # the passes hold scaled integers; scaling keeps the (utility, k) order
-    prefix_steps = [(u[:t], u[t]) for t in range(len(u))]
-
-    def pick_pinned(w):
-        node = protocol.nodes[w]
-        if node.bidder == i:
-            return behavior[w]
-        return min(
-            range(len(node.messages)), key=lambda k: (min_pinned[w + (k,)], k)
-        )
-
-    def pick_free(w):
-        node = protocol.nodes[w]
-        return min(
-            range(len(node.messages)), key=lambda k: (-max_free[w + (k,)], k)
-        )
-
-    truthful_steps = (
-        prefix_steps + [(u, truthful)] + _descend(protocol, u + (truthful,), pick_pinned)
-    )
-    deviating_steps = (
-        prefix_steps + [(u, dev)] + _descend(protocol, u + (dev,), pick_free)
-    )
-    return OspWitness(
-        bidder=i,
-        valuation_index=v_idx,
-        valuation=valuation,
-        node=u,
-        truthful_message=truthful,
-        deviating_message=dev,
-        worst_truthful_utility=worst,
-        best_deviating_utility=best,
-        truthful_profile=_profile_from_steps(protocol, truthful_steps),
-        deviating_profile=_profile_from_steps(protocol, deviating_steps),
-    )
 
 
 def replay_witness(protocol: Protocol, witness: OspWitness) -> tuple:

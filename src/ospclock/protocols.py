@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .valuations import (
@@ -81,7 +80,8 @@ class ProtocolNode:
 class FlatIndex:
     """A protocol's nodes at int positions, for the exhaustive tree passes.
 
-    ``order`` lists every id, internal and leaf, in (depth,
+    ``Protocol`` lays it out in the breadth-first walk that checks the
+    tree.  ``order`` lists every id, internal and leaf, in (depth,
     lexicographic) order, and ``position`` maps an id back to its
     position k.  In this order a node's children sit next to each
     other: internal node k's children are the positions ``first[k]``
@@ -108,12 +108,12 @@ class Protocol:
     ids to builder state (clock price, active set, ...) so strategies
     and reports can interpret nodes without replaying.
 
-    The tree is read-only once built, so what is derived from it is
-    derived once and kept: the flat node index ``flat``, and one
-    tabulation per (strategies, domains) that ``verify_osp``,
-    ``verify_ir_nnt`` and ``realize_rule`` all read: each bidder's
-    behavior row per domain valuation, built once, and the realized
-    rule, played once.
+    One breadth-first walk from the root checks the tree and lays it
+    out as the flat node index ``flat``.  The tree is read-only once
+    built, so the protocol also keeps one tabulation per (strategies,
+    domains) that ``verify_osp``, ``verify_ir_nnt`` and
+    ``realize_rule`` all read: each bidder's behavior row per domain
+    valuation, built once, and the realized rule, played once.
     """
 
     def __init__(
@@ -132,36 +132,49 @@ class Protocol:
         # (ids of the strategies, ids of every domain valuation) ->
         # _Tabulation, which holds those objects so no id is reused
         self._tabulations: dict = {}
-        self._validate()
-
-    def _validate(self) -> None:
-        if self.n < 1:
+        if n < 1:
             raise ValueError("protocols need at least one bidder")
-        overlap = set(self.nodes) & set(self.leaves)
-        if overlap:
-            raise ValueError(f"ids both internal and leaf: {sorted(overlap)[:3]}")
-        everything = set(self.nodes) | set(self.leaves)
-        if () not in everything:
+        nodes, leaves = self.nodes, self.leaves
+        if () not in nodes and () not in leaves:
             raise ValueError("missing root")
+        size = len(nodes) + len(leaves)
         cap = _cap("OSPCLOCK_TREE_CAP", 2_000_000)
-        if len(everything) > cap:
-            raise _refusal("OSPCLOCK_TREE_CAP", cap, f"protocol has {len(everything)} nodes")
-        for u, node in self.nodes.items():
-            if not 0 <= node.bidder < self.n:
+        if size > cap:
+            raise _refusal("OSPCLOCK_TREE_CAP", cap, f"protocol has {size} nodes")
+        order: list = [()]
+        mover = []
+        first = []
+        walk = []
+        for k, u in enumerate(order):  # reaches the children appended below
+            node = nodes.get(u)
+            if node is None:
+                if u not in leaves:
+                    raise ValueError(f"node {u[:-1]}: missing child for message {u[-1]}")
+                validate_outcome(setting, n, leaves[u])
+                mover.append(-1)
+                first.append(-1)
+                continue
+            if u in leaves:
+                raise ValueError(f"ids both internal and leaf: {[u]}")
+            if not 0 <= node.bidder < n:
                 raise ValueError(f"node {u}: bidder {node.bidder} out of range")
             if len(node.messages) < 2:
                 raise ValueError(f"node {u}: single-message nodes must be contracted")
-            for k in range(len(node.messages)):
-                if u + (k,) not in everything:
-                    raise ValueError(f"node {u}: missing child for message {k}")
-        for u in everything:
-            if u and u[:-1] not in self.nodes:
-                raise ValueError(f"unreachable id {u}")
-            if u:
-                if u[-1] >= len(self.nodes[u[:-1]].messages):
-                    raise ValueError(f"id {u} exceeds parent's message count")
-        for u, out in self.leaves.items():
-            validate_outcome(self.setting, self.n, out)
+            a = len(order)
+            order.extend(u + (j,) for j in range(len(node.messages)))
+            mover.append(node.bidder)
+            first.append(a)
+            walk.append((k, node.bidder, a, len(order)))
+        position = {u: k for k, u in enumerate(order)}
+        if len(order) < size:
+            # every walked id is in exactly one table, so some id was not
+            # reached; the shortest one's parent was walked, or is no id
+            u = min((u for u in chain(nodes, leaves) if u not in position), key=len)
+            if u[:-1] in nodes:
+                raise ValueError(f"id {u} exceeds parent's message count")
+            raise ValueError(f"unreachable id {u}")
+        walk.reverse()
+        self.flat = FlatIndex(tuple(order), position, tuple(mover), tuple(first), tuple(walk))
 
     # -- navigation ---------------------------------------------------------
 
@@ -189,34 +202,6 @@ class Protocol:
         """The bidder's nodes, shallowest first, then lexicographic."""
         flat = self.flat
         return [u for u, mover in zip(flat.order, flat.mover) if mover == bidder]
-
-    @cached_property
-    def flat(self) -> FlatIndex:
-        """Every node at an int position, derived once (see :class:`FlatIndex`)."""
-        nodes = self.nodes
-        order: list = [()]
-        mover = []
-        first = []
-        walk = []
-        for k, u in enumerate(order):  # reaches the children appended below
-            node = nodes.get(u)
-            if node is None:
-                mover.append(-1)
-                first.append(-1)
-                continue
-            a = len(order)
-            order.extend(u + (j,) for j in range(len(node.messages)))
-            mover.append(node.bidder)
-            first.append(a)
-            walk.append((k, node.bidder, a, len(order)))
-        walk.reverse()
-        return FlatIndex(
-            tuple(order),
-            {u: k for k, u in enumerate(order)},
-            tuple(mover),
-            tuple(first),
-            tuple(walk),
-        )
 
 
 def play(protocol: Protocol, behaviors: Sequence[Behavior]) -> tuple[Outcome, list]:
@@ -461,15 +446,10 @@ def materialize(game: Game) -> Protocol:
     return Protocol(game.n, game.setting, nodes, leaves, info)
 
 
-def run_game(
-    game: Game,
-    valuations: Sequence[Valuation],
-    message_fn: Optional[Callable] = None,
-) -> tuple[Outcome, tuple]:
+def run_game(game: Game, valuations: Sequence[Valuation]) -> tuple[Outcome, tuple]:
     """Play one path of a game without building the tree.
 
-    ``message_fn(bidder, state, labels)`` picks each message; the
-    default plays ``game.truthful_message`` for the acting bidder's
+    Each acting bidder sends ``game.truthful_message`` for her
     valuation.  Returns the outcome and the message history, which is
     exactly the leaf's node id in the materialized tree.
     """
@@ -479,11 +459,7 @@ def run_game(
     while labels is not None:
         if len(history) == limit:
             raise _refusal("OSPCLOCK_PLAY_CAP", limit, f"play needs over {limit} steps")
-        i = game.bidder(state)
-        if message_fn is None:
-            msg = game.truthful_message(state, valuations[i])
-        else:
-            msg = message_fn(i, state, labels)
+        msg = game.truthful_message(state, valuations[game.bidder(state)])
         if not 0 <= msg < len(labels):
             raise ValueError(f"message {msg} out of range")
         history.append(msg)

@@ -47,6 +47,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .valuations import (
     AdditiveValuation,
     Instance,
+    MultiUnitSetting,
     MultiUnitValuation,
     UnitDemandValuation,
 )
@@ -101,11 +102,9 @@ class OptResult:
 
 def check_allocation_for(setting, n: int, alloc: Allocation) -> None:
     """Raise ValueError unless the allocation is feasible in the setting."""
-    from .valuations import MultiUnitSetting as _MU
-
     if len(alloc.bundles) != n:
         raise ValueError("allocation has the wrong number of bidders")
-    if isinstance(setting, _MU):
+    if isinstance(setting, MultiUnitSetting):
         total = 0
         for q in alloc.bundles:
             if not isinstance(q, int) or q < 0:

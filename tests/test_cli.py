@@ -654,6 +654,23 @@ def test_simulate_exact_mech2_past_the_support_cap_exits_two(tmp_path, capsys, c
     assert "65536 branches" in caplog.text and "OSPCLOCK_SUPPORT_CAP" in caplog.text
 
 
+def test_simulate_exact_naive_max_price_on_fractional_constant_rows(tmp_path, capsys):
+    # 2^16 coin splits, past the support cap: the setter closed form
+    # answers fractional constant rows as it does integer ones (summing
+    # the 65,536 branch games, with the cap raised, gives the same value)
+    values = ["5/2", "7/3", "1", "0", "3", "5/2", "2", "7/3"] * 2
+    bidders = [{"kind": "unit_demand", "values": {"a": v, "b": v}} for v in values]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"setting": {"items": ["a", "b"]}, "bidders": bidders}))
+    code, payload = run_json(
+        capsys, "simulate", "--exact", "--mechanism", "naive-max-price", "--instance", str(path)
+    )
+    assert code == 0
+    assert payload["report"] == {
+        "ci": None, "expected_welfare": "419/192", "opt": "6/1", "ratio": "419/1152",
+    }
+
+
 def test_search_finds_the_tight_monotone_point(capsys):
     code, payload = run_json(
         capsys,

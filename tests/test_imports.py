@@ -1,8 +1,9 @@
 """Static checks: every imported name in the package and tests is used,
 every module-level function and class of the package is named somewhere
 besides its definition, and so is every non-dunder method of its
-classes; the size-cap variables are listed alike in README, the CLI
-epilog and the package."""
+classes; every defaulted parameter of those functions and methods is
+passed by some call; the size-cap variables are listed alike in README,
+the CLI epilog and the package."""
 
 import ast
 import re
@@ -141,6 +142,107 @@ def test_no_unreferenced_definitions():
     package = {path.stem: path.read_text() for path in PACKAGE}
     others = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     assert unreferenced_definitions(package, [p.read_text() for p in others]) == []
+
+
+def calls_by_name(sources: list) -> dict:
+    """Each callee name (a called name or attribute) to the calls made
+    to it: ``(positional count, keyword names)``, or None for a call
+    that spreads ``*args`` or ``**kwargs`` and so may pass anything."""
+    calls: dict = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            spread = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords
+            )
+            calls.setdefault(name, []).append(
+                None if spread else (len(node.args), {k.arg for k in node.keywords})
+            )
+    return calls
+
+
+def callables(tree: ast.Module):
+    """``(definition, qualified name, callee name, receiver count)`` for
+    each module-level function and method: a class's name calls its
+    ``__init__``, and a method's first parameter is no call argument
+    unless it is a staticmethod."""
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS):
+            yield node, node.name, node.name, 0
+        elif isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if not isinstance(member, FUNCTIONS):
+                    continue
+                decorators = {getattr(d, "id", None) for d in member.decorator_list}
+                static = "staticmethod" in decorators
+                callee = node.name if member.name == "__init__" else member.name
+                yield member, f"{node.name}.{member.name}", callee, 0 if static else 1
+
+
+def unpassed_defaults(package: dict, sources: list) -> list:
+    """Defaulted parameters of ``package``'s module-level functions and
+    methods that no call in ``package`` or ``sources`` passes, by
+    keyword or by position; calls match by callee name."""
+    calls = calls_by_name(list(package.values()) + sources)
+    unpassed = []
+    for module, source in package.items():
+        for fn, qualname, callee, receivers in callables(ast.parse(source)):
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first_default = len(positional) - len(args.defaults)
+            defaulted = [
+                (p.arg, k - receivers) for k, p in enumerate(positional) if k >= first_default
+            ]
+            defaulted += [
+                (p.arg, None)
+                for p, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None
+            ]
+            for name, position in defaulted:
+                if not any(
+                    call is None or name in call[1] or (position is not None and call[0] > position)
+                    for call in calls.get(callee, [])
+                ):
+                    unpassed.append((module, qualname, name))
+    return sorted(unpassed)
+
+
+def test_unpassed_default_detector():
+    package = {
+        "m": (
+            "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+            "def g(a=1):\n    pass\n"
+            "def h(a=1):\n    pass\n"
+            "class K:\n"
+            "    def __init__(self, x=0, y=0):\n        pass\n"
+            "    def method(self, z=0, w=0):\n        pass\n"
+            "    @staticmethod\n    def helper(s=0, t=0):\n        pass\n"
+        )
+    }
+    sources = [
+        "f(0, 1, e=5)\n"
+        "g(*[])\n"
+        "h(**{})\n"
+        "K(1)\n"
+        "k.method(w=2)\n"
+        "K.helper(1)\n"
+    ]
+    assert unpassed_defaults(package, sources) == [
+        ("m", "K.__init__", "y"),
+        ("m", "K.helper", "t"),
+        ("m", "K.method", "z"),
+        ("m", "f", "c"),
+        ("m", "f", "d"),
+    ]
+
+
+def test_every_default_is_passed_somewhere():
+    package = {path.stem: path.read_text() for path in PACKAGE}
+    others = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    assert unpassed_defaults(package, [p.read_text() for p in others]) == []
 
 
 def cap_variables_read(source: str) -> set:

@@ -84,9 +84,10 @@ def flat_unit_demand(items, c):
     return UnitDemandValuation(items, {j: F(c) for j in items})
 
 
-def constant_row_instances(count, seed=11):
-    """Seeded constant-row instances: 1-5 bidders over 1-4 items, integer
-    values 0-3 with zeros, all additive, all unit-demand, or mixed."""
+def constant_row_instances(count, seed=11, values=(0, 1, 2, 3)):
+    """Seeded constant-row instances: 1-5 bidders over 1-4 items, each
+    worth one of ``values`` (zeros included), all additive, all
+    unit-demand, or mixed."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -97,7 +98,7 @@ def constant_row_instances(count, seed=11):
         )
         vals = tuple(
             rng.choice(kinds)(items, {j: F(c) for j in items})
-            for c in [rng.randint(0, 3) for _ in range(n)]
+            for c in [rng.choice(values) for _ in range(n)]
         )
         out.append(Instance(CombinatorialSetting(items), vals))
     return out
@@ -380,7 +381,7 @@ def test_mech3_fast_path_matches_game():
     )
     for inst in (flat, *constant_row_instances(60)):
         mech = mech3_unit_demand(inst.n, inst.items)
-        answers = _constant_integer_rows(inst, UnitDemandValuation) is not None
+        answers = _constant_integer_rows(inst) is not None
         for branch in mech.branches():
             game = branch.game([[v] for v in inst.valuations])
             played, _ = run_game(game, inst.valuations)
@@ -559,8 +560,9 @@ def test_naive_fast_expectation_matches_branches():
         F(0),
     )
     assert _naive_constant_rows_exact(inst) == generic == mech.exact_expected_welfare(inst)
-    # seeded constant rows, additive rows and zeros included
-    for inst in constant_row_instances(60):
+    # seeded constant rows, additive rows, zeros and fractions included
+    fractional = constant_row_instances(60, 12, (0, 1, 2, 3, F(5, 2), F(7, 3)))
+    for inst in constant_row_instances(60) + fractional:
         mech = naive_max_price_ud(inst.n, inst.items)
         assert _naive_constant_rows_exact(inst) is not None
         assert mech.exact_expected_welfare(inst) == game_expected_welfare(mech, inst), inst
@@ -613,24 +615,21 @@ def test_mech2_closed_form_matches_the_branch_games_on_additive_rows():
 
 
 def test_max_price_closed_forms_match_the_branch_games_on_constant_unit_demand_rows():
-    """mech2 answers every market; naive-max-price those on integer rows."""
+    """mech2 and naive-max-price answer every market, fractional rows too."""
 
     def row(rng, items):
         return flat_unit_demand(items, rng.choice(MAX_PRICE_VALUES))
 
     instances = seeded_max_price_instances(60, 9, row)
     assert any(F(0) in (v.constant for v in inst.valuations) for inst in instances)
-    naive_answered = 0
+    fractional = 0
     for inst in instances:
         mech = mech2_additive(inst.n, inst.items)
         assert _mech2_exact(inst) == game_expected_welfare(mech, inst), inst
-        naive = _naive_constant_rows_exact(inst)
-        if any(v.constant.denominator != 1 for v in inst.valuations):
-            assert naive is None
-        else:
-            naive_answered += 1
-            assert naive == game_expected_welfare(naive_max_price_ud(inst.n, inst.items), inst)
-    assert naive_answered >= 20
+        naive = naive_max_price_ud(inst.n, inst.items)
+        assert _naive_constant_rows_exact(inst) == game_expected_welfare(naive, inst), inst
+        fractional += any(v.constant.denominator != 1 for v in inst.valuations)
+    assert fractional >= 20
 
 
 def test_mech2_closed_form_declines_other_rows():
@@ -1051,9 +1050,9 @@ def test_mech3_shortcut_resolves_rows_once_per_instance(monkeypatch):
     calls = []
     rows = mechanisms._constant_integer_rows
 
-    def counted_rows(instance, kind):
+    def counted_rows(instance):
         calls.append(instance)
-        return rows(instance, kind)
+        return rows(instance)
 
     monkeypatch.setattr(mechanisms, "_constant_integer_rows", counted_rows)
     flat = Instance(

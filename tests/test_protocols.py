@@ -33,7 +33,7 @@ from ospclock.valuations import (
     MultiUnitValuation,
     make_single_minded,
 )
-from ospclock.welfare import Allocation
+from ospclock.welfare import Allocation, SizeCapError
 
 F = Fraction
 SETTING2 = MultiUnitSetting(2)
@@ -83,13 +83,6 @@ def test_play_is_deterministic():
     assert play(proto, [{(): 1}]) == play(proto, [{(): 1}])
 
 
-def test_protocol_rejects_single_message_nodes():
-    nodes = {(): ProtocolNode(0, ("only",))}
-    leaves = {(0,): Outcome(Allocation((0,)), (F(0),))}
-    with pytest.raises(ValueError, match="contracted"):
-        Protocol(1, MultiUnitSetting(1), nodes, leaves)
-
-
 class ForcedMoveGame(Game):
     """One bidder, one unit: a forced move, a buy/pass choice, a forced move.
 
@@ -132,25 +125,68 @@ def test_forced_moves_are_contracted_by_the_protocol_layer():
     assert proto.nodes == {(): ProtocolNode(0, ("buy", "pass"))}
     assert sorted(proto.leaves) == [(0,), (1,)]
     assert proto.info == {(): (0,), (0,): (0, 0, 0), (1,): (0, 1, 0)}
-    seen = []
-    out, history = run_game(
-        game, [None], lambda i, state, labels: seen.append(state) or 1
-    )
-    assert (seen, history) == ([(0,)], (1,))
+    out, history = run_game(game, [None])
+    assert history == (1,)
     assert out == proto.outcome((1,))
     assert truthful_strategies(game)[0](None, ()) == 1
-    assert run_game(game, [None])[1] == (1,)
     with pytest.raises(ValueError, match="no messages"):
         materialize(ForcedMoveGame(dead_end=True))
     with pytest.raises(ValueError, match="no messages"):
         run_game(ForcedMoveGame(dead_end=True), [None])
 
 
-def test_protocol_rejects_missing_children():
-    nodes = {(): ProtocolNode(0, ("a", "b"))}
-    leaves = {(0,): Outcome(Allocation((0,)), (F(0),))}
-    with pytest.raises(ValueError, match="missing child"):
-        Protocol(1, MultiUnitSetting(1), nodes, leaves)
+NOTHING = Outcome(Allocation((0,)), (F(0),))
+CHOICE = {(): ProtocolNode(0, ("a", "b"))}
+
+# each structural refusal: (n, nodes, leaves, the whole message)
+MALFORMED = {
+    "no-bidders": (0, {}, {(): Outcome(Allocation(()), ())}, "protocols need at least one bidder"),
+    "internal-and-leaf": (
+        1, CHOICE, {(): NOTHING, (0,): NOTHING, (1,): NOTHING},
+        "ids both internal and leaf: [()]",
+    ),
+    "missing-root": (1, {}, {(0,): NOTHING}, "missing root"),
+    "bidder-out-of-range": (
+        1, {(): ProtocolNode(1, ("a", "b"))}, {(0,): NOTHING, (1,): NOTHING},
+        "node (): bidder 1 out of range",
+    ),
+    "single-message": (
+        1, {(): ProtocolNode(0, ("only",))}, {(0,): NOTHING},
+        "node (): single-message nodes must be contracted",
+    ),
+    "missing-child": (1, CHOICE, {(0,): NOTHING}, "node (): missing child for message 1"),
+    "past-message-count": (
+        1, CHOICE, {(0,): NOTHING, (1,): NOTHING, (2,): NOTHING},
+        "id (2,) exceeds parent's message count",
+    ),
+    "child-of-a-leaf": (
+        1, CHOICE, {(0,): NOTHING, (1,): NOTHING, (0, 0): NOTHING}, "unreachable id (0, 0)"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_protocol_refuses_each_malformed_tree(case):
+    n, nodes, leaves, message = MALFORMED[case]
+    with pytest.raises(ValueError) as refused:
+        Protocol(n, MultiUnitSetting(1), nodes, leaves)
+    assert str(refused.value) == message
+
+
+def test_protocol_refuses_a_negative_message_id():
+    # no message has index -1, so the walk from the root never reaches it
+    leaves = {(0,): NOTHING, (1,): NOTHING, (-1,): NOTHING}
+    with pytest.raises(ValueError, match=r"id \(-1,\)"):
+        Protocol(1, MultiUnitSetting(1), CHOICE, leaves)
+
+
+def test_protocol_refuses_a_tree_over_the_tree_cap(monkeypatch):
+    leaves = {(0,): NOTHING, (1,): NOTHING}
+    Protocol(1, MultiUnitSetting(1), CHOICE, leaves)
+    monkeypatch.setenv("OSPCLOCK_TREE_CAP", "2")
+    with pytest.raises(SizeCapError) as refused:
+        Protocol(1, MultiUnitSetting(1), CHOICE, leaves)
+    assert str(refused.value) == "protocol has 3 nodes; cap 2 (override with OSPCLOCK_TREE_CAP)"
 
 
 def test_protocol_rejects_infeasible_leaf():
