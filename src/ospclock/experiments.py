@@ -23,7 +23,6 @@ from itertools import product
 from typing import Optional, Sequence, Union
 
 from .mechanisms import RandomizedMechanism, SupportElement
-from .protocols import behavior_from_strategy, play
 from .rng import CounterRng
 from .valuations import (
     AdditiveValuation,
@@ -35,7 +34,7 @@ from .valuations import (
     Valuation,
     make_single_minded,
 )
-from .welfare import opt, opt_value_restricted, unit_step_values, welfare_of
+from .welfare import opt, opt_value_restricted, unit_step_values
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -120,29 +119,16 @@ class RatioReport:
         return None if self.stderr is None else 3 * self.stderr
 
 
-Evaluable = Union[RandomizedMechanism, SupportElement, tuple]
-
-
-def _expected_welfare(subject: Evaluable, instance: Instance) -> Fraction:
-    if isinstance(subject, RandomizedMechanism):
-        return subject.exact_expected_welfare(instance)
-    if isinstance(subject, SupportElement):
-        return subject.welfare(instance)
-    protocol, strategies = subject
-    behaviors = [
-        behavior_from_strategy(protocol, i, strategies[i], v)
-        for i, v in enumerate(instance.valuations)
-    ]
-    outcome, _ = play(protocol, behaviors)
-    return welfare_of(instance, outcome.allocation)
-
-
-def eval_on_distribution(subject: Evaluable, dist: ProfileDistribution) -> RatioReport:
+def eval_on_distribution(
+    subject: Union[RandomizedMechanism, SupportElement], dist: ProfileDistribution
+) -> RatioReport:
     """Exact expected approximation ratio over a profile distribution.
 
-    Accepts a randomized mechanism, one support branch, or a
-    deterministic (protocol, strategies) pair.  Every profile must
-    have positive optimal welfare.
+    Accepts a randomized mechanism (its exact expected welfare) or one
+    of its support branches (that branch's welfare); a deterministic
+    clock is evaluated as its one-branch mechanism, such as
+    ``three_item_dm_mechanism()``.  Every profile must have positive
+    optimal welfare.
     """
     rows = []
     for entry in dist.entries:
@@ -150,7 +136,10 @@ def eval_on_distribution(subject: Evaluable, dist: ProfileDistribution) -> Ratio
         best = opt(instance).value
         if best == 0:
             raise ValueError(f"profile {entry.label!r} has zero optimal welfare")
-        welfare = _expected_welfare(subject, instance)
+        if isinstance(subject, RandomizedMechanism):
+            welfare = subject.exact_expected_welfare(instance)
+        else:
+            welfare = subject.welfare(instance)
         rows.append(
             ProfileRow(entry.label, entry.probability, welfare, best, welfare / best)
         )

@@ -59,8 +59,8 @@ from .protocols import (
     Outcome,
     build_gaa,
     gaa_grid_for_domains,
-    game_strategy,
     run_game,
+    truthful_strategies,
 )
 from .rng import CounterRng
 from .valuations import (
@@ -356,6 +356,10 @@ def m3_2x2(p: Fraction = Fraction(1, 3), items: tuple = ("a", "b")) -> Randomize
 
 DEFAULT_THREE_ITEM_GRID = (ONE, Fraction(2), Fraction(3), Fraction(4), Fraction(5))
 
+# three units, one guaranteed to each of two bidders, a clock for the
+# third: the setting and the one arm of the fixed-pair clock
+_FIXED_PAIR_CLOCK = (MultiUnitSetting(3), ("fixed-pair-clock", ONE, (1, 1), (2, 2)))
+
 
 def three_item_dm(grid: tuple = DEFAULT_THREE_ITEM_GRID):
     """Two bidders, three units: one unit each, clock for the third.
@@ -365,15 +369,15 @@ def three_item_dm(grid: tuple = DEFAULT_THREE_ITEM_GRID):
     go to bidder 1 as everywhere else.  The default grid covers
     marginal values 0..4.  Returns (protocol, strategies).
     """
-    spec = GaaSpec(MultiUnitSetting(3), (1, 1), (2, 2), tuple(grid))
+    setting, (_, _, base, potential) = _FIXED_PAIR_CLOCK
+    spec = GaaSpec(setting, base, potential, tuple(grid))
     protocol = build_gaa(spec)
-    strategy = game_strategy(GaaGame(spec), protocol)
-    return protocol, [strategy, strategy]
+    return protocol, truthful_strategies(GaaGame(spec), protocol)
 
 
 def three_item_dm_mechanism() -> RandomizedMechanism:
-    arms = [("fixed-pair-clock", ONE, (1, 1), (2, 2))]
-    return _clock_mechanism("three-item-dm", MultiUnitSetting(3), 2, arms)
+    setting, arm = _FIXED_PAIR_CLOCK
+    return _clock_mechanism("three-item-dm", setting, 2, [arm])
 
 
 # ---------------------------------------------------------------------------
@@ -1071,61 +1075,38 @@ def mech3_unit_demand(n: int, items: Sequence[str]) -> RandomizedMechanism:
 # registry
 
 
+# name -> (setting kind, fixed (bidders, units or items) or None, builder);
+# a kind of None takes either setting.  The CLI offers the names in this order.
+_REGISTRY: dict = {
+    "grand-bundle": (None, None, lambda i: grand_bundle_auction(i.n, i.setting)),
+    "random-bundles": ("multi-unit", None, lambda i: random_bundles(i.n, i.m)),
+    "mech1-single-minded": ("multi-unit", None, lambda i: mech1_single_minded(i.n, i.m)),
+    "mech1-decreasing-marginals": (
+        "multi-unit",
+        None,
+        lambda i: _partition_sale_mechanism("mech1-decreasing-marginals", i.n, i.m),
+    ),
+    "mech2-additive": ("combinatorial", None, lambda i: mech2_additive(i.n, i.items)),
+    "mech3-unit-demand": ("combinatorial", None, lambda i: mech3_unit_demand(i.n, i.items)),
+    "naive-max-price": ("combinatorial", None, lambda i: naive_max_price_ud(i.n, i.items)),
+    "m1-2x2": ("multi-unit", (2, 2), lambda i: m1_2x2()),
+    "m2-2x2": ("combinatorial", (2, 2), lambda i: m2_2x2(i.items)),
+    "m3-2x2": ("combinatorial", (2, 2), lambda i: m3_2x2(items=i.items)),
+    "three-item-dm": ("multi-unit", (2, 3), lambda i: three_item_dm_mechanism()),
+}
+
+MECHANISM_NAMES = tuple(_REGISTRY)
+
+
 def mechanism_for_instance(name: str, instance: Instance) -> RandomizedMechanism:
     """Build the named mechanism shaped to the given instance."""
-    n = instance.n
-    multi = instance.multiunit
-    if name == "grand-bundle":
-        return grand_bundle_auction(n, instance.setting)
-    if name == "random-bundles":
-        if not multi:
-            raise ValueError("random-bundles needs a multi-unit instance")
-        return random_bundles(n, instance.m)
-    if name in ("mech1-single-minded", "mech1-decreasing-marginals"):
-        if not multi:
-            raise ValueError("mech1 needs a multi-unit instance")
-        return _partition_sale_mechanism(name, n, instance.m)
-    if name == "mech2-additive":
-        if multi:
-            raise ValueError("mech2 needs a combinatorial instance")
-        return mech2_additive(n, instance.items)
-    if name == "mech3-unit-demand":
-        if multi:
-            raise ValueError("mech3 needs a combinatorial instance")
-        return mech3_unit_demand(n, instance.items)
-    if name == "naive-max-price":
-        if multi:
-            raise ValueError("naive-max-price needs a combinatorial instance")
-        return naive_max_price_ud(n, instance.items)
-    if name == "m1-2x2":
-        if not multi or instance.m != 2 or n != 2:
-            raise ValueError("m1-2x2 is bound to 2 bidders and 2 units")
-        return m1_2x2()
-    if name == "m2-2x2":
-        if multi or n != 2 or len(instance.items) != 2:
-            raise ValueError("m2-2x2 is bound to 2 bidders and 2 items")
-        return m2_2x2(instance.items)
-    if name == "m3-2x2":
-        if multi or n != 2 or len(instance.items) != 2:
-            raise ValueError("m3-2x2 is bound to 2 bidders and 2 items")
-        return m3_2x2(items=instance.items)
-    if name == "three-item-dm":
-        if not multi or instance.m != 3 or n != 2:
-            raise ValueError("three-item-dm is bound to 2 bidders and 3 units")
-        return three_item_dm_mechanism()
-    raise ValueError(f"unknown mechanism {name!r}")
-
-
-MECHANISM_NAMES = (
-    "grand-bundle",
-    "random-bundles",
-    "mech1-single-minded",
-    "mech1-decreasing-marginals",
-    "mech2-additive",
-    "mech3-unit-demand",
-    "naive-max-price",
-    "m1-2x2",
-    "m2-2x2",
-    "m3-2x2",
-    "three-item-dm",
-)
+    if name not in _REGISTRY:
+        raise ValueError(f"unknown mechanism {name!r}")
+    kind, shape, build = _REGISTRY[name]
+    has = "multi-unit" if instance.multiunit else "combinatorial"
+    if shape is not None and (has, (instance.n, instance.m)) != (kind, shape):
+        goods = "units" if kind == "multi-unit" else "items"
+        raise ValueError(f"{name} is bound to {shape[0]} bidders and {shape[1]} {goods}")
+    if kind not in (None, has):
+        raise ValueError(f"{name} needs a {kind} instance")
+    return build(instance)

@@ -15,9 +15,10 @@ the same transition code, so the tree and the simulation cannot drift
 apart.
 
 A game may expose a state with a single message.  Such a state is no
-decision (Li, AER 2017), so ``materialize``, ``run_game`` and
-``game_strategy`` follow its only child without recording a node or a
-history entry; a non-leaf state with no message is an error.
+decision (Li, AER 2017), so ``materialize`` and ``run_game`` follow its
+only child without recording a node or a history entry; a non-leaf
+state with no message is an error.  ``materialize`` records each node's
+state in ``Protocol.info``, and ``game_strategy`` reads it from there.
 
 The central game here is the generalized ascending auction
 (:class:`GaaSpec`): every bidder holds a base bundle and bids for a
@@ -38,6 +39,8 @@ from .valuations import (
     Valuation,
     as_fraction,
     format_fraction,
+    setting_from_json,
+    setting_to_json,
 )
 from .welfare import Allocation, _cap, _refusal, check_allocation_for
 
@@ -100,13 +103,17 @@ class FlatIndex:
     walk: tuple
 
 
+def _tree_cap() -> int:
+    return _cap("OSPCLOCK_TREE_CAP", 2_000_000)
+
+
 class Protocol:
     """Explicit finite tree with history-tuple node ids.
 
     ``nodes`` maps internal node ids to (bidder, message labels);
     ``leaves`` maps leaf ids to outcomes.  ``info`` optionally maps node
-    ids to builder state (clock price, active set, ...) so strategies
-    and reports can interpret nodes without replaying.
+    ids to builder state (clock price, active set, ...); ``materialize``
+    fills it, and ``game_strategy`` reads it.
 
     One breadth-first walk from the root checks the tree and lays it
     out as the flat node index ``flat``.  The tree is read-only once
@@ -138,7 +145,7 @@ class Protocol:
         if () not in nodes and () not in leaves:
             raise ValueError("missing root")
         size = len(nodes) + len(leaves)
-        cap = _cap("OSPCLOCK_TREE_CAP", 2_000_000)
+        cap = _tree_cap()
         if size > cap:
             raise _refusal("OSPCLOCK_TREE_CAP", cap, f"protocol has {size} nodes")
         order: list = [()]
@@ -373,10 +380,11 @@ class Game:
     Subclasses define the tree implicitly; ``materialize`` makes it
     explicit and ``run_game`` plays it directly.  States may be any
     immutable value.  A state with exactly one message is a forced move:
-    ``materialize``, ``run_game`` and ``game_strategy`` contract it by
-    following message 0, so node ids, play histories and
-    ``Protocol.info`` only ever see states with two or more messages
-    (or leaves).  A non-leaf state must have at least one message.
+    ``materialize`` and ``run_game`` contract it by following message 0,
+    so node ids, play histories and ``Protocol.info`` (which
+    ``game_strategy`` reads) only ever see states with two or more
+    messages (or leaves).  A non-leaf state must have at least one
+    message.
     """
 
     n: int
@@ -422,7 +430,7 @@ def _decision(game: Game, state) -> tuple:
 
 def materialize(game: Game) -> Protocol:
     """Breadth-first expansion of a game into an explicit Protocol."""
-    cap = _cap("OSPCLOCK_TREE_CAP", 2_000_000)
+    cap = _tree_cap()
     nodes: dict = {}
     leaves: dict = {}
     info: dict = {}
@@ -467,30 +475,23 @@ def run_game(game: Game, valuations: Sequence[Valuation]) -> tuple[Outcome, tupl
     return game.outcome(state), tuple(history)
 
 
-def game_strategy(game: Game, protocol: Optional[Protocol] = None) -> Strategy:
-    """Truthful strategy usable with an explicit tree.
+def game_strategy(game: Game, protocol: Protocol) -> Strategy:
+    """Truthful strategy on a tree materialized from ``game``.
 
-    With ``protocol`` given (and materialized from the same game) the
-    state is read off ``protocol.info``; otherwise the node history is
-    replayed through the game, which is slower but standalone.  The
-    strategy keeps the info map, not the protocol, so a protocol whose
+    The state at each node is read off ``protocol.info``, which
+    ``materialize`` records after following forced moves.  The strategy
+    keeps the info map, not the protocol, so a protocol whose
     tabulations hold the strategy is still freed by reference counting.
     """
-    info = {} if protocol is None else protocol.info
+    info = protocol.info
 
     def strategy(valuation: Valuation, u: NodeId) -> int:
-        if u in info:
-            state = info[u]
-        else:
-            state, _ = _decision(game, game.root_state())
-            for msg in u:
-                state, _ = _decision(game, game.child(state, msg))
-        return game.truthful_message(state, valuation)
+        return game.truthful_message(info[u], valuation)
 
     return strategy
 
 
-def truthful_strategies(game: Game, protocol: Optional[Protocol] = None) -> list:
+def truthful_strategies(game: Game, protocol: Protocol) -> list:
     s = game_strategy(game, protocol)
     return [s for _ in range(game.n)]
 
@@ -705,13 +706,9 @@ def _allocation_from_json(setting: Setting, data) -> Allocation:
 
 
 def protocol_to_json(protocol: Protocol) -> dict:
-    if isinstance(protocol.setting, MultiUnitSetting):
-        setting = {"multiunit": protocol.setting.m}
-    else:
-        setting = {"items": list(protocol.setting.items)}
     return {
         "n": protocol.n,
-        "setting": setting,
+        "setting": setting_to_json(protocol.setting),
         "nodes": {
             _id_to_key(u): {"bidder": node.bidder, "messages": list(node.messages)}
             for u, node in sorted(protocol.nodes.items())
@@ -727,11 +724,7 @@ def protocol_to_json(protocol: Protocol) -> dict:
 
 
 def protocol_from_json(data: Mapping) -> Protocol:
-    raw = data["setting"]
-    if "multiunit" in raw:
-        setting: Setting = MultiUnitSetting(int(raw["multiunit"]))
-    else:
-        setting = CombinatorialSetting(tuple(raw["items"]))
+    setting = setting_from_json(data["setting"])
     nodes = {
         _key_to_id(key): ProtocolNode(int(nd["bidder"]), tuple(nd["messages"]))
         for key, nd in data["nodes"].items()

@@ -456,13 +456,15 @@ def valuation_to_json(v: Valuation) -> dict:
     raise TypeError(f"not a valuation: {v!r}")
 
 
+def setting_to_json(setting: Setting) -> dict:
+    if isinstance(setting, MultiUnitSetting):
+        return {"multiunit": setting.m}
+    return {"items": list(setting.items)}
+
+
 def instance_to_json(instance: Instance) -> dict:
-    if isinstance(instance.setting, MultiUnitSetting):
-        setting = {"multiunit": instance.setting.m}
-    else:
-        setting = {"items": list(instance.setting.items)}
     return {
-        "setting": setting,
+        "setting": setting_to_json(instance.setting),
         "bidders": [valuation_to_json(v) for v in instance.valuations],
     }
 
@@ -537,6 +539,26 @@ def _valuation_from_json(data, setting: Setting, name: str) -> Valuation:
     raise ValueError(f"unknown combinatorial valuation kind {_brief(kind)}")
 
 
+def setting_from_json(data) -> Setting:
+    """Read a setting document, ``{"multiunit": m}`` or ``{"items": [...]}``;
+    every malformed field is a ``ValueError`` naming it."""
+    raw = _json_object(data, "setting")
+    if "multiunit" in raw and "items" in raw:
+        raise ValueError("setting names both 'multiunit' and 'items'")
+    if "multiunit" in raw:
+        return MultiUnitSetting(_json_int(raw["multiunit"], "multiunit"))
+    if "items" not in raw:
+        raise ValueError("setting must name 'multiunit' or 'items'")
+    items = tuple(_json_list(raw["items"], "items"))
+    for item in items:
+        # "" is the empty bundle's key and "," separates a bundle's items
+        if not isinstance(item, str) or not item or "," in item:
+            raise ValueError(
+                f"item name {_brief(item)} must be a non-empty string without ','"
+            )
+    return CombinatorialSetting(items)
+
+
 def instance_from_json(data: Mapping) -> Instance:
     """Read an instance document; every malformed field is a ``ValueError``
     naming it.
@@ -547,23 +569,7 @@ def instance_from_json(data: Mapping) -> Instance:
     """
     if not isinstance(data, dict):
         raise ValueError(f"an instance must be a JSON object, got a {type(data).__name__}")
-    raw_setting = _json_object(_json_key(data, "setting", "the instance"), "setting")
-    if "multiunit" in raw_setting and "items" in raw_setting:
-        raise ValueError("setting names both 'multiunit' and 'items'")
-    if "multiunit" in raw_setting:
-        m = _json_int(raw_setting["multiunit"], "multiunit")
-        setting: Setting = MultiUnitSetting(m)
-    elif "items" in raw_setting:
-        items = tuple(_json_list(raw_setting["items"], "items"))
-        for item in items:
-            # "" is the empty bundle's key and "," separates a bundle's items
-            if not isinstance(item, str) or not item or "," in item:
-                raise ValueError(
-                    f"item name {_brief(item)} must be a non-empty string without ','"
-                )
-        setting = CombinatorialSetting(items)
-    else:
-        raise ValueError("setting must name 'multiunit' or 'items'")
+    setting = setting_from_json(_json_key(data, "setting", "the instance"))
     raw_bidders = _json_list(_json_key(data, "bidders", "the instance"), "bidders")
     if isinstance(setting, MultiUnitSetting):
         from .welfare import _opt_cap, _refusal

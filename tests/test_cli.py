@@ -80,12 +80,17 @@ def test_passing_verification_exits_zero(capsys):
     assert [c["status"] for c in payload["checks"]] == ["pass", "pass"]
 
 
-def test_config_errors_exit_two(capsys):
+def test_config_errors_exit_two(capsys, caplog):
     assert main(["verify-osp", "--fixture", "nope"]) == 2
     # mechanism shaped for two units cannot run on a combinatorial pair
     assert main(
         ["simulate", "--mechanism", "m1-2x2", "--fixture", "subadd-split", "--exact"]
     ) == 2
+    # an item-pricing mechanism cannot run on a multi-unit instance
+    assert main(
+        ["simulate", "--mechanism", "mech2-additive", "--fixture", "rb-demo", "--exact"]
+    ) == 2
+    assert "mech2-additive needs a combinatorial instance" in caplog.text
     # the sampling gate refuses a critical bidder
     assert main(["sampling-lemma", "--fixture", "critical-1"]) == 2
     # simulate needs an instance from somewhere

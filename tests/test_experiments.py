@@ -36,7 +36,6 @@ from ospclock.mechanisms import (
     mech3_unit_demand,
     mechanism_for_instance,
     naive_max_price_ud,
-    three_item_dm,
     three_item_dm_mechanism,
 )
 from ospclock.rng import CounterRng
@@ -149,13 +148,13 @@ def test_eval_is_linear_over_the_support():
     assert whole.ratio == mixed
 
 
-def test_eval_accepts_protocol_strategy_pairs():
+def test_eval_takes_the_three_item_clock_as_its_mechanism():
     v1 = make_single_minded(4, 1, 3)
     v2 = make_single_minded(3, 1, 3)
     dist = ProfileDistribution(
         MultiUnitSetting(3), (ProfileEntry("only", F(1), (v1, v2)),)
     )
-    rep = eval_on_distribution(three_item_dm(), dist)
+    rep = eval_on_distribution(three_item_dm_mechanism(), dist)
     assert rep.ratio == 1
 
 
@@ -290,15 +289,13 @@ def test_mc_ratio_on_the_crowded_market_never_calls_welfare_of():
     with mock.patch(
         "ospclock.mechanisms.welfare_of", side_effect=AssertionError
     ) as in_mechanisms, mock.patch(
-        "ospclock.experiments.welfare_of", side_effect=AssertionError
-    ) as in_experiments, mock.patch(
         "ospclock.mechanisms._arrival_label", side_effect=AssertionError
     ) as labels, mock.patch(
         "ospclock.mechanisms.ArrivalPricingGame", side_effect=AssertionError
     ) as games:
         rep = mc_ratio(mech3_unit_demand(16, inst.items), inst, trials=300, seed=5)
-    patched = (in_mechanisms, in_experiments, labels, games)
-    assert [p.call_count for p in patched] == [0, 0, 0, 0]
+    patched = (in_mechanisms, labels, games)
+    assert [p.call_count for p in patched] == [0, 0, 0]
     assert rep == expected
 
 

@@ -3,10 +3,11 @@ every module-level function and class of the package is named somewhere
 besides its definition, and so is every non-dunder method of its
 classes; every defaulted parameter of those functions and methods is
 passed by some call; the size-cap variables are listed alike in README,
-the CLI epilog and the package."""
+the CLI epilog and the package, and each is read by one ``_cap`` call."""
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -245,9 +246,10 @@ def test_every_default_is_passed_somewhere():
     assert unpassed_defaults(package, [p.read_text() for p in others]) == []
 
 
-def cap_variables_read(source: str) -> set:
-    """The variable names passed as string constants to ``_cap(...)``."""
-    return {
+def cap_variables_read(source: str) -> list:
+    """The variable names passed as string constants to ``_cap(...)``,
+    one entry per call."""
+    return [
         node.args[0].value
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
@@ -255,7 +257,7 @@ def cap_variables_read(source: str) -> set:
         and node.func.id == "_cap"
         and node.args
         and isinstance(node.args[0], ast.Constant)
-    }
+    ]
 
 
 def test_size_caps_are_listed_alike():
@@ -268,3 +270,10 @@ def test_size_caps_are_listed_alike():
     assert len(read) == 6
     assert set(named.findall(section)) == read
     assert set(named.findall(EPILOG)) == read
+
+
+def test_each_size_cap_is_read_by_one_call():
+    """Each cap variable is read by exactly one ``_cap(...)`` call in the
+    package, so its default is stated once."""
+    reads = Counter(name for path in PACKAGE for name in cap_variables_read(path.read_text()))
+    assert [name for name, count in reads.items() if count > 1] == []

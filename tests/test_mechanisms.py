@@ -872,6 +872,46 @@ def test_mechanism_for_instance_round_trip():
         assert mechanism_for_instance(name, shaped.get(name, inst)).name == name
 
 
+# the shape each registry name refuses to leave, as its refusal names it
+REGISTRY_SHAPES = {
+    "grand-bundle": None,
+    "random-bundles": "needs a multi-unit instance",
+    "mech1-single-minded": "needs a multi-unit instance",
+    "mech1-decreasing-marginals": "needs a multi-unit instance",
+    "mech2-additive": "needs a combinatorial instance",
+    "mech3-unit-demand": "needs a combinatorial instance",
+    "naive-max-price": "needs a combinatorial instance",
+    "m1-2x2": "is bound to 2 bidders and 2 units",
+    "m2-2x2": "is bound to 2 bidders and 2 items",
+    "m3-2x2": "is bound to 2 bidders and 2 items",
+    "three-item-dm": "is bound to 2 bidders and 3 units",
+}
+
+
+@pytest.mark.parametrize("name", MECHANISM_NAMES)
+def test_registry_refuses_mis_shaped_instances(name):
+    """Each name refuses the other setting kind, and a fixed-shape name
+    also a wrong bidder count, with a message that starts with the name
+    and names the shape it needs."""
+    multi = sm_instance((4, 1), (3, 1), m=2)
+    comb = _comb(2)
+    shape = REGISTRY_SHAPES[name]
+    if shape is None:
+        # grand-bundle clocks either kind of supply
+        assert {mechanism_for_instance(name, i).name for i in (multi, comb)} == {name}
+        return
+    wrong = [comb if "unit" in shape else multi]
+    if name in ("m1-2x2", "three-item-dm"):
+        wrong.append(sm_instance((4, 1), (3, 1), (2, 1), m=2 if name == "m1-2x2" else 3))
+    elif "bound" in shape:
+        wrong.append(_comb(3))
+    for inst in wrong:
+        with pytest.raises(ValueError) as refused:
+            mechanism_for_instance(name, inst)
+        message = str(refused.value)
+        assert message.startswith(f"{name} ") and shape in message, message
+
+
 def test_branch_labels_are_unique():
     """Monte Carlo plays each sampled key once, so keys and labels each
     name one branch, and match one to one."""
@@ -1251,16 +1291,33 @@ def test_branch_game_tree_pins(build, expected):
     assert f"{protocol.size()}:{_digest(text)}" == expected
 
 
+def _replayed_state(game, u):
+    """The game state node id ``u`` reaches from the root, following
+    every single-message state's only child."""
+
+    def contract(state):
+        while not game.is_leaf(state) and len(game.messages(state)) == 1:
+            state = game.child(state, 0)
+        return state
+
+    state = contract(game.root_state())
+    for msg in u:
+        state = contract(game.child(state, msg))
+    return state
+
+
 @pytest.mark.parametrize(
     "build", [p[1] for p in GAME_PINS], ids=[p[0] for p in GAME_PINS]
 )
 def test_replayed_strategy_matches_tree_states(build):
-    # replaying a node id through the game contracts the same forced
-    # moves that materialize did
+    # replaying a node id through the game, contracting forced moves,
+    # reaches the state materialize recorded, so the tree strategy
+    # plays what the game would
     game = build()
     protocol = materialize(game)
-    from_tree = game_strategy(game, protocol)
-    replayed = game_strategy(game)
+    strategy = game_strategy(game, protocol)
     for u in protocol.nodes:
+        state = _replayed_state(game, u)
+        assert state == protocol.info[u]
         for v in game.domains[protocol.bidder(u)]:
-            assert replayed(v, u) == from_tree(v, u)
+            assert strategy(v, u) == game.truthful_message(state, v)

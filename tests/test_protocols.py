@@ -1,5 +1,6 @@
 """Tests for explicit protocol trees, games, and the clock builder."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,6 @@ from ospclock.protocols import (
     clock_grid,
     divergence_vertex,
     gaa_grid_for_domains,
-    game_strategy,
     materialize,
     play,
     protocol_from_json,
@@ -31,6 +31,7 @@ from ospclock.protocols import (
 from ospclock.valuations import (
     MultiUnitSetting,
     MultiUnitValuation,
+    instance_from_json,
     make_single_minded,
 )
 from ospclock.welfare import Allocation, SizeCapError
@@ -128,7 +129,7 @@ def test_forced_moves_are_contracted_by_the_protocol_layer():
     out, history = run_game(game, [None])
     assert history == (1,)
     assert out == proto.outcome((1,))
-    assert truthful_strategies(game)[0](None, ()) == 1
+    assert truthful_strategies(game, proto)[0](None, ()) == 1
     with pytest.raises(ValueError, match="no messages"):
         materialize(ForcedMoveGame(dead_end=True))
     with pytest.raises(ValueError, match="no messages"):
@@ -342,16 +343,6 @@ def test_tree_play_matches_direct_run(seedvals, potentials):
             assert path[-1] == history
 
 
-def test_gaa_truthful_strategy_replays_without_protocol():
-    dom = [[sm(2)], [sm(1)]]
-    spec = grand_bundle_spec(dom)
-    proto = build_gaa(spec)
-    slow = game_strategy(GaaGame(spec))
-    fast = game_strategy(GaaGame(spec), proto)
-    for u in proto.nodes:
-        assert slow(sm(2), u) == fast(sm(2), u)
-
-
 # ---------------------------------------------------------------------------
 # realized rules
 
@@ -405,6 +396,28 @@ def test_protocol_json_round_trip():
     assert back.nodes == proto.nodes
     assert back.leaves == proto.leaves
     assert protocol_to_json(back) == data
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"multiunit": 1.9}, "'multiunit' must be a JSON integer"),
+        ({"multiunit": True}, "'multiunit' must be a JSON integer"),
+        ({"multiunit": 1, "items": ["a"]}, "setting names both 'multiunit' and 'items'"),
+        ({}, "setting must name 'multiunit' or 'items'"),
+        ({"items": "ab"}, "'items' must be a JSON list"),
+    ],
+    ids=["float", "bool", "both", "neither", "string-items"],
+)
+def test_protocol_and_instance_readers_refuse_a_bad_setting_alike(setting, message):
+    data = protocol_to_json(posted_price_protocol(1))
+    bidders = [{"kind": "single_minded", "x": "1", "d": 1}]
+    for read, document in (
+        (protocol_from_json, dict(data, setting=setting)),
+        (instance_from_json, {"setting": setting, "bidders": bidders}),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read(document)
 
 
 def test_protocol_dot_export_mentions_all_nodes():
