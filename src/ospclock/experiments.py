@@ -32,6 +32,7 @@ from .valuations import (
     Setting,
     UnitDemandValuation,
     Valuation,
+    _scale_to_ints,
     make_single_minded,
 )
 from .welfare import opt, opt_value_restricted, unit_step_values
@@ -256,12 +257,9 @@ def sampling_lemma_experiment(
     steps = unit_step_values(instance.valuations) if instance.multiunit else None
     if steps is not None:
         m = instance.m
-        scale = math.lcm(*(x.denominator for x in steps))
+        scale, scaled = _scale_to_ints(steps)
         # (bit, scaled value), highest value first
-        ranked = sorted(
-            ((1 << i, x.numerator * (scale // x.denominator)) for i, x in enumerate(steps)),
-            key=lambda e: -e[1],
-        )
+        ranked = sorted(((1 << i, x) for i, x in enumerate(scaled)), key=lambda e: -e[1])
         best = Fraction(sum(value for _, value in ranked[:m]), scale)
         need = math.ceil(best * ratio_threshold * scale)  # the bar, scaled
 

@@ -73,6 +73,7 @@ from .valuations import (
     Setting,
     UnitDemandValuation,
     Valuation,
+    _scale_to_ints,
     all_bundles,
 )
 from .welfare import (
@@ -202,8 +203,7 @@ class RandomizedMechanism:
             return self._sample_fn(rng)
         branches = self.branches()
         if self._weights is None:
-            denom = math.lcm(*(b.probability.denominator for b in branches))
-            self._weights = [int(b.probability * denom) for b in branches]
+            _, self._weights = _scale_to_ints(b.probability for b in branches)
         return branches[rng.weighted_index(self._weights)]
 
     def _check_instance(self, instance: Instance) -> None:

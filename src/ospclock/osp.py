@@ -32,15 +32,25 @@ played once between them.
 
 All comparisons run on exact integers.  Utilities are rationals, so
 every value and payment a check reads is multiplied by one common
-scale, the least common multiple of their denominators: the leaf
-utilities of one bidder's domain in ``verify_osp``, and the whole rule
-in the rule checks.  Scaling by a positive integer keeps every
-difference, comparison and tie, so verdicts and witnesses are those of
-``Fraction`` arithmetic; a reported utility ``x`` is ``Fraction(x,
-scale)``.  The rule checks read a private view of the realized rule,
-built once per rule: profiles lie flat in ``sorted(rule.table)`` order,
-so bidder ``i``'s unilateral move from index ``a`` to ``alt`` is a step
-of ``(alt - a) * stride[i]``, and each bidder's bundles are interned.
+scale, the least common multiple of their denominators
+(``valuations._scale_to_ints``): the leaf utilities of one bidder's
+domain in ``verify_osp``, and one bidder's side of the rule in the rule
+checks.  Scaling by a positive integer keeps every difference,
+comparison and tie, so verdicts and witnesses are those of ``Fraction``
+arithmetic; a reported utility ``x`` is ``Fraction(x, scale)``.
+
+The rule checks read a private column view of the realized rule, built
+once per rule.  Profiles lie flat in ``sorted(rule.table)`` order, so
+bidder i's own index moves in steps of ``stride[i]``.  With the other
+bidders' reports fixed, her outcomes as her own report runs over her
+domain form a deviation column: her interned bundle ids and scaled
+payments.  Columns repeat across the others' reports, so the view keeps
+each distinct column once, with ``base``, the first profile (own index
+0) where it occurs.  IR, weak monotonicity and DSIC test each distinct
+column once, through one first-failure scanner: a column failing first
+at own index ``a`` fails first at profile ``base + a * stride[i]``, and
+the least ``(profile, bidder)`` over all failing columns is the failure
+the profile-by-profile scan would report.
 
 Also here: ex-post individual rationality + no-negative-transfers,
 weak monotonicity and dominant-strategy checks on realized rules, and
@@ -52,8 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product
-from math import lcm
+from itertools import chain, islice, product
 from typing import Optional, Sequence
 
 from .protocols import (
@@ -67,7 +76,7 @@ from .protocols import (
     play,
     realize_rule,
 )
-from .valuations import Valuation, format_fraction, valuation_to_json
+from .valuations import Valuation, _scale_to_ints, format_fraction, valuation_to_json
 
 ZERO = Fraction(0)
 
@@ -144,29 +153,25 @@ class CheckVerdict:
 # exact integer scaling
 
 
-def _common_scale(amounts) -> int:
-    """Least common multiple of the denominators of exact amounts."""
-    return lcm(*{x.denominator for x in amounts})
+def _bidder_side(outcomes: list, bidder: int, domain) -> tuple:
+    """The bidder's side of a list of outcomes, on one integer scale.
 
-
-def _scaled(amounts, scale: int) -> list:
-    return [x.numerator * (scale // x.denominator) for x in amounts]
-
-
-def _bidder_columns(outcomes: list, bidder: int, domain) -> tuple:
-    """The bidder's side of a list of outcomes, as exact amounts.
-
-    Returns the interned id of the bidder's bundle in each outcome, the
-    value of each valuation of ``domain`` on each distinct bundle (one
-    row per valuation, one entry per id), and the bidder's payment in
-    each outcome.
+    Returns ``(scale, picks, values, payments)``: the interned id of the
+    bidder's bundle in each outcome, the value of each valuation of
+    ``domain`` on each distinct bundle (one row per valuation, one entry
+    per id), and the bidder's payment in each outcome, every value and
+    payment multiplied by ``scale``.
     """
     bundle_ids: dict = {}
     picks = [
         bundle_ids.setdefault(o.allocation.bundles[bidder], len(bundle_ids)) for o in outcomes
     ]
     values = [[valuation.value(bundle) for bundle in bundle_ids] for valuation in domain]
-    return picks, values, [o.payments[bidder] for o in outcomes]
+    payments = [o.payments[bidder] for o in outcomes]
+    scale, scaled = _scale_to_ints(chain(payments, *values))
+    amounts = iter(scaled)
+    paid = list(islice(amounts, len(payments)))
+    return scale, picks, [list(islice(amounts, len(bundle_ids))) for _ in values], paid
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +190,10 @@ def _leaf_utilities(protocol: Protocol, bidder: int, domain) -> tuple:
     flat = protocol.flat
     leaves = [k for k, mover in enumerate(flat.mover) if mover < 0]
     outcomes = [protocol.outcome(flat.order[k]) for k in leaves]
-    picks, values, payments = _bidder_columns(outcomes, bidder, domain)
-    scale = _common_scale(chain(payments, *values))
-    paid = _scaled(payments, scale)
+    scale, picks, values, paid = _bidder_side(outcomes, bidder, domain)
 
     def utilities():
-        for row in values:
-            worth = _scaled(row, scale)
+        for worth in values:
             utility = [0] * len(flat.order)
             for k, b, p in zip(leaves, picks, paid):
                 utility[k] = worth[b] - p
@@ -347,20 +349,19 @@ def verify_ir_nnt(
                     },
                 )
     view = _rule_view(realize_rule(protocol, strategies, domains))
-    for x in range(view.count):
-        for i, (stride, size, bundles, values, payments) in enumerate(view.bidders):
-            utility = values[x // stride % size][bundles[x]] - payments[x]
-            if utility < 0:
-                return CheckVerdict(
-                    "ir_nnt",
-                    "fail",
-                    {
-                        "failure": "individual_rationality",
-                        "profile": view.profile(x),
-                        "bidder": i,
-                        "utility": format_fraction(Fraction(utility, view.scale)),
-                    },
-                )
+    first = _first_failure(view, _ir_failure)
+    if first is not None:
+        x, i, utility = first
+        return CheckVerdict(
+            "ir_nnt",
+            "fail",
+            {
+                "failure": "individual_rationality",
+                "profile": view.profile(x),
+                "bidder": i,
+                "utility": format_fraction(Fraction(utility, view.scale(i))),
+            },
+        )
     return CheckVerdict("ir_nnt", "pass")
 
 
@@ -370,100 +371,163 @@ def verify_ir_nnt(
 
 @dataclass(frozen=True)
 class _RuleView:
-    """A realized rule on scaled integers.
+    """A realized rule as deviation columns on scaled integers.
 
-    Profile ``x`` is the x-th of the ``count`` profiles of
-    ``sorted(rule.table)``, which is ``product`` order.  ``bidders[i]``
-    is ``(stride, size, bundles, values, payments)``: bidder i's index in
-    profile x is ``x // stride % size``, so moving it from ``a`` to
-    ``alt`` moves x by ``(alt - a) * stride``; ``bundles[x]`` interns the
-    bidder's bundle at x, ``values[a][b]`` is ``domains[i][a]`` on
-    interned bundle b and ``payments[x]`` is the bidder's payment at x,
-    all times ``scale``.
+    Profile ``x`` is the x-th profile of ``sorted(rule.table)``, which
+    is ``product`` order.  ``bidders[i]`` is ``(stride, size, values,
+    columns, scale)``: bidder i's own index in profile x is ``x //
+    stride % size``.  Fixing the other bidders' reports and running her
+    own index ``a`` over her domain gives a column: her bundle (interned
+    id) and her payment at each ``a``.  ``columns`` maps each distinct
+    column ``(bundles, payments)`` to ``base``, the first profile with
+    own index 0 where it occurs; the same column at own index ``a`` is
+    profile ``base + a * stride``.  ``values[a][b]`` is her ``a``-th
+    valuation on interned bundle b.  Her values and payments are times
+    her ``scale``.
     """
 
-    count: int
     bidders: tuple
-    scale: int
 
     def profile(self, x: int) -> list:
         return [x // stride % size for stride, size, *_ in self.bidders]
 
+    def scale(self, bidder: int) -> int:
+        return self.bidders[bidder][4]
+
 
 def _rule_view(rule: RealizedRule) -> _RuleView:
-    """The integer view of ``rule``, built on first use and kept on it."""
+    """The column view of ``rule``, built on first use and kept on it.
+
+    A rule from ``realize_rule`` holds its protocol's leaf objects, so
+    outcomes are interned by identity first: each bidder's bundle and
+    payment are read once per distinct leaf, and a column is found as a
+    strided slice of leaf indices.
+    """
     if rule._view is not None:
         return rule._view
     sizes = [len(d) for d in rule.domains]
     outcomes = [rule.table[profile] for profile in product(*map(range, sizes))]
-    columns = [_bidder_columns(outcomes, i, domain) for i, domain in enumerate(rule.domains)]
-    scale = _common_scale(
-        chain.from_iterable(chain(payments, *values) for _, values, payments in columns)
-    )
+    leaves = list({id(o): o for o in outcomes}.values())
+    index: dict = {}
+    at = [index.setdefault(id(o), len(index)) for o in outcomes]
     bidders = []
     stride = len(outcomes)
-    for size, (bundles, values, payments) in zip(sizes, columns):
+    for i, (size, domain) in enumerate(zip(sizes, rule.domains)):
         stride //= size
-        scaled_values = [_scaled(row, scale) for row in values]
-        bidders.append((stride, size, bundles, scaled_values, _scaled(payments, scale)))
-    rule._view = _RuleView(len(outcomes), tuple(bidders), scale)
+        span = stride * size
+        scale, picks, values, paid = _bidder_side(leaves, i, domain)
+        by_leaves: dict = {}
+        for high in range(0, len(outcomes), span):
+            for base in range(high, high + stride):
+                by_leaves.setdefault(tuple(at[base : base + span : stride]), base)
+        columns: dict = {}
+        for column, base in by_leaves.items():
+            key = (tuple(picks[k] for k in column), tuple(paid[k] for k in column))
+            columns.setdefault(key, base)
+        bidders.append((stride, size, values, columns, scale))
+    rule._view = _RuleView(tuple(bidders))
     return rule._view
+
+
+def _first_failure(view: _RuleView, test) -> Optional[tuple]:
+    """The first failure of a rule check, in the order of the full scan.
+
+    The full scan runs over profiles, then bidders, and fails at the
+    first (profile, bidder) whose deviation column fails ``test``.
+    ``test(values, bundles, payments)`` runs at most once per distinct
+    column and returns None or ``(a, found)`` for the first failing own
+    index ``a``.  A column fails first at ``base + a * stride``, so the
+    scan's first failure is the least ``(profile, bidder)`` over the
+    failing columns.  Returns ``(profile index, bidder, found)`` or
+    None.
+    """
+    first = None
+    for i, (stride, _, values, columns, _) in enumerate(view.bidders):
+        for (bundles, payments), base in columns.items():
+            if first is not None and (base, i) > first[:2]:
+                break  # bases only grow, and no profile of a column precedes its base
+            hit = test(values, bundles, payments)
+            if hit is not None:
+                a, found = hit
+                x = base + a * stride
+                if first is None or (x, i) < first[:2]:
+                    first = (x, i, found)
+    return first
+
+
+def _ir_failure(values: list, bundles: tuple, payments: tuple) -> Optional[tuple]:
+    """The first own index with negative utility, and that utility."""
+    for a, (row, s, p) in enumerate(zip(values, bundles, payments)):
+        if row[s] < p:
+            return a, row[s] - p
+    return None
+
+
+def _wm_failure(values: list, bundles: tuple, payments: tuple) -> Optional[tuple]:
+    """The first own index whose swap to a later index breaks weak
+    monotonicity, and that index.
+
+    The test is symmetric in the two indices, so the least failing own
+    index fails only against later ones.
+    """
+    for a, own in enumerate(values):
+        s = bundles[a]
+        for alt in range(a + 1, len(values)):
+            s_alt, other = bundles[alt], values[alt]
+            if own[s] - own[s_alt] < other[s] - other[s_alt]:
+                return a, alt
+    return None
+
+
+def _dsic_failure(values: list, bundles: tuple, payments: tuple) -> Optional[tuple]:
+    """The first own index with a better misreport, and ``(misreport,
+    honest utility, misreport utility)`` for the first such misreport."""
+    for a, row in enumerate(values):
+        utilities = [row[s] - p for s, p in zip(bundles, payments)]
+        honest = utilities[a]
+        for alt, lied in enumerate(utilities):
+            if lied > honest:
+                return a, (alt, honest, lied)
+    return None
 
 
 def verify_weak_monotonicity(rule: RealizedRule) -> CheckVerdict:
     """f_i must not reward lowering one's own relative valuation.
 
     For each bidder and each unilateral swap v_i -> v_i' with bundles
-    S, S': require v_i(S) - v_i(S') >= v_i'(S) - v_i'(S').  The test is
-    symmetric in the two indices, and the swap back from the
-    alternative's profile comes earlier in sorted order, so only
-    alternatives above ``profile[i]`` are scanned: the first failure of
-    the full scan always has one.
+    S, S': require v_i(S) - v_i(S') >= v_i'(S) - v_i'(S').
     """
     view = _rule_view(rule)
-    for x in range(view.count):
-        for i, (stride, size, bundles, values, _) in enumerate(view.bidders):
-            a = x // stride % size
-            own = values[a]
-            s = bundles[x]
-            for alt in range(a + 1, size):
-                s_alt = bundles[x + (alt - a) * stride]
-                other = values[alt]
-                if own[s] - own[s_alt] < other[s] - other[s_alt]:
-                    return CheckVerdict(
-                        "weak_monotonicity",
-                        "fail",
-                        {"bidder": i, "profile": view.profile(x), "alternative": alt},
-                    )
-    return CheckVerdict("weak_monotonicity", "pass")
+    first = _first_failure(view, _wm_failure)
+    if first is None:
+        return CheckVerdict("weak_monotonicity", "pass")
+    x, i, alt = first
+    return CheckVerdict(
+        "weak_monotonicity",
+        "fail",
+        {"bidder": i, "profile": view.profile(x), "alternative": alt},
+    )
 
 
 def verify_dsic(rule: RealizedRule) -> CheckVerdict:
     """Truth-telling beats any in-domain misreport, profile by profile."""
     view = _rule_view(rule)
-    for x in range(view.count):
-        for i, (stride, size, bundles, values, payments) in enumerate(view.bidders):
-            a = x // stride % size
-            row = values[a]
-            honest = row[bundles[x]] - payments[x]
-            for alt in range(size):
-                if alt == a:
-                    continue
-                y = x + (alt - a) * stride
-                lied = row[bundles[y]] - payments[y]
-                if lied > honest:
-                    return CheckVerdict(
-                        "dsic",
-                        "fail",
-                        {
-                            "bidder": i,
-                            "profile": view.profile(x),
-                            "misreport": alt,
-                            "honest_utility": format_fraction(Fraction(honest, view.scale)),
-                            "misreport_utility": format_fraction(Fraction(lied, view.scale)),
-                        },
-                    )
-    return CheckVerdict("dsic", "pass")
+    first = _first_failure(view, _dsic_failure)
+    if first is None:
+        return CheckVerdict("dsic", "pass")
+    x, i, (alt, honest, lied) = first
+    scale = view.scale(i)
+    return CheckVerdict(
+        "dsic",
+        "fail",
+        {
+            "bidder": i,
+            "profile": view.profile(x),
+            "misreport": alt,
+            "honest_utility": format_fraction(Fraction(honest, scale)),
+            "misreport_utility": format_fraction(Fraction(lied, scale)),
+        },
+    )
 
 
 # ---------------------------------------------------------------------------

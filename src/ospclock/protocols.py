@@ -37,6 +37,10 @@ from .valuations import (
     MultiUnitSetting,
     Setting,
     Valuation,
+    _json_int,
+    _json_key,
+    _json_list,
+    _json_object,
     as_fraction,
     format_fraction,
     setting_from_json,
@@ -700,9 +704,10 @@ def _allocation_to_json(setting: Setting, alloc: Allocation):
 
 
 def _allocation_from_json(setting: Setting, data) -> Allocation:
+    bundles = _json_list(data, "allocation")
     if isinstance(setting, MultiUnitSetting):
-        return Allocation(tuple(int(q) for q in data))
-    return Allocation(tuple(frozenset(b) for b in data))
+        return Allocation(tuple(_json_int(q, "allocation") for q in bundles))
+    return Allocation(tuple(frozenset(_json_list(b, "allocation")) for b in bundles))
 
 
 def protocol_to_json(protocol: Protocol) -> dict:
@@ -724,19 +729,29 @@ def protocol_to_json(protocol: Protocol) -> dict:
 
 
 def protocol_from_json(data: Mapping) -> Protocol:
-    setting = setting_from_json(data["setting"])
-    nodes = {
-        _key_to_id(key): ProtocolNode(int(nd["bidder"]), tuple(nd["messages"]))
-        for key, nd in data["nodes"].items()
-    }
-    leaves = {
-        _key_to_id(key): Outcome(
-            _allocation_from_json(setting, leaf["allocation"]),
-            tuple(as_fraction(p) for p in leaf["payments"]),
+    """Read a protocol document; every malformed field is a ``ValueError``
+    naming it."""
+    data = _json_object(data, "protocol")
+    n = _json_int(_json_key(data, "n", "the protocol"), "n")
+    setting = setting_from_json(_json_key(data, "setting", "the protocol"))
+    nodes = {}
+    for key, raw in _json_object(_json_key(data, "nodes", "the protocol"), "nodes").items():
+        name = f"node {key!r}"
+        node = _json_object(raw, name)
+        nodes[_key_to_id(key)] = ProtocolNode(
+            _json_int(_json_key(node, "bidder", name), "bidder"),
+            tuple(_json_list(_json_key(node, "messages", name), "messages")),
         )
-        for key, leaf in data["leaves"].items()
-    }
-    return Protocol(int(data["n"]), setting, nodes, leaves)
+    leaves = {}
+    for key, raw in _json_object(_json_key(data, "leaves", "the protocol"), "leaves").items():
+        name = f"leaf {key!r}"
+        leaf = _json_object(raw, name)
+        payments = _json_list(_json_key(leaf, "payments", name), "payments")
+        leaves[_key_to_id(key)] = Outcome(
+            _allocation_from_json(setting, _json_key(leaf, "allocation", name)),
+            tuple(as_fraction(p) for p in payments),
+        )
+    return Protocol(n, setting, nodes, leaves)
 
 
 def protocol_to_dot(protocol: Protocol) -> str:

@@ -85,6 +85,20 @@ def format_fraction(x: Fraction) -> str:
         ) from None
 
 
+def _scale_to_ints(amounts: Iterable) -> tuple[int, list[int]]:
+    """Exact amounts as integers on one common scale.
+
+    Returns ``(scale, ints)``: ``scale`` is the least common multiple of
+    the denominators (1 for no amounts) and ``ints[k]`` is
+    ``amounts[k] * scale``.  Scaling by a positive integer keeps every
+    sum, difference, comparison and tie, so integer arithmetic on
+    ``ints`` decides exactly what ``Fraction`` arithmetic would.
+    """
+    amounts = list(amounts)
+    scale = math.lcm(*{x.denominator for x in amounts})
+    return scale, [x.numerator * (scale // x.denominator) for x in amounts]
+
+
 # ---------------------------------------------------------------------------
 # Multi-unit valuations
 

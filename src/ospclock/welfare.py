@@ -36,7 +36,6 @@ fixed enumeration order.
 
 from __future__ import annotations
 
-import math
 import operator
 import os
 from dataclasses import dataclass
@@ -50,6 +49,7 @@ from .valuations import (
     MultiUnitSetting,
     MultiUnitValuation,
     UnitDemandValuation,
+    _scale_to_ints,
 )
 
 ZERO = Fraction(0)
@@ -332,17 +332,12 @@ def _ud_opt(
     the maximum is unique and is the canonical witness.
     """
     n, m = len(valuations), len(items)
-    table = [[v.per_item[j] for j in items] for v in valuations]
-    scale = math.lcm(*(x.denominator for row in table for x in row))
+    scale, scaled = _scale_to_ints(v.per_item[j] for v in valuations for j in items)
     base = m + 1
     shift = base**n
     weight = [
-        [
-            x.numerator * (scale // x.denominator) * shift
-            + (m - c) * base ** (n - 1 - i)
-            for c, x in enumerate(row)
-        ]
-        for i, row in enumerate(table)
+        [scaled[i * m + c] * shift + (m - c) * base ** (n - 1 - i) for c in range(m)]
+        for i in range(n)
     ]
     total, cols = _hungarian_max(weight)
     assigned = [None if c is None else items[c] for c in cols]

@@ -3,7 +3,9 @@ every module-level function and class of the package is named somewhere
 besides its definition, and so is every non-dunder method of its
 classes; every defaulted parameter of those functions and methods is
 passed by some call; the size-cap variables are listed alike in README,
-the CLI epilog and the package, and each is read by one ``_cap`` call."""
+the CLI epilog and the package, and each is read by one ``_cap`` call;
+and no code but the scaling helper ``valuations._scale_to_ints`` calls
+``lcm``."""
 
 import ast
 import re
@@ -277,3 +279,44 @@ def test_each_size_cap_is_read_by_one_call():
     package, so its default is stated once."""
     reads = Counter(name for path in PACKAGE for name in cap_variables_read(path.read_text()))
     assert [name for name, count in reads.items() if count > 1] == []
+
+
+SCALE_HELPER = ("valuations", "_scale_to_ints")
+
+
+def lcm_calls(package: dict) -> list:
+    """``(module, line)`` of each ``lcm(...)`` call in ``package``, by
+    name or attribute, outside the one scaling helper ``SCALE_HELPER``."""
+    found = []
+    for module, source in package.items():
+        tree = ast.parse(source)
+        helper = set()
+        for node in tree.body:
+            if isinstance(node, FUNCTIONS) and (module, node.name) == SCALE_HELPER:
+                helper = {id(inner) for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in helper:
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "lcm":
+                found.append((module, node.lineno))
+    return sorted(found)
+
+
+def test_lcm_call_detector():
+    package = {
+        "valuations": (
+            "import math\n"
+            "def _scale_to_ints(amounts):\n    return math.lcm(*amounts)\n"
+            "def other(xs):\n    return math.lcm(*xs)\n"
+        ),
+        "m": "from math import lcm\nx = lcm(2, 3)\ny = [lcm]\n",
+    }
+    assert lcm_calls(package) == [("m", 2), ("valuations", 5)]
+
+
+def test_exact_scaling_is_written_once():
+    """Every rational-to-integer scaling goes through
+    ``valuations._scale_to_ints``: no other ``lcm`` call in the package."""
+    assert lcm_calls({path.stem: path.read_text() for path in PACKAGE}) == []

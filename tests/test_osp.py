@@ -232,10 +232,11 @@ def _profile_with(profile, position, value):
     return profile[:position] + (value,) + profile[position + 1 :]
 
 
-def reference_weak_monotonicity(rule):
-    """The full scan over every alternative, straight from the definition."""
+def reference_weak_monotonicity(rule, bidders=None):
+    """The full scan over every alternative, straight from the definition;
+    ``bidders`` limits it to those bidders."""
     for profile in sorted(rule.table):
-        for i in range(len(rule.domains)):
+        for i in range(len(rule.domains)) if bidders is None else bidders:
             v = rule.domains[i][profile[i]]
             s = rule.table[profile].allocation.bundles[i]
             for alt in range(len(rule.domains[i])):
@@ -252,10 +253,11 @@ def reference_weak_monotonicity(rule):
     return CheckVerdict("weak_monotonicity", "pass")
 
 
-def reference_dsic(rule):
-    """Utilities through ``Outcome.utility``, every misreport scanned."""
+def reference_dsic(rule, bidders=None):
+    """Utilities through ``Outcome.utility``, every misreport scanned;
+    ``bidders`` limits the scan to those bidders."""
     for profile in sorted(rule.table):
-        for i in range(len(rule.domains)):
+        for i in range(len(rule.domains)) if bidders is None else bidders:
             v = rule.domains[i][profile[i]]
             honest = rule.table[profile].utility(i, v)
             for alt in range(len(rule.domains[i])):
@@ -294,6 +296,18 @@ def random_valuation(rng, combinatorial):
     return MultiUnitValuation(tuple(sorted(random_amount(rng) for _ in range(2))))
 
 
+def random_outcome(rng, n, combinatorial):
+    bundles = BUNDLES if combinatorial else [0, 1, 2]
+    return Outcome(
+        Allocation(tuple(rng.choice(bundles) for _ in range(n))),
+        tuple(random_amount(rng) for _ in range(n)),
+    )
+
+
+def random_domains(rng, combinatorial, sizes):
+    return tuple(tuple(random_valuation(rng, combinatorial) for _ in range(k)) for k in sizes)
+
+
 def random_rule(rng, combinatorial):
     """A small rule with arbitrary outcomes over random domains.
 
@@ -302,16 +316,42 @@ def random_rule(rng, combinatorial):
     """
     n = rng.randint(1, 3)
     sizes = [rng.randint(2, 3) for _ in range(n)]
-    bundles = BUNDLES if combinatorial else [0, 1, 2]
-    domains = tuple(tuple(random_valuation(rng, combinatorial) for _ in range(k)) for k in sizes)
+    domains = random_domains(rng, combinatorial, sizes)
     table = {
-        profile: Outcome(
-            Allocation(tuple(rng.choice(bundles) for _ in range(n))),
-            tuple(random_amount(rng) for _ in range(n)),
-        )
+        profile: random_outcome(rng, n, combinatorial)
         for profile in itertools.product(*(range(k) for k in sizes))
     }
     return RealizedRule(domains, table)
+
+
+def repeating_rule(rng, combinatorial):
+    """2-3 bidders with 3-5 valuations each, every outcome drawn from a
+    pool of two to four random ones, so that a bidder's deviation
+    columns (her outcomes as her own report runs over her domain) repeat
+    across the other bidders' reports."""
+    n = rng.randint(2, 3)
+    sizes = [rng.randint(3, 5) for _ in range(n)]
+    domains = random_domains(rng, combinatorial, sizes)
+    pool = [random_outcome(rng, n, combinatorial) for _ in range(rng.randint(2, 4))]
+    table = {profile: rng.choice(pool) for profile in itertools.product(*map(range, sizes))}
+    return RealizedRule(domains, table)
+
+
+def hard_cases(verdict, reference_on):
+    """The first-failure cases of a rule-check verdict that the column
+    scan must order right: "off_base" when the failing profile does not
+    give the failing bidder her first valuation, "lower_bidder_later"
+    when a lower bidder also fails, necessarily at a later profile.
+    ``reference_on(bidders)`` is the reference scan of those bidders."""
+    if "profile" not in verdict.details:
+        return set()
+    i, profile = verdict.details["bidder"], verdict.details["profile"]
+    cases = set()
+    if profile[i] != 0:
+        cases.add("off_base")
+    if i > 0 and not reference_on(range(i)).passed:
+        cases.add("lower_bidder_later")
+    return cases
 
 
 @pytest.mark.parametrize("combinatorial", [False, True], ids=["multiunit", "combinatorial"])
@@ -331,6 +371,28 @@ def test_rule_checks_match_the_full_scan(combinatorial):
     for seen in statuses.values():
         assert seen.count("fail") > len(seen) // 2
         assert "pass" in seen
+
+
+@pytest.mark.parametrize("combinatorial", [False, True], ids=["multiunit", "combinatorial"])
+def test_rule_checks_report_the_first_failure_of_the_full_scan(combinatorial):
+    """On rules whose deviation columns repeat, the same verdicts and
+    details as the reference scans, with both orderings that a scan of
+    distinct columns could get wrong among the failures."""
+    rng = random.Random(f"first-failure:{combinatorial}")
+    seen = {"weak_monotonicity": set(), "dsic": set()}
+    for _ in range(300):
+        rule = repeating_rule(rng, combinatorial)
+        for check, reference in (
+            (verify_weak_monotonicity, reference_weak_monotonicity),
+            (verify_dsic, reference_dsic),
+        ):
+            expected = reference(rule)
+            assert check(rule) == expected
+            seen[expected.check] |= {expected.status} | hard_cases(
+                expected, lambda bidders: reference(rule, bidders)
+            )
+    for cases in seen.values():
+        assert {"fail", "off_base", "lower_bidder_later"} <= cases
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +489,9 @@ def reference_verify_osp(protocol, strategies, domains):
     return OspVerdict("pass")
 
 
-def reference_ir(protocol, strategies, domains):
-    """NNT over every leaf, then IR through ``Outcome.utility``."""
+def reference_ir(protocol, strategies, domains, bidders=None):
+    """NNT over every leaf, then IR through ``Outcome.utility``;
+    ``bidders`` limits the IR scan to those bidders."""
     for u in _by_depth(protocol.leaves):
         for i, payment in enumerate(protocol.outcome(u).payments):
             if payment < 0:
@@ -444,7 +507,7 @@ def reference_ir(protocol, strategies, domains):
                 )
     rule = realize_rule(protocol, strategies, domains)
     for profile in sorted(rule.table):
-        for i in range(protocol.n):
+        for i in range(protocol.n) if bidders is None else bidders:
             utility = rule.table[profile].utility(i, domains[i][profile[i]])
             if utility < 0:
                 return CheckVerdict(
@@ -582,6 +645,35 @@ def test_ir_and_rule_checks_match_the_references_on_trees():
             seen[expected.check].add(expected.status)
     assert seen["ir_nnt"] == {"pass", "negative_transfer", "individual_rationality"}
     assert seen["weak_monotonicity"] == seen["dsic"] == {"pass", "fail"}
+
+
+def test_ir_reports_the_first_failure_of_the_full_scan_on_larger_domains():
+    """IR on random trees of 2-3 bidders with 3-5 valuations each, and on
+    the catalog's mech3 and random-bundles trees (6 and 12 valuations),
+    against the reference, with both hard orderings among the failures."""
+    rng = random.Random("ir-first-failure")
+    cases = catalog_trees()
+    for _ in range(60):
+        combinatorial = rng.random() < 0.5
+        n = rng.randint(2, 3)
+        protocol = random_tree(rng, n, combinatorial)
+        domains = random_domains(rng, combinatorial, [rng.randint(3, 5) for _ in range(n)])
+        strategies = [random_strategy(rng, protocol, i, domains[i]) for i in range(n)]
+        cases.append((protocol, strategies, domains))
+    seen = set()
+    for protocol, strategies, domains in cases:
+        expected = reference_ir(protocol, strategies, domains)
+        assert verify_ir_nnt(protocol, strategies, domains) == expected
+        seen |= {expected.details.get("failure", expected.status)} | hard_cases(
+            expected, lambda bidders: reference_ir(protocol, strategies, domains, bidders)
+        )
+    assert seen == {
+        "pass",
+        "negative_transfer",
+        "individual_rationality",
+        "off_base",
+        "lower_bidder_later",
+    }
 
 
 def catalog_trees():

@@ -420,6 +420,26 @@ def test_protocol_and_instance_readers_refuse_a_bad_setting_alike(setting, messa
             read(document)
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d.update(n=2.9), "'n' must be a JSON integer, got 2.9"),
+        (lambda d: d["nodes"][""].update(bidder=True), "'bidder' must be a JSON integer, got True"),
+        (
+            lambda d: d["leaves"]["0"].update(allocation=[0.5]),
+            "'allocation' must be a JSON integer, got 0.5",
+        ),
+        (lambda d: d.pop("nodes"), "the protocol has no 'nodes' field"),
+    ],
+    ids=["float-n", "bool-bidder", "fractional-quantity", "no-nodes"],
+)
+def test_protocol_reader_refuses_a_malformed_field(mutate, message):
+    data = protocol_to_json(posted_price_protocol(1))
+    mutate(data)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        protocol_from_json(data)
+
+
 def test_protocol_dot_export_mentions_all_nodes():
     proto = posted_price_protocol(1)
     dot = protocol_to_dot(proto)
