@@ -73,14 +73,15 @@ from .valuations import (
     Setting,
     UnitDemandValuation,
     Valuation,
+    _check_compatible,
     _scale_to_ints,
     all_bundles,
 )
 from .welfare import (
     Allocation,
     _cap,
+    _opt_items,
     _refusal,
-    opt_restricted,
     opt_value_restricted,
     welfare_of,
 )
@@ -410,7 +411,8 @@ class SampleServeGame(Game):
     so far and the unsold supply; a serve step that follows a serve
     keeps its price.  ``state.price`` is None exactly on report steps.
     ``_serve_labels`` and ``_serve_choice`` give a served bidder's menu
-    and truthful pick, ``_serve(state, message)`` maps the pick to
+    and truthful pick (``_serve_choices`` for a batch of valuations, by
+    default one pick each), ``_serve(state, message)`` maps the pick to
     (bundle, payment, supply left), and ``outcome`` gives each served
     bidder that bundle at that payment, and everyone else the empty
     bundle for nothing.  Forced moves (a singleton domain, an empty
@@ -431,6 +433,8 @@ class SampleServeGame(Game):
         self._serves = tuple(s for _, s in script) + (False,)
         self._served = tuple(b for b, s in script if s)
         self._end = len(script)
+        # bidder -> {id of a domain entry: index of its first equal entry}
+        self._report_at: dict = {}
 
     def _price(self, reports: tuple, left):
         raise NotImplementedError
@@ -443,6 +447,34 @@ class SampleServeGame(Game):
 
     def _serve_choice(self, state: ServeState, valuation: Valuation) -> int:
         raise NotImplementedError
+
+    def _serve_choices(self, state: ServeState, valuations: Sequence[Valuation]) -> list:
+        return [self._serve_choice(state, v) for v in valuations]
+
+    def _reports(self, bidder: int, valuations: Sequence[Valuation]) -> list:
+        """The truthful report of each valuation: the index of its first
+        equal entry in the bidder's domain.
+
+        Entries are found by identity through an index built once per
+        bidder, which records each entry's first equal index; any other
+        valuation falls back to the domain's ``index``.
+        """
+        domain = self.domains[bidder]
+        at = self._report_at.get(bidder)
+        if at is None:
+            at = self._report_at[bidder] = {id(v): domain.index(v) for v in domain}
+        out = []
+        for v in valuations:
+            k = at.get(id(v))
+            if k is None:
+                try:
+                    k = domain.index(v)
+                except ValueError:
+                    raise ValueError(
+                        f"bidder {bidder}'s valuation is outside the declared domain"
+                    ) from None
+            out.append(k)
+        return out
 
     def root_state(self) -> ServeState:
         if isinstance(self.setting, MultiUnitSetting):
@@ -493,13 +525,12 @@ class SampleServeGame(Game):
     def truthful_message(self, state: ServeState, valuation: Valuation) -> int:
         if state.price is not None:
             return self._serve_choice(state, valuation)
-        bidder = self._bidders[state.step]
-        try:
-            return self.domains[bidder].index(valuation)
-        except ValueError:
-            raise ValueError(
-                f"bidder {bidder}'s valuation is outside the declared domain"
-            ) from None
+        return self._reports(self._bidders[state.step], (valuation,))[0]
+
+    def truthful_messages(self, state: ServeState, valuations: Sequence[Valuation]) -> list:
+        if state.price is not None:
+            return self._serve_choices(state, valuations)
+        return self._reports(self._bidders[state.step], valuations)
 
 
 def _split_script(sample: Sequence[int], n: int) -> tuple:
@@ -897,6 +928,13 @@ class ArrivalPricingGame(ItemSaleGame):
     and the market's price dict, so it is keyed by both ids.  Each entry
     holds the objects it is keyed by, so no id is reused while the
     entry lives.
+
+    A serve state answers a batch of valuations at once
+    (``truthful_messages``): it sorts the reporters and finds the served
+    bidder's slot once, and only when a zero-surplus tie needs the
+    canonical optimum.  The solves call welfare's dispatch ``_opt_items``
+    directly, without ``Instance``'s checks, so the game checks its
+    domains against the setting when it is built.
     """
 
     def __init__(
@@ -908,6 +946,10 @@ class ArrivalPricingGame(ItemSaleGame):
     ) -> None:
         super().__init__(_arrival_script(order), setting, domains)
         self._memo = {} if memo is None else memo
+        # the solves below skip Instance's checks, so check the domains once
+        for i, domain in enumerate(domains):
+            for v in domain:
+                _check_compatible(setting, i, v)
 
     def _price(self, reports: tuple, left: tuple) -> dict:
         """Opportunity-cost prices, solved once per memo for each
@@ -919,52 +961,69 @@ class ArrivalPricingGame(ItemSaleGame):
         )
 
     def _solve_prices(self, reported: list, unsold: tuple) -> dict:
-        if not reported or not unsold:
-            return {j: ZERO for j in unsold}
-        inst = Instance(self.setting, tuple(reported))
-        base = opt_value_restricted(inst, items=unsold)
+        base = _opt_items(reported, unsold)[0]
         prices = {}
         for j in unsold:
             rest = tuple(x for x in unsold if x != j)
-            prices[j] = base - opt_value_restricted(inst, items=rest)
+            prices[j] = base - _opt_items(reported, rest)[0]
         return prices
 
-    def _canonical_assigns(self, state: ServeState, valuation, item: str) -> bool:
+    def _tie_context(self, state: ServeState) -> tuple:
+        """The served bidder's slot among the reporters in bidder-index
+        order (the global tie-break order), and the reported valuations
+        before and after it, with their ids."""
+        bidder = self.bidder(state)
+        reported = sorted(state.reports)  # one report per bidder
+        slot = sum(1 for b, _ in reported if b < bidder)
+        ordered = tuple(self.domains[b][k] for b, k in reported)
+        ids = tuple(map(id, ordered))
+        return slot, ordered[:slot], ordered[slot:], ids[:slot], ids[slot:]
+
+    def _canonical_assigns(self, tie: tuple, unsold: tuple, valuation, item: str) -> bool:
         """Does the canonical optimum give ``item`` to the served bidder?
 
         The canonical instance contains the observed bidders plus this
-        one, ordered by original index (the global tie-break order).
+        one, ordered by original index; ``tie`` is ``_tie_context``.
         """
-        bidder = self.bidder(state)
-        entries = [(b, self.domains[b][k]) for b, k in state.reports]
-        entries.append((bidder, valuation))
-        entries.sort(key=lambda e: e[0])
-        valuations = tuple(v for _, v in entries)
+        slot, before, after, ids_before, ids_after = tie
+        valuations = before + (valuation,) + after
         bundles = _memoized(
             self._memo,
-            ("optimum", tuple(map(id, valuations)), state.left),
+            ("optimum", ids_before + (id(valuation),) + ids_after, unsold),
             valuations,
-            lambda: opt_restricted(Instance(self.setting, valuations), items=state.left)
-            .witness.bundles,
+            lambda: _opt_items(valuations, unsold)[1],
         )
-        position = [b for b, _ in entries].index(bidder)
-        return item in bundles[position]
+        return item in bundles[slot]
 
     def _serve_choice(self, state: ServeState, valuation: Valuation) -> int:
+        return self._serve_choices(state, (valuation,))[0]
+
+    def _serve_choices(self, state: ServeState, valuations: Sequence[Valuation]) -> list:
         # every serve step follows a report (or opens the script), so its
         # price dict is the memo's for one market and its keys are the
-        # unsold items: the pair fixes the best item
-        item, surplus = _memoized(
-            self._memo,
-            ("best", id(valuation), id(state.price)),
-            (valuation, state.price),
-            lambda: _best_item(valuation, state.left, state.price),
-        )
-        if surplus is None or surplus < 0:
-            return 0
-        if surplus > 0 or self._canonical_assigns(state, valuation, item):
-            return 1 + state.left.index(item)
-        return 0
+        # unsold items: the pair fixes the best item, the sign of its
+        # surplus and the message that takes it (``_memoized``, unrolled)
+        memo, price, left = self._memo, state.price, state.left
+        tie = None  # built on the state's first zero-surplus tie
+        out = []
+        for v in valuations:
+            key = ("best", id(v), id(price))
+            hit = memo.get(key)
+            if hit is None:
+                item, surplus = _best_item(v, left, price)
+                if surplus is None or surplus < 0:
+                    choice = (item, -1, 0)
+                else:
+                    choice = (item, 1 if surplus else 0, 1 + left.index(item))
+                hit = memo[key] = ((v, price), choice)
+            item, sign, take = hit[1]
+            if not sign:
+                if tie is None:
+                    tie = self._tie_context(state)
+                if not self._canonical_assigns(tie, left, v, item):
+                    take = 0
+            out.append(take)
+        return out
 
 
 def _constant_row_ranking(instance: Instance) -> Optional[tuple]:

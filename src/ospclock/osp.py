@@ -26,9 +26,9 @@ child with the least ``min_pinned`` (the bidder keeping to her behavior
 row) or the greatest ``max_free``.
 ``verify_osp``, ``verify_ir_nnt`` and a caller's own ``realize_rule``
 read one record kept on the protocol per (strategies, domains): its
-behavior rows, one per (bidder, valuation) built once through
-``behavior_from_strategy``, and its realized rule, whose profiles are
-played once between them.
+behavior rows, one per (bidder, valuation), built for each bidder's
+whole domain in one walk over her nodes (``protocols._tabulate``), and
+its realized rule, whose profiles are played once between them.
 
 All comparisons run on exact integers.  Utilities are rationals, so
 every value and payment a check reads is multiplied by one common
@@ -71,6 +71,7 @@ from .protocols import (
     Protocol,
     RealizedRule,
     Strategy,
+    _own_nodes,
     _tabulation,
     behavior_from_strategy,
     play,
@@ -278,10 +279,10 @@ def verify_osp(
     tab = _tabulation(protocol, strategies, domains)
     flat = protocol.flat
     for i, domain in enumerate(tab.domains):
-        mine = [(k, a, b) for k, mover, a, b in reversed(flat.walk) if mover == i]
+        mine = _own_nodes(flat, i)
+        rows = tab.bidder_rows(protocol, i)
         scale, leaf_utilities = _leaf_utilities(protocol, i, domain)
-        for v_idx, (valuation, leaf_utility) in enumerate(zip(domain, leaf_utilities)):
-            row = tab.row(protocol, i, v_idx)
+        for v_idx, (valuation, leaf_utility, row) in enumerate(zip(domain, leaf_utilities, rows)):
             min_pinned, max_free = _utility_passes(flat, i, leaf_utility, row)
             attainable = _attainable_nodes(flat, i, row)
             for k, a, b in mine:

@@ -8,11 +8,11 @@ messages; each leaf carries an :class:`Outcome`.
 
 Protocols are built by *games*: small state machines exposing the
 acting bidder, message list, transition, and a truthful message per
-state.  ``materialize`` walks a game breadth-first into an explicit
-tree; ``run_game`` plays a single path directly, which matters because
-full trees grow exponentially while one play-out is linear.  Both use
-the same transition code, so the tree and the simulation cannot drift
-apart.
+state, for one valuation or for a batch of them.  ``materialize`` walks
+a game breadth-first into an explicit tree; ``run_game`` plays a single
+path directly, which matters because full trees grow exponentially
+while one play-out is linear.  Both use the same transition code, so
+the tree and the simulation cannot drift apart.
 
 A game may expose a state with a single message.  Such a state is no
 decision (Li, AER 2017), so ``materialize`` and ``run_game`` follow its
@@ -41,6 +41,7 @@ from .valuations import (
     _json_key,
     _json_list,
     _json_object,
+    _json_str,
     as_fraction,
     format_fraction,
     setting_from_json,
@@ -211,8 +212,7 @@ class Protocol:
 
     def bidder_nodes(self, bidder: int) -> list[NodeId]:
         """The bidder's nodes, shallowest first, then lexicographic."""
-        flat = self.flat
-        return [u for u, mover in zip(flat.order, flat.mover) if mover == bidder]
+        return [self.flat.order[k] for k, _, _ in _own_nodes(self.flat, bidder)]
 
 
 def play(protocol: Protocol, behaviors: Sequence[Behavior]) -> tuple[Outcome, list]:
@@ -246,32 +246,56 @@ def divergence_vertex(path_a: Sequence[NodeId], path_b: Sequence[NodeId]):
     return None
 
 
+def _own_nodes(flat: FlatIndex, bidder: int) -> list:
+    """``(k, first, end)`` for each of the bidder's internal positions,
+    shallowest first, then lexicographic: the order of ``flat.order``."""
+    return [(k, a, b) for k, mover, a, b in reversed(flat.walk) if mover == bidder]
+
+
+def _tabulate(
+    protocol: Protocol, bidder: int, strategy: Strategy, valuations: Sequence[Valuation]
+) -> list:
+    """The bidder's behavior row for each valuation, in one walk.
+
+    A row is position-indexed over ``protocol.flat``: the strategy's
+    message at each of the bidder's nodes, 0 elsewhere.  The walk visits
+    the bidder's nodes shallowest first and asks for every valuation at
+    once: a game's truthful strategy answers through
+    ``Game.truthful_messages`` with one call per node, and any other
+    strategy is called once per valuation at each node.  The first
+    message out of range, by node and then by valuation, is a
+    ``ValueError`` naming the node.
+    """
+    flat = protocol.flat
+    rows = [[0] * len(flat.order) for _ in valuations]
+    ask = strategy.at if isinstance(strategy, _GameStrategy) else None
+    for k, a, b in _own_nodes(flat, bidder):
+        u = flat.order[k]
+        if ask is None:
+            messages = [strategy(v, u) for v in valuations]
+        else:
+            messages = ask(u, valuations)
+        degree = b - a
+        for row, msg in zip(rows, messages):
+            if not 0 <= msg < degree:
+                raise ValueError(f"strategy returned message {msg} out of range at {u}")
+            row[k] = msg
+    return rows
+
+
 def behavior_from_strategy(
     protocol: Protocol, bidder: int, strategy: Strategy, valuation: Valuation
 ) -> dict:
     """Tabulate a strategy into a total behavior for one bidder.
 
-    Each call builds a fresh table.  The checks do not call it per use:
-    they read the protocol's one tabulation of their strategies and
-    domains, which builds each (bidder, valuation) row once through it.
+    The one-valuation view of ``_tabulate``: the bidder's row for
+    ``valuation`` as a table from node id to message.  Each call builds
+    a fresh table; the checks read the protocol's one tabulation of
+    their strategies and domains instead.
     """
-    table = {}
-    for u in protocol.bidder_nodes(bidder):
-        msg = strategy(valuation, u)
-        if not 0 <= msg < len(protocol.messages(u)):
-            raise ValueError(f"strategy returned message {msg} out of range at {u}")
-        table[u] = msg
-    return table
-
-
-def _behavior_row(protocol: Protocol, behavior: Behavior) -> list:
-    """A behavior table by position: the message at each of the
-    bidder's nodes, 0 elsewhere."""
-    position = protocol.flat.position
-    row = [0] * len(position)
-    for u, msg in behavior.items():
-        row[position[u]] = msg
-    return row
+    (row,) = _tabulate(protocol, bidder, strategy, (valuation,))
+    order = protocol.flat.order
+    return {order[k]: row[k] for k, _, _ in _own_nodes(protocol.flat, bidder)}
 
 
 def _walk(flat: FlatIndex, rows: Sequence[list]) -> int:
@@ -303,10 +327,11 @@ class RealizedRule:
 class _Tabulation:
     """One (strategies, domains) as the checks read it on one tree.
 
-    ``rows[i][k]`` is bidder i's behavior row for ``domains[i][k]``
-    (None until ``row`` builds it) and ``rule`` the realized rule (None
-    until ``realize_rule`` plays it).  It holds the objects whose ids
-    key it, and not the protocol, so it closes no reference cycle.
+    ``rows[i]`` is bidder i's behavior rows, one per valuation of
+    ``domains[i]`` in domain order (None until ``bidder_rows`` builds
+    them in one ``_tabulate`` walk), and ``rule`` the realized rule
+    (None until ``realize_rule`` plays it).  It holds the objects whose
+    ids key it, and not the protocol, so it closes no reference cycle.
     """
 
     __slots__ = ("strategies", "domains", "rows", "rule")
@@ -314,15 +339,14 @@ class _Tabulation:
     def __init__(self, strategies: tuple, domains: tuple) -> None:
         self.strategies = strategies
         self.domains = domains
-        self.rows = [[None] * len(d) for d in domains]
+        self.rows = [None] * len(domains)
         self.rule = None
 
-    def row(self, protocol: Protocol, i: int, k: int) -> list:
-        row = self.rows[i][k]
-        if row is None:
-            table = behavior_from_strategy(protocol, i, self.strategies[i], self.domains[i][k])
-            row = self.rows[i][k] = _behavior_row(protocol, table)
-        return row
+    def bidder_rows(self, protocol: Protocol, i: int) -> list:
+        rows = self.rows[i]
+        if rows is None:
+            rows = self.rows[i] = _tabulate(protocol, i, self.strategies[i], self.domains[i])
+        return rows
 
 
 def _tabulation(protocol: Protocol, strategies: Sequence, domains: Sequence) -> _Tabulation:
@@ -364,7 +388,7 @@ def realize_rule(
     cap = _cap("OSPCLOCK_PROFILE_CAP", 200_000)
     if total > cap:
         raise _refusal("OSPCLOCK_PROFILE_CAP", cap, f"domain product has {total} profiles")
-    rows = [[tab.row(protocol, i, k) for k in range(len(d))] for i, d in enumerate(doms)]
+    rows = [tab.bidder_rows(protocol, i) for i in range(len(doms))]
     flat = protocol.flat
     outcome_at = [protocol.leaves.get(u) for u in flat.order]
     table = {}
@@ -414,6 +438,11 @@ class Game:
 
     def truthful_message(self, state, valuation: Valuation) -> int:
         raise NotImplementedError
+
+    def truthful_messages(self, state, valuations: Sequence[Valuation]) -> list:
+        """``truthful_message`` for each valuation, in order.  A game may
+        answer the batch at once, sharing what the state fixes."""
+        return [self.truthful_message(state, v) for v in valuations]
 
 
 def _decision(game: Game, state) -> tuple:
@@ -479,20 +508,37 @@ def run_game(game: Game, valuations: Sequence[Valuation]) -> tuple[Outcome, tupl
     return game.outcome(state), tuple(history)
 
 
+class _GameStrategy:
+    """A game's truthful strategy on a tree materialized from it.
+
+    Called as ``strategy(valuation, u)``, it answers one valuation;
+    ``at(u, valuations)`` answers a batch through
+    ``Game.truthful_messages``, which is how ``_tabulate`` asks it.  The
+    state at each node is read off ``protocol.info``, which
+    ``materialize`` records after following forced moves.
+    """
+
+    __slots__ = ("game", "info")
+
+    def __init__(self, game: Game, info: dict) -> None:
+        self.game = game
+        self.info = info
+
+    def __call__(self, valuation: Valuation, u: NodeId) -> int:
+        return self.game.truthful_message(self.info[u], valuation)
+
+    def at(self, u: NodeId, valuations: Sequence[Valuation]) -> list:
+        return self.game.truthful_messages(self.info[u], valuations)
+
+
 def game_strategy(game: Game, protocol: Protocol) -> Strategy:
     """Truthful strategy on a tree materialized from ``game``.
 
-    The state at each node is read off ``protocol.info``, which
-    ``materialize`` records after following forced moves.  The strategy
-    keeps the info map, not the protocol, so a protocol whose
-    tabulations hold the strategy is still freed by reference counting.
+    The strategy keeps the info map, not the protocol, so a protocol
+    whose tabulations hold the strategy is still freed by reference
+    counting.
     """
-    info = protocol.info
-
-    def strategy(valuation: Valuation, u: NodeId) -> int:
-        return game.truthful_message(info[u], valuation)
-
-    return strategy
+    return _GameStrategy(game, protocol.info)
 
 
 def truthful_strategies(game: Game, protocol: Protocol) -> list:
@@ -598,6 +644,8 @@ class GaaGame(Game):
         self.spec = spec
         self.n = spec.n
         self.setting = spec.setting
+        # (bidder, valuations, their marginals) of the last batch asked
+        self._last = None
 
     def root_state(self):
         everyone = frozenset(range(self.n))
@@ -651,9 +699,29 @@ class GaaGame(Game):
         return GaaState(nxt, self._poll_order(active), active, clearing)
 
     def truthful_message(self, state, valuation: Valuation) -> int:
-        i = state.queue[0]
         price = self.spec.grid[state.price_index]
-        return 0 if price <= self.spec.marginal(i, valuation) else 1
+        return _clock_message(price, self.spec.marginal(state.queue[0], valuation))
+
+    def truthful_messages(self, state, valuations: Sequence[Valuation]) -> list:
+        """One clock read per state.  Each valuation's marginal is found
+        once for a run of batches that ask the same bidder about the
+        same tuple of valuations, as one tabulation walk does."""
+        i = state.queue[0]
+        last = self._last
+        if last is not None and last[0] == i and last[1] is valuations:
+            marginals = last[2]
+        else:
+            marginals = [self.spec.marginal(i, v) for v in valuations]
+            if isinstance(valuations, tuple):  # immutable: its identity fixes them
+                self._last = (i, valuations, marginals)
+        price = self.spec.grid[state.price_index]
+        return [_clock_message(price, m) for m in marginals]
+
+
+def _clock_message(price: Fraction, marginal: Fraction) -> int:
+    """The truthful clock move: stay (0) while the price is at most the
+    marginal, else exit (1)."""
+    return 0 if price <= marginal else 1
 
 
 def build_gaa(spec: GaaSpec) -> Protocol:
@@ -691,10 +759,14 @@ def _id_to_key(u: NodeId) -> str:
     return ".".join(str(k) for k in u)
 
 
-def _key_to_id(key: str) -> NodeId:
+def _key_to_id(key: str, name: str) -> NodeId:
+    """A node or leaf key: message indices joined by ``.``, the root ``""``."""
     if key == "":
         return ()
-    return tuple(int(part) for part in key.split("."))
+    parts = key.split(".")
+    if not all(p.isascii() and p.isdigit() and (p == "0" or p[0] != "0") for p in parts):
+        raise ValueError(f"{name} key {key!r} must be message indices joined by '.'")
+    return tuple(map(int, parts))
 
 
 def _allocation_to_json(setting: Setting, alloc: Allocation):
@@ -738,39 +810,18 @@ def protocol_from_json(data: Mapping) -> Protocol:
     for key, raw in _json_object(_json_key(data, "nodes", "the protocol"), "nodes").items():
         name = f"node {key!r}"
         node = _json_object(raw, name)
-        nodes[_key_to_id(key)] = ProtocolNode(
+        labels = _json_list(_json_key(node, "messages", name), "messages")
+        nodes[_key_to_id(key, "node")] = ProtocolNode(
             _json_int(_json_key(node, "bidder", name), "bidder"),
-            tuple(_json_list(_json_key(node, "messages", name), "messages")),
+            tuple(_json_str(label, "messages") for label in labels),
         )
     leaves = {}
     for key, raw in _json_object(_json_key(data, "leaves", "the protocol"), "leaves").items():
         name = f"leaf {key!r}"
         leaf = _json_object(raw, name)
         payments = _json_list(_json_key(leaf, "payments", name), "payments")
-        leaves[_key_to_id(key)] = Outcome(
+        leaves[_key_to_id(key, "leaf")] = Outcome(
             _allocation_from_json(setting, _json_key(leaf, "allocation", name)),
             tuple(as_fraction(p) for p in payments),
         )
     return Protocol(n, setting, nodes, leaves)
-
-
-def protocol_to_dot(protocol: Protocol) -> str:
-    """GraphViz rendering of the tree (for eyeballing small protocols)."""
-    lines = ["digraph protocol {", "  node [shape=box];"]
-    for u, node in sorted(protocol.nodes.items()):
-        lines.append(
-            f'  "{_id_to_key(u) or "root"}" [label="bidder {node.bidder + 1}"];'
-        )
-        for k, label in enumerate(node.messages):
-            child = u + (k,)
-            lines.append(
-                f'  "{_id_to_key(u) or "root"}" -> "{_id_to_key(child)}"'
-                f' [label="{label}"];'
-            )
-    for u, out in sorted(protocol.leaves.items()):
-        pays = ",".join(str(p) for p in out.payments)
-        lines.append(
-            f'  "{_id_to_key(u)}" [shape=ellipse, label="pay {pays}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines)

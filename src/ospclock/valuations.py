@@ -377,6 +377,23 @@ class CombinatorialSetting:
 Setting = Union[MultiUnitSetting, CombinatorialSetting]
 
 
+def _check_compatible(setting: Setting, bidder: int, v: Valuation) -> None:
+    """Raise ValueError, naming the bidder, unless ``v`` is a valuation of
+    the setting's kind over its units or its item universe."""
+    if isinstance(setting, MultiUnitSetting):
+        if not isinstance(v, MultiUnitValuation):
+            raise ValueError(f"bidder {bidder}: expected a multi-unit valuation")
+        if v.m != setting.m:
+            raise ValueError(
+                f"bidder {bidder}: valuation over {v.m} units in an {setting.m}-unit setting"
+            )
+    else:
+        if isinstance(v, MultiUnitValuation):
+            raise ValueError(f"bidder {bidder}: expected a combinatorial valuation")
+        if tuple(v.items) != setting.items:
+            raise ValueError(f"bidder {bidder}: item universe mismatch")
+
+
 @dataclass(frozen=True)
 class Instance:
     """A setting plus one compatible valuation per bidder.
@@ -394,21 +411,8 @@ class Instance:
         object.__setattr__(self, "valuations", vals)
         if not vals:
             raise ValueError("need at least one bidder")
-        if isinstance(self.setting, MultiUnitSetting):
-            for i, v in enumerate(vals):
-                if not isinstance(v, MultiUnitValuation):
-                    raise ValueError(f"bidder {i}: expected a multi-unit valuation")
-                if v.m != self.setting.m:
-                    raise ValueError(
-                        f"bidder {i}: valuation over {v.m} units in an "
-                        f"{self.setting.m}-unit setting"
-                    )
-        else:
-            for i, v in enumerate(vals):
-                if isinstance(v, MultiUnitValuation):
-                    raise ValueError(f"bidder {i}: expected a combinatorial valuation")
-                if tuple(v.items) != self.setting.items:
-                    raise ValueError(f"bidder {i}: item universe mismatch")
+        for i, v in enumerate(vals):
+            _check_compatible(self.setting, i, v)
 
     @property
     def n(self) -> int:
@@ -496,6 +500,13 @@ def _json_int(value, name: str) -> int:
     """A JSON integer field: ``true``, ``2.7`` and ``"2"`` are refused."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name!r} must be a JSON integer, got {_brief(value)}")
+    return value
+
+
+def _json_str(value, name: str) -> str:
+    """A JSON string field: a number or ``null`` is refused, not printed."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name!r} must be a JSON string, got {_brief(value)}")
     return value
 
 

@@ -468,28 +468,34 @@ def opt_restricted(
             raise ValueError(f"unknown items {sorted(extra)}")
         chosen_items = [j for j in instance.items if j in subset]
 
-    vals = [instance.valuations[i] for i in ids]
+    value, packed = _opt_items([instance.valuations[i] for i in ids], chosen_items)
     bundles: list[frozenset] = [frozenset()] * instance.n
-
-    if not ids or not chosen_items:
-        value = ZERO
-    elif all(isinstance(v, AdditiveValuation) for v in vals):
-        value, assignment = _opt_additive(vals, ids, chosen_items)
-        per_bidder: dict[int, set] = {i: set() for i in ids}
-        for j, owner in assignment.items():
-            per_bidder[owner].add(j)
-        for i in ids:
-            bundles[i] = frozenset(per_bidder[i])
-    elif all(isinstance(v, UnitDemandValuation) for v in vals):
-        value, assigned = _ud_opt(vals, chosen_items)
-        for k, i in enumerate(ids):
-            if assigned[k] is not None:
-                bundles[i] = frozenset({assigned[k]})
-    else:
-        value, packed = _opt_mask_dp(vals, chosen_items)
-        for k, i in enumerate(ids):
-            bundles[i] = packed[k]
+    for k, i in enumerate(ids):
+        bundles[i] = packed[k]
     return OptResult(value, Allocation(tuple(bundles)))
+
+
+def _opt_items(valuations: Sequence, items: Sequence[str]) -> tuple[Fraction, list]:
+    """The combinatorial optimum of ``valuations`` over ``items``, and each
+    valuation's bundle in the canonical witness.
+
+    The valuation-class dispatch behind ``opt_restricted``, which calls
+    it after checking its arguments.  It checks nothing: ``items`` must
+    be distinct items of the valuations' universe, in universe order,
+    and the valuations are the bidders in index order.
+    """
+    if not valuations or not items:
+        return ZERO, [frozenset()] * len(valuations)
+    if all(isinstance(v, AdditiveValuation) for v in valuations):
+        value, assignment = _opt_additive(valuations, range(len(valuations)), items)
+        owned: list = [set() for _ in valuations]
+        for j, owner in assignment.items():
+            owned[owner].add(j)
+        return value, [frozenset(b) for b in owned]
+    if all(isinstance(v, UnitDemandValuation) for v in valuations):
+        value, assigned = _ud_opt(valuations, items)
+        return value, [frozenset() if j is None else frozenset({j}) for j in assigned]
+    return _opt_mask_dp(valuations, items)
 
 
 def opt(instance: Instance) -> OptResult:

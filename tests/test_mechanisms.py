@@ -5,13 +5,14 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ospclock import mechanisms
+from ospclock import mechanisms, protocols
 from ospclock.experiments import mc_ratio, ud_failure_instance
 from ospclock.fixtures import fixture_names, get_fixture, load_instance
 from ospclock.mechanisms import (
@@ -41,7 +42,6 @@ from ospclock.mechanisms import (
 )
 from ospclock.osp import verify_dsic, verify_ir_nnt, verify_osp, verify_weak_monotonicity
 from ospclock.protocols import (
-    behavior_from_strategy,
     game_strategy,
     materialize,
     play,
@@ -962,21 +962,26 @@ def test_arrival_price_cache_matches_fresh_games():
 
 
 def test_mech3_branch_games_solve_each_market_once(monkeypatch):
-    """The branch games of one mechanism share their markets' solves."""
-    solves, optima = [], []
+    """The branch games of one mechanism share their markets' solves: the
+    direct solver runs 1 + |unsold| times inside each market's one solve,
+    and once for each canonical optimum."""
+    solves, optima, market_calls = [], [], []
     solve_prices = ArrivalPricingGame._solve_prices
-    restricted = mechanisms.opt_restricted
+    solver = mechanisms._opt_items
 
     def counted_solve(self, reported, unsold):
         solves.append((tuple(sorted(map(id, reported))), unsold))
         return solve_prices(self, reported, unsold)
 
-    def counted_opt(inst, items=None):
-        optima.append((tuple(map(id, inst.valuations)), items))
-        return restricted(inst, items=items)
+    def counted_solver(valuations, items):
+        if sys._getframe(1).f_code is solve_prices.__code__:
+            market_calls.append(1)
+        else:
+            optima.append((tuple(map(id, valuations)), items))
+        return solver(valuations, items)
 
     monkeypatch.setattr(ArrivalPricingGame, "_solve_prices", counted_solve)
-    monkeypatch.setattr(mechanisms, "opt_restricted", counted_opt)
+    monkeypatch.setattr(mechanisms, "_opt_items", counted_solver)
     domains = [[unit_demand(a, b) for a, b in UD_VALUES]] * 3
     serves = 0
     for branch in mech3_unit_demand(3, ITEMS).branches():
@@ -986,6 +991,7 @@ def test_mech3_branch_games_solve_each_market_once(monkeypatch):
         serves += len(_serve_states(game, proto))
     assert solves and optima
     assert len(solves) == len(set(solves))
+    assert len(market_calls) == sum(1 + len(unsold) for _, unsold in solves)
     assert len(optima) == len(set(optima))
     # the games priced more serve states than markets were solved: they shared them
     assert serves > len(solves)
@@ -993,8 +999,8 @@ def test_mech3_branch_games_solve_each_market_once(monkeypatch):
 
 def test_mech3_best_item_runs_once_per_valuation_and_market(monkeypatch):
     """Across one mechanism's branch trees a served valuation's best item
-    is found once per market price dict, and every behavior table is
-    the one a game with its own memo tabulates."""
+    is found once per market price dict, and every tabulated row is the
+    one a game with its own memo tabulates."""
     calls = []
     best_item = mechanisms._best_item
 
@@ -1002,18 +1008,19 @@ def test_mech3_best_item_runs_once_per_valuation_and_market(monkeypatch):
         calls.append((valuation, prices))
         return best_item(valuation, unsold, prices)
 
+    def tabulated(game) -> list:
+        proto = materialize(game)
+        tab = protocols._tabulation(proto, truthful_strategies(game, proto), domains)
+        return [tab.bidder_rows(proto, i) for i in range(proto.n)], proto
+
     monkeypatch.setattr(mechanisms, "_best_item", counted)
     domains = [[unit_demand(a, b) for a, b in UD_VALUES]] * 3
     tables = {}
     serves = 0
     for branch in mech3_unit_demand(3, ITEMS).branches():
         game = branch.game(domains)
-        proto = materialize(game)
-        strategy = game_strategy(game, proto)
+        tables[branch.key], proto = tabulated(game)
         serves += len(_serve_states(game, proto))
-        for i, domain in enumerate(domains):
-            for k, v in enumerate(domain):
-                tables[branch.key, i, k] = behavior_from_strategy(proto, i, strategy, v)
     keys = [(id(v), id(prices)) for v, prices in calls]
     assert calls and len(keys) == len(set(keys))
     # the trees asked for more best items than were computed: they shared them
@@ -1021,12 +1028,37 @@ def test_mech3_best_item_runs_once_per_valuation_and_market(monkeypatch):
     monkeypatch.undo()
     for branch in mech3_unit_demand(3, ITEMS).branches():
         game = ArrivalPricingGame(branch.key, CombinatorialSetting(ITEMS), domains, memo=None)
-        proto = materialize(game)
-        strategy = game_strategy(game, proto)
-        for i, domain in enumerate(domains):
-            for k, v in enumerate(domain):
-                table = behavior_from_strategy(proto, i, strategy, v)
-                assert table == tables[branch.key, i, k], (branch.label, i, k)
+        assert tabulated(game)[0] == tables[branch.key], branch.label
+
+
+def test_mech3_report_is_the_first_equal_domain_entry():
+    """A report step answers the index of the first domain entry equal to
+    the valuation: for an equal copy that is not the entry itself, and
+    in a domain that holds two equal valuations, alone or in a batch."""
+    a, b, a_again = unit_demand(2, 1), unit_demand(0, 1), unit_demand(2, 1)
+    copy = unit_demand(0, 1)
+    assert a == a_again and a is not a_again and copy == b and copy is not b
+    domains = [[a, b, a_again], [b, a], [a, b]]
+    game = ArrivalPricingGame((0, 1, 2), CombinatorialSetting(ITEMS), domains)
+    root = game.root_state()
+    assert root.price is None and game.bidder(root) == 0
+    assert game.truthful_messages(root, [a, b, a_again, copy]) == [0, 1, 0, 1]
+    assert [game.truthful_message(root, v) for v in (a_again, copy)] == [0, 1]
+    stranger = unit_demand(3, 3)
+    outside = "bidder 0's valuation is outside the declared domain"
+    with pytest.raises(ValueError, match=outside):
+        game.truthful_message(root, stranger)
+    with pytest.raises(ValueError, match=outside):
+        game.truthful_messages(root, [a, stranger])
+
+
+def test_mech3_refuses_a_domain_over_other_items():
+    """The market solves check nothing, so the game checks its domains
+    when it is built, naming the bidder."""
+    other = UnitDemandValuation(("a", "c"), {"a": F(1), "c": F(2)})
+    domains = [[unit_demand(1, 2)], [unit_demand(0, 1), other], [unit_demand(2, 2)]]
+    with pytest.raises(ValueError, match="bidder 1: item universe mismatch"):
+        ArrivalPricingGame((0, 1, 2), CombinatorialSetting(ITEMS), domains)
 
 
 def _tree_record(game, domains) -> tuple:

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -10,17 +11,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ospclock import osp, protocols
+from ospclock import protocols
 from ospclock.fixtures import (
     SealedBidGame,
+    additive_domain,
+    decreasing_marginal_domain,
     eager_posted_price_protocol,
+    explicit_domain,
     load_game,
     negative_transfer_protocol,
     sealed_bid_domains,
     single_minded_domain,
     unit_demand_domain,
 )
-from ospclock.mechanisms import mech3_unit_demand, random_bundles
+from ospclock.mechanisms import (
+    grand_bundle_auction,
+    m1_2x2,
+    m2_2x2,
+    m3_2x2,
+    mech1_single_minded,
+    mech2_additive,
+    mech3_unit_demand,
+    random_bundles,
+    three_item_dm,
+)
 from ospclock.osp import (
     CheckVerdict,
     OspVerdict,
@@ -676,15 +690,26 @@ def test_ir_reports_the_first_failure_of_the_full_scan_on_larger_domains():
     }
 
 
-def catalog_trees():
-    """The branch trees of mech3 and random-bundles on the verify
-    catalog's domains: six unit-demand valuations on two items, and the
-    single-minded grid over four units."""
+def catalog_entries():
+    """The verify catalog's mechanisms on its domains: the value grid
+    0..2, and mech3 on six unit-demand valuations."""
     values = (0, 1, 2)
-    entries = [
-        (mech3_unit_demand(3, ITEMS), unit_demand_domain(ITEMS, values)[:6]),
+    sm2 = single_minded_domain(2, values, (1, 2))
+    return [
+        (grand_bundle_auction(2, MultiUnitSetting(2)), sm2),
         (random_bundles(3, 4), single_minded_domain(4, values, range(1, 5))),
+        (mech1_single_minded(2, 2), sm2),
+        (mech2_additive(2, ITEMS), additive_domain(ITEMS, values)),
+        (mech3_unit_demand(3, ITEMS), unit_demand_domain(ITEMS, values)[:6]),
+        (m1_2x2(), sm2),
+        (m2_2x2(), explicit_domain(ITEMS, values, "subadditive")),
+        (m3_2x2(), explicit_domain(ITEMS, values, "monotone")),
     ]
+
+
+def branch_trees(entries):
+    """Each branch tree of each (mechanism, domain) entry, with its
+    truthful strategies and the domain for every bidder."""
     cases = []
     for mech, domain in entries:
         domains = [domain] * mech.n
@@ -693,6 +718,14 @@ def catalog_trees():
             protocol = materialize(game)
             cases.append((protocol, truthful_strategies(game, protocol), domains))
     return cases
+
+
+def catalog_trees():
+    """The branch trees of random-bundles and mech3 in the verify
+    catalog: the single-minded grid over four units, and six unit-demand
+    valuations on two items."""
+    big = ("random-bundles", "mech3-unit-demand")
+    return branch_trees([e for e in catalog_entries() if e[0].name in big])
 
 
 def test_realized_rule_walk_matches_play():
@@ -826,25 +859,81 @@ def test_ir_check_and_realize_rule_play_each_profile_once(monkeypatch):
     played = []
     built = []
     real_walk = protocols._walk
-    real_row = protocols._behavior_row
+    real_tabulate = protocols._tabulate
 
     def counting_walk(flat, rows):
         played.append(1)
         return real_walk(flat, rows)
 
-    def counting_row(protocol, behavior):
-        built.append(1)
-        return real_row(protocol, behavior)
+    def counting_tabulate(protocol, bidder, strategy, valuations):
+        rows = real_tabulate(protocol, bidder, strategy, valuations)
+        assert len(rows) == len(valuations)
+        built.extend((bidder, id(v)) for v in valuations)
+        return rows
 
     monkeypatch.setattr(protocols, "_walk", counting_walk)
-    monkeypatch.setattr(protocols, "_behavior_row", counting_row)
-    if hasattr(osp, "_behavior_row"):
-        monkeypatch.setattr(osp, "_behavior_row", counting_row)
+    monkeypatch.setattr(protocols, "_tabulate", counting_tabulate)
     assert verify_osp(proto, strategies, domains).passed
     assert verify_ir_nnt(proto, strategies, domains).passed
     rule = realize_rule(proto, strategies, domains)
     assert len(played) == len(rule.table) == 9
-    assert len(built) == 3 + 3
+    assert len(built) == len(set(built)) == 3 + 3
+
+
+def support_trees():
+    """Every support tree of the verify catalog, plus the three-unit clock."""
+    protocol, strategies = three_item_dm()
+    dm3 = decreasing_marginal_domain(3, (0, 1, 2))
+    return branch_trees(catalog_entries()) + [(protocol, strategies, [dm3, dm3])]
+
+
+def test_tabulated_rows_are_the_strategy_node_by_node():
+    """Each bidder's rows, built in one walk that asks a game for a whole
+    domain per node, hold ``strategy(v, u)`` at her nodes and 0
+    elsewhere, on every catalog support tree, both game fixtures and a
+    hand-written strategy; ``behavior_from_strategy`` is its row."""
+    domains = [[sm(x) for x in range(4)], [sm(x, 2) for x in range(4)]]
+    proto, _, _ = grand_gaa(domains)
+
+    def handwritten(valuation, u):
+        return (len(u) + int(valuation.value(2))) % len(proto.messages(u))
+
+    cases = support_trees() + [load_game("sealed-bid-2x2"), load_game("grand-gaa-2x2")]
+    cases.append((proto, [handwritten, handwritten], domains))
+    assert len(cases) > 30
+    for protocol, strategies, doms in cases:
+        tab = protocols._tabulation(protocol, strategies, doms)
+        position = protocol.flat.position
+        for i, domain in enumerate(doms):
+            rows = tab.bidder_rows(protocol, i)
+            assert len(rows) == len(domain)
+            for v, row in zip(domain, rows):
+                expected = [0] * len(position)
+                table = {}
+                for u in protocol.bidder_nodes(i):
+                    expected[position[u]] = table[u] = strategies[i](v, u)
+                assert row == expected
+                assert behavior_from_strategy(protocol, i, strategies[i], v) == table
+
+
+def test_a_message_out_of_range_is_refused_at_its_node():
+    """A strategy that sends a message its node does not have is a
+    ``ValueError`` naming the node, in ``verify_osp`` and in
+    ``realize_rule``, also when only a later valuation sends it."""
+    domains = [[sm(x) for x in range(3)], [sm(x, 2) for x in range(3)]]
+    proto, _, strategies = grand_gaa(domains)
+    node = proto.bidder_nodes(0)[1]
+    truthful = strategies[0]
+
+    def broken(valuation, u):
+        if u == node and valuation is domains[0][2]:
+            return len(proto.messages(u))
+        return truthful(valuation, u)
+
+    message = re.escape(f"strategy returned message 2 out of range at {node}")
+    for check in (verify_osp, realize_rule):
+        with pytest.raises(ValueError, match=message):
+            check(proto, [broken, strategies[1]], domains)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from ospclock.protocols import (
     materialize,
     play,
     protocol_from_json,
-    protocol_to_dot,
     protocol_to_json,
     realize_rule,
     run_game,
@@ -430,8 +429,28 @@ def test_protocol_and_instance_readers_refuse_a_bad_setting_alike(setting, messa
             "'allocation' must be a JSON integer, got 0.5",
         ),
         (lambda d: d.pop("nodes"), "the protocol has no 'nodes' field"),
+        (
+            lambda d: d["nodes"][""].update(messages=[1, None]),
+            "'messages' must be a JSON string, got 1",
+        ),
+        (
+            lambda d: d["nodes"].update(x=d["nodes"].pop("")),
+            "node key 'x' must be message indices joined by '.'",
+        ),
+        (
+            lambda d: d["leaves"].update({"01": d["leaves"].pop("1")}),
+            "leaf key '01' must be message indices joined by '.'",
+        ),
     ],
-    ids=["float-n", "bool-bidder", "fractional-quantity", "no-nodes"],
+    ids=[
+        "float-n",
+        "bool-bidder",
+        "fractional-quantity",
+        "no-nodes",
+        "non-string-label",
+        "bad-node-key",
+        "padded-leaf-key",
+    ],
 )
 def test_protocol_reader_refuses_a_malformed_field(mutate, message):
     data = protocol_to_json(posted_price_protocol(1))
@@ -439,9 +458,3 @@ def test_protocol_reader_refuses_a_malformed_field(mutate, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         protocol_from_json(data)
 
-
-def test_protocol_dot_export_mentions_all_nodes():
-    proto = posted_price_protocol(1)
-    dot = protocol_to_dot(proto)
-    assert dot.startswith("digraph")
-    assert '"root"' in dot and '"0"' in dot and '"1"' in dot
