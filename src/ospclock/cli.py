@@ -123,7 +123,9 @@ def _instance_from_args(args: argparse.Namespace) -> Instance:
             data = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read instance file: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a decoding error, a number past the digit limit, or nesting
+        # deeper than the parser's recursion
         raise CliError(f"malformed JSON in {path}: {exc}")
     try:
         return instance_from_json(data)

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
-from typing import Callable
+from itertools import combinations_with_replacement, product
+from typing import Callable, Sequence
 
 from .experiments import ud_failure_instance
 from .mechanisms import grand_bundle_auction
@@ -38,6 +38,7 @@ from .valuations import (
     MultiUnitValuation,
     UnitDemandValuation,
     Valuation,
+    all_bundles,
     check_class,
     make_single_minded,
 )
@@ -84,8 +85,8 @@ class SealedBidGame(Game):
             return Outcome(Allocation((1, 0)), (second, F(0)))
         return Outcome(Allocation((0, 1)), (F(0), first))
 
-    def truthful_message(self, state, valuation: Valuation) -> int:
-        return self.values.index(valuation.value(1))
+    def truthful_messages(self, state, valuations: Sequence[Valuation]) -> list:
+        return [self.values.index(v.value(1)) for v in valuations]
 
     def domain(self) -> list:
         return [make_single_minded(v, 1, 1) for v in self.values]
@@ -174,7 +175,7 @@ def explicit_domain(items, values, cls: str = "monotone") -> list:
     the constructor; anything else is screened before construction).
     """
     items = tuple(items)
-    bundles = [b for b in _nonempty_bundles(items)]
+    bundles = all_bundles(items)[1:]
     out = []
     for combo in product([F(x) for x in values], repeat=len(bundles)):
         table = dict(zip(bundles, combo))
@@ -183,12 +184,6 @@ def explicit_domain(items, values, cls: str = "monotone") -> list:
         if check_class(v, "monotone") and (cls == "monotone" or check_class(v, cls)):
             out.append(ExplicitValuation(items, table))
     return out
-
-
-def _nonempty_bundles(items):
-    for size in range(1, len(items) + 1):
-        for c in combinations(items, size):
-            yield frozenset(c)
 
 
 # ---------------------------------------------------------------------------

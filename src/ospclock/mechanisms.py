@@ -410,13 +410,13 @@ class SampleServeGame(Game):
     follows a report is priced by ``_price(reports, left)``, the reports
     so far and the unsold supply; a serve step that follows a serve
     keeps its price.  ``state.price`` is None exactly on report steps.
-    ``_serve_labels`` and ``_serve_choice`` give a served bidder's menu
-    and truthful pick (``_serve_choices`` for a batch of valuations, by
-    default one pick each), ``_serve(state, message)`` maps the pick to
-    (bundle, payment, supply left), and ``outcome`` gives each served
-    bidder that bundle at that payment, and everyone else the empty
-    bundle for nothing.  Forced moves (a singleton domain, an empty
-    menu) are single-message states, contracted by the protocol layer.
+    ``_serve_labels`` and ``_serve_choices`` give a served bidder's menu
+    and the truthful pick of each valuation in a batch,
+    ``_serve(state, message)`` maps a pick to (bundle, payment, supply
+    left), and ``outcome`` gives each served bidder that bundle at that
+    payment, and everyone else the empty bundle for nothing.  Forced
+    moves (a singleton domain, an empty menu) are single-message states,
+    contracted by the protocol layer.
     """
 
     def __init__(
@@ -445,11 +445,8 @@ class SampleServeGame(Game):
     def _serve_labels(self, state: ServeState) -> tuple:
         raise NotImplementedError
 
-    def _serve_choice(self, state: ServeState, valuation: Valuation) -> int:
-        raise NotImplementedError
-
     def _serve_choices(self, state: ServeState, valuations: Sequence[Valuation]) -> list:
-        return [self._serve_choice(state, v) for v in valuations]
+        raise NotImplementedError
 
     def _reports(self, bidder: int, valuations: Sequence[Valuation]) -> list:
         """The truthful report of each valuation: the index of its first
@@ -521,11 +518,6 @@ class SampleServeGame(Game):
             return self._serve_labels(state)
         domain = self.domains[self._bidders[state.step]]
         return tuple(f"report:{k}" for k in range(len(domain)))
-
-    def truthful_message(self, state: ServeState, valuation: Valuation) -> int:
-        if state.price is not None:
-            return self._serve_choice(state, valuation)
-        return self._reports(self._bidders[state.step], (valuation,))[0]
 
     def truthful_messages(self, state: ServeState, valuations: Sequence[Valuation]) -> list:
         if state.price is not None:
@@ -681,8 +673,8 @@ class PartitionSaleGame(SampleServeGame):
     def _serve_labels(self, state: ServeState) -> tuple:
         return tuple(f"take:{q}" for q in range(state.left + 1))
 
-    def _serve_choice(self, state: ServeState, valuation: Valuation) -> int:
-        return preferred_quantity(valuation, state.left, state.price)
+    def _serve_choices(self, state: ServeState, valuations: Sequence[Valuation]) -> list:
+        return [preferred_quantity(v, state.left, state.price) for v in valuations]
 
 
 def _partition_sale_mechanism(name: str, n: int, m: int) -> RandomizedMechanism:
@@ -749,14 +741,20 @@ class MaxPricePartitionGame(ItemSaleGame):
         )
         return self.bidder(state) < setter
 
-    def _serve_choice(self, state: ServeState, valuation: Valuation) -> int:
+    def _serve_choices(self, state: ServeState, valuations: Sequence[Valuation]) -> list:
+        left = state.left
         if self.bundles:
-            take = frozenset(j for j in state.left if self._wants(state, valuation, j))
-            return self._menu(state).index(take)
-        item, surplus = _best_item(valuation, state.left, state.price)
-        if surplus is not None and surplus >= 0 and self._wants(state, valuation, item):
-            return 1 + state.left.index(item)
-        return 0
+            menu = self._menu(state)
+            return [
+                menu.index(frozenset(j for j in left if self._wants(state, v, j)))
+                for v in valuations
+            ]
+        out = []
+        for v in valuations:
+            item, surplus = _best_item(v, left, state.price)
+            wants = surplus is not None and surplus >= 0 and self._wants(state, v, item)
+            out.append(1 + left.index(item) if wants else 0)
+        return out
 
 
 def _setter_expectation(column: Sequence[Number], k: int) -> Number:
@@ -994,9 +992,6 @@ class ArrivalPricingGame(ItemSaleGame):
             lambda: _opt_items(valuations, unsold)[1],
         )
         return item in bundles[slot]
-
-    def _serve_choice(self, state: ServeState, valuation: Valuation) -> int:
-        return self._serve_choices(state, (valuation,))[0]
 
     def _serve_choices(self, state: ServeState, valuations: Sequence[Valuation]) -> list:
         # every serve step follows a report (or opens the script), so its

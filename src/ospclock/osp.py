@@ -72,8 +72,9 @@ from .protocols import (
     RealizedRule,
     Strategy,
     _own_nodes,
+    _tabulate,
     _tabulation,
-    behavior_from_strategy,
+    _walk,
     play,
     realize_rule,
 )
@@ -552,25 +553,30 @@ def check_divergence_lemma(
     same message at ``node`` under both of the bidder's valuations.
     Returns "consistent"/"violation" when that test applies,
     "not_applicable" when the utilities are not strictly ranked.
+
+    Each profile is played as ``realize_rule`` plays one: one-valuation
+    rows from ``_tabulate``, walked to a leaf.  A leaf id is its path,
+    so the play passes ``node`` when the id extends it, and the message
+    sent there is the id's next entry.
     """
     if node not in protocol.nodes:
         raise ValueError(f"{node} is not an internal node")
     if protocol.bidder(node) != bidder:
         raise ValueError(f"bidder {bidder} does not act at {node}")
-    plays = []
+    flat = protocol.flat
+    leaves = []
     for profile in (profile_a, profile_b):
-        behaviors = [
-            behavior_from_strategy(protocol, j, strategies[j], profile[j])
+        rows = [
+            _tabulate(protocol, j, strategies[j], (profile[j],))[0]
             for j in range(protocol.n)
         ]
-        outcome, path = play(protocol, behaviors)
-        plays.append((behaviors, outcome, path))
-    for _, _, path in plays:
-        if node not in path:
-            raise ValueError(f"vertex {node} is not on both realized paths")
+        leaves.append(flat.order[_walk(flat, rows)])
+    depth = len(node)
+    if any(leaf[:depth] != node for leaf in leaves):
+        raise ValueError(f"vertex {node} is not on both realized paths")
     v = profile_a[bidder]
-    utility_a = plays[0][1].utility(bidder, v)
-    utility_b = plays[1][1].utility(bidder, v)
+    utility_a = protocol.outcome(leaves[0]).utility(bidder, v)
+    utility_b = protocol.outcome(leaves[1]).utility(bidder, v)
     details = {
         "node": ".".join(map(str, node)),
         "bidder": bidder,
@@ -579,8 +585,7 @@ def check_divergence_lemma(
     }
     if not utility_a < utility_b:
         return CheckVerdict("divergence_lemma", "not_applicable", details)
-    msg_a = plays[0][0][bidder][node]
-    msg_b = plays[1][0][bidder][node]
+    msg_a, msg_b = (leaf[depth] for leaf in leaves)
     details.update({"message_a": msg_a, "message_b": msg_b})
     status = "consistent" if msg_a == msg_b else "violation"
     return CheckVerdict("divergence_lemma", status, details)

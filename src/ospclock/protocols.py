@@ -7,10 +7,10 @@ Each internal node names one acting bidder and at least two labelled
 messages; each leaf carries an :class:`Outcome`.
 
 Protocols are built by *games*: small state machines exposing the
-acting bidder, message list, transition, and a truthful message per
-state, for one valuation or for a batch of them.  ``materialize`` walks
-a game breadth-first into an explicit tree; ``run_game`` plays a single
-path directly, which matters because full trees grow exponentially
+acting bidder, message list, transition, and the truthful messages of
+a batch of valuations per state.  ``materialize`` walks a game
+breadth-first into an explicit tree; ``run_game`` plays a single path
+directly, which matters because full trees grow exponentially
 while one play-out is linear.  Both use the same transition code, so
 the tree and the simulation cannot drift apart.
 
@@ -90,19 +90,18 @@ class FlatIndex:
 
     ``Protocol`` lays it out in the breadth-first walk that checks the
     tree.  ``order`` lists every id, internal and leaf, in (depth,
-    lexicographic) order, and ``position`` maps an id back to its
-    position k.  In this order a node's children sit next to each
-    other: internal node k's children are the positions ``first[k]``
-    to ``first[k] + deg - 1``, message j at ``first[k] + j``.
-    ``mover[k]`` is the bidder acting at k; a leaf has ``mover`` and
-    ``first`` -1.  ``walk`` is ``(k, mover, first, end)`` for every
-    internal node, deepest first (within a depth, reverse
-    lexicographic), so children come before their parent and
-    ``end = first + deg``; reversed, it runs shallowest first.
+    lexicographic) order; an id's index there is its position k.  In
+    this order a node's children sit next to each other: internal node
+    k's children are the positions ``first[k]`` to ``first[k] + deg -
+    1``, message j at ``first[k] + j``.  ``mover[k]`` is the bidder
+    acting at k; a leaf has ``mover`` and ``first`` -1.  ``walk`` is
+    ``(k, mover, first, end)`` for every internal node, deepest first
+    (within a depth, reverse lexicographic), so children come before
+    their parent and ``end = first + deg``; reversed, it runs
+    shallowest first.
     """
 
     order: tuple
-    position: dict
     mover: tuple
     first: tuple
     walk: tuple
@@ -177,16 +176,16 @@ class Protocol:
             mover.append(node.bidder)
             first.append(a)
             walk.append((k, node.bidder, a, len(order)))
-        position = {u: k for k, u in enumerate(order)}
         if len(order) < size:
             # every walked id is in exactly one table, so some id was not
             # reached; the shortest one's parent was walked, or is no id
-            u = min((u for u in chain(nodes, leaves) if u not in position), key=len)
+            reached = set(order)
+            u = min((u for u in chain(nodes, leaves) if u not in reached), key=len)
             if u[:-1] in nodes:
                 raise ValueError(f"id {u} exceeds parent's message count")
             raise ValueError(f"unreachable id {u}")
         walk.reverse()
-        self.flat = FlatIndex(tuple(order), position, tuple(mover), tuple(first), tuple(walk))
+        self.flat = FlatIndex(tuple(order), tuple(mover), tuple(first), tuple(walk))
 
     # -- navigation ---------------------------------------------------------
 
@@ -412,7 +411,7 @@ class Game:
     so node ids, play histories and ``Protocol.info`` (which
     ``game_strategy`` reads) only ever see states with two or more
     messages (or leaves).  A non-leaf state must have at least one
-    message.
+    message.  ``truthful_messages`` is a game's one truthful rule.
     """
 
     n: int
@@ -436,13 +435,12 @@ class Game:
     def child(self, state, message: int):
         raise NotImplementedError
 
-    def truthful_message(self, state, valuation: Valuation) -> int:
-        raise NotImplementedError
-
     def truthful_messages(self, state, valuations: Sequence[Valuation]) -> list:
-        """``truthful_message`` for each valuation, in order.  A game may
-        answer the batch at once, sharing what the state fixes."""
-        return [self.truthful_message(state, v) for v in valuations]
+        """The acting bidder's truthful message for each valuation, in
+        order.  The one truthful rule of a game: it answers the batch at
+        once, sharing what the state fixes, and a single play-out asks
+        for a batch of one."""
+        raise NotImplementedError
 
 
 def _decision(game: Game, state) -> tuple:
@@ -490,9 +488,10 @@ def materialize(game: Game) -> Protocol:
 def run_game(game: Game, valuations: Sequence[Valuation]) -> tuple[Outcome, tuple]:
     """Play one path of a game without building the tree.
 
-    Each acting bidder sends ``game.truthful_message`` for her
-    valuation.  Returns the outcome and the message history, which is
-    exactly the leaf's node id in the materialized tree.
+    Each acting bidder sends her valuation's truthful message, asked of
+    ``game.truthful_messages`` as a batch of one.  Returns the outcome
+    and the message history, which is exactly the leaf's node id in the
+    materialized tree.
     """
     history: list[int] = []
     limit = _cap("OSPCLOCK_PLAY_CAP", 1_000_000)
@@ -500,7 +499,7 @@ def run_game(game: Game, valuations: Sequence[Valuation]) -> tuple[Outcome, tupl
     while labels is not None:
         if len(history) == limit:
             raise _refusal("OSPCLOCK_PLAY_CAP", limit, f"play needs over {limit} steps")
-        msg = game.truthful_message(state, valuations[game.bidder(state)])
+        (msg,) = game.truthful_messages(state, (valuations[game.bidder(state)],))
         if not 0 <= msg < len(labels):
             raise ValueError(f"message {msg} out of range")
         history.append(msg)
@@ -511,10 +510,10 @@ def run_game(game: Game, valuations: Sequence[Valuation]) -> tuple[Outcome, tupl
 class _GameStrategy:
     """A game's truthful strategy on a tree materialized from it.
 
-    Called as ``strategy(valuation, u)``, it answers one valuation;
     ``at(u, valuations)`` answers a batch through
-    ``Game.truthful_messages``, which is how ``_tabulate`` asks it.  The
-    state at each node is read off ``protocol.info``, which
+    ``Game.truthful_messages``, which is how ``_tabulate`` asks it;
+    called as ``strategy(valuation, u)``, it asks for a batch of one.
+    The state at each node is read off ``protocol.info``, which
     ``materialize`` records after following forced moves.
     """
 
@@ -525,7 +524,7 @@ class _GameStrategy:
         self.info = info
 
     def __call__(self, valuation: Valuation, u: NodeId) -> int:
-        return self.game.truthful_message(self.info[u], valuation)
+        return self.game.truthful_messages(self.info[u], (valuation,))[0]
 
     def at(self, u: NodeId, valuations: Sequence[Valuation]) -> list:
         return self.game.truthful_messages(self.info[u], valuations)
@@ -638,14 +637,20 @@ class GaaLeaf:
 
 
 class GaaGame(Game):
-    """State machine for a :class:`GaaSpec` clock auction."""
+    """State machine for a :class:`GaaSpec` clock auction.
+
+    A bidder's truthful move compares the clock price with her marginal
+    ``spec.marginal``, which the game finds once per (bidder, valuation)
+    in a memo that holds the valuation, so its id is not reused: every
+    node of a tabulation and every poll of a play-out reads it there.
+    """
 
     def __init__(self, spec: GaaSpec) -> None:
         self.spec = spec
         self.n = spec.n
         self.setting = spec.setting
-        # (bidder, valuations, their marginals) of the last batch asked
-        self._last = None
+        # per bidder: id of a valuation -> (the valuation, its marginal)
+        self._marginals = [{} for _ in range(spec.n)]
 
     def root_state(self):
         everyone = frozenset(range(self.n))
@@ -698,30 +703,19 @@ class GaaGame(Game):
             return GaaLeaf(frozenset(), ZERO)
         return GaaState(nxt, self._poll_order(active), active, clearing)
 
-    def truthful_message(self, state, valuation: Valuation) -> int:
-        price = self.spec.grid[state.price_index]
-        return _clock_message(price, self.spec.marginal(state.queue[0], valuation))
-
     def truthful_messages(self, state, valuations: Sequence[Valuation]) -> list:
-        """One clock read per state.  Each valuation's marginal is found
-        once for a run of batches that ask the same bidder about the
-        same tuple of valuations, as one tabulation walk does."""
+        """Stay (0) while the clock price is at most the marginal, else
+        exit (1)."""
         i = state.queue[0]
-        last = self._last
-        if last is not None and last[0] == i and last[1] is valuations:
-            marginals = last[2]
-        else:
-            marginals = [self.spec.marginal(i, v) for v in valuations]
-            if isinstance(valuations, tuple):  # immutable: its identity fixes them
-                self._last = (i, valuations, marginals)
+        memo = self._marginals[i]
         price = self.spec.grid[state.price_index]
-        return [_clock_message(price, m) for m in marginals]
-
-
-def _clock_message(price: Fraction, marginal: Fraction) -> int:
-    """The truthful clock move: stay (0) while the price is at most the
-    marginal, else exit (1)."""
-    return 0 if price <= marginal else 1
+        out = []
+        for v in valuations:
+            hit = memo.get(id(v))
+            if hit is None:
+                hit = memo[id(v)] = (v, self.spec.marginal(i, v))
+            out.append(0 if price <= hit[1] else 1)
+        return out
 
 
 def build_gaa(spec: GaaSpec) -> Protocol:

@@ -229,26 +229,21 @@ def _opt_all_unit_step(values: Sequence[Fraction], capacity: int) -> tuple[Fract
 
 
 def _opt_additive(
-    valuations: Sequence[AdditiveValuation],
-    bidder_ids: Sequence[int],
-    items: Sequence[str],
-) -> tuple[Fraction, dict[str, int]]:
+    valuations: Sequence[AdditiveValuation], items: Sequence[str]
+) -> tuple[Fraction, list]:
     """Assign each item to its smallest-index maximum bidder.
 
-    ``bidder_ids`` are positions in the original instance; the returned
-    assignment maps item -> original bidder index (items always
-    assigned, zero-value items to the first bidder in ``bidder_ids``).
+    Returns the total and each bidder's bundle; every item is assigned,
+    a zero-value item to bidder 0.
     """
     total = ZERO
-    assignment: dict[str, int] = {}
+    owned: list = [set() for _ in valuations]
     for j in items:
-        best = max(valuations[k].per_item[j] for k in range(len(bidder_ids)))
-        winner = min(
-            k for k in range(len(bidder_ids)) if valuations[k].per_item[j] == best
-        )
+        column = [v.per_item[j] for v in valuations]
+        best = max(column)
         total += best
-        assignment[j] = bidder_ids[winner]
-    return total, assignment
+        owned[column.index(best)].add(j)
+    return total, [frozenset(b) for b in owned]
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +482,7 @@ def _opt_items(valuations: Sequence, items: Sequence[str]) -> tuple[Fraction, li
     if not valuations or not items:
         return ZERO, [frozenset()] * len(valuations)
     if all(isinstance(v, AdditiveValuation) for v in valuations):
-        value, assignment = _opt_additive(valuations, range(len(valuations)), items)
-        owned: list = [set() for _ in valuations]
-        for j, owner in assignment.items():
-            owned[owner].add(j)
-        return value, [frozenset(b) for b in owned]
+        return _opt_additive(valuations, items)
     if all(isinstance(v, UnitDemandValuation) for v in valuations):
         value, assigned = _ud_opt(valuations, items)
         return value, [frozenset() if j is None else frozenset({j}) for j in assigned]

@@ -127,6 +127,27 @@ def test_bad_instance_files_exit_two(tmp_path, capsys, caplog):
     assert "bad instance in" in caplog.text
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"[" * 100_000 + b"]" * 100_000, b'{"setting": "\xff"}', b"[" + b"9" * 5_000 + b"]"],
+    ids=["deeply-nested", "not-utf-8", "5000-digit-integer"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--mechanism", "grand-bundle", "--exact"], ["sampling-lemma"]],
+    ids=["simulate", "sampling-lemma"],
+)
+def test_undecodable_instance_files_exit_two_naming_the_file(
+    tmp_path, capsys, caplog, content, argv
+):
+    path = tmp_path / "inst.json"
+    path.write_bytes(content)
+    code, out = run(capsys, *argv, "--instance", str(path))
+    assert (code, out) == (2, "")
+    assert f"malformed JSON in {path}: " in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
 @pytest.mark.parametrize("raw", [True, 2.7, "2"], ids=["bool", "float", "string"])
 @pytest.mark.parametrize("field", ["d", "multiunit"])
 def test_integer_instance_fields_must_be_json_integers(tmp_path, capsys, caplog, field, raw):

@@ -1043,11 +1043,11 @@ def test_mech3_report_is_the_first_equal_domain_entry():
     root = game.root_state()
     assert root.price is None and game.bidder(root) == 0
     assert game.truthful_messages(root, [a, b, a_again, copy]) == [0, 1, 0, 1]
-    assert [game.truthful_message(root, v) for v in (a_again, copy)] == [0, 1]
+    assert [game.truthful_messages(root, [v]) for v in (a_again, copy)] == [[0], [1]]
     stranger = unit_demand(3, 3)
     outside = "bidder 0's valuation is outside the declared domain"
     with pytest.raises(ValueError, match=outside):
-        game.truthful_message(root, stranger)
+        game.truthful_messages(root, [stranger])
     with pytest.raises(ValueError, match=outside):
         game.truthful_messages(root, [a, stranger])
 
@@ -1351,5 +1351,5 @@ def test_replayed_strategy_matches_tree_states(build):
     for u in protocol.nodes:
         state = _replayed_state(game, u)
         assert state == protocol.info[u]
-        for v in game.domains[protocol.bidder(u)]:
-            assert strategy(v, u) == game.truthful_message(state, v)
+        domain = game.domains[protocol.bidder(u)]
+        assert [strategy(v, u) for v in domain] == game.truthful_messages(state, domain)

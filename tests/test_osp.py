@@ -1,5 +1,6 @@
 """Tests for the obvious-dominance verifier and related checks."""
 
+import collections
 import gc
 import itertools
 import random
@@ -57,6 +58,7 @@ from ospclock.protocols import (
     play,
     protocol_from_json,
     realize_rule,
+    run_game,
     truthful_strategies,
 )
 from ospclock.valuations import (
@@ -748,7 +750,6 @@ def test_flat_index_lays_children_side_by_side():
     for protocol, _, _ in tree_cases() + catalog_trees():
         flat = protocol.flat
         assert list(flat.order) == _by_depth(list(protocol.nodes) + list(protocol.leaves))
-        assert flat.position == {u: k for k, u in enumerate(flat.order)}
         for k, u in enumerate(flat.order):
             if protocol.is_leaf(u):
                 assert flat.mover[k] == flat.first[k] == -1
@@ -903,7 +904,7 @@ def test_tabulated_rows_are_the_strategy_node_by_node():
     assert len(cases) > 30
     for protocol, strategies, doms in cases:
         tab = protocols._tabulation(protocol, strategies, doms)
-        position = protocol.flat.position
+        position = {u: k for k, u in enumerate(protocol.flat.order)}
         for i, domain in enumerate(doms):
             rows = tab.bidder_rows(protocol, i)
             assert len(rows) == len(domain)
@@ -914,6 +915,34 @@ def test_tabulated_rows_are_the_strategy_node_by_node():
                     expected[position[u]] = table[u] = strategies[i](v, u)
                 assert row == expected
                 assert behavior_from_strategy(protocol, i, strategies[i], v) == table
+
+
+def test_clock_marginals_are_found_once_per_bidder_and_valuation(monkeypatch):
+    """One full tabulation and then a play-out on the same clock game ask
+    ``GaaSpec.marginal`` once per (bidder, valuation object): every node
+    and every repeated poll reads the game's memo."""
+    domains = [[sm(x) for x in range(4)], [sm(x, 2) for x in range(4)]]
+    asked = []
+    real_marginal = GaaSpec.marginal
+
+    def counting_marginal(spec, bidder, valuation):
+        asked.append((bidder, id(valuation)))
+        return real_marginal(spec, bidder, valuation)
+
+    monkeypatch.setattr(GaaSpec, "marginal", counting_marginal)
+    proto, game, strategies = grand_gaa(domains)
+    tab = protocols._tabulation(proto, strategies, domains)
+    for i in range(proto.n):
+        tab.bidder_rows(proto, i)
+    every = {(i, id(v)) for i, domain in enumerate(domains) for v in domain}
+    assert len(asked) == len(set(asked)) and set(asked) == every
+    profile = (domains[0][3], domains[1][3])
+    _, history = run_game(game, profile)
+    assert len(history) > proto.n  # the bidders are polled again and again
+    assert len(asked) == len(every)
+    fresh = GaaGame(game.spec)
+    assert run_game(fresh, profile)[1] == history
+    assert len(asked) == len(every) + proto.n
 
 
 def test_a_message_out_of_range_is_refused_at_its_node():
@@ -947,6 +976,70 @@ def mua_sm_family(k=10, m=2):
         "all": sm(k * k, m, m),
         "ALL": sm(k ** 4, m, m),
     }
+
+
+def _played(protocol, strategies, profile):
+    """A profile's whole behavior tables, and the outcome and path
+    ``play`` reaches on them."""
+    behaviors = [
+        behavior_from_strategy(protocol, j, strategies[j], profile[j])
+        for j in range(protocol.n)
+    ]
+    return (behaviors, *play(protocol, behaviors))
+
+
+def _divergence_by_play(plays, bidder, node, valuation):
+    """``check_divergence_lemma``'s status and details, read off two
+    ``_played`` profiles; None when ``node`` is not on both paths."""
+    if any(node not in path for _, _, path in plays):
+        return None
+    (behaviors_a, outcome_a, _), (behaviors_b, outcome_b, _) = plays
+    utility_a = outcome_a.utility(bidder, valuation)
+    utility_b = outcome_b.utility(bidder, valuation)
+    details = {
+        "node": ".".join(map(str, node)),
+        "bidder": bidder,
+        "utility_a": format_fraction(utility_a),
+        "utility_b": format_fraction(utility_b),
+    }
+    if not utility_a < utility_b:
+        return "not_applicable", details
+    msg_a, msg_b = behaviors_a[bidder][node], behaviors_b[bidder][node]
+    details.update({"message_a": msg_a, "message_b": msg_b})
+    return ("consistent" if msg_a == msg_b else "violation"), details
+
+
+def test_divergence_lemma_matches_play_on_seeded_profiles():
+    """On the catalog trees and both game fixtures, seeded profile pairs
+    at a node both plays share and at any node give the status and
+    details of a direct ``play`` of whole behavior tables, or refuse a
+    node off a path."""
+    rng = random.Random("divergence-lemma")
+    cases = catalog_trees() + [load_game("sealed-bid-2x2"), load_game("grand-gaa-2x2")]
+    seen = collections.Counter()
+    for protocol, strategies, domains in cases:
+        nodes = sorted(protocol.nodes)
+        if not nodes:  # a tree that is one leaf has no vertex to test
+            continue
+        for _ in range(20):
+            profile_a = [rng.choice(d) for d in domains]
+            profile_b = [rng.choice(d) for d in domains]
+            plays = [_played(protocol, strategies, p) for p in (profile_a, profile_b)]
+            path_b = plays[1][2]
+            shared = [u for u in plays[0][2] if u in path_b and u in protocol.nodes]
+            for node in (rng.choice(shared), rng.choice(nodes)):
+                bidder = protocol.bidder(node)
+                expected = _divergence_by_play(plays, bidder, node, profile_a[bidder])
+                args = (protocol, strategies, bidder, node, profile_a, profile_b)
+                if expected is None:
+                    with pytest.raises(ValueError, match="not on both realized paths"):
+                        check_divergence_lemma(*args)
+                    seen["off_path"] += 1
+                    continue
+                verdict = check_divergence_lemma(*args)
+                assert (verdict.status, verdict.details) == expected
+                seen[verdict.status] += 1
+    assert min(seen[k] for k in ("off_path", "not_applicable", "consistent", "violation")) > 0
 
 
 def test_divergence_lemma_on_clock_auction():

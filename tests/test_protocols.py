@@ -115,8 +115,9 @@ class ForcedMoveGame(Game):
     def child(self, state, message):
         return state + (message,)
 
-    def truthful_message(self, state, valuation):
-        return len(state)  # "pass" once the forced first move is made
+    def truthful_messages(self, state, valuations):
+        # "pass" once the forced first move is made
+        return [len(state) for _ in valuations]
 
 
 def test_forced_moves_are_contracted_by_the_protocol_layer():
