@@ -35,7 +35,7 @@ from .valuations import (
     _scale_to_ints,
     make_single_minded,
 )
-from .welfare import opt, opt_value_restricted, unit_step_values
+from .welfare import _solve, opt, opt_value_restricted, unit_step_values
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -282,14 +282,12 @@ def sampling_lemma_experiment(
 
     else:
         best = opt(instance).value
+        setting, vals = instance.setting, instance.valuations
 
         def joint(mask: int) -> bool:
-            inside = [i for i in range(n) if mask >> i & 1]
-            outside = [i for i in range(n) if not mask >> i & 1]
-            return (
-                opt_value_restricted(instance, bidders=inside) >= bar
-                and opt_value_restricted(instance, bidders=outside) >= bar
-            )
+            inside = [v for i, v in enumerate(vals) if mask >> i & 1]
+            outside = [v for i, v in enumerate(vals) if not mask >> i & 1]
+            return _solve(setting, inside)[0] >= bar and _solve(setting, outside)[0] >= bar
 
     critical = critical_threshold * best
     for i in range(n):

@@ -82,7 +82,7 @@ from .welfare import (
     _cap,
     _opt_items,
     _refusal,
-    opt_value_restricted,
+    _solve,
     welfare_of,
 )
 
@@ -417,6 +417,11 @@ class SampleServeGame(Game):
     payment, and everyone else the empty bundle for nothing.  Forced
     moves (a singleton domain, an empty menu) are single-message states,
     contracted by the protocol layer.
+
+    Prices are computed from reported valuations directly, without
+    ``Instance``'s checks, so the game checks its domains against the
+    setting when it is built, and a foreign valuation is refused with
+    its bidder named.
     """
 
     def __init__(
@@ -425,6 +430,9 @@ class SampleServeGame(Game):
         setting: Setting,
         domains: Sequence[Sequence[Valuation]],
     ) -> None:
+        for i, domain in enumerate(domains):
+            for v in domain:
+                _check_compatible(setting, i, v)
         self.n = len(domains)
         self.setting = setting
         self.domains = domains
@@ -661,11 +669,8 @@ class PartitionSaleGame(SampleServeGame):
         super().__init__(_split_script(sample, len(domains)), setting, domains)
 
     def _price(self, reports: tuple, left: int) -> Fraction:
-        if not reports:
-            return ZERO
         reported = tuple(self.domains[b][k] for b, k in reports)
-        sample_opt = opt_value_restricted(Instance(self.setting, reported))
-        return sample_opt / (10 * self.setting.m)
+        return _solve(self.setting, reported)[0] / (10 * self.setting.m)
 
     def _serve(self, state: ServeState, message: int) -> tuple:
         return message, state.price * message, state.left - message
@@ -930,9 +935,8 @@ class ArrivalPricingGame(ItemSaleGame):
     A serve state answers a batch of valuations at once
     (``truthful_messages``): it sorts the reporters and finds the served
     bidder's slot once, and only when a zero-surplus tie needs the
-    canonical optimum.  The solves call welfare's dispatch ``_opt_items``
-    directly, without ``Instance``'s checks, so the game checks its
-    domains against the setting when it is built.
+    canonical optimum.  The solves call welfare's valuation-class
+    dispatch ``_opt_items`` on the unsold items.
     """
 
     def __init__(
@@ -944,10 +948,6 @@ class ArrivalPricingGame(ItemSaleGame):
     ) -> None:
         super().__init__(_arrival_script(order), setting, domains)
         self._memo = {} if memo is None else memo
-        # the solves below skip Instance's checks, so check the domains once
-        for i, domain in enumerate(domains):
-            for v in domain:
-                _check_compatible(setting, i, v)
 
     def _price(self, reports: tuple, left: tuple) -> dict:
         """Opportunity-cost prices, solved once per memo for each

@@ -71,6 +71,7 @@ from .protocols import (
     Protocol,
     RealizedRule,
     Strategy,
+    _id_to_key,
     _own_nodes,
     _tabulate,
     _tabulation,
@@ -101,7 +102,7 @@ class OspWitness:
     def to_json(self) -> dict:
         def profile_json(profile):
             return [
-                {".".join(map(str, u)): msg for u, msg in sorted(table.items())}
+                {_id_to_key(u): msg for u, msg in sorted(table.items())}
                 for table in profile
             ]
 
@@ -109,7 +110,7 @@ class OspWitness:
             "bidder": self.bidder,
             "valuation_index": self.valuation_index,
             "valuation": valuation_to_json(self.valuation),
-            "node": ".".join(map(str, self.node)),
+            "node": _id_to_key(self.node),
             "truthful_message": self.truthful_message,
             "deviating_message": self.deviating_message,
             "worst_truthful_utility": format_fraction(self.worst_truthful_utility),
@@ -345,7 +346,7 @@ def verify_ir_nnt(
                     "fail",
                     {
                         "failure": "negative_transfer",
-                        "leaf": ".".join(map(str, u)),
+                        "leaf": _id_to_key(u),
                         "bidder": i,
                         "payment": format_fraction(payment),
                     },
@@ -559,6 +560,10 @@ def check_divergence_lemma(
     so the play passes ``node`` when the id extends it, and the message
     sent there is the id's next entry.
     """
+    if len(strategies) != protocol.n or any(
+        len(profile) != protocol.n for profile in (profile_a, profile_b)
+    ):
+        raise ValueError("need one strategy and one valuation per bidder")
     if node not in protocol.nodes:
         raise ValueError(f"{node} is not an internal node")
     if protocol.bidder(node) != bidder:
@@ -578,7 +583,7 @@ def check_divergence_lemma(
     utility_a = protocol.outcome(leaves[0]).utility(bidder, v)
     utility_b = protocol.outcome(leaves[1]).utility(bidder, v)
     details = {
-        "node": ".".join(map(str, node)),
+        "node": _id_to_key(node),
         "bidder": bidder,
         "utility_a": format_fraction(utility_a),
         "utility_b": format_fraction(utility_b),

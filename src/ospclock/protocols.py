@@ -233,18 +233,6 @@ def play(protocol: Protocol, behaviors: Sequence[Behavior]) -> tuple[Outcome, li
     return protocol.outcome(u), path
 
 
-def divergence_vertex(path_a: Sequence[NodeId], path_b: Sequence[NodeId]):
-    """Last common node of two root-to-leaf paths, or None if they equal."""
-    last = None
-    for a, b in zip(path_a, path_b):
-        if a != b:
-            return last
-        last = a
-    if len(path_a) != len(path_b):  # one path is a prefix of the other
-        return last
-    return None
-
-
 def _own_nodes(flat: FlatIndex, bidder: int) -> list:
     """``(k, first, end)`` for each of the bidder's internal positions,
     shallowest first, then lexicographic: the order of ``flat.order``."""

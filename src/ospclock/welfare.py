@@ -1,6 +1,13 @@
 """Exact optimal-welfare computation with canonical witnesses.
 
-``opt`` / ``opt_restricted`` route each instance to an exact solver:
+``opt`` solves an ``Instance``, whose constructor checks every
+valuation against the setting.  Behind it, ``_solve(setting,
+valuations)`` is the one setting dispatch: it hands a list of
+valuations to the multi-unit DP or to ``_opt_items``, the
+valuation-class dispatch over an item tuple, and checks nothing.
+mech1's unit price and the sampling lemma call it on lists of
+valuations, and mech3's prices call ``_opt_items`` on the unsold items;
+each game checks its domains when it is built.  The solvers:
 
 * multi-unit: dynamic program over (bidder suffix, units remaining);
   single-minded bidders (``MultiUnitValuation.single_minded``, decided
@@ -36,18 +43,18 @@ fixed enumeration order.
 
 from __future__ import annotations
 
-import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .valuations import (
     AdditiveValuation,
     Instance,
     MultiUnitSetting,
     MultiUnitValuation,
+    Setting,
     UnitDemandValuation,
     _scale_to_ints,
 )
@@ -124,18 +131,13 @@ def check_allocation_for(setting, n: int, alloc: Allocation) -> None:
             seen |= bundle
 
 
-def check_allocation(instance: Instance, alloc: Allocation) -> None:
-    """Raise ValueError unless the allocation is feasible for the instance."""
-    check_allocation_for(instance.setting, instance.n, alloc)
-
-
 def welfare_of(instance: Instance, alloc: Allocation) -> Fraction:
     """Total value of an allocation (validates feasibility first).
 
     Empty bundles are skipped: every valuation class prices the empty
     bundle, or quantity 0, at 0.
     """
-    check_allocation(instance, alloc)
+    check_allocation_for(instance.setting, instance.n, alloc)
     total = ZERO
     for v, b in zip(instance.valuations, alloc.bundles):
         if b:
@@ -404,80 +406,14 @@ def _opt_mask_dp(
 # Public API
 
 
-def _as_int(x, what: str) -> int:
-    """``x`` as an int; a fractional value is refused, not truncated."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {x}") from None
-
-
-def _resolve_bidders(instance: Instance, bidders) -> list[int]:
-    if bidders is None:
-        return list(range(instance.n))
-    ids = sorted(set(_as_int(i, "bidder index") for i in bidders))
-    for i in ids:
-        if not 0 <= i < instance.n:
-            raise ValueError(f"bidder index {i} out of range")
-    return ids
-
-
-def opt_restricted(
-    instance: Instance,
-    bidders: Optional[Iterable[int]] = None,
-    items: Union[None, int, Iterable[str]] = None,
-) -> OptResult:
-    """Optimal welfare using only the given bidders and items.
-
-    ``items`` is a unit count in the multi-unit setting and an item
-    subset in the combinatorial one; ``None`` means no restriction.
-    The witness covers the full bidder index space, with excluded
-    bidders receiving nothing.
-    """
-    ids = _resolve_bidders(instance, bidders)
-    if instance.multiunit:
-        capacity = instance.m if items is None else _as_int(items, "item count")
-        if not 0 <= capacity <= instance.m:
-            raise ValueError(f"item count {capacity} outside 0..{instance.m}")
-        vals = [instance.valuations[i] for i in ids]
-        value, quantities = _opt_multiunit(vals, capacity)
-        full_q = [0] * instance.n
-        for i, q in zip(ids, quantities):
-            full_q[i] = q
-        return OptResult(value, Allocation(tuple(full_q)))
-
-    if items is None:
-        chosen_items = list(instance.items)
-    else:
-        if isinstance(items, int):
-            raise ValueError("combinatorial settings need an item subset, not a count")
-        refused = f"combinatorial settings need a collection of item names, got {items!r}"
-        if isinstance(items, str):
-            raise ValueError(refused)
-        try:
-            subset = set(items)
-        except TypeError:
-            raise ValueError(refused) from None
-        extra = subset - set(instance.items)
-        if extra:
-            raise ValueError(f"unknown items {sorted(extra)}")
-        chosen_items = [j for j in instance.items if j in subset]
-
-    value, packed = _opt_items([instance.valuations[i] for i in ids], chosen_items)
-    bundles: list[frozenset] = [frozenset()] * instance.n
-    for k, i in enumerate(ids):
-        bundles[i] = packed[k]
-    return OptResult(value, Allocation(tuple(bundles)))
-
-
 def _opt_items(valuations: Sequence, items: Sequence[str]) -> tuple[Fraction, list]:
     """The combinatorial optimum of ``valuations`` over ``items``, and each
     valuation's bundle in the canonical witness.
 
-    The valuation-class dispatch behind ``opt_restricted``, which calls
-    it after checking its arguments.  It checks nothing: ``items`` must
-    be distinct items of the valuations' universe, in universe order,
-    and the valuations are the bidders in index order.
+    The valuation-class dispatch behind ``_solve``; mech3's prices call
+    it on the unsold items.  It checks nothing: ``items`` must be
+    distinct items of the valuations' universe, in universe order, and
+    the valuations are the bidders in index order.
     """
     if not valuations or not items:
         return ZERO, [frozenset()] * len(valuations)
@@ -489,18 +425,27 @@ def _opt_items(valuations: Sequence, items: Sequence[str]) -> tuple[Fraction, li
     return _opt_mask_dp(valuations, items)
 
 
+def _solve(setting: Setting, valuations: Sequence) -> tuple[Fraction, list]:
+    """The optimum of ``valuations`` in ``setting``, and each valuation's
+    bundle (a unit count or an item set) in the canonical witness.
+
+    The one setting dispatch.  It checks nothing: every valuation must
+    be of the setting's kind, over its units or its item universe.
+    """
+    if isinstance(setting, MultiUnitSetting):
+        return _opt_multiunit(valuations, setting.m)
+    return _opt_items(valuations, setting.items)
+
+
 def opt(instance: Instance) -> OptResult:
     """Exact optimal welfare with the canonical witness."""
-    return opt_restricted(instance)
+    value, bundles = _solve(instance.setting, instance.valuations)
+    return OptResult(value, Allocation(tuple(bundles)))
 
 
-def opt_value_restricted(
-    instance: Instance,
-    bidders: Optional[Iterable[int]] = None,
-    items: Union[None, int, Iterable[str]] = None,
-) -> Fraction:
-    """The optimal value of ``opt_restricted(instance, bidders, items)``."""
-    return opt_restricted(instance, bidders, items).value
+def opt_value_restricted(instance: Instance) -> Fraction:
+    """The optimal value of ``opt(instance)``, without its witness."""
+    return _solve(instance.setting, instance.valuations)[0]
 
 
 def brute_force_opt(instance: Instance) -> OptResult:

@@ -4,8 +4,9 @@ besides its definition, and so is every non-dunder method of its
 classes; every defaulted parameter of those functions and methods is
 passed by some call; the size-cap variables are listed alike in README,
 the CLI epilog and the package, and each is read by one ``_cap`` call;
-and no code but the scaling helper ``valuations._scale_to_ints`` calls
-``lcm``."""
+no code but the scaling helper ``valuations._scale_to_ints`` calls
+``lcm``; and no code but the setting dispatch ``welfare._solve`` calls
+the multi-unit solver."""
 
 import ast
 import re
@@ -284,6 +285,12 @@ def test_each_size_cap_is_read_by_one_call():
 SCALE_HELPER = ("valuations", "_scale_to_ints")
 
 
+def call_name(node: ast.Call):
+    """The name a call is made by: a plain name or an attribute's."""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def lcm_calls(package: dict) -> list:
     """``(module, line)`` of each ``lcm(...)`` call in ``package``, by
     name or attribute, outside the one scaling helper ``SCALE_HELPER``."""
@@ -297,9 +304,7 @@ def lcm_calls(package: dict) -> list:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call) or id(node) in helper:
                 continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "lcm":
+            if call_name(node) == "lcm":
                 found.append((module, node.lineno))
     return sorted(found)
 
@@ -320,3 +325,16 @@ def test_exact_scaling_is_written_once():
     """Every rational-to-integer scaling goes through
     ``valuations._scale_to_ints``: no other ``lcm`` call in the package."""
     assert lcm_calls({path.stem: path.read_text() for path in PACKAGE}) == []
+
+
+def test_the_setting_dispatch_is_written_once():
+    """Only ``welfare._solve`` calls the multi-unit solver: every other
+    optimum of a setting goes through that one dispatch."""
+    callers = {
+        (path.stem, getattr(top, "name", None))
+        for path in PACKAGE
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and call_name(node) == "_opt_multiunit"
+    }
+    assert callers == {("welfare", "_solve")}

@@ -1323,6 +1323,51 @@ def test_branch_game_tree_pins(build, expected):
     assert f"{protocol.size()}:{_digest(text)}" == expected
 
 
+OVER_AC = UnitDemandValuation(("a", "c"), {"a": F(1), "c": F(2)})
+
+# (name, build from domains, the domain of bidders 0 and 2, bidder 1's
+# foreign valuation); bidder 1 is served in every game
+FOREIGN_DOMAINS = [
+    ("sale-3-units", lambda d: PartitionSaleGame((0,), UNITS2, d), SM3, make_single_minded(1, 1, 3)),
+    ("sale-items", lambda d: PartitionSaleGame((0,), UNITS2, d), SM3, unit_demand(1, 2)),
+    (
+        "max-price-bundle-units",
+        lambda d: MaxPricePartitionGame((0,), COMB, d, bundles=True),
+        ADD3,
+        _sm(1, 1),
+    ),
+    (
+        "max-price-bundle-items",
+        lambda d: MaxPricePartitionGame((0,), COMB, d, bundles=True),
+        ADD3,
+        OVER_AC,
+    ),
+    (
+        "max-price-single-units",
+        lambda d: MaxPricePartitionGame((0,), COMB, d, bundles=False),
+        UD3,
+        _sm(1, 1),
+    ),
+    (
+        "max-price-single-items",
+        lambda d: MaxPricePartitionGame((0,), COMB, d, bundles=False),
+        UD3,
+        OVER_AC,
+    ),
+    ("arrival-units", lambda d: ArrivalPricingGame((0, 1, 2), COMB, d), UD3, _sm(1, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "build,domain,foreign", [f[1:] for f in FOREIGN_DOMAINS], ids=[f[0] for f in FOREIGN_DOMAINS]
+)
+def test_every_serve_game_refuses_a_foreign_domain_when_built(build, domain, foreign):
+    """A valuation of the wrong kind, unit count or item universe is
+    refused when the game is built, with its bidder named."""
+    with pytest.raises(ValueError, match="^bidder 1: "):
+        build([domain, domain + [foreign], domain])
+
+
 def _replayed_state(game, u):
     """The game state node id ``u`` reaches from the root, following
     every single-message state's only child."""

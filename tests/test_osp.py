@@ -1110,3 +1110,23 @@ def test_divergence_lemma_requires_shared_vertex():
             proto, strategies, bidder=1, node=(), profile_a=(vals[0], vals[0]),
             profile_b=(vals[1], vals[1]),
         )
+
+
+@pytest.mark.parametrize("short", ["strategies", "profile"])
+def test_divergence_lemma_refuses_a_wrong_bidder_count(short):
+    """One strategy, or a one-valuation profile, on a two-bidder tree is
+    refused like ``realize_rule`` refuses it, not with an IndexError."""
+    game = SealedBidGame((0, 1, 2, 3))
+    proto = materialize(game)
+    strategies = truthful_strategies(game, proto)
+    vals = [sm(x, 1, 1) for x in range(4)]
+    profile_a = (vals[1], vals[2])
+    if short == "strategies":
+        strategies = strategies[:1]
+    else:
+        profile_a = profile_a[:1]
+    with pytest.raises(ValueError, match="need one strategy and one valuation per bidder"):
+        check_divergence_lemma(
+            proto, strategies, bidder=0, node=(), profile_a=profile_a,
+            profile_b=(vals[2], vals[0]),
+        )

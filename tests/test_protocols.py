@@ -17,7 +17,6 @@ from ospclock.protocols import (
     behavior_from_strategy,
     build_gaa,
     clock_grid,
-    divergence_vertex,
     gaa_grid_for_domains,
     materialize,
     play,
@@ -198,14 +197,6 @@ def test_protocol_rejects_infeasible_leaf():
     }
     with pytest.raises(ValueError):
         Protocol(1, MultiUnitSetting(1), nodes, leaves)
-
-
-def test_divergence_vertex():
-    a = [(), (0,), (0, 1)]
-    b = [(), (0,), (0, 0), (0, 0, 1)]
-    assert divergence_vertex(a, b) == (0,)
-    assert divergence_vertex(a, a) is None
-    assert divergence_vertex(a, [(), (0,)]) == (0,)
 
 
 # ---------------------------------------------------------------------------

@@ -35,11 +35,14 @@ from ospclock.valuations import (
 )
 from ospclock.welfare import (
     Allocation,
+    OptResult,
     SizeCapError,
+    _opt_items,
+    _opt_multiunit,
+    _solve,
     brute_force_opt,
-    check_allocation,
+    check_allocation_for,
     opt,
-    opt_restricted,
     opt_value_restricted,
     welfare_of,
 )
@@ -81,10 +84,8 @@ def test_single_bidder_takes_everything():
 
 
 def test_restricted_to_nobody_is_zero():
-    inst = sm_instance([(5, 1)], m=1)
-    result = opt_restricted(inst, bidders=[])
-    assert result.value == 0
-    assert result.witness.bundles == (0,)
+    assert _solve(MultiUnitSetting(1), ()) == (0, [])
+    assert _solve(CombinatorialSetting(("a",)), ()) == (0, [])
 
 
 def test_unit_demand_restriction_prices_an_item():
@@ -97,8 +98,8 @@ def test_unit_demand_restriction_prices_an_item():
             UnitDemandValuation(items, {"a": 5, "b": 2}),
         ),
     )
-    with_both = opt_restricted(inst, bidders=[1]).value
-    without_a = opt_restricted(inst, bidders=[1], items=["b"]).value
+    with_both = _opt_items(inst.valuations[1:], ("a", "b"))[0]
+    without_a = _opt_items(inst.valuations[1:], ("b",))[0]
     assert (with_both, without_a) == (5, 2)
     assert with_both - without_a == 3
 
@@ -112,7 +113,8 @@ def test_restriction_to_everything_is_vacuous():
             AdditiveValuation(items, {"a": 2, "b": 3, "c": 1}),
         ),
     )
-    assert opt_restricted(inst, bidders=range(2), items=items) == opt(inst)
+    value, bundles = _opt_items(inst.valuations, items)
+    assert OptResult(value, Allocation(tuple(bundles))) == opt(inst)
 
 
 def test_additive_items_go_to_first_maximum_bidder():
@@ -219,22 +221,18 @@ def test_matching_solver_equals_brute_force(inst):
 @settings(max_examples=40)
 def test_bidder_partition_is_subadditive(inst, split_bits):
     """Splitting bidders into two groups never beats pooling them."""
-    left = [i for i in range(inst.n) if split_bits >> i & 1]
-    right = [i for i in range(inst.n) if not split_bits >> i & 1]
+    left = [v for i, v in enumerate(inst.valuations) if split_bits >> i & 1]
+    right = [v for i, v in enumerate(inst.valuations) if not split_bits >> i & 1]
     total = opt(inst).value
-    assert (
-        opt_restricted(inst, bidders=left).value
-        + opt_restricted(inst, bidders=right).value
-        >= total
-    )
+    assert _solve(inst.setting, left)[0] + _solve(inst.setting, right)[0] >= total
 
 
 @given(multiunit_instances())
 @settings(max_examples=40)
 def test_restriction_is_monotone(inst):
     full = opt(inst).value
-    fewer_bidders = opt_restricted(inst, bidders=range(inst.n - 1)).value
-    fewer_items = opt_restricted(inst, items=inst.m - 1).value
+    fewer_bidders = _solve(inst.setting, inst.valuations[:-1])[0]
+    fewer_items = _opt_multiunit(inst.valuations, inst.m - 1)[0]
     assert fewer_bidders <= full
     assert fewer_items <= full
 
@@ -242,54 +240,7 @@ def test_restriction_is_monotone(inst):
 @given(combinatorial_instances())
 @settings(max_examples=40)
 def test_value_only_path_agrees(inst):
-    sub = list(inst.items[: max(1, inst.m - 1)])
-    bidders = list(range(inst.n))[:2]
-    assert opt_value_restricted(inst, bidders, sub) == opt_restricted(
-        inst, bidders, sub
-    ).value
-
-
-@pytest.mark.parametrize("solver", [opt_restricted, opt_value_restricted])
-@pytest.mark.parametrize(
-    "case", ["unknown-item", "count-on-items", "too-many-units"]
-)
-def test_bad_restrictions_are_refused(solver, case):
-    items = ("a", "b")
-    ud = Instance(
-        CombinatorialSetting(items),
-        (UnitDemandValuation(items, {"a": 1, "b": 2}),) * 2,
-    )
-    restricted = {
-        "unknown-item": (ud, ["a", "z"]),
-        "count-on-items": (ud, 1),
-        "too-many-units": (sm_instance([(1, 1), (2, 2)], m=2), 5),
-    }
-    inst, restriction = restricted[case]
-    with pytest.raises(ValueError):
-        solver(inst, items=restriction)
-
-
-@pytest.mark.parametrize(
-    "restriction,named",
-    [({"items": 1.9}, "1.9"), ({"bidders": [1.7]}, "1.7"), ({"items": F(3, 2)}, "3/2")],
-    ids=["items-float", "bidders-float", "items-fraction"],
-)
-def test_fractional_restrictions_are_refused(restriction, named):
-    # a fractional unit count or bidder index is refused, not truncated
-    inst = sm_instance([(1, 1), (2, 2)], m=2)
-    with pytest.raises(ValueError, match=named):
-        opt_restricted(inst, **restriction)
-
-
-@pytest.mark.parametrize("items,named", [("ab", "'ab'"), (1.5, "1.5")], ids=["str", "float"])
-def test_item_restrictions_must_be_collections_of_names(items, named):
-    # a string is one name, not the set of its letters; a number is no subset
-    inst = Instance(
-        CombinatorialSetting(("a", "b")),
-        (UnitDemandValuation(("a", "b"), {"a": 1, "b": 2}),) * 2,
-    )
-    with pytest.raises(ValueError, match=named):
-        opt_restricted(inst, items=items)
+    assert opt_value_restricted(inst) == opt(inst).value
 
 
 def _ud_brute_value(vals, items) -> Fraction:
@@ -338,8 +289,11 @@ def test_unit_demand_witness_matches_definition():
         inst = Instance(CombinatorialSetting(items), tuple(vals))
         bidders = sorted(rng.sample(range(n), rng.randint(1, n)))
         sub = sorted(rng.sample(items, rng.randint(1, m)))
-        result = opt_restricted(inst, bidders, sub)
-        assert (result.value, result.witness) == canonical_ud_witness(inst, bidders, sub)
+        value, packed = _opt_items([vals[i] for i in bidders], sub)
+        bundles = [frozenset()] * n
+        for i, bundle in zip(bidders, packed):
+            bundles[i] = bundle
+        assert (value, Allocation(tuple(bundles))) == canonical_ud_witness(inst, bidders, sub)
 
 
 def _ud_constant_opt(rows, items):
@@ -370,21 +324,26 @@ def test_constant_row_witness_matches_the_closed_form():
         rows = [F(rng.choice([0, 0, 1, 2, 2, 3]), rng.randint(1, 3)) for _ in range(n)]
         vals = tuple(UnitDemandValuation(items, dict.fromkeys(items, x)) for x in rows)
         inst = Instance(CombinatorialSetting(items), vals)
-        if rng.random() < 0.25:
-            bidders, sub = None, None
-            ids, chosen = list(range(n)), list(items)
-        else:
-            bidders = ids = sorted(rng.sample(range(n), rng.randint(1, n)))
+        restricted = rng.random() >= 0.25
+        if restricted:
+            ids = sorted(rng.sample(range(n), rng.randint(1, n)))
             picked = rng.sample(items, rng.randint(1, m))
-            sub = chosen = [j for j in items if j in picked]
+            chosen = [j for j in items if j in picked]
+            got, packed = _opt_items([vals[i] for i in ids], chosen)
+            result = [frozenset()] * n
+            for i, bundle in zip(ids, packed):
+                result[i] = bundle
+        else:
+            ids, chosen = list(range(n)), list(items)
+            best = opt(inst)
+            got, result = best.value, list(best.witness.bundles)
         value, assigned = _ud_constant_opt([rows[i] for i in ids], chosen)
         bundles = [frozenset()] * n
         for i, j in zip(ids, assigned):
             if j is not None:
                 bundles[i] = frozenset({j})
-        result = opt_restricted(inst, bidders, sub)
-        assert (result.value, result.witness) == (value, Allocation(tuple(bundles)))
-        shapes.add((bidders is None, (len(ids) > len(chosen)) - (len(ids) < len(chosen))))
+        assert (got, result) == (value, bundles)
+        shapes.add((restricted, (len(ids) > len(chosen)) - (len(ids) < len(chosen))))
     assert shapes == {(r, c) for r in (False, True) for c in (-1, 0, 1)}
 
 
@@ -395,7 +354,7 @@ def test_constant_row_witness_matches_the_closed_form():
 def test_check_allocation_rejects_overallocation():
     inst = sm_instance([(1, 1), (1, 1)], m=2)
     with pytest.raises(ValueError):
-        check_allocation(inst, Allocation((2, 1)))
+        check_allocation_for(inst.setting, inst.n, Allocation((2, 1)))
 
 
 def test_check_allocation_rejects_overlap():
@@ -408,9 +367,11 @@ def test_check_allocation_rejects_overlap():
         ),
     )
     with pytest.raises(ValueError):
-        check_allocation(inst, Allocation((frozenset({"a"}), frozenset({"a"}))))
+        check_allocation_for(
+            inst.setting, inst.n, Allocation((frozenset({"a"}), frozenset({"a"})))
+        )
     # disjoint is fine
-    check_allocation(inst, Allocation((frozenset({"a"}), frozenset({"b"}))))
+    check_allocation_for(inst.setting, inst.n, Allocation((frozenset({"a"}), frozenset({"b"}))))
 
 
 def test_brute_force_cap(monkeypatch):
