@@ -47,10 +47,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .protocols import (
     GaaGame,
@@ -385,8 +384,7 @@ def three_item_dm_mechanism() -> RandomizedMechanism:
 # sample-then-serve games
 
 
-@dataclass(frozen=True)
-class ServeState:
+class ServeState(NamedTuple):
     step: int  # index into the script; len(script) is terminal
     reports: tuple  # (bidder, message) pairs, in script order
     taken: tuple  # bundles, aligned with the serve steps
@@ -414,7 +412,13 @@ class SampleServeGame(Game):
     and the truthful pick of each valuation in a batch,
     ``_serve(state, message)`` maps a pick to (bundle, payment, supply
     left), and ``outcome`` gives each served bidder that bundle at that
-    payment, and everyone else the empty bundle for nothing.  Forced
+    payment, and everyone else the empty bundle for nothing.  Outcomes
+    are interned per game: leaves with the same bundles and the same
+    payment objects (keyed by the bundles and each payment's ``id``)
+    share one ``Outcome``, and the memo entry holds those payments, so
+    no id in a live key is reused.  A tree then holds one leaf object
+    per distinct outcome wherever equal payments are one object, which
+    the protocol and ``verify_osp`` read once per object.  Forced
     moves (a singleton domain, an empty menu) are single-message states,
     contracted by the protocol layer.
 
@@ -443,6 +447,10 @@ class SampleServeGame(Game):
         self._end = len(script)
         # bidder -> {id of a domain entry: index of its first equal entry}
         self._report_at: dict = {}
+        # bidder -> her report step's labels, one per domain entry
+        self._report_labels: dict = {}
+        # (taken, ids of payments) -> (payments, their shared Outcome)
+        self._outcomes: dict = {}
 
     def _price(self, reports: tuple, left):
         raise NotImplementedError
@@ -510,6 +518,10 @@ class SampleServeGame(Game):
         return state.step == self._end
 
     def outcome(self, state: ServeState) -> Outcome:
+        key = (state.taken, tuple(map(id, state.payments)))
+        return _memoized(self._outcomes, key, state.payments, lambda: self._new_outcome(state))
+
+    def _new_outcome(self, state: ServeState) -> Outcome:
         empty = 0 if isinstance(self.setting, MultiUnitSetting) else frozenset()
         bundles = [empty] * self.n
         payments = [ZERO] * self.n
@@ -524,8 +536,14 @@ class SampleServeGame(Game):
     def messages(self, state: ServeState) -> tuple:
         if state.price is not None:
             return self._serve_labels(state)
-        domain = self.domains[self._bidders[state.step]]
-        return tuple(f"report:{k}" for k in range(len(domain)))
+        bidder = self._bidders[state.step]
+        labels = self._report_labels.get(bidder)
+        if labels is None:
+            domain = self.domains[bidder]
+            labels = self._report_labels[bidder] = tuple(
+                f"report:{k}" for k in range(len(domain))
+            )
+        return labels
 
     def truthful_messages(self, state: ServeState, valuations: Sequence[Valuation]) -> list:
         if state.price is not None:
@@ -589,8 +607,9 @@ class ItemSaleGame(SampleServeGame):
     bidder picks from a menu of unsold bundles: with ``bundles`` every
     subset, smallest first, labelled by its items joined with ``+``;
     otherwise nothing, then each unsold item alone, labelled by its
-    name.  The empty bundle is labelled ``none`` and free; any other
-    costs the sum of its items' prices.
+    name.  The empty bundle is labelled ``none`` and free; a single
+    item costs its price object itself, and a larger bundle the sum of
+    its items' prices.
     """
 
     bundles = False
@@ -607,7 +626,11 @@ class ItemSaleGame(SampleServeGame):
 
     def _serve(self, state: ServeState, message: int) -> tuple:
         bundle = self._menu(state)[message]
-        paid = sum((state.price[j] for j in bundle), ZERO) if bundle else ZERO
+        if len(bundle) == 1:
+            (item,) = bundle
+            paid = state.price[item]
+        else:
+            paid = sum((state.price[j] for j in bundle), ZERO)
         return bundle, paid, tuple(j for j in state.left if j not in bundle)
 
 
@@ -930,7 +953,10 @@ class ArrivalPricingGame(ItemSaleGame):
     valuation ids; a served valuation's best item depends only on it
     and the market's price dict, so it is keyed by both ids.  Each entry
     holds the objects it is keyed by, so no id is reused while the
-    entry lives.
+    entry lives.  Price values are interned through the same memo, keyed
+    by value, so equal prices of every market are one object, and a
+    served bidder's payment for one item is that object: the game's
+    interned outcomes are then one per distinct outcome value.
 
     A serve state answers a batch of valuations at once
     (``truthful_messages``): it sorts the reporters and finds the served
@@ -963,7 +989,9 @@ class ArrivalPricingGame(ItemSaleGame):
         prices = {}
         for j in unsold:
             rest = tuple(x for x in unsold if x != j)
-            prices[j] = base - _opt_items(reported, rest)[0]
+            price = base - _opt_items(reported, rest)[0]
+            # one object per price value; the entry holds nothing by id
+            prices[j] = self._memo.setdefault(("price", price), ((), price))[1]
         return prices
 
     def _tie_context(self, state: ServeState) -> tuple:

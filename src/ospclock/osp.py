@@ -8,22 +8,33 @@ weakly beat the best case of any deviating message, where "worst" and
 deviation, bidder *i* too) might do.
 
 Naively that quantifies over behavior profiles, which is doubly
-exponential.  Instead, linear passes per (bidder, valuation) over the
-protocol's flat node index (``Protocol.flat``: every node at an int
-position, a node's children at adjacent positions) compute for every
-position k
+exponential.  Instead the check works on the protocol's flat node index
+(``Protocol.flat``: every node at an int position, a node's children at
+adjacent positions) and on outcome classes: bidder *i*'s side of a leaf
+is a (bundle, payment) pair, and leaves with equal sides form one
+class.  Each distinct leaf outcome object is scored once per bidder, so
+a tree whose equal outcomes share one object (the serve games intern
+theirs) costs the distinct outcomes, not the leaves.  Once per bidder,
+one deepest-first walk gives every position k
 
-* ``min_pinned[k]``: the worst utility over continuations where *i*'s
-  edges follow the candidate behavior and everyone else is free,
-* ``max_free[k]``: the best utility over all continuations, and
-* whether k is attainable under that behavior,
+* ``mask[k]``: the bitmask of the classes of the leaves below k,
 
-so a node's values are a slice of its children's, and the check
-compares them across sibling edges.  Witnesses carry two behavior
-profiles that replay to exactly the reported utilities; each follows
-positions down the same index from the failing node, taking the first
-child with the least ``min_pinned`` (the bidder keeping to her behavior
-row) or the greatest ``max_free``.
+and a shallowest-first walk over the subtrees that hold her nodes gives
+each of her nodes her nearest node above it and the message toward it.
+Once per valuation, a pass over only those subtrees gives
+
+* ``pinned[k]``: the classes reachable from k when *i*'s edges follow
+  the candidate behavior and everyone else is free,
+
+and her nodes are attainable when the node above agrees with the
+behavior row.  The worst truthful utility at a child is the least class
+utility in its pinned mask, the best deviating one the greatest in its
+subtree mask, each found once per distinct mask.  Witnesses carry two
+behavior profiles that replay to exactly the reported utilities; each
+follows positions down the same index from the failing node, taking
+the first child with the least pinned utility (the bidder keeping to
+her behavior row) or the greatest free one, both read through the
+masks.
 ``verify_osp``, ``verify_ir_nnt`` and a caller's own ``realize_rule``
 read one record kept on the protocol per (strategies, domains): its
 behavior rows, one per (bidder, valuation), built for each bidder's
@@ -33,11 +44,12 @@ its realized rule, whose profiles are played once between them.
 All comparisons run on exact integers.  Utilities are rationals, so
 every value and payment a check reads is multiplied by one common
 scale, the least common multiple of their denominators
-(``valuations._scale_to_ints``): the leaf utilities of one bidder's
-domain in ``verify_osp``, and one bidder's side of the rule in the rule
-checks.  Scaling by a positive integer keeps every difference,
-comparison and tie, so verdicts and witnesses are those of ``Fraction``
-arithmetic; a reported utility ``x`` is ``Fraction(x, scale)``.
+(``valuations._scale_to_ints``): one bidder's side of the distinct
+leaf outcomes, under her whole domain, in ``verify_osp``, and one
+bidder's side of the rule in the rule checks.  Scaling by a positive
+integer keeps every difference, comparison and tie, so verdicts and
+witnesses are those of ``Fraction`` arithmetic; a reported utility
+``x`` is ``Fraction(x, scale)``.
 
 The rule checks read a private column view of the realized rule, built
 once per rule.  Profiles lie flat in ``sorted(rule.table)`` order, so
@@ -62,7 +74,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice, product
+from itertools import chain, compress, islice, product
 from typing import Optional, Sequence
 
 from .protocols import (
@@ -72,7 +84,6 @@ from .protocols import (
     RealizedRule,
     Strategy,
     _id_to_key,
-    _own_nodes,
     _tabulate,
     _tabulation,
     _walk,
@@ -181,71 +192,73 @@ def _bidder_side(outcomes: list, bidder: int, domain) -> tuple:
 # obvious dominance
 
 
-def _leaf_utilities(protocol: Protocol, bidder: int, domain) -> tuple:
-    """The bidder's scaled utility at every leaf for each valuation.
+def _outcome_classes(
+    flat: FlatIndex, leaves: list, bits: list, count: int, bidder: int
+) -> tuple:
+    """The bidder's outcome classes below every position, and her nodes.
 
-    Returns the common scale of the whole domain and a generator of one
-    position-indexed list per valuation, in domain order: utility *
-    scale at each leaf's position of ``protocol.flat``, 0 at internal
-    positions, which the passes fill.  Each valuation is evaluated once
-    per distinct bundle of the bidder.
+    ``leaves`` is ``(position, distinct outcome)`` per leaf and
+    ``bits[d]`` the bit of outcome d's class, one of ``count``.  Returns
+    ``(mask, spans, nodes)``: ``mask[k]`` ORs the class bits of the
+    leaves below k, from one deepest-first walk, plus bit ``count`` when
+    one of her nodes lies at or below k; ``spans`` is the walk entries
+    whose subtree holds one of her nodes, deepest first; ``nodes`` is
+    ``(k, first, end, p, j)`` for each of her nodes in ``_own_nodes``
+    order, where p is her nearest node above k (-1 at none) and j the
+    message toward k there.  Only her nodes and the subtrees above them
+    change with her behavior, so the per-valuation passes read ``spans``
+    and ``nodes`` alone.
     """
-    flat = protocol.flat
-    leaves = [k for k, mover in enumerate(flat.mover) if mover < 0]
-    outcomes = [protocol.outcome(flat.order[k]) for k in leaves]
-    scale, picks, values, paid = _bidder_side(outcomes, bidder, domain)
-
-    def utilities():
-        for worth in values:
-            utility = [0] * len(flat.order)
-            for k, b, p in zip(leaves, picks, paid):
-                utility[k] = worth[b] - p
-            yield utility
-
-    return scale, utilities()
-
-
-def _utility_passes(flat: FlatIndex, bidder: int, leaf_utility: list, behavior: list):
-    """min-pinned and max-free utilities at every position, deepest first.
-
-    ``behavior`` is the bidder's behavior row; ``leaf_utility`` becomes
-    the max-free list.
-    """
-    min_pinned = list(leaf_utility)
-    max_free = leaf_utility
-    for k, mover, a, b in flat.walk:
-        max_free[k] = max(max_free[a:b])
+    mask = [0] * len(flat.order)
+    for k, d in leaves:
+        mask[k] = bits[d]
+    hers = 1 << count
+    spans = []
+    for entry in flat.walk:
+        k, mover, a, b = entry
+        m = hers if mover == bidder else 0
+        for x in mask[a:b]:
+            m |= x
+        mask[k] = m
+        if m & hers:
+            spans.append(entry)
+    above: dict = {0: (-1, 0)}
+    nodes = []
+    for k, mover, a, b in reversed(spans):
         if mover == bidder:
-            min_pinned[k] = min_pinned[a + behavior[k]]
+            nodes.append((k, a, b) + above[k])
+            for j in range(b - a):
+                above[a + j] = (k, j)
         else:
-            min_pinned[k] = min(min_pinned[a:b])
-    return min_pinned, max_free
+            for c in range(a, b):
+                above[c] = above[k]
+    return mask, spans, nodes
 
 
-def _attainable_nodes(flat: FlatIndex, bidder: int, behavior: list) -> list:
-    """Per position: does its history agree with the behavior row at
-    the bidder's nodes?"""
-    attainable = [False] * len(flat.order)
-    attainable[0] = True
-    for k, mover, a, b in reversed(flat.walk):
-        if attainable[k]:
-            if mover == bidder:
-                attainable[a + behavior[k]] = True
-            else:
-                attainable[a:b] = [True] * (b - a)
-    return attainable
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _extreme(best, utility: list, mask: int):
+    """``best`` (``min`` or ``max``) of the class utilities in ``mask``.
+
+    The mask's binary digits, lowest first, select the utilities in one
+    pass in C, so a mask of many classes costs no shift per class; bits
+    past the classes are ignored.
+    """
+    return best(compress(utility, bin(mask)[:1:-1].encode().translate(_BITS)))
 
 
 def _witness_profile(
-    protocol: Protocol, k: int, message: int, values: list, best, pinned: dict
+    protocol: Protocol, k: int, message: int, masks: list, utility: list, best, pinned: dict
 ) -> list:
     """One witness path's behavior profile: a table per bidder of her
     messages on the path.
 
     The path runs from the root to position k, sends ``message`` there,
     and below it takes the first child with the ``best`` (``min`` or
-    ``max``) of ``values``, except at the nodes of a bidder whose
-    behavior row ``pinned`` holds, where it follows that row.
+    ``max``) utility over its classes in ``masks``, except at the nodes
+    of a bidder whose behavior row ``pinned`` holds, where it follows
+    that row.
     """
     flat = protocol.flat
     order, mover, first = flat.order, flat.mover, flat.first
@@ -261,7 +274,7 @@ def _witness_profile(
         else:
             a = first[c]
             children = range(a, a + len(protocol.messages(order[c])))
-            j = best(children, key=values.__getitem__) - a
+            j = best(children, key=lambda x: _extreme(best, utility, masks[x])) - a
         profile[mover[c]][order[c]] = j
         c = first[c] + j
     return profile
@@ -280,20 +293,47 @@ def verify_osp(
     """
     tab = _tabulation(protocol, strategies, domains)
     flat = protocol.flat
+    at = [k for k, mover in enumerate(flat.mover) if mover < 0]
+    objects = [protocol.outcome(flat.order[k]) for k in at]
+    outcomes = list({id(o): o for o in objects}.values())  # each leaf object once
+    index = {id(o): d for d, o in enumerate(outcomes)}
+    leaves = [(k, index[id(o)]) for k, o in zip(at, objects)]
     for i, domain in enumerate(tab.domains):
-        mine = _own_nodes(flat, i)
         rows = tab.bidder_rows(protocol, i)
-        scale, leaf_utilities = _leaf_utilities(protocol, i, domain)
-        for v_idx, (valuation, leaf_utility, row) in enumerate(zip(domain, leaf_utilities, rows)):
-            min_pinned, max_free = _utility_passes(flat, i, leaf_utility, row)
-            attainable = _attainable_nodes(flat, i, row)
-            for k, a, b in mine:
-                if not attainable[k]:
+        scale, picks, values, paid = _bidder_side(outcomes, i, domain)
+        classes: dict = {}
+        bits = [1 << classes.setdefault(pair, len(classes)) for pair in zip(picks, paid)]
+        mask, spans, nodes = _outcome_classes(flat, leaves, bits, len(classes), i)
+        for v_idx, (valuation, worth, row) in enumerate(zip(domain, values, rows)):
+            utility = [worth[b] - p for b, p in classes]
+            pinned = list(mask)
+            for k, mover, a, b in spans:
+                if mover == i:
+                    pinned[k] = pinned[a + row[k]]
+                else:
+                    m = 0
+                    for x in pinned[a:b]:
+                        m |= x
+                    pinned[k] = m
+            worst_of: dict = {}
+            best_of: dict = {}
+            reached = set()
+            for k, a, b, p, j in nodes:
+                if p >= 0 and (row[p] != j or p not in reached):
                     continue
+                reached.add(k)
                 truthful = row[k]
-                worst = min_pinned[a + truthful]
-                for dev, best in enumerate(max_free[a:b]):
-                    if best > worst and dev != truthful:
+                t = pinned[a + truthful]
+                worst = worst_of.get(t)
+                if worst is None:
+                    worst = worst_of[t] = _extreme(min, utility, t)
+                for dev, free in enumerate(mask[a:b]):
+                    if dev == truthful:
+                        continue
+                    best = best_of.get(free)
+                    if best is None:
+                        best = best_of[free] = _extreme(max, utility, free)
+                    if best > worst:
                         witness = OspWitness(
                             bidder=i,
                             valuation_index=v_idx,
@@ -304,10 +344,10 @@ def verify_osp(
                             worst_truthful_utility=Fraction(worst, scale),
                             best_deviating_utility=Fraction(best, scale),
                             truthful_profile=_witness_profile(
-                                protocol, k, truthful, min_pinned, min, {i: row}
+                                protocol, k, truthful, pinned, utility, min, {i: row}
                             ),
                             deviating_profile=_witness_profile(
-                                protocol, k, dev, max_free, max, {}
+                                protocol, k, dev, mask, utility, max, {}
                             ),
                         )
                         return OspVerdict("fail", witness)

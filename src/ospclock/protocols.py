@@ -120,7 +120,8 @@ class Protocol:
     fills it, and ``game_strategy`` reads it.
 
     One breadth-first walk from the root checks the tree and lays it
-    out as the flat node index ``flat``.  The tree is read-only once
+    out as the flat node index ``flat``; a leaf outcome object shared by
+    several leaves is validated once.  The tree is read-only once
     built, so the protocol also keeps one tabulation per (strategies,
     domains) that ``verify_osp``, ``verify_ir_nnt`` and
     ``realize_rule`` all read: each bidder's behavior row per domain
@@ -156,12 +157,16 @@ class Protocol:
         mover = []
         first = []
         walk = []
+        valid: set = set()  # ids of the leaf outcomes checked so far
         for k, u in enumerate(order):  # reaches the children appended below
             node = nodes.get(u)
             if node is None:
                 if u not in leaves:
                     raise ValueError(f"node {u[:-1]}: missing child for message {u[-1]}")
-                validate_outcome(setting, n, leaves[u])
+                outcome = leaves[u]
+                if id(outcome) not in valid:
+                    validate_outcome(setting, n, outcome)
+                    valid.add(id(outcome))
                 mover.append(-1)
                 first.append(-1)
                 continue

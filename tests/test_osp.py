@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ospclock import protocols
+from ospclock import osp, protocols
 from ospclock.fixtures import (
     SealedBidGame,
     additive_domain,
@@ -51,6 +51,7 @@ from ospclock.protocols import (
     GaaGame,
     GaaSpec,
     Outcome,
+    Protocol,
     RealizedRule,
     behavior_from_strategy,
     gaa_grid_for_domains,
@@ -626,11 +627,22 @@ def tree_cases():
     return cases
 
 
+def shared_leaves(protocol):
+    """The same tree with its leaves re-pointed at one ``Outcome`` object
+    per equal outcome value."""
+    shared: dict = {}
+    leaves = {u: shared.setdefault(o, o) for u, o in protocol.leaves.items()}
+    return Protocol(protocol.n, protocol.setting, protocol.nodes, leaves, protocol.info)
+
+
 def test_verify_osp_matches_the_fraction_reference():
     """Same verdict and witness JSON as the Fraction passes, on passing
-    and failing trees."""
+    and failing trees, on the same trees with shared leaf outcomes, and
+    on the catalog's random-bundles and mech3 trees."""
+    cases = tree_cases()
+    shared = [(shared_leaves(p), s, d) for p, s, d in cases]
     statuses = []
-    for protocol, strategies, domains in tree_cases():
+    for n, (protocol, strategies, domains) in enumerate(cases + shared + catalog_trees()):
         expected = reference_verify_osp(protocol, strategies, domains)
         got = verify_osp(protocol, strategies, domains)
         assert got.to_json() == expected.to_json()
@@ -639,10 +651,14 @@ def test_verify_osp_matches_the_fraction_reference():
             utilities = (want.worst_truthful_utility, want.best_deviating_utility)
             assert (have.worst_truthful_utility, have.best_deviating_utility) == utilities
             assert replay_witness(protocol, have) == utilities
-        statuses.append(expected.status)
+        if n < len(cases):
+            statuses.append(expected.status)
     assert statuses.count("fail") > len(statuses) // 2
     assert statuses.count("pass") > 10
     assert statuses[-2:] == ["fail", "pass"]
+    assert sum(len({id(o) for o in p.leaves.values()}) for p, _, _ in shared) < sum(
+        len(p.leaves) for p, _, _ in cases
+    )
 
 
 def test_ir_and_rule_checks_match_the_references_on_trees():
@@ -850,6 +866,38 @@ def test_verified_protocol_is_freed_without_the_cyclic_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_mech3_tree_is_checked_once_per_distinct_outcome(monkeypatch):
+    """A mech3 tree holds one leaf object per distinct outcome value; the
+    protocol validates each object once, and ``verify_osp`` scores each
+    bidder's side of those objects only."""
+    domains = [unit_demand_domain(ITEMS, (0, 1, 2))[:6]] * 3
+    game = mech3_unit_demand(3, ITEMS).branches()[0].game(domains)
+    validated = []
+    sides = []
+    real_validate = protocols.validate_outcome
+    real_side = osp._bidder_side
+
+    def counting_validate(setting, n, outcome):
+        validated.append(outcome)
+        real_validate(setting, n, outcome)
+
+    def counting_side(outcomes, bidder, domain):
+        sides.append(list(outcomes))
+        return real_side(outcomes, bidder, domain)
+
+    monkeypatch.setattr(protocols, "validate_outcome", counting_validate)
+    monkeypatch.setattr(osp, "_bidder_side", counting_side)
+    protocol = materialize(game)
+    leaves = list(protocol.leaves.values())
+    distinct = {id(o): o for o in leaves}
+    assert len(leaves) > len(distinct) == len(set(leaves))
+    assert sorted(map(id, validated)) == sorted(distinct)
+    assert verify_osp(protocol, truthful_strategies(game, protocol), domains).passed
+    assert len(sides) == 3
+    for outcomes in sides:
+        assert sorted(map(id, outcomes)) == sorted(distinct)
 
 
 def test_ir_check_and_realize_rule_play_each_profile_once(monkeypatch):
