@@ -332,10 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
         if trials is not None:
             p.add_argument("--trials", type=int, default=trials)
 
+    def source(p):
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--fixture", help="built-in instance fixture name")
+        group.add_argument("--instance", help="path to a JSON instance")
+
     p = sub.add_parser("simulate", help="expected welfare of a mechanism on one instance")
     p.add_argument("--mechanism", required=True, choices=MECHANISM_NAMES)
-    p.add_argument("--fixture", help="built-in instance fixture name")
-    p.add_argument("--instance", help="path to a JSON instance")
+    source(p)
     p.add_argument("--exact", action="store_true", help="enumerate the coin space")
     common(p, seed=True, trials=DEFAULT_TRIALS)
     p.set_defaults(func=cmd_simulate)
@@ -375,8 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("sampling-lemma", help="fair-coin split probability experiment")
-    p.add_argument("--fixture", help="built-in instance fixture name")
-    p.add_argument("--instance", help="path to a JSON instance")
+    source(p)
     p.add_argument("--critical-threshold", type=_fraction_flag, default=Fraction(1, 100))
     p.add_argument("--ratio-threshold", type=_fraction_flag, default=Fraction(1, 5))
     common(p, seed=True, trials=DEFAULT_TRIALS)

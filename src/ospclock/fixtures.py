@@ -38,6 +38,7 @@ from .valuations import (
     MultiUnitValuation,
     UnitDemandValuation,
     Valuation,
+    _table_monotone,
     all_bundles,
     check_class,
     make_single_minded,
@@ -170,9 +171,9 @@ def unit_demand_domain(items, values) -> list:
 def explicit_domain(items, values, cls: str = "monotone") -> list:
     """Explicit tables over the grid, filtered to a valuation class.
 
-    Sweeps every assignment of grid values to non-empty bundles and
-    keeps those passing :func:`check_class` (monotone tables also pass
-    the constructor; anything else is screened before construction).
+    Sweeps every assignment of grid values to non-empty bundles, screens
+    each raw table for monotonicity, and keeps those whose valuation
+    passes :func:`check_class`.
     """
     items = tuple(items)
     bundles = all_bundles(items)[1:]
@@ -180,9 +181,10 @@ def explicit_domain(items, values, cls: str = "monotone") -> list:
     for combo in product([F(x) for x in values], repeat=len(bundles)):
         table = dict(zip(bundles, combo))
         table[frozenset()] = F(0)
-        v = ExplicitValuation(items, table, require_monotone=False)
-        if check_class(v, "monotone") and (cls == "monotone" or check_class(v, cls)):
-            out.append(ExplicitValuation(items, table))
+        if _table_monotone(items, table):
+            v = ExplicitValuation(items, table)
+            if cls == "monotone" or check_class(v, cls):
+                out.append(v)
     return out
 
 

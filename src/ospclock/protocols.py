@@ -18,7 +18,8 @@ A game may expose a state with a single message.  Such a state is no
 decision (Li, AER 2017), so ``materialize`` and ``run_game`` follow its
 only child without recording a node or a history entry; a non-leaf
 state with no message is an error.  ``materialize`` records each node's
-state in ``Protocol.info``, and ``game_strategy`` reads it from there.
+state in ``Protocol.info``, and ``truthful_strategies`` reads it from
+there.
 
 The central game here is the generalized ascending auction
 (:class:`GaaSpec`): every bidder holds a base bundle and bids for a
@@ -30,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
+from math import prod
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .valuations import (
@@ -37,6 +39,7 @@ from .valuations import (
     MultiUnitSetting,
     Setting,
     Valuation,
+    _check_compatible,
     _json_int,
     _json_key,
     _json_list,
@@ -53,7 +56,7 @@ ZERO = Fraction(0)
 
 NodeId = tuple  # of message indices
 Behavior = Mapping  # NodeId -> message index, for one bidder
-Strategy = Callable  # (valuation, NodeId) -> message index
+Strategy = Callable  # (NodeId, valuations) -> one message index per valuation
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,7 @@ class Protocol:
     ``nodes`` maps internal node ids to (bidder, message labels);
     ``leaves`` maps leaf ids to outcomes.  ``info`` optionally maps node
     ids to builder state (clock price, active set, ...); ``materialize``
-    fills it, and ``game_strategy`` reads it.
+    fills it, and ``truthful_strategies`` reads it.
 
     One breadth-first walk from the root checks the tree and lays it
     out as the flat node index ``flat``; a leaf outcome object shared by
@@ -250,24 +253,23 @@ def _tabulate(
     """The bidder's behavior row for each valuation, in one walk.
 
     A row is position-indexed over ``protocol.flat``: the strategy's
-    message at each of the bidder's nodes, 0 elsewhere.  The walk visits
-    the bidder's nodes shallowest first and asks for every valuation at
-    once: a game's truthful strategy answers through
-    ``Game.truthful_messages`` with one call per node, and any other
-    strategy is called once per valuation at each node.  The first
-    message out of range, by node and then by valuation, is a
-    ``ValueError`` naming the node.
+    message at each of the bidder's nodes, 0 elsewhere.  Each valuation
+    must suit the protocol's setting (a ``ValueError`` naming the
+    bidder).  The walk visits the bidder's nodes shallowest first and
+    calls the strategy once per node with every valuation.  The first
+    answer of the wrong length, or message out of range, by node and
+    then by valuation, is a ``ValueError`` naming the node.
     """
+    for v in valuations:
+        _check_compatible(protocol.setting, bidder, v)
     flat = protocol.flat
     rows = [[0] * len(flat.order) for _ in valuations]
-    ask = strategy.at if isinstance(strategy, _GameStrategy) else None
     for k, a, b in _own_nodes(flat, bidder):
         u = flat.order[k]
-        if ask is None:
-            messages = [strategy(v, u) for v in valuations]
-        else:
-            messages = ask(u, valuations)
         degree = b - a
+        messages = strategy(u, valuations)
+        if len(messages) != len(rows):
+            raise ValueError(f"strategy returned {len(messages)} messages at {u}")
         for row, msg in zip(rows, messages):
             if not 0 <= msg < degree:
                 raise ValueError(f"strategy returned message {msg} out of range at {u}")
@@ -343,10 +345,13 @@ class _Tabulation:
 
 def _tabulation(protocol: Protocol, strategies: Sequence, domains: Sequence) -> _Tabulation:
     """The protocol's tabulation of these strategies and domains, by
-    the identity of each strategy and domain valuation."""
+    the identity of each strategy and domain valuation.  Every domain
+    must be non-empty."""
     if len(strategies) != protocol.n or len(domains) != protocol.n:
         raise ValueError("need one strategy and one domain per bidder")
     doms = tuple(tuple(d) for d in domains)
+    if not all(doms):
+        raise ValueError("empty domain")
     key = (tuple(map(id, strategies)), tuple(tuple(map(id, d)) for d in doms))
     tab = protocol._tabulations.get(key)
     if tab is None:
@@ -372,11 +377,7 @@ def realize_rule(
     if tab.rule is not None:
         return tab.rule
     doms = tab.domains
-    total = 1
-    for d in doms:
-        if not d:
-            raise ValueError("empty domain")
-        total *= len(d)
+    total = prod(len(d) for d in doms)
     cap = _cap("OSPCLOCK_PROFILE_CAP", 200_000)
     if total > cap:
         raise _refusal("OSPCLOCK_PROFILE_CAP", cap, f"domain product has {total} profiles")
@@ -402,7 +403,7 @@ class Game:
     immutable value.  A state with exactly one message is a forced move:
     ``materialize`` and ``run_game`` contract it by following message 0,
     so node ids, play histories and ``Protocol.info`` (which
-    ``game_strategy`` reads) only ever see states with two or more
+    ``truthful_strategies`` reads) only ever see states with two or more
     messages (or leaves).  A non-leaf state must have at least one
     message.  ``truthful_messages`` is a game's one truthful rule.
     """
@@ -500,42 +501,21 @@ def run_game(game: Game, valuations: Sequence[Valuation]) -> tuple[Outcome, tupl
     return game.outcome(state), tuple(history)
 
 
-class _GameStrategy:
-    """A game's truthful strategy on a tree materialized from it.
-
-    ``at(u, valuations)`` answers a batch through
-    ``Game.truthful_messages``, which is how ``_tabulate`` asks it;
-    called as ``strategy(valuation, u)``, it asks for a batch of one.
-    The state at each node is read off ``protocol.info``, which
-    ``materialize`` records after following forced moves.
-    """
-
-    __slots__ = ("game", "info")
-
-    def __init__(self, game: Game, info: dict) -> None:
-        self.game = game
-        self.info = info
-
-    def __call__(self, valuation: Valuation, u: NodeId) -> int:
-        return self.game.truthful_messages(self.info[u], (valuation,))[0]
-
-    def at(self, u: NodeId, valuations: Sequence[Valuation]) -> list:
-        return self.game.truthful_messages(self.info[u], valuations)
-
-
-def game_strategy(game: Game, protocol: Protocol) -> Strategy:
-    """Truthful strategy on a tree materialized from ``game``.
+def truthful_strategies(game: Game, protocol: Protocol) -> list:
+    """Every bidder's truthful strategy on a tree materialized from
+    ``game``: at node u, ``game.truthful_messages`` on the state that
+    ``materialize`` recorded in ``protocol.info``.
 
     The strategy keeps the info map, not the protocol, so a protocol
     whose tabulations hold the strategy is still freed by reference
     counting.
     """
-    return _GameStrategy(game, protocol.info)
+    info = protocol.info
 
+    def strategy(u: NodeId, valuations: Sequence[Valuation]) -> list:
+        return game.truthful_messages(info[u], valuations)
 
-def truthful_strategies(game: Game, protocol: Protocol) -> list:
-    s = game_strategy(game, protocol)
-    return [s for _ in range(game.n)]
+    return [strategy] * game.n
 
 
 # ---------------------------------------------------------------------------

@@ -253,15 +253,12 @@ class UnitDemandValuation(PerItemValuation):
 class ExplicitValuation:
     """Full table from every bundle of the universe to a value.
 
-    The standard constructor requires a complete, non-negative table
-    with ``v(emptyset) = 0`` and checks monotonicity.  Grids that sweep
-    arbitrary tables (then filter with :func:`check_class`) can pass
-    ``require_monotone=False``.
+    The constructor requires a complete, non-negative, monotone table
+    with ``v(emptyset) = 0``.
     """
 
     items: tuple[str, ...]
     table: Mapping[Bundle, Fraction]
-    require_monotone: bool = field(default=True, compare=False)
 
     def __post_init__(self) -> None:
         items = tuple(self.items)
@@ -284,7 +281,7 @@ class ExplicitValuation:
         if table[frozenset()] != 0:
             raise ValueError("empty bundle must be worth 0")
         object.__setattr__(self, "table", table)
-        if self.require_monotone and not _table_monotone(items, table):
+        if not _table_monotone(items, table):
             raise ValueError("explicit valuation is not monotone")
 
     def value(self, bundle: Iterable[str]) -> Fraction:

@@ -106,6 +106,24 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--mechanism", "grand-bundle", "--exact"],
+        ["sampling-lemma"],
+    ],
+    ids=["simulate", "sampling-lemma"],
+)
+def test_fixture_and_instance_exclude_each_other(argv, capsys):
+    """Naming both an instance fixture and an instance file is a usage
+    error naming both flags, never a run on one of them."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--fixture", "add-cross", "--instance", "/nonexistent.json"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--instance" in err and "--fixture" in err and "not allowed" in err
+
+
 def test_bad_instance_files_exit_two(tmp_path, capsys, caplog):
     garbled = tmp_path / "bad.json"
     garbled.write_text("{not json")

@@ -5,8 +5,9 @@ classes; every defaulted parameter of those functions and methods is
 passed by some call; the size-cap variables are listed alike in README,
 the CLI epilog and the package, and each is read by one ``_cap`` call;
 no code but the scaling helper ``valuations._scale_to_ints`` calls
-``lcm``; and no code but the setting dispatch ``welfare._solve`` calls
-the multi-unit solver."""
+``lcm``; no code but the setting dispatch ``welfare._solve`` calls
+the multi-unit solver; and no code but ``protocols._tabulate`` calls a
+strategy."""
 
 import ast
 import re
@@ -338,3 +339,47 @@ def test_the_setting_dispatch_is_written_once():
         if isinstance(node, ast.Call) and call_name(node) == "_opt_multiunit"
     }
     assert callers == {("welfare", "_solve")}
+
+
+def strategy_callers(package: dict) -> set:
+    """``(module, top-level definition)`` of each call in ``package`` made
+    by a name or attribute ``strategy`` or by an element of
+    ``strategies``; the definition is None for module-level code."""
+    callers = set()
+    for module, source in package.items():
+        for top in ast.parse(source).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                indexed = isinstance(func, ast.Subscript)
+                expr = func.value if indexed else func
+                name = expr.id if isinstance(expr, ast.Name) else getattr(expr, "attr", None)
+                if name == ("strategies" if indexed else "strategy"):
+                    callers.add((module, getattr(top, "name", None)))
+    return callers
+
+
+def test_strategy_call_detector():
+    package = {
+        "protocols": "def _tabulate(strategy, u, vs):\n    return strategy(u, vs)\n",
+        "m": (
+            "def f(strategies, k):\n    return strategies[k](0, [])\n"
+            "class K:\n    def g(self):\n        return self.strategy(0, [])\n"
+            "def h(strategies, strategy):\n    return strategies, strategy, make_strategy(0)\n"
+            "x = strategy(0, [])\n"
+        ),
+    }
+    assert strategy_callers(package) == {
+        ("protocols", "_tabulate"),
+        ("m", "f"),
+        ("m", "K"),
+        ("m", None),
+    }
+
+
+def test_strategies_are_called_in_one_place():
+    """Only ``protocols._tabulate`` calls a strategy: every check reads
+    strategies through the one tabulation walk, node by node."""
+    package = {path.stem: path.read_text() for path in PACKAGE}
+    assert strategy_callers(package) == {("protocols", "_tabulate")}

@@ -42,7 +42,6 @@ from ospclock.mechanisms import (
 )
 from ospclock.osp import verify_dsic, verify_ir_nnt, verify_osp, verify_weak_monotonicity
 from ospclock.protocols import (
-    game_strategy,
     materialize,
     play,
     protocol_to_json,
@@ -330,7 +329,7 @@ def test_three_item_dm_trace():
     protocol, strategies = three_item_dm()
     behaviors = [
         {
-            node: strategies[i](inst.valuations[i], node)
+            node: strategies[i](node, [inst.valuations[i]])[0]
             for node in protocol.bidder_nodes(i)
         }
         for i in range(2)
@@ -1392,9 +1391,9 @@ def test_replayed_strategy_matches_tree_states(build):
     # plays what the game would
     game = build()
     protocol = materialize(game)
-    strategy = game_strategy(game, protocol)
+    strategy = truthful_strategies(game, protocol)[0]
     for u in protocol.nodes:
         state = _replayed_state(game, u)
         assert state == protocol.info[u]
         domain = game.domains[protocol.bidder(u)]
-        assert [strategy(v, u) for v in domain] == game.truthful_messages(state, domain)
+        assert [strategy(u, [v])[0] for v in domain] == game.truthful_messages(state, domain)

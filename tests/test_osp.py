@@ -104,8 +104,8 @@ def test_clock_auction_is_obviously_strategy_proof():
 def test_single_bidder_posted_price_is_osp():
     proto = eager_posted_price_protocol(price=2)
 
-    def honest(valuation, node):
-        return 0 if valuation.value(1) >= 2 else 1
+    def honest(u, valuations):
+        return [0 if v.value(1) >= 2 else 1 for v in valuations]
 
     domains = [[sm(x, 1, 1) for x in range(4)]]
     assert verify_osp(proto, [honest], domains).passed
@@ -184,7 +184,7 @@ def test_gaa_is_ex_post_ir_and_nnt():
 
 def test_negative_payment_leaf_is_flagged():
     proto = negative_transfer_protocol()
-    verdict = verify_ir_nnt(proto, [lambda v, u: 1], [[sm(0, 1, 1)]])
+    verdict = verify_ir_nnt(proto, [lambda u, vs: [1] * len(vs)], [[sm(0, 1, 1)]])
     assert not verdict.passed
     assert verdict.details["failure"] == "negative_transfer"
     assert verdict.details["leaf"] == "0"
@@ -192,7 +192,7 @@ def test_negative_payment_leaf_is_flagged():
 
 def test_eager_buyer_violates_ir():
     proto = eager_posted_price_protocol(price=2)
-    always_buy = lambda valuation, node: 0  # noqa: E731
+    always_buy = lambda u, vs: [0] * len(vs)  # noqa: E731
     domains = [[sm(0, 1, 1), sm(3, 1, 1)]]
     verdict = verify_ir_nnt(proto, [always_buy], domains)
     assert not verdict.passed
@@ -229,8 +229,8 @@ def test_anti_monotone_rule_fails():
     """Award the unit only to low values: weak monotonicity breaks."""
     proto = eager_posted_price_protocol(price=0)
 
-    def contrarian(valuation, node):
-        return 0 if valuation.value(1) <= 1 else 1
+    def contrarian(u, valuations):
+        return [0 if v.value(1) <= 1 else 1 for v in valuations]
 
     domains = [[sm(x, 1, 1) for x in range(4)]]
     rule = realize_rule(proto, [contrarian], domains)
@@ -241,7 +241,7 @@ def test_anti_monotone_rule_fails():
 def test_constant_rule_is_weakly_monotone():
     proto = eager_posted_price_protocol(price=0)
     domains = [[sm(x, 1, 1) for x in range(4)]]
-    rule = realize_rule(proto, [lambda v, u: 1], domains)
+    rule = realize_rule(proto, [lambda u, vs: [1] * len(vs)], domains)
     assert verify_weak_monotonicity(rule).passed
 
 
@@ -596,8 +596,8 @@ def random_strategy(rng, protocol, bidder, domain):
             else:
                 table[k, u] = rng.choice(messages)
 
-    def strategy(valuation, u):
-        return table[domain.index(valuation), u]
+    def strategy(u, valuations):
+        return [table[domain.index(v), u] for v in valuations]
 
     return strategy
 
@@ -793,8 +793,8 @@ def test_shared_behavior_tables_match_fresh_protocols():
     domains = [[sm(x) for x in range(3)], [sm(x, 2) for x in range(3)]]
     proto, game, truthful = grand_gaa(domains)
 
-    def always_stay(valuation, node):
-        return 0
+    def always_stay(u, valuations):
+        return [0] * len(valuations)
 
     stay = [always_stay] * 2
 
@@ -821,7 +821,7 @@ def test_realized_rule_is_kept_per_strategies_and_domains():
     proto, _, strategies = grand_gaa(domains)
     rule = realize_rule(proto, strategies, domains)
     assert realize_rule(proto, list(strategies), [list(d) for d in domains]) is rule
-    stay = [lambda valuation, node: 0] * 2
+    stay = [lambda u, vs: [0] * len(vs)] * 2
     assert realize_rule(proto, stay, domains) is not rule
     assert realize_rule(proto, strategies, [domains[0][:2], domains[1]]) is not rule
     copies = [[sm(x) for x in range(3)], domains[1]]
@@ -837,7 +837,7 @@ def test_rule_memo_keeps_its_domain_valuations_alive():
     for x in range(4):
         table = behavior_from_strategy(proto, 0, strategy, sm(x))
         valuation = sm(x)
-        assert table == {u: strategy(valuation, u) for u in proto.bidder_nodes(0)}
+        assert table == {u: strategy(u, [valuation])[0] for u in proto.bidder_nodes(0)}
     valuation = sm(3)
     ref = weakref.ref(valuation)
     realize_rule(proto, strategies, [[valuation], [sm(1)]])
@@ -938,14 +938,14 @@ def support_trees():
 
 def test_tabulated_rows_are_the_strategy_node_by_node():
     """Each bidder's rows, built in one walk that asks a game for a whole
-    domain per node, hold ``strategy(v, u)`` at her nodes and 0
+    domain per node, hold ``strategy(u, [v])[0]`` at her nodes and 0
     elsewhere, on every catalog support tree, both game fixtures and a
     hand-written strategy; ``behavior_from_strategy`` is its row."""
     domains = [[sm(x) for x in range(4)], [sm(x, 2) for x in range(4)]]
     proto, _, _ = grand_gaa(domains)
 
-    def handwritten(valuation, u):
-        return (len(u) + int(valuation.value(2))) % len(proto.messages(u))
+    def handwritten(u, valuations):
+        return [(len(u) + int(v.value(2))) % len(proto.messages(u)) for v in valuations]
 
     cases = support_trees() + [load_game("sealed-bid-2x2"), load_game("grand-gaa-2x2")]
     cases.append((proto, [handwritten, handwritten], domains))
@@ -960,7 +960,7 @@ def test_tabulated_rows_are_the_strategy_node_by_node():
                 expected = [0] * len(position)
                 table = {}
                 for u in protocol.bidder_nodes(i):
-                    expected[position[u]] = table[u] = strategies[i](v, u)
+                    expected[position[u]] = table[u] = strategies[i](u, [v])[0]
                 assert row == expected
                 assert behavior_from_strategy(protocol, i, strategies[i], v) == table
 
@@ -1002,15 +1002,70 @@ def test_a_message_out_of_range_is_refused_at_its_node():
     node = proto.bidder_nodes(0)[1]
     truthful = strategies[0]
 
-    def broken(valuation, u):
-        if u == node and valuation is domains[0][2]:
-            return len(proto.messages(u))
-        return truthful(valuation, u)
+    def broken(u, valuations):
+        return [
+            len(proto.messages(u)) if u == node and v is domains[0][2] else msg
+            for v, msg in zip(valuations, truthful(u, valuations))
+        ]
 
     message = re.escape(f"strategy returned message 2 out of range at {node}")
     for check in (verify_osp, realize_rule):
         with pytest.raises(ValueError, match=message):
             check(proto, [broken, strategies[1]], domains)
+
+
+def test_a_strategy_is_asked_once_per_node_with_the_whole_domain():
+    """``verify_osp``, ``verify_ir_nnt`` and ``realize_rule`` on one tree
+    read one tabulation: a hand-written strategy is called once at each
+    node of its bidder, with her whole domain, and nowhere else.  An
+    answer with one message too few is refused at its node."""
+    domains = [[sm(x) for x in range(3)], [sm(x, 2) for x in range(3)]]
+    proto, _, truthful = grand_gaa(domains)
+    asked = []
+
+    def recording(i):
+        def strategy(u, valuations):
+            asked.append((i, u, [id(v) for v in valuations]))
+            return truthful[i](u, valuations)
+
+        return strategy
+
+    strategies = [recording(i) for i in range(proto.n)]
+    assert verify_osp(proto, strategies, domains).passed
+    assert verify_ir_nnt(proto, strategies, domains).passed
+    realize_rule(proto, strategies, domains)
+    assert asked == [
+        (i, u, [id(v) for v in domains[i]])
+        for i in range(proto.n)
+        for u in proto.bidder_nodes(i)
+    ]
+    short = [lambda u, vs: [0] * (len(vs) - 1)] * proto.n
+    message = re.escape(f"strategy returned 2 messages at {proto.bidder_nodes(0)[0]}")
+    with pytest.raises(ValueError, match=message):
+        verify_osp(proto, short, domains)
+
+
+def test_domains_are_checked_against_the_protocol_setting():
+    """A domain valuation the protocol's setting cannot hold, or an
+    empty domain, is a ``ValueError`` in every check that reads
+    strategies, never a pass or a bare ``TypeError``: three-unit and
+    unit-demand valuations on a two-unit clock name their bidder."""
+    protocol, strategies, domains = load_game("grand-gaa-2x2")
+    three_units = single_minded_domain(3, values=(0, 1, 2), demands=(1, 3))
+    unit_demand = unit_demand_domain(("a", "b"), (0, 1))
+    bad = [
+        ([domains[0], three_units], "bidder 1: valuation over 3 units"),
+        ([domains[0], unit_demand], "bidder 1: expected a multi-unit valuation"),
+        ([domains[0], []], "empty domain"),
+    ]
+    for doms, message in bad:
+        for check in (verify_osp, verify_ir_nnt, realize_rule):
+            with pytest.raises(ValueError, match=message):
+                check(protocol, strategies, doms)
+    node = protocol.bidder_nodes(1)[0]
+    profile = (domains[0][0], unit_demand[0])
+    with pytest.raises(ValueError, match="bidder 1: expected a multi-unit valuation"):
+        check_divergence_lemma(protocol, strategies, 1, node, profile, profile)
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ def test_forced_moves_are_contracted_by_the_protocol_layer():
     out, history = run_game(game, [None])
     assert history == (1,)
     assert out == proto.outcome((1,))
-    assert truthful_strategies(game, proto)[0](None, ()) == 1
+    assert truthful_strategies(game, proto)[0]((), [None])[0] == 1
     with pytest.raises(ValueError, match="no messages"):
         materialize(ForcedMoveGame(dead_end=True))
     with pytest.raises(ValueError, match="no messages"):
@@ -341,8 +341,8 @@ def test_tree_play_matches_direct_run(seedvals, potentials):
 def test_realize_rule_posted_price():
     proto = posted_price_protocol(2)
 
-    def strategy(valuation, node):
-        return 0 if valuation.value(1) >= 2 else 1
+    def strategy(u, valuations):
+        return [0 if v.value(1) >= 2 else 1 for v in valuations]
 
     domain = [sm(0, 1, 1), sm(4, 1, 1)]
     rule = realize_rule(proto, [strategy], [domain])

@@ -157,8 +157,8 @@ def test_recorded_shapes_stay_out_of_repr_and_equality():
 ITEMS = ("a", "b")
 
 
-def _explicit(table, **kw):
-    return ExplicitValuation(ITEMS, {frozenset(k): v for k, v in table.items()}, **kw)
+def _explicit(table):
+    return ExplicitValuation(ITEMS, {frozenset(k): v for k, v in table.items()})
 
 
 def test_eval_additive_and_unit_demand():
@@ -186,9 +186,6 @@ def test_explicit_requires_full_monotone_table():
         _explicit({"": 1, "a": 1, "b": 1, "ab": 1})  # empty bundle worth 1
     with pytest.raises(ValueError):
         _explicit({"": 0, "a": 1, "b": 0, "ab": 0})  # not monotone
-    # the same table is constructible for class-sweep purposes
-    v = _explicit({"": 0, "a": 1, "b": 0, "ab": 0}, require_monotone=False)
-    assert not check_class(v, "monotone")
 
 
 def test_check_class_subadditive_example():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ospclock import welfare
 from ospclock.mechanisms import m2_2x2, three_item_dm
 from ospclock.protocols import (
     GaaGame,
@@ -200,6 +201,30 @@ def test_multiunit_opt_equals_brute_force(inst):
     slow = brute_force_opt(inst)
     assert fast.value == slow.value
     assert welfare_of(inst, fast.witness) == fast.value
+
+
+def test_unit_step_fast_path_gives_the_dp_witness_on_ties(monkeypatch):
+    """``_opt_all_unit_step`` stands in for the multi-unit DP when every
+    bidder wants one unit: on seeded rows with tied values, switching
+    the fast path off gives the same value and the same lex-min
+    witness."""
+    rng = random.Random(47)
+    grid = (0, 1, 2, F(5, 2))
+    rows = []
+    for _ in range(400):
+        m = rng.randint(1, 4)
+        n = rng.randint(1, 7)
+        rows.append(([make_single_minded(rng.choice(grid), 1, m) for _ in range(n)], m))
+    assert all(welfare.unit_step_values(vals) is not None for vals, _ in rows)
+    fast = [_opt_multiunit(vals, m) for vals, m in rows]
+    monkeypatch.setattr(welfare, "unit_step_values", lambda valuations: None)
+    assert [_opt_multiunit(vals, m) for vals, m in rows] == fast
+
+    def tied_at_cutoff(vals, quantities):
+        kept = {v.value(1) for v, q in zip(vals, quantities) if q}
+        return any(not q and v.value(1) in kept for v, q in zip(vals, quantities))
+
+    assert sum(tied_at_cutoff(vals, w) for (vals, _), (_, w) in zip(rows, fast)) > 50
 
 
 @given(combinatorial_instances())
@@ -468,19 +493,17 @@ def test_unit_demand_zero_value_match_is_canonical():
 
 
 def _seeded_valuations(rng, items, m):
-    """One valuation of every class: multi-unit, additive, unit-demand,
-    and explicit tables with and without the monotonicity check."""
+    """One valuation of every class: multi-unit, additive, unit-demand
+    and an explicit table."""
     per_item = {j: F(rng.randint(0, 5), rng.randint(1, 3)) for j in items}
     weight = {j: rng.randint(0, 3) for j in items}
     monotone = {b: F(sum(weight[j] for j in b) + len(b) // 2) for b in all_bundles(items)}
-    arbitrary = {b: F(rng.randint(0, 4)) if b else F(0) for b in all_bundles(items)}
     steps = sorted(F(rng.randint(0, 6), rng.randint(1, 2)) for _ in range(m))
     return (
         MultiUnitValuation(tuple(steps)),
         AdditiveValuation(items, per_item),
         UnitDemandValuation(items, per_item),
         ExplicitValuation(items, monotone),
-        ExplicitValuation(items, arbitrary, require_monotone=False),
     )
 
 
@@ -494,7 +517,7 @@ def test_every_valuation_class_prices_the_empty_bundle_at_zero():
             assert v.value(frozenset()) == 0, v
     with pytest.raises(ValueError, match="empty bundle"):
         table = {b: F(1) for b in all_bundles(("a",))}
-        ExplicitValuation(("a",), table, require_monotone=False)
+        ExplicitValuation(("a",), table)
 
 
 def test_welfare_of_equals_the_plain_sum_over_every_bundle():
