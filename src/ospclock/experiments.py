@@ -173,6 +173,7 @@ def mc_ratio(
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
+    mech._check_instance(instance)
     best = opt(instance).value
     if best == 0:
         raise ValueError("instance has zero optimal welfare")

@@ -56,8 +56,7 @@ from .protocols import (
     GaaSpec,
     Game,
     Outcome,
-    build_gaa,
-    gaa_grid_for_domains,
+    materialize,
     run_game,
     truthful_strategies,
 )
@@ -241,16 +240,15 @@ def sample_run(mech: RandomizedMechanism, instance: Instance, seed: int) -> Outc
 def _clock_branches(setting: Setting, arms: list) -> list:
     """Clock-auction branches from ``(name, probability, base, potential)`` arms.
 
-    A branch's key is its arm's name, which is also its label; the grid
-    adapts to instance or domains.  An arm of probability zero is
-    dropped.
+    A branch's key is its arm's name, which is also its label.  Each
+    arm's ``GaaSpec`` is checked once, here; a branch game runs it on
+    the grid its domains need.  An arm of probability zero is dropped.
     """
-    specs = {name: (base, potential) for name, _, base, potential in arms}
+    specs = {name: GaaSpec(setting, base, potential) for name, _, base, potential in arms}
 
     def build(name: str, domains: Sequence[Sequence[Valuation]]) -> Game:
-        base, potential = specs[name]
-        grid = gaa_grid_for_domains(base, potential, domains)
-        return GaaGame(GaaSpec(setting, base, potential, grid))
+        spec = specs[name]
+        return GaaGame(spec, spec.grid_for(domains))
 
     return [SupportElement(name, p, build, str) for name, p, _, _ in arms if p > 0]
 
@@ -370,9 +368,9 @@ def three_item_dm(grid: tuple = DEFAULT_THREE_ITEM_GRID):
     marginal values 0..4.  Returns (protocol, strategies).
     """
     setting, (_, _, base, potential) = _FIXED_PAIR_CLOCK
-    spec = GaaSpec(setting, base, potential, tuple(grid))
-    protocol = build_gaa(spec)
-    return protocol, truthful_strategies(GaaGame(spec), protocol)
+    game = GaaGame(GaaSpec(setting, base, potential), grid)
+    protocol = materialize(game)
+    return protocol, truthful_strategies(game, protocol)
 
 
 def three_item_dm_mechanism() -> RandomizedMechanism:

@@ -90,7 +90,13 @@ from .protocols import (
     play,
     realize_rule,
 )
-from .valuations import Valuation, _scale_to_ints, format_fraction, valuation_to_json
+from .valuations import (
+    Valuation,
+    _check_compatible,
+    _scale_to_ints,
+    format_fraction,
+    valuation_to_json,
+)
 
 ZERO = Fraction(0)
 
@@ -374,6 +380,7 @@ def verify_ir_nnt(
     domains: Sequence[Sequence[Valuation]],
 ) -> CheckVerdict:
     """Ex-post IR over the realized domain product; NNT over all leaves."""
+    _tabulation(protocol, strategies, domains)  # checks the domains first
     flat = protocol.flat
     for u, mover in zip(flat.order, flat.mover):
         if mover >= 0:
@@ -608,6 +615,8 @@ def check_divergence_lemma(
         raise ValueError(f"{node} is not an internal node")
     if protocol.bidder(node) != bidder:
         raise ValueError(f"bidder {bidder} does not act at {node}")
+    for j, v in chain(enumerate(profile_a), enumerate(profile_b)):
+        _check_compatible(protocol.setting, j, v)
     flat = protocol.flat
     leaves = []
     for profile in (profile_a, profile_b):

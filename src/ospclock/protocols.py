@@ -21,9 +21,9 @@ state with no message is an error.  ``materialize`` records each node's
 state in ``Protocol.info``, and ``truthful_strategies`` reads it from
 there.
 
-The central game here is the generalized ascending auction
-(:class:`GaaSpec`): every bidder holds a base bundle and bids for a
-potential bundle while a price clock rises along a finite grid.
+The central game here is the generalized ascending auction: a
+:class:`GaaSpec` arm (each bidder's base and potential bundle), run by
+a :class:`GaaGame` as a price clock rising along a finite grid.
 """
 
 from __future__ import annotations
@@ -253,15 +253,13 @@ def _tabulate(
     """The bidder's behavior row for each valuation, in one walk.
 
     A row is position-indexed over ``protocol.flat``: the strategy's
-    message at each of the bidder's nodes, 0 elsewhere.  Each valuation
-    must suit the protocol's setting (a ``ValueError`` naming the
-    bidder).  The walk visits the bidder's nodes shallowest first and
-    calls the strategy once per node with every valuation.  The first
-    answer of the wrong length, or message out of range, by node and
-    then by valuation, is a ``ValueError`` naming the node.
+    message at each of the bidder's nodes, 0 elsewhere.  The caller has
+    checked the valuations against the setting.  The walk visits the
+    bidder's nodes shallowest first and calls the strategy once per node
+    with every valuation.  The first answer of the wrong length, or
+    message out of range, by node and then by valuation, is a
+    ``ValueError`` naming the node.
     """
-    for v in valuations:
-        _check_compatible(protocol.setting, bidder, v)
     flat = protocol.flat
     rows = [[0] * len(flat.order) for _ in valuations]
     for k, a, b in _own_nodes(flat, bidder):
@@ -283,10 +281,11 @@ def behavior_from_strategy(
     """Tabulate a strategy into a total behavior for one bidder.
 
     The one-valuation view of ``_tabulate``: the bidder's row for
-    ``valuation`` as a table from node id to message.  Each call builds
-    a fresh table; the checks read the protocol's one tabulation of
-    their strategies and domains instead.
+    ``valuation`` as a table from node id to message, once the
+    valuation is checked against the setting.  Each call builds a fresh
+    table; the checks read the protocol's one tabulation instead.
     """
+    _check_compatible(protocol.setting, bidder, valuation)
     (row,) = _tabulate(protocol, bidder, strategy, (valuation,))
     order = protocol.flat.order
     return {order[k]: row[k] for k, _, _ in _own_nodes(protocol.flat, bidder)}
@@ -345,8 +344,8 @@ class _Tabulation:
 
 def _tabulation(protocol: Protocol, strategies: Sequence, domains: Sequence) -> _Tabulation:
     """The protocol's tabulation of these strategies and domains, by
-    the identity of each strategy and domain valuation.  Every domain
-    must be non-empty."""
+    the identity of each strategy and domain valuation.  Each domain must
+    be non-empty and suit the setting, checked when the record is made."""
     if len(strategies) != protocol.n or len(domains) != protocol.n:
         raise ValueError("need one strategy and one domain per bidder")
     doms = tuple(tuple(d) for d in domains)
@@ -355,6 +354,9 @@ def _tabulation(protocol: Protocol, strategies: Sequence, domains: Sequence) -> 
     key = (tuple(map(id, strategies)), tuple(tuple(map(id, d)) for d in doms))
     tab = protocol._tabulations.get(key)
     if tab is None:
+        for i, domain in enumerate(doms):
+            for v in domain:
+                _check_compatible(protocol.setting, i, v)
         tab = protocol._tabulations[key] = _Tabulation(tuple(strategies), doms)
     return tab
 
@@ -530,22 +532,21 @@ def _bundle_leq(setting: Setting, small, large) -> bool:
 
 @dataclass(frozen=True)
 class GaaSpec:
-    """A generalized ascending auction.
+    """One generalized-ascending-auction arm, checked once when declared.
 
     Every bidder is guaranteed the base bundle and clocks for the
-    potential bundle.  At each grid price, still-active bidders are
-    polled (highest index first) to stay or exit; exits are processed
-    immediately.  The auction ends the moment it is feasible to give
-    every remaining active bidder the potential bundle alongside the
-    exited bidders' base bundles; winners then pay the last grid price
-    that completed a full round (so ties resolve at the tied price, in
-    favor of the lowest-index bidder).
+    potential bundle.  At each price of a :class:`GaaGame`'s grid,
+    still-active bidders are polled (highest index first) to stay or
+    exit; exits are processed immediately.  The auction ends the moment
+    it is feasible to give every remaining active bidder the potential
+    bundle alongside the exited bidders' base bundles; winners then pay
+    the last grid price that completed a full round, 0 before any (so
+    ties resolve at the tied price, in favor of the lowest-index bidder).
     """
 
     setting: Setting
     base: tuple
     potential: tuple
-    grid: tuple
 
     def __post_init__(self) -> None:
         base = tuple(self.base)
@@ -555,19 +556,11 @@ class GaaSpec:
             potential = tuple(frozenset(p) for p in potential)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "potential", potential)
-        grid = tuple(as_fraction(p) for p in self.grid)
-        object.__setattr__(self, "grid", grid)
         if len(base) != len(potential) or not base:
             raise ValueError("need matching non-empty base/potential profiles")
         for i, (b, p) in enumerate(zip(base, potential)):
             if not _bundle_leq(self.setting, b, p):
                 raise ValueError(f"bidder {i}: base bundle must lie inside potential")
-        if not grid:
-            raise ValueError("price grid is empty")
-        if any(p < 0 for p in grid):
-            raise ValueError("negative grid price")
-        if any(a >= b for a, b in zip(grid, grid[1:])):
-            raise ValueError("grid must be strictly increasing")
         if not self.is_feasible(frozenset()):
             raise ValueError("base-bundle profile must be feasible")
 
@@ -590,17 +583,24 @@ class GaaSpec:
 
     def marginal(self, bidder: int, valuation: Valuation) -> Fraction:
         """The clock value of the upgrade: v(potential) - v(base)."""
-        return valuation.value(self.potential[bidder]) - valuation.value(
-            self.base[bidder]
-        )
+        return valuation.value(self.potential[bidder]) - valuation.value(self.base[bidder])
+
+    def grid_for(self, domains: Sequence[Sequence[Valuation]]) -> tuple:
+        """The ``clock_grid`` of the domains' marginals; a valuation the
+        setting cannot hold is a ``ValueError`` naming its bidder."""
+        marginals = []
+        for i, domain in enumerate(domains):
+            for v in domain:
+                _check_compatible(self.setting, i, v)
+                marginals.append(self.marginal(i, v))
+        return clock_grid(marginals)
 
 
 @dataclass(frozen=True)
 class GaaState:
-    price_index: int
+    price_index: int  # the clock price is grid[price_index]
     queue: tuple  # active bidders still to poll at this price, first acts
     active: frozenset
-    clearing: Fraction  # last fully completed grid price (0 before any)
 
 
 @dataclass(frozen=True)
@@ -610,7 +610,7 @@ class GaaLeaf:
 
 
 class GaaGame(Game):
-    """State machine for a :class:`GaaSpec` clock auction.
+    """A :class:`GaaSpec` arm run on a price grid, such as ``grid_for``'s.
 
     A bidder's truthful move compares the clock price with her marginal
     ``spec.marginal``, which the game finds once per (bidder, valuation)
@@ -618,8 +618,16 @@ class GaaGame(Game):
     node of a tabulation and every poll of a play-out reads it there.
     """
 
-    def __init__(self, spec: GaaSpec) -> None:
+    def __init__(self, spec: GaaSpec, grid: Sequence) -> None:
+        grid = tuple(as_fraction(p) for p in grid)
+        if not grid:
+            raise ValueError("price grid is empty")
+        if any(p < 0 for p in grid):
+            raise ValueError("negative grid price")
+        if any(a >= b for a, b in zip(grid, grid[1:])):
+            raise ValueError("grid must be strictly increasing")
         self.spec = spec
+        self.grid = grid
         self.n = spec.n
         self.setting = spec.setting
         # per bidder: id of a valuation -> (the valuation, its marginal)
@@ -629,7 +637,7 @@ class GaaGame(Game):
         everyone = frozenset(range(self.n))
         if self.spec.is_feasible(everyone):
             return GaaLeaf(everyone, ZERO)
-        return GaaState(0, self._poll_order(everyone), everyone, ZERO)
+        return GaaState(0, self._poll_order(everyone), everyone)
 
     @staticmethod
     def _poll_order(active: frozenset) -> tuple:
@@ -656,32 +664,30 @@ class GaaGame(Game):
         return ("stay", "exit")
 
     def child(self, state, message: int):
-        spec = self.spec
         i = state.queue[0]
         rest = state.queue[1:]
         active = state.active
+        k = state.price_index
         if message == 1:
             active = active - {i}
-            if spec.is_feasible(active):
-                return GaaLeaf(active, state.clearing)
+            if self.spec.is_feasible(active):
+                return GaaLeaf(active, self.grid[k - 1] if k else ZERO)
         if rest:
-            return GaaState(state.price_index, rest, active, state.clearing)
+            return GaaState(k, rest, active)
         # round complete without reaching feasibility: commit the price
-        clearing = spec.grid[state.price_index]
-        nxt = state.price_index + 1
-        if nxt == len(spec.grid):
+        if k + 1 == len(self.grid):
             # grid exhausted; remaining actives are sent to their base
             # bundles unpaid rather than made winners at an uncleared
             # price
             return GaaLeaf(frozenset(), ZERO)
-        return GaaState(nxt, self._poll_order(active), active, clearing)
+        return GaaState(k + 1, self._poll_order(active), active)
 
     def truthful_messages(self, state, valuations: Sequence[Valuation]) -> list:
         """Stay (0) while the clock price is at most the marginal, else
         exit (1)."""
         i = state.queue[0]
         memo = self._marginals[i]
-        price = self.spec.grid[state.price_index]
+        price = self.grid[state.price_index]
         out = []
         for v in valuations:
             hit = memo.get(id(v))
@@ -689,10 +695,6 @@ class GaaGame(Game):
                 hit = memo[id(v)] = (v, self.spec.marginal(i, v))
             out.append(0 if price <= hit[1] else 1)
         return out
-
-
-def build_gaa(spec: GaaSpec) -> Protocol:
-    return materialize(GaaGame(spec))
 
 
 def clock_grid(marginals: Iterable) -> tuple:
@@ -705,17 +707,6 @@ def clock_grid(marginals: Iterable) -> tuple:
     values = sorted({as_fraction(x) for x in marginals if as_fraction(x) > 0})
     top = values[-1] + 1 if values else Fraction(1)
     return tuple(values) + (top,)
-
-
-def gaa_grid_for_domains(spec_base, spec_potential, domains) -> tuple:
-    """Clock grid covering every marginal in per-bidder valuation sets."""
-    marginals = []
-    for i, dom in enumerate(domains):
-        for v in dom:
-            marginals.append(
-                v.value(spec_potential[i]) - v.value(spec_base[i])
-            )
-    return clock_grid(marginals)
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,18 @@ def test_mc_ratio_equals_the_fraction_reference_on_the_catalog(name, seed):
     assert (rep.ratio, rep.stderr) == fraction_mc_reference(mech, inst, 60, seed)
 
 
+def test_mc_ratio_refuses_a_mis_shaped_instance():
+    """``mc_ratio`` checks the instance before it draws, as
+    ``exact_expected_welfare`` does, so mech3's constant-row kernel and
+    mech2's games never index past a smaller instance."""
+    items = ud_failure_instance(16).items
+    small = ud_failure_instance(9)
+    for mech in (mech3_unit_demand(16, items), mech2_additive(16, items)):
+        for run in (mech.exact_expected_welfare, lambda inst: mc_ratio(mech, inst, 5, 1)):
+            with pytest.raises(ValueError, match="is bound to n=16"):
+                run(small)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_mc_ratio_equals_the_fraction_reference_past_the_support_cap(seed):
     inst = ud_failure_instance(16)

@@ -6,8 +6,8 @@ passed by some call; the size-cap variables are listed alike in README,
 the CLI epilog and the package, and each is read by one ``_cap`` call;
 no code but the scaling helper ``valuations._scale_to_ints`` calls
 ``lcm``; no code but the setting dispatch ``welfare._solve`` calls
-the multi-unit solver; and no code but ``protocols._tabulate`` calls a
-strategy."""
+the multi-unit solver; no code but ``protocols._tabulate`` calls a
+strategy; and only the entry points check a valuation's setting."""
 
 import ast
 import re
@@ -339,6 +339,27 @@ def test_the_setting_dispatch_is_written_once():
         if isinstance(node, ast.Call) and call_name(node) == "_opt_multiunit"
     }
     assert callers == {("welfare", "_solve")}
+
+
+def test_the_setting_check_runs_at_entry_points():
+    """Only entry points call ``_check_compatible``: an instance, a serve
+    game and a clock arm when made, a tabulation when made, and the two
+    one-profile tools.  No per-node code checks a valuation."""
+    callers = {
+        (path.stem, getattr(top, "name", None))
+        for path in PACKAGE
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and call_name(node) == "_check_compatible"
+    }
+    assert callers == {
+        ("valuations", "Instance"),
+        ("mechanisms", "SampleServeGame"),
+        ("protocols", "GaaSpec"),
+        ("protocols", "_tabulation"),
+        ("protocols", "behavior_from_strategy"),
+        ("osp", "check_divergence_lemma"),
+    }
 
 
 def strategy_callers(package: dict) -> set:

@@ -911,6 +911,43 @@ def test_registry_refuses_mis_shaped_instances(name):
         assert message.startswith(f"{name} ") and shape in message, message
 
 
+@pytest.mark.parametrize("name", MECHANISM_NAMES)
+def test_branch_games_refuse_foreign_domains(name):
+    """Every branch game of every name, built on a two-bidder instance
+    of its kind and fixed size, refuses domains of the other setting
+    kind with a ``ValueError`` naming bidder 0, not a bare
+    ``TypeError``: clock branches as the serve games do."""
+    multi = sm_instance((4, 1), (3, 1), m=3 if name == "three-item-dm" else 2)
+    kinds = [multi, _comb(2)]
+    if REGISTRY_SHAPES[name] is not None:
+        kinds = [multi if "unit" in REGISTRY_SHAPES[name] else _comb(2)]
+    for inst in kinds:
+        foreign = _comb(2) if inst.multiunit else multi
+        domains = [[v] for v in foreign.valuations]
+        for branch in mechanism_for_instance(name, inst).branches():
+            with pytest.raises(ValueError, match="^bidder 0: "):
+                branch.game(domains)
+
+
+def test_clock_arms_are_checked_once_per_mechanism(monkeypatch):
+    """A clock mechanism checks each arm's ``GaaSpec`` when it is made;
+    its branch games run those specs, so building games makes none."""
+    cases = [
+        (m3_2x2(), [[unit_demand(x, 1)] for x in (2, 3)]),
+        (random_bundles(3, 4), [[make_single_minded(x, 2, 4)] for x in (1, 2, 3)]),
+    ]
+    made = []
+    real = protocols.GaaSpec.__post_init__
+    monkeypatch.setattr(
+        protocols.GaaSpec, "__post_init__", lambda spec: made.append(spec) or real(spec)
+    )
+    for mech, domains in cases:
+        branches = mech.branches()
+        for k in range(100):
+            branches[k % len(branches)].game(domains)
+    assert made == []
+
+
 def test_branch_labels_are_unique():
     """Monte Carlo plays each sampled key once, so keys and labels each
     name one branch, and match one to one."""

@@ -54,7 +54,6 @@ from ospclock.protocols import (
     Protocol,
     RealizedRule,
     behavior_from_strategy,
-    gaa_grid_for_domains,
     materialize,
     play,
     protocol_from_json,
@@ -84,9 +83,8 @@ def grand_gaa(domains, m=2):
     setting = MultiUnitSetting(m)
     base = (0,) * n
     potential = (m,) * n
-    grid = gaa_grid_for_domains(base, potential, domains)
-    spec = GaaSpec(setting, base, potential, grid)
-    game = GaaGame(spec)
+    spec = GaaSpec(setting, base, potential)
+    game = GaaGame(spec, spec.grid_for(domains))
     proto = materialize(game)
     return proto, game, truthful_strategies(game, proto)
 
@@ -163,9 +161,8 @@ def test_every_clock_auction_passes(values, potentials, bases):
     domains = [
         [sm(x, 1, 2) for x in sorted(values)] for _ in range(2)
     ]
-    grid = gaa_grid_for_domains(tuple(bases), tuple(potentials), domains)
-    spec = GaaSpec(setting, tuple(bases), tuple(potentials), grid)
-    game = GaaGame(spec)
+    spec = GaaSpec(setting, tuple(bases), tuple(potentials))
+    game = GaaGame(spec, spec.grid_for(domains))
     proto = materialize(game)
     strategies = truthful_strategies(game, proto)
     assert verify_osp(proto, strategies, domains).passed
@@ -977,8 +974,8 @@ def test_clock_marginals_are_found_once_per_bidder_and_valuation(monkeypatch):
         asked.append((bidder, id(valuation)))
         return real_marginal(spec, bidder, valuation)
 
-    monkeypatch.setattr(GaaSpec, "marginal", counting_marginal)
     proto, game, strategies = grand_gaa(domains)
+    monkeypatch.setattr(GaaSpec, "marginal", counting_marginal)
     tab = protocols._tabulation(proto, strategies, domains)
     for i in range(proto.n):
         tab.bidder_rows(proto, i)
@@ -988,7 +985,7 @@ def test_clock_marginals_are_found_once_per_bidder_and_valuation(monkeypatch):
     _, history = run_game(game, profile)
     assert len(history) > proto.n  # the bidders are polled again and again
     assert len(asked) == len(every)
-    fresh = GaaGame(game.spec)
+    fresh = GaaGame(game.spec, game.grid)
     assert run_game(fresh, profile)[1] == history
     assert len(asked) == len(every) + proto.n
 
@@ -1066,6 +1063,25 @@ def test_domains_are_checked_against_the_protocol_setting():
     profile = (domains[0][0], unit_demand[0])
     with pytest.raises(ValueError, match="bidder 1: expected a multi-unit valuation"):
         check_divergence_lemma(protocol, strategies, 1, node, profile, profile)
+
+
+def test_verify_osp_checks_every_domain_before_a_verdict():
+    """On the sealed-bid game bidder 0's domain fails obvious dominance,
+    yet a unit-demand domain for bidder 1 is refused, not judged."""
+    protocol, strategies, domains = load_game("sealed-bid-2x2")
+    assert not verify_osp(protocol, strategies, domains).passed
+    unit_demand = unit_demand_domain(("a", "b"), (0, 1))
+    with pytest.raises(ValueError, match="bidder 1: expected a multi-unit valuation"):
+        verify_osp(protocol, strategies, [domains[0], unit_demand])
+
+
+def test_verify_ir_nnt_checks_the_domains_before_the_transfer_scan():
+    """A negative-transfer leaf is no verdict on a domain the protocol's
+    one-unit setting cannot hold."""
+    protocol = negative_transfer_protocol()
+    unit_demand = unit_demand_domain(("a", "b"), (0, 1))
+    with pytest.raises(ValueError, match="bidder 0: expected a multi-unit valuation"):
+        verify_ir_nnt(protocol, [lambda u, vs: [1] * len(vs)], [unit_demand])
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,7 @@ from ospclock.protocols import (
     Protocol,
     ProtocolNode,
     behavior_from_strategy,
-    build_gaa,
     clock_grid,
-    gaa_grid_for_domains,
     materialize,
     play,
     protocol_from_json,
@@ -48,11 +46,11 @@ def posted_price_protocol(price):
     return Protocol(1, MultiUnitSetting(1), nodes, leaves)
 
 
-def grand_bundle_spec(domains, setting=SETTING2, n=2):
+def grand_bundle_game(domains, setting=SETTING2, n=2):
     potential = tuple(setting.m for _ in range(n))
     base = tuple(0 for _ in range(n))
-    grid = gaa_grid_for_domains(base, potential, domains)
-    return GaaSpec(setting, base, potential, grid)
+    spec = GaaSpec(setting, base, potential)
+    return GaaGame(spec, spec.grid_for(domains))
 
 
 def sm(x, d=1, m=2):
@@ -206,16 +204,14 @@ def test_protocol_rejects_infeasible_leaf():
 def test_grand_bundle_on_equal_ones():
     """Two bidders worth 1 each: lowest index wins everything at 1."""
     dom = [[sm(1)], [sm(1)]]
-    spec = grand_bundle_spec(dom)
-    outcome, _ = run_game(GaaGame(spec), [sm(1), sm(1)])
+    outcome, _ = run_game(grand_bundle_game(dom), [sm(1), sm(1)])
     assert outcome.allocation.bundles == (2, 0)
     assert outcome.payments == (F(1), F(0))
 
 
 def test_grand_bundle_is_second_price():
     dom = [[sm(4)], [sm(3)]]
-    spec = grand_bundle_spec(dom)
-    outcome, _ = run_game(GaaGame(spec), [sm(4), sm(3)])
+    outcome, _ = run_game(grand_bundle_game(dom), [sm(4), sm(3)])
     assert outcome.allocation.bundles == (2, 0)
     assert outcome.payments == (F(3), F(0))
 
@@ -226,18 +222,17 @@ def test_everyone_exits_to_base_bundles():
         MultiUnitSetting(3),
         base=(1, 1, 1),
         potential=(2, 2, 2),
-        grid=(F(1),),
     )
     zero = sm(0, m=3)
-    outcome, _ = run_game(GaaGame(spec), [zero, zero, zero])
+    outcome, _ = run_game(GaaGame(spec, (F(1),)), [zero, zero, zero])
     assert outcome.allocation.bundles == (1, 1, 1)
     assert outcome.payments == (F(0), F(0), F(0))
 
 
 def test_feasible_at_start_short_circuits():
     # supply covers both potential bundles: no clock at all
-    spec = GaaSpec(SETTING2, base=(0, 0), potential=(1, 1), grid=(F(1),))
-    game = GaaGame(spec)
+    spec = GaaSpec(SETTING2, base=(0, 0), potential=(1, 1))
+    game = GaaGame(spec, (F(1),))
     assert game.is_leaf(game.root_state())
     outcome, history = run_game(game, [sm(3), sm(3)])
     assert history == ()
@@ -247,31 +242,31 @@ def test_feasible_at_start_short_circuits():
 
 def test_grid_exhaustion_forces_exit():
     # grid tops out below both marginals: nobody can win
-    spec = GaaSpec(SETTING2, base=(0, 0), potential=(2, 2), grid=(F(1),))
-    outcome, _ = run_game(GaaGame(spec), [sm(5), sm(7)])
+    spec = GaaSpec(SETTING2, base=(0, 0), potential=(2, 2))
+    outcome, _ = run_game(GaaGame(spec, (F(1),)), [sm(5), sm(7)])
     assert outcome.allocation.bundles == (0, 0)
     assert outcome.payments == (F(0), F(0))
 
 
 def test_fixed_award_keeps_base_bundle():
     """A bidder holding a base unit competes only for the upgrade."""
-    spec = GaaSpec(SETTING2, base=(1, 0), potential=(2, 1), grid=(F(1), F(2)))
+    spec = GaaSpec(SETTING2, base=(1, 0), potential=(2, 1))
     v0 = MultiUnitValuation((F(1), F(3)))  # upgrade worth 2
     v1 = make_single_minded(1, 1, 2)  # potential unit worth 1
-    outcome, _ = run_game(GaaGame(spec), [v0, v1])
+    outcome, _ = run_game(GaaGame(spec, (F(1), F(2))), [v0, v1])
     assert outcome.allocation.bundles == (2, 0)
     assert outcome.payments == (F(1), F(0))
 
 
 def test_gaa_spec_validation():
     with pytest.raises(ValueError, match="grid"):
-        GaaSpec(SETTING2, (0, 0), (2, 2), ())
+        GaaGame(GaaSpec(SETTING2, (0, 0), (2, 2)), ())
     with pytest.raises(ValueError, match="increasing"):
-        GaaSpec(SETTING2, (0, 0), (2, 2), (F(2), F(2)))
+        GaaGame(GaaSpec(SETTING2, (0, 0), (2, 2)), (F(2), F(2)))
     with pytest.raises(ValueError, match="inside potential"):
-        GaaSpec(SETTING2, (2, 0), (1, 2), (F(1),))
+        GaaSpec(SETTING2, (2, 0), (1, 2))
     with pytest.raises(ValueError, match="feasible"):
-        GaaSpec(SETTING2, (2, 1), (2, 2), (F(1),))
+        GaaSpec(SETTING2, (2, 1), (2, 2))
 
 
 def test_clock_grid_shapes():
@@ -283,8 +278,7 @@ def test_clock_grid_shapes():
 def test_gaa_leaves_pay_clearing_price():
     """Winners pay the clearing price; the exited get base bundles free."""
     dom = [[sm(x) for x in range(4)]] * 2
-    spec = grand_bundle_spec(dom)
-    proto = build_gaa(spec)
+    proto = materialize(grand_bundle_game(dom))
     for leaf, outcome in proto.leaves.items():
         state = proto.info[leaf]
         for i in range(2):
@@ -299,8 +293,7 @@ def test_gaa_leaves_pay_clearing_price():
 def test_gaa_rounds_poll_every_active_bidder():
     dom = [[sm(x, 1, 3) for x in range(3)]] * 3
     setting = MultiUnitSetting(3)
-    spec = grand_bundle_spec(dom, setting=setting, n=3)
-    proto = build_gaa(spec)
+    proto = materialize(grand_bundle_game(dom, setting=setting, n=3))
     for u in proto.nodes:
         state = proto.info[u]
         full_round = tuple(sorted(state.active, reverse=True))
@@ -317,9 +310,8 @@ def test_tree_play_matches_direct_run(seedvals, potentials):
     """Materialized-tree play and direct simulation agree everywhere."""
     base = (0, 0)
     dom = [[sm(x, 1, 2), sm(2, 2, 2)] for x in seedvals]
-    grid = gaa_grid_for_domains(base, tuple(potentials), dom)
-    spec = GaaSpec(SETTING2, base, tuple(potentials), grid)
-    game = GaaGame(spec)
+    spec = GaaSpec(SETTING2, base, tuple(potentials))
+    game = GaaGame(spec, spec.grid_for(dom))
     proto = materialize(game)
     strategies = truthful_strategies(game, proto)
     for v0 in dom[0]:
@@ -353,8 +345,7 @@ def test_realize_rule_posted_price():
 
 def test_realize_rule_singleton_domain_equals_play():
     dom = [[sm(3)], [sm(1)]]
-    spec = grand_bundle_spec(dom)
-    game = GaaGame(spec)
+    game = grand_bundle_game(dom)
     proto = materialize(game)
     rule = realize_rule(proto, truthful_strategies(game, proto), dom)
     assert list(rule.table) == [(0, 0)]
@@ -365,8 +356,7 @@ def test_realize_rule_high_rival_takes_everything():
     """Huge all-or-nothing rival outbids a modest unit bidder."""
     v_small, v_big = sm(5, 1, 2), sm(16, 2, 2)
     doms = [[v_small], [v_big]]
-    spec = grand_bundle_spec(doms)
-    game = GaaGame(spec)
+    game = grand_bundle_game(doms)
     proto = materialize(game)
     rule = realize_rule(proto, truthful_strategies(game, proto), doms)
     outcome = rule.table[(0, 0)]
@@ -380,8 +370,7 @@ def test_realize_rule_high_rival_takes_everything():
 
 def test_protocol_json_round_trip():
     dom = [[sm(x) for x in range(3)]] * 2
-    spec = grand_bundle_spec(dom)
-    proto = build_gaa(spec)
+    proto = materialize(grand_bundle_game(dom))
     data = protocol_to_json(proto)
     back = protocol_from_json(data)
     assert back.nodes == proto.nodes

@@ -418,7 +418,7 @@ def test_mask_dp_cap(monkeypatch):
 
 
 def _three_unit_clock():
-    return GaaGame(GaaSpec(MultiUnitSetting(3), (1, 1), (2, 2), (F(1), F(2), F(3))))
+    return GaaGame(GaaSpec(MultiUnitSetting(3), (1, 1), (2, 2)), (F(1), F(2), F(3)))
 
 
 def _explicit_pair():
