@@ -421,9 +421,10 @@ class SampleServeGame(Game):
     contracted by the protocol layer.
 
     Prices are computed from reported valuations directly, without
-    ``Instance``'s checks, so the game checks its domains against the
-    setting when it is built, and a foreign valuation is refused with
-    its bidder named.
+    ``Instance``'s checks, so the game checks its domains when it is
+    built: one per bidder of the script, else a ``ValueError`` naming
+    both counts, and each against the setting, a foreign valuation
+    refused with its bidder named.
     """
 
     def __init__(
@@ -432,13 +433,18 @@ class SampleServeGame(Game):
         setting: Setting,
         domains: Sequence[Sequence[Valuation]],
     ) -> None:
+        self._bidders = tuple(b for b, _ in script)
+        bidders = len(set(self._bidders))
+        if len(domains) != bidders:
+            raise ValueError(
+                f"the script has {bidders} bidders but {len(domains)} domains were given"
+            )
         for i, domain in enumerate(domains):
             for v in domain:
                 _check_compatible(setting, i, v)
         self.n = len(domains)
         self.setting = setting
         self.domains = domains
-        self._bidders = tuple(b for b, _ in script)
         # one flag per step, and a report-like sentinel for the leaf
         self._serves = tuple(s for _, s in script) + (False,)
         self._served = tuple(b for b, s in script if s)
@@ -581,9 +587,16 @@ def _coin_split_mechanism(
         head = _clock_branches(setting, [_grand_arm(setting, n, Fraction(1, 2))])
     prob = Fraction(1, 2 ** (n + len(head)))
 
+    def split_game(sample: tuple, domains: Sequence[Sequence[Valuation]]) -> Game:
+        # a split game serves every bidder its domains name, so the
+        # count is checked against the mechanism's here
+        if len(domains) != n:
+            raise ValueError(f"the split has {n} bidders but {len(domains)} domains were given")
+        return build(sample, domains)
+
     def element(mask: int) -> SupportElement:
         sample = tuple(i for i in range(n) if mask >> i & 1)
-        return SupportElement(sample, prob, build, _sample_label)
+        return SupportElement(sample, prob, split_game, _sample_label)
 
     def branches_fn() -> list:
         return head + [element(mask) for mask in range(2 ** n)]
@@ -946,21 +959,22 @@ class ArrivalPricingGame(ItemSaleGame):
     Markets are solved once per memo, which ``mech3_unit_demand`` shares
     among all its branch games (a game built directly gets its own).
     The prices depend only on which valuations were reported and on the
-    unsold items, and the canonical optimum only on the valuations in
-    bidder-index order and the unsold items, so both are keyed by
-    valuation ids; a served valuation's best item depends only on it
-    and the market's price dict, so it is keyed by both ids.  Each entry
-    holds the objects it is keyed by, so no id is reused while the
-    entry lives.  Price values are interned through the same memo, keyed
-    by value, so equal prices of every market are one object, and a
-    served bidder's payment for one item is that object: the game's
-    interned outcomes are then one per distinct outcome value.
+    unsold items, so they are keyed by the sorted valuation ids.  Every
+    solve goes through the witness memo (``_witness``), once per (ids of
+    the bidders in index order, items): pricing U asks for W(U) and each
+    W(U minus j), where W(X) is the optimum and canonical witness of S,
+    the observed bidders in index order, on X.  A served valuation's
+    best item depends only on it and the market's price dict, so it is
+    keyed by both ids.  Each entry holds the objects it is keyed by, so
+    no id is reused while the entry lives.  Price values are interned
+    through the same memo, keyed by value, so equal prices of every
+    market are one object, and a served bidder's payment for one item is
+    that object: the game's interned outcomes are then one per distinct
+    outcome value.
 
-    A serve state answers a batch of valuations at once
-    (``truthful_messages``): it sorts the reporters and finds the served
-    bidder's slot once, and only when a zero-surplus tie needs the
-    canonical optimum.  The solves call welfare's valuation-class
-    dispatch ``_opt_items`` on the unsold items.
+    A zero-surplus tie in an all-unit-demand market is read off those
+    witnesses, with no solve that includes her (``_tie_answers``); any
+    other market solves S plus her.
     """
 
     def __init__(
@@ -979,71 +993,118 @@ class ArrivalPricingGame(ItemSaleGame):
         reported = [self.domains[b][k] for b, k in reports]
         market = ("prices", tuple(sorted(map(id, reported))), left)
         return _memoized(
-            self._memo, market, reported, lambda: self._solve_prices(reported, left)
+            self._memo, market, reported, lambda: self._solve_prices(reports, left)
         )
 
-    def _solve_prices(self, reported: list, unsold: tuple) -> dict:
-        base = _opt_items(reported, unsold)[0]
+    def _solve_prices(self, reports: tuple, unsold: tuple) -> dict:
+        observed = tuple(self.domains[b][k] for b, k in sorted(reports))
+        base = self._witness(observed, unsold)[0]
         prices = {}
         for j in unsold:
             rest = tuple(x for x in unsold if x != j)
-            price = base - _opt_items(reported, rest)[0]
+            price = base - self._witness(observed, rest)[0]
             # one object per price value; the entry holds nothing by id
             prices[j] = self._memo.setdefault(("price", price), ((), price))[1]
         return prices
 
-    def _tie_context(self, state: ServeState) -> tuple:
-        """The served bidder's slot among the reporters in bidder-index
-        order (the global tie-break order), and the reported valuations
-        before and after it, with their ids."""
+    def _witness(self, valuations: tuple, items: tuple) -> tuple:
+        """``_opt_items(valuations, items)``, the bidders in index order:
+        the optimum and each bundle of its canonical witness, solved
+        once per memo."""
+        return _memoized(
+            self._memo,
+            ("witness", tuple(map(id, valuations)), items),
+            valuations,
+            lambda: _opt_items(valuations, items),
+        )
+
+    def _tie_answers(self, state: ServeState, ties: list) -> list:
+        """For each ``(valuation, item, zero)`` tie at this serve state:
+        does the canonical optimum over S (the observed bidders, in index
+        order) plus the served bidder give her ``item``, her earliest
+        zero-surplus item?  ``zero`` is her zero-surplus items if she is
+        unit-demand, else None.  If S and she are all unit-demand, the
+        answer is read off S's witnesses (``_earliest_wins``) and kept
+        per (S, her slot, unsold items, ``zero``); any other market
+        solves S plus her.
+        """
         bidder = self.bidder(state)
         reported = sorted(state.reports)  # one report per bidder
-        slot = sum(1 for b, _ in reported if b < bidder)
-        ordered = tuple(self.domains[b][k] for b, k in reported)
-        ids = tuple(map(id, ordered))
-        return slot, ordered[:slot], ordered[slot:], ids[:slot], ids[slot:]
+        slot = bisect.bisect(reported, (bidder,))
+        observed = tuple(self.domains[b][k] for b, k in reported)
+        left, memo = state.left, self._memo
+        unit_demand = all(isinstance(v, UnitDemandValuation) for v in observed)
+        answers = []
+        for valuation, item, zero in ties:
+            if zero is None or not unit_demand:
+                market = observed[:slot] + (valuation,) + observed[slot:]
+                answers.append(item in self._witness(market, left)[1][slot])
+            elif not slot:
+                answers.append(True)
+            else:
+                key = ("tie", tuple(map(id, observed)), slot, left, zero)
+                hit = memo.get(key)
+                if hit is None:
+                    hit = memo[key] = (observed, self._earliest_wins(observed, slot, left, zero))
+                answers.append(hit[1])
+        return answers
 
-    def _canonical_assigns(self, tie: tuple, unsold: tuple, valuation, item: str) -> bool:
-        """Does the canonical optimum give ``item`` to the served bidder?
+    def _earliest_wins(self, observed: tuple, slot: int, unsold: tuple, zero: tuple) -> bool:
+        """Does the canonical optimum over the unit-demand S (``observed``)
+        plus her, at ``slot``, give her the first of her zero-surplus
+        items Z (``zero``, earliest first) on the unsold items U?
 
-        The canonical instance contains the observed bidders plus this
-        one, ordered by original index; ``tie`` is ``_tie_context``.
+        Her best surplus is 0, so OPT(S + her) = OPT(S), and the optima
+        of S + her are S's optima on U with her unmatched and, for each
+        j in Z, her on j with S optimal on U minus j.  The canonical
+        witness is lexicographic by bidder index, items ranked by their
+        position in U and none last, so the bidders below her settle
+        first, on the best slot-prefix of W(U) and of each W(U minus j),
+        where W(X) is S's witness on X, and then her earliest item wins.
         """
-        slot, before, after, ids_before, ids_after = tie
-        valuations = before + (valuation,) + after
-        bundles = _memoized(
-            self._memo,
-            ("optimum", ids_before + (id(valuation),) + ids_after, unsold),
-            valuations,
-            lambda: _opt_items(valuations, unsold)[1],
-        )
-        return item in bundles[slot]
+        rank = {frozenset((j,)): r for r, j in enumerate(unsold)}
+        rank[frozenset()] = len(unsold)
+
+        def prefix(j: Optional[str]) -> list:  # W(U minus j)'s first slot ranks
+            bundles = self._witness(observed, tuple(x for x in unsold if x != j))[1]
+            return [rank[b] for b in bundles[:slot]]
+
+        mine = prefix(zero[0])
+        return mine <= prefix(None) and all(mine <= prefix(j) for j in zero[1:])
 
     def _serve_choices(self, state: ServeState, valuations: Sequence[Valuation]) -> list:
         # every serve step follows a report (or opens the script), so its
         # price dict is the memo's for one market and its keys are the
         # unsold items: the pair fixes the best item, the sign of its
-        # surplus and the message that takes it (``_memoized``, unrolled)
+        # surplus, the message that takes it and, on a unit-demand tie,
+        # her zero-surplus items (``_memoized``, unrolled)
         memo, price, left = self._memo, state.price, state.left
-        tie = None  # built on the state's first zero-surplus tie
         out = []
+        ties = None  # (position, (valuation, item, zero)) of each zero-surplus tie
         for v in valuations:
             key = ("best", id(v), id(price))
             hit = memo.get(key)
             if hit is None:
                 item, surplus = _best_item(v, left, price)
+                zero = None
                 if surplus is None or surplus < 0:
-                    choice = (item, -1, 0)
+                    choice = (item, -1, 0, zero)
                 else:
-                    choice = (item, 1 if surplus else 0, 1 + left.index(item))
+                    if not surplus and isinstance(v, UnitDemandValuation):
+                        zero = tuple(j for j in left if v.per_item[j] == price[j])
+                    choice = (item, 1 if surplus else 0, 1 + left.index(item), zero)
                 hit = memo[key] = ((v, price), choice)
-            item, sign, take = hit[1]
+            item, sign, take, zero = hit[1]
             if not sign:
-                if tie is None:
-                    tie = self._tie_context(state)
-                if not self._canonical_assigns(tie, left, v, item):
-                    take = 0
+                if ties is None:
+                    ties = []
+                ties.append((len(out), (v, item, zero)))
             out.append(take)
+        if ties:
+            answers = self._tie_answers(state, [tie for _, tie in ties])
+            for (k, _), takes in zip(ties, answers):
+                if not takes:
+                    out[k] = 0
         return out
 
 
@@ -1131,9 +1192,13 @@ def mech3_unit_demand(n: int, items: Sequence[str]) -> RandomizedMechanism:
     def shortcut(instance: Instance, order: tuple) -> Optional[int]:
         # the game prices items by the optimum of the reported
         # valuations; the kernel is that optimum for unit-demand rows
-        # only, so additive rows are played through the game
+        # only, so additive rows are played through the game, and so is
+        # a wrong bidder count, which the game refuses
         ranking = _memoized(
-            memo, ("rows", id(instance)), instance, lambda: _constant_row_ranking(instance)
+            memo,
+            ("rows", id(instance)),
+            instance,
+            lambda: _constant_row_ranking(instance) if instance.n == n else None,
         )
         return None if ranking is None else _mech3_fast_welfare(ranking, order)
 

@@ -379,13 +379,21 @@ def verify_ir_nnt(
     strategies: Sequence[Strategy],
     domains: Sequence[Sequence[Valuation]],
 ) -> CheckVerdict:
-    """Ex-post IR over the realized domain product; NNT over all leaves."""
+    """Ex-post IR over the realized domain product; NNT over all leaves.
+
+    NNT reads each distinct leaf outcome object once, in the order of
+    its first leaf in ``flat.order``, and reports that first leaf: the
+    leaf and bidder a leaf-by-leaf scan would report.
+    """
     _tabulation(protocol, strategies, domains)  # checks the domains first
-    flat = protocol.flat
+    flat, leaves = protocol.flat, protocol.leaves
+    distinct: dict = {}  # id of each leaf outcome -> (its first leaf, it)
     for u, mover in zip(flat.order, flat.mover):
-        if mover >= 0:
-            continue
-        outcome = protocol.outcome(u)
+        if mover < 0:
+            outcome = leaves[u]
+            if id(outcome) not in distinct:
+                distinct[id(outcome)] = (u, outcome)
+    for u, outcome in distinct.values():
         for i, payment in enumerate(outcome.payments):
             if payment < 0:
                 return CheckVerdict(

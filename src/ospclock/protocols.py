@@ -586,8 +586,12 @@ class GaaSpec:
         return valuation.value(self.potential[bidder]) - valuation.value(self.base[bidder])
 
     def grid_for(self, domains: Sequence[Sequence[Valuation]]) -> tuple:
-        """The ``clock_grid`` of the domains' marginals; a valuation the
-        setting cannot hold is a ``ValueError`` naming its bidder."""
+        """The ``clock_grid`` of the domains' marginals.  One domain per
+        bidder of the arm, else a ``ValueError`` naming both counts; a
+        valuation the setting cannot hold is a ``ValueError`` naming its
+        bidder."""
+        if len(domains) != self.n:
+            raise ValueError(f"the arm has {self.n} bidders but {len(domains)} domains were given")
         marginals = []
         for i, domain in enumerate(domains):
             for v in domain:

@@ -7,7 +7,8 @@ the CLI epilog and the package, and each is read by one ``_cap`` call;
 no code but the scaling helper ``valuations._scale_to_ints`` calls
 ``lcm``; no code but the setting dispatch ``welfare._solve`` calls
 the multi-unit solver; no code but ``protocols._tabulate`` calls a
-strategy; and only the entry points check a valuation's setting."""
+strategy; only the entry points check a valuation's setting; and
+mech3 calls the item solver only through its witness memo."""
 
 import ast
 import re
@@ -359,6 +360,36 @@ def test_the_setting_check_runs_at_entry_points():
         ("protocols", "_tabulation"),
         ("protocols", "behavior_from_strategy"),
         ("osp", "check_divergence_lemma"),
+    }
+
+
+def method_callers(source: str, name: str) -> set:
+    """``Class.method`` (or the function) around each call by ``name``
+    in ``source``; nested functions count as their enclosing one."""
+    callers = set()
+    for top in ast.parse(source).body:
+        defs = top.body if isinstance(top, ast.ClassDef) else [top]
+        for node in defs:
+            if not isinstance(node, FUNCTIONS):
+                continue
+            where = f"{top.name}.{node.name}" if node is not top else node.name
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Call) and call_name(inner) == name:
+                    callers.add(where)
+    return callers
+
+
+def test_mech3_solves_run_through_the_witness_memo():
+    """In ``mechanisms`` the item solver ``_opt_items`` is called from one
+    place, mech3's witness memo, which serves the price solve, the
+    unit-demand tie rule and the direct tie solve of a market that is
+    not all unit-demand, so every solve, a tie's included, is kept there."""
+    source = (ROOT / "src" / "ospclock" / "mechanisms.py").read_text()
+    assert method_callers(source, "_opt_items") == {"ArrivalPricingGame._witness"}
+    assert method_callers(source, "_witness") == {
+        "ArrivalPricingGame._solve_prices",
+        "ArrivalPricingGame._tie_answers",
+        "ArrivalPricingGame._earliest_wins",
     }
 
 

@@ -5,7 +5,6 @@ import hashlib
 import itertools
 import json
 import random
-import sys
 from fractions import Fraction as F
 
 import pytest
@@ -13,8 +12,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ospclock import mechanisms, protocols
-from ospclock.experiments import mc_ratio, ud_failure_instance
-from ospclock.fixtures import fixture_names, get_fixture, load_instance
+from ospclock.experiments import (
+    ProfileDistribution,
+    ProfileEntry,
+    eval_on_distribution,
+    mc_ratio,
+    ud_failure_instance,
+)
+from ospclock.fixtures import fixture_names, get_fixture, load_instance, unit_demand_domain
 from ospclock.mechanisms import (
     MECHANISM_NAMES,
     ArrivalPricingGame,
@@ -61,7 +66,7 @@ from ospclock.valuations import (
     all_bundles,
     make_single_minded,
 )
-from ospclock.welfare import SizeCapError, opt, welfare_of
+from ospclock.welfare import SizeCapError, _opt_items, opt, welfare_of
 
 ITEMS = ("a", "b")
 
@@ -464,11 +469,12 @@ def value_surplus_best_item(valuation, unsold, prices):
     return best_item, best_u
 
 
-def seeded_single_item_valuation(rng, items):
-    """An additive, unit-demand or explicit valuation over ``items`` with
-    values in halves and thirds; the explicit table is additive plus a
-    bonus per extra item, so monotone but not per-item."""
-    kind = rng.choice(["additive", "unit_demand", "explicit"])
+def seeded_single_item_valuation(rng, items, kinds=("additive", "unit_demand", "explicit")):
+    """An additive, unit-demand or explicit valuation (one of ``kinds``)
+    over ``items`` with values in halves and thirds; the explicit table
+    is additive plus a bonus per extra item, so monotone but not
+    per-item."""
+    kind = rng.choice(kinds)
     values = {j: F(rng.randint(0, 4), rng.choice([1, 2, 3])) for j in items}
     if kind == "additive":
         return AdditiveValuation(items, values)
@@ -929,6 +935,33 @@ def test_branch_games_refuse_foreign_domains(name):
                 branch.game(domains)
 
 
+@pytest.mark.parametrize("name", MECHANISM_NAMES)
+def test_branches_refuse_an_instance_with_one_bidder_too_many(name):
+    """Every branch of every name, built on a two-bidder instance of its
+    kind and fixed size, refuses a three-bidder instance of that kind in
+    ``outcome``, ``welfare`` and ``eval_on_distribution`` with a
+    ``ValueError`` naming both counts: no bare ``IndexError`` and no
+    silent three-bidder answer, mech3's constant-row kernel included."""
+    m = 3 if name == "three-item-dm" else 2
+    pairs = [
+        (sm_instance((4, 1), (3, 1), m=m), sm_instance((4, 1), (3, 1), (2, 1), m=m)),
+        (_comb(2), _comb(3)),
+    ]
+    if REGISTRY_SHAPES[name] is not None:
+        pairs = pairs[:1] if "unit" in REGISTRY_SHAPES[name] else pairs[1:]
+    for inst, bigger in pairs:
+        entry = ProfileEntry("three", F(1), bigger.valuations)
+        dist = ProfileDistribution(bigger.setting, (entry,))
+        for branch in mechanism_for_instance(name, inst).branches():
+            for call in (
+                branch.outcome,
+                branch.welfare,
+                lambda i, b=branch: eval_on_distribution(b, dist),
+            ):
+                with pytest.raises(ValueError, match="has 2 bidders but 3 domains"):
+                    call(bigger)
+
+
 def test_clock_arms_are_checked_once_per_mechanism(monkeypatch):
     """A clock mechanism checks each arm's ``GaaSpec`` when it is made;
     its branch games run those specs, so building games makes none."""
@@ -998,39 +1031,142 @@ def test_arrival_price_cache_matches_fresh_games():
 
 
 def test_mech3_branch_games_solve_each_market_once(monkeypatch):
-    """The branch games of one mechanism share their markets' solves: the
-    direct solver runs 1 + |unsold| times inside each market's one solve,
-    and once for each canonical optimum."""
-    solves, optima, market_calls = [], [], []
+    """The branch games of one mechanism share their markets' solves.
+
+    A price market asks for 1 + |unsold| witnesses of the observed
+    bidders in index order, W(U) and each W(U minus j); the memo solves
+    each (observed, items) witness at most once; and on unit-demand
+    domains no solve includes the served bidder's valuation: every solve
+    is of some serve state's observed bidders alone.
+    """
+    markets, asked, solves = [], [], []
     solve_prices = ArrivalPricingGame._solve_prices
+    witness = ArrivalPricingGame._witness
     solver = mechanisms._opt_items
 
-    def counted_solve(self, reported, unsold):
-        solves.append((tuple(sorted(map(id, reported))), unsold))
-        return solve_prices(self, reported, unsold)
+    def counted_prices(self, reports, unsold):
+        ordered = tuple(id(self.domains[b][k]) for b, k in sorted(reports))
+        markets.append((tuple(sorted(ordered)), unsold))
+        start = len(asked)
+        prices = solve_prices(self, reports, unsold)
+        rests = [tuple(x for x in unsold if x != j) for j in unsold]
+        assert asked[start:] == [(ordered, items) for items in [unsold] + rests]
+        return prices
+
+    def counted_witness(self, valuations, items):
+        asked.append((tuple(map(id, valuations)), items))
+        return witness(self, valuations, items)
 
     def counted_solver(valuations, items):
-        if sys._getframe(1).f_code is solve_prices.__code__:
-            market_calls.append(1)
-        else:
-            optima.append((tuple(map(id, valuations)), items))
+        solves.append((tuple(map(id, valuations)), items))
         return solver(valuations, items)
 
-    monkeypatch.setattr(ArrivalPricingGame, "_solve_prices", counted_solve)
+    monkeypatch.setattr(ArrivalPricingGame, "_solve_prices", counted_prices)
+    monkeypatch.setattr(ArrivalPricingGame, "_witness", counted_witness)
     monkeypatch.setattr(mechanisms, "_opt_items", counted_solver)
     domains = [[unit_demand(a, b) for a, b in UD_VALUES]] * 3
-    serves = 0
+    observed = set()
+    serves = ties = 0
     for branch in mech3_unit_demand(3, ITEMS).branches():
         game = branch.game(domains)
         proto = materialize(game)
         assert verify_osp(proto, truthful_strategies(game, proto), domains).passed
-        serves += len(_serve_states(game, proto))
-    assert solves and optima
+        for state in _serve_states(game, proto):
+            serves += 1
+            observed.add(tuple(id(domains[b][k]) for b, k in sorted(state.reports)))
+            prices = state.price
+            ties += any(
+                max(v.per_item[j] - prices[j] for j in state.left) == 0
+                for v in domains[game.bidder(state)]
+            )
+    assert markets and ties
+    assert len(markets) == len(set(markets))
     assert len(solves) == len(set(solves))
-    assert len(market_calls) == sum(1 + len(unsold) for _, unsold in solves)
-    assert len(optima) == len(set(optima))
+    assert {ids for ids, _ in solves} <= observed
     # the games priced more serve states than markets were solved: they shared them
-    assert serves > len(solves)
+    assert serves > len(markets)
+
+
+def _checked_ties(monkeypatch) -> list:
+    """Check every zero-surplus tie against a direct solve.
+
+    Each answer of ``_tie_answers`` is compared with whether
+    ``_opt_items`` over the observed bidders plus the served one, in
+    index order, on the unsold items, gives her the item; the returned
+    list gets one ``(valuation classes, slot, answer)`` per tie.
+    """
+    seen = []
+    real = ArrivalPricingGame._tie_answers
+
+    def checked(self, state, ties):
+        answers = real(self, state, ties)
+        bidder = self.bidder(state)
+        reported = sorted(state.reports)
+        slot = sum(1 for b, _ in reported if b < bidder)
+        observed = [self.domains[b][k] for b, k in reported]
+        for (valuation, item, _), got in zip(ties, answers, strict=True):
+            valuations = observed[:slot] + [valuation] + observed[slot:]
+            want = item in _opt_items(valuations, state.left)[1][slot]
+            assert got == want, (state, valuation, item)
+            seen.append((frozenset(type(v).__name__ for v in valuations), slot, got))
+        return answers
+
+    monkeypatch.setattr(ArrivalPricingGame, "_tie_answers", checked)
+    return seen
+
+
+def _tabulate_mech3(n: int, items: tuple, domains: list) -> None:
+    """Every truthful row of every branch tree, which asks each serve
+    state about each valuation of its bidder's domain."""
+    for branch in mech3_unit_demand(n, items).branches():
+        game = branch.game(domains)
+        proto = materialize(game)
+        tab = protocols._tabulation(proto, truthful_strategies(game, proto), domains)
+        for i in range(n):
+            tab.bidder_rows(proto, i)
+
+
+UD = frozenset({"UnitDemandValuation"})
+
+
+def test_mech3_ties_on_the_catalog_trees_match_the_direct_solve(monkeypatch):
+    """On the verify-catalog and criterion 01 mech3 trees, every
+    zero-surplus tie read off the observed bidders' witnesses is the
+    direct solve's answer."""
+    ties = _checked_ties(monkeypatch)
+    for values, size in (((0, 1, 2), 6), ((0, 1, 2, 3), 16)):
+        domain = unit_demand_domain(ITEMS, values)[:size]
+        _tabulate_mech3(3, ITEMS, [domain] * 3)
+    answers = {got for kinds, slot, got in ties if slot}
+    assert {kinds for kinds, _, _ in ties} == {UD}
+    assert answers == {True, False}
+
+
+def test_mech3_ties_on_seeded_domains_match_the_direct_solve(monkeypatch):
+    """On seeded unit-demand domains with fractional levels (n <= 4,
+    m <= 3), and on additive, explicit monotone and mixed-class domains,
+    every zero-surplus tie is the direct solve's answer; the unit-demand
+    ties are read off witnesses, the others solved directly."""
+    ties = _checked_ties(monkeypatch)
+    rng = random.Random(41)
+    kinds = ("unit_demand", "additive", "explicit")
+    cases = [("unit_demand",)] * 8 + [(k,) for k in kinds[1:]] * 2 + [kinds] * 6
+    for draw in cases:
+        n = rng.choice((3, 4))
+        items = ("a", "b", "c")[: rng.choice((2, 3))]
+        domains = [
+            [seeded_single_item_valuation(rng, items, draw) for _ in range(rng.choice((2, 3)))]
+            for _ in range(n)
+        ]
+        _tabulate_mech3(n, items, domains)
+    unit = [got for kinds, slot, got in ties if kinds == UD and slot]
+    other = [got for kinds, slot, got in ties if kinds != UD and slot]
+    assert set(unit) == set(other) == {True, False}
+    assert {kinds for kinds, _, _ in ties} > {
+        UD,
+        frozenset({"AdditiveValuation"}),
+        frozenset({"ExplicitValuation"}),
+    }
 
 
 def test_mech3_best_item_runs_once_per_valuation_and_market(monkeypatch):

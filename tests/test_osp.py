@@ -52,6 +52,7 @@ from ospclock.protocols import (
     GaaSpec,
     Outcome,
     Protocol,
+    ProtocolNode,
     RealizedRule,
     behavior_from_strategy,
     materialize,
@@ -674,6 +675,35 @@ def test_ir_and_rule_checks_match_the_references_on_trees():
             seen[expected.check].add(expected.status)
     assert seen["ir_nnt"] == {"pass", "negative_transfer", "individual_rationality"}
     assert seen["weak_monotonicity"] == seen["dsic"] == {"pass", "fail"}
+
+
+def test_nnt_reads_each_outcome_once_and_reports_the_first_leaf():
+    """NNT reads each distinct leaf outcome object once, yet reports the
+    leaf and bidder of the leaf-by-leaf reference scan: on a tree whose
+    negative-payment outcome sits on several leaves, the first of them
+    and not the deepest, and on the seeded trees with equal outcomes
+    shared."""
+    owes = Outcome(Allocation((1, 0)), (F(1), F(-1)))
+    later = Outcome(Allocation((0, 1)), (F(-2), F(0)))
+    paid = Outcome(Allocation((0, 0)), (F(0), F(0)))
+    nodes = {
+        (): ProtocolNode(0, ("x", "y", "z")),
+        (0,): ProtocolNode(1, ("x", "y")),
+    }
+    leaves = {(0, 0): owes, (0, 1): later, (1,): paid, (2,): owes}
+    protocol = Protocol(2, MultiUnitSetting(1), nodes, leaves)
+    strategies = [lambda u, vs: [0] * len(vs)] * 2
+    domains = [[sm(1, 1, 1)]] * 2
+    verdict = verify_ir_nnt(protocol, strategies, domains)
+    assert verdict == reference_ir(protocol, strategies, domains)
+    assert (verdict.details["leaf"], verdict.details["bidder"]) == ("2", 1)
+    seen = set()
+    for protocol, strategies, domains in tree_cases():
+        shared = shared_leaves(protocol)
+        expected = reference_ir(shared, strategies, domains)
+        assert verify_ir_nnt(shared, strategies, domains) == expected
+        seen.add(expected.details.get("failure"))
+    assert "negative_transfer" in seen
 
 
 def test_ir_reports_the_first_failure_of_the_full_scan_on_larger_domains():
