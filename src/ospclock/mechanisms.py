@@ -7,10 +7,10 @@ is OSP on its own.  A :class:`RandomizedMechanism` therefore exposes
 * ``branches()`` — the exact support as :class:`SupportElement`s with
   rational probabilities, when the coin space is enumerable;
 * ``exact_expected_welfare(instance)`` — exact, by summing the support,
-  or by a closed form that lists no branch: mech2 on additive or
-  constant unit-demand rows and naive-max-price on constant rows
-  condition on the price-setter (``_setter_expectation``), at O(n^2)
-  per column, so they answer at any n;
+  or by a closed form that lists no branch: the max-price sale
+  (``_max_price_exact``; mech2 on additive or constant unit-demand rows,
+  naive-max-price on constant rows) conditions on the price-setter
+  (``_setter_expectation``), at O(n^2) per column, so it answers at any n;
 * ``sample_branch(rng)`` — a seeded draw with a documented coin order,
   for Monte Carlo at scales where enumeration is hopeless (there are
   16! arrival orders);
@@ -32,9 +32,10 @@ and m3-2x2 use the default sampler, one ``weighted_index`` over their
 branches at the common denominator.  mech1, mech2 and naive-max-price
 share one fair-coin split (``_coin_split_mechanism``): one coin per
 bidder in ascending order, after an arm coin for mech1's grand-bundle
-half.  mech3 draws a descending Fisher-Yates shuffle.  These keep
-explicit samplers because their supports grow as 2^n and n! and their
-coin orders are documented.
+half; each split's script is built from the mechanism's n.  mech3
+draws a descending Fisher-Yates shuffle.  These keep explicit samplers
+because their supports grow as 2^n and n! and their coin orders are
+documented.
 
 The mechanisms: bundle-size clocks for single-minded bidders, the
 sample-and-price mechanisms for single-minded/decreasing-marginal,
@@ -398,9 +399,11 @@ class SampleServeGame(Game):
     A report step (``serves`` false) has the bidder name the index of a
     valuation in the bidder's declared domain (``report:k``); a serve
     step has the bidder pick from the subclass's menu.  A fair-coin
-    split reports its sample in ascending order, then serves the rest
-    (``_split_script``); mech3 reports its first floor(n/e) arrivals,
-    then serves and hears each later arrival in turn (``_arrival_script``).
+    split reports its sample in ascending order, then serves the rest of
+    the mechanism's n bidders (``_split_script``, built by
+    ``_coin_split_mechanism``); mech3 reports its first floor(n/e)
+    arrivals, then serves and hears each later arrival in turn
+    (``_arrival_script``).
 
     Prices come from one rule: a serve step that opens the script or
     follows a report is priced by ``_price(reports, left)``, the reports
@@ -424,7 +427,8 @@ class SampleServeGame(Game):
     ``Instance``'s checks, so the game checks its domains when it is
     built: one per bidder of the script, else a ``ValueError`` naming
     both counts, and each against the setting, a foreign valuation
-    refused with its bidder named.
+    refused with its bidder named.  This is the one bidder-count check
+    of every serve game: a script names every bidder of its mechanism.
     """
 
     def __init__(
@@ -575,7 +579,9 @@ def _coin_split_mechanism(
 ) -> RandomizedMechanism:
     """Fair coins split the bidders into a sample and the served rest.
 
-    ``build(sample, domains)`` builds the game of one split.  Each
+    ``build(script, domains)`` builds the game of one split, whose
+    script is ``_split_script(sample, n)`` for the mechanism's n, so
+    the game refuses domains for any other count.  Each
     bidder flips one coin, in ascending index order, and 0 sends the
     bidder into the sample; the n coins are one ``coin_mask(n)``.  With
     ``grand_arm`` an arm coin comes first: 0 runs the grand-bundle
@@ -588,11 +594,7 @@ def _coin_split_mechanism(
     prob = Fraction(1, 2 ** (n + len(head)))
 
     def split_game(sample: tuple, domains: Sequence[Sequence[Valuation]]) -> Game:
-        # a split game serves every bidder its domains name, so the
-        # count is checked against the mechanism's here
-        if len(domains) != n:
-            raise ValueError(f"the split has {n} bidders but {len(domains)} domains were given")
-        return build(sample, domains)
+        return build(_split_script(sample, n), domains)
 
     def element(mask: int) -> SupportElement:
         sample = tuple(i for i in range(n) if mask >> i & 1)
@@ -694,14 +696,6 @@ class PartitionSaleGame(SampleServeGame):
     quantities while supply lasts.
     """
 
-    def __init__(
-        self,
-        sample: Sequence[int],
-        setting: MultiUnitSetting,
-        domains: Sequence[Sequence[Valuation]],
-    ) -> None:
-        super().__init__(_split_script(sample, len(domains)), setting, domains)
-
     def _price(self, reports: tuple, left: int) -> Fraction:
         reported = tuple(self.domains[b][k] for b, k in reports)
         return _solve(self.setting, reported)[0] / (10 * self.setting.m)
@@ -719,8 +713,8 @@ class PartitionSaleGame(SampleServeGame):
 def _partition_sale_mechanism(name: str, n: int, m: int) -> RandomizedMechanism:
     setting = MultiUnitSetting(m)
 
-    def build(sample: tuple, domains: Sequence[Sequence[Valuation]]) -> Game:
-        return PartitionSaleGame(sample, setting, domains)
+    def build(script: tuple, domains: Sequence[Sequence[Valuation]]) -> Game:
+        return PartitionSaleGame(script, setting, domains)
 
     return _coin_split_mechanism(name, setting, n, build, grand_arm=True)
 
@@ -754,13 +748,13 @@ class MaxPricePartitionGame(ItemSaleGame):
 
     def __init__(
         self,
-        sample: Sequence[int],
+        script: Sequence[tuple],
         setting: CombinatorialSetting,
         domains: Sequence[Sequence[Valuation]],
         bundles: bool,
     ) -> None:
         self.bundles = bundles
-        super().__init__(_split_script(sample, len(domains)), setting, domains)
+        super().__init__(script, setting, domains)
 
     def _price(self, reports: tuple, left: tuple) -> dict:
         reported = [self.domains[b][k] for b, k in reports]
@@ -822,26 +816,53 @@ def _setter_expectation(column: Sequence[Number], k: int) -> Number:
     return total + sum([c for c in column if c > 0][:k])
 
 
-def _mech2_exact(instance: Instance) -> Optional[Fraction]:
-    """mech2's expected welfare in closed form, or None.
+def _constant_rows(instance: Instance, kind: type) -> Optional[list]:
+    """Each bidder's constant, if every bidder is a ``kind`` valuation
+    that values all items equally, else None."""
+    rows = [v.constant if isinstance(v, kind) else None for v in instance.valuations]
+    return None if None in rows else rows
 
-    Each item's first wanter in serving order takes it.  On additive
-    rows an item's wanters and its welfare depend on its column only, so
-    the expectation is one setter term per item.  When every row is a
-    constant unit-demand row, every item has the same price and setter,
-    so the first wanter takes the whole unsold supply and is worth her
-    constant.
+
+def _max_price_exact(instance: Instance, bundles: bool) -> Optional[Fraction]:
+    """The max-price sale's expected welfare in closed form, or None.
+
+    With ``bundles`` (mech2) each item's first wanter in serving order
+    takes it.  On additive rows an item's wanters and its welfare depend
+    on its column only, so the expectation is one setter term per item.
+    On constant unit-demand rows every item has the same price and
+    setter, so the first wanter takes the whole unsold supply and is
+    worth her constant.  Without ``bundles`` (naive max-price) each
+    buyer takes one interchangeable item while supply lasts, so on
+    constant rows the welfare is the first m wanters' values; additive
+    and unit-demand rows value a single item alike, so both qualify.
     """
     vals = instance.valuations
-    if all(isinstance(v, AdditiveValuation) for v in vals):
+    if bundles and all(isinstance(v, AdditiveValuation) for v in vals):
         total = sum(
             _setter_expectation([v.per_item[j] for v in vals], 1) for j in instance.items
         )
-    elif all(isinstance(v, UnitDemandValuation) and v.constant is not None for v in vals):
-        total = _setter_expectation([v.constant for v in vals], 1)
     else:
-        return None
+        rows = _constant_rows(instance, UnitDemandValuation if bundles else PerItemValuation)
+        if rows is None:
+            return None
+        total = _setter_expectation(rows, 1 if bundles else instance.m)
     return Fraction(total, 1 << instance.n)
+
+
+def _max_price_mechanism(
+    name: str, n: int, items: Sequence[str], bundles: bool
+) -> RandomizedMechanism:
+    setting = CombinatorialSetting(tuple(items))
+
+    def build(script: tuple, domains: Sequence[Sequence[Valuation]]) -> Game:
+        return MaxPricePartitionGame(script, setting, domains, bundles)
+
+    def exact_fast(instance: Instance) -> Optional[Fraction]:
+        return _max_price_exact(instance, bundles)
+
+    return _coin_split_mechanism(
+        name, setting, n, build, grand_arm=False, exact_fast=exact_fast
+    )
 
 
 def mech2_additive(n: int, items: Sequence[str]) -> RandomizedMechanism:
@@ -849,16 +870,10 @@ def mech2_additive(n: int, items: Sequence[str]) -> RandomizedMechanism:
 
     The intended bidders are additive, for whom per-item shopping is
     exactly preferred-bundle shopping.  On additive or constant
-    unit-demand rows the expectation is ``_mech2_exact``'s closed form.
+    unit-demand rows the expectation is ``_max_price_exact``'s closed
+    form.
     """
-    setting = CombinatorialSetting(tuple(items))
-
-    def build(sample: tuple, domains: Sequence[Sequence[Valuation]]) -> Game:
-        return MaxPricePartitionGame(sample, setting, domains, bundles=True)
-
-    return _coin_split_mechanism(
-        "mech2-additive", setting, n, build, grand_arm=False, exact_fast=_mech2_exact
-    )
+    return _max_price_mechanism("mech2-additive", n, items, True)
 
 
 def naive_max_price_ud(n: int, items: Sequence[str]) -> RandomizedMechanism:
@@ -868,47 +883,7 @@ def naive_max_price_ud(n: int, items: Sequence[str]) -> RandomizedMechanism:
     prices: on crowded instances the max-sampled price lets only a
     vanishing fraction of bidders buy.
     """
-    setting = CombinatorialSetting(tuple(items))
-
-    def build(sample: tuple, domains: Sequence[Sequence[Valuation]]) -> Game:
-        return MaxPricePartitionGame(sample, setting, domains, bundles=False)
-
-    return _coin_split_mechanism(
-        "naive-max-price",
-        setting,
-        n,
-        build,
-        grand_arm=False,
-        exact_fast=_naive_constant_rows_exact,
-    )
-
-
-def _constant_integer_rows(instance: Instance) -> Optional[list]:
-    """Per-bidder value if every bidder is a unit-demand valuation that
-    prices all items equally at an integer, else None."""
-    rows = []
-    for v in instance.valuations:
-        if not isinstance(v, UnitDemandValuation) or v.constant is None:
-            return None
-        if v.constant.denominator != 1:
-            return None
-        rows.append(v.constant.numerator)
-    return rows
-
-
-def _naive_constant_rows_exact(instance: Instance) -> Optional[Fraction]:
-    """Closed-form support expectation for constant-row instances.
-
-    Every item has the same price and setter, and each buyer takes one
-    (interchangeable) item while supply lasts, so the welfare is the
-    first m wanters' values: ``_setter_expectation(rows, m)``.  Additive
-    and unit-demand rows value a single item alike, so both qualify.
-    """
-    vals = instance.valuations
-    if not all(isinstance(v, PerItemValuation) and v.constant is not None for v in vals):
-        return None
-    total = _setter_expectation([v.constant for v in vals], instance.m)
-    return Fraction(total, 1 << instance.n)
+    return _max_price_mechanism("naive-max-price", n, items, False)
 
 
 # ---------------------------------------------------------------------------
@@ -1112,23 +1087,25 @@ def _constant_row_ranking(instance: Instance) -> Optional[tuple]:
     """The constant-row kernel's view of an instance, or None.
 
     None unless every bidder is a unit-demand valuation that prices all
-    items equally at an integer.  Otherwise ``(rows, rank, value_at,
-    bidder_at, m, cut)``: ``rows`` from ``_constant_integer_rows``, each
-    bidder's ``rank`` in (value desc, index asc) order, that order's
-    values and bidders, the item count and ``arrivals_discarded(n)``.
+    items equally.  Otherwise ``(rows, rank, value_at, bidder_at, m,
+    cut, scale)``: ``rows`` the constants times ``scale``, as ints on one
+    common scale (``_scale_to_ints``), each bidder's ``rank`` in (value
+    desc, index asc) order, that order's values and bidders, the item
+    count and ``arrivals_discarded(n)``.
     """
-    rows = _constant_integer_rows(instance)
-    if rows is None:
+    constants = _constant_rows(instance, UnitDemandValuation)
+    if constants is None:
         return None
+    scale, rows = _scale_to_ints(constants)
     bidder_at = sorted(range(len(rows)), key=lambda i: (-rows[i], i))
     rank = [0] * len(rows)
     for r, i in enumerate(bidder_at):
         rank[i] = r
     value_at = [rows[i] for i in bidder_at]
-    return rows, rank, value_at, bidder_at, instance.m, arrivals_discarded(len(rows))
+    return rows, rank, value_at, bidder_at, instance.m, arrivals_discarded(len(rows)), scale
 
 
-def _mech3_fast_welfare(ranking: tuple, order: tuple) -> int:
+def _mech3_fast_welfare(ranking: tuple, order: tuple) -> Number:
     """Constant-row welfare of one arrival order, integer arithmetic.
 
     ``ranking`` is ``_constant_row_ranking(instance)``.  When every
@@ -1137,9 +1114,10 @@ def _mech3_fast_welfare(ranking: tuple, order: tuple) -> int:
     or 0 while fewer than a bidders are observed.  So only who buys
     matters, and the welfare is the sum of the buyers' rows.  Ranks
     stand in for (value, index) pairs, so the sorted list of the
-    arrivals so far holds plain ints.
+    arrivals so far holds plain ints.  The sum is divided by the rows'
+    scale once, so integer rows give an int.
     """
-    rows, rank, value_at, bidder_at, m, cut = ranking
+    rows, rank, value_at, bidder_at, m, cut, scale = ranking
     seen: list = []  # ranks of the pos arrivals so far, best first
     sold = welfare = 0
     for pos, bidder in enumerate(order):
@@ -1163,7 +1141,7 @@ def _mech3_fast_welfare(ranking: tuple, order: tuple) -> int:
                 sold += 1
                 welfare += value
         bisect.insort(seen, rank[bidder])
-    return welfare
+    return welfare if scale == 1 else Fraction(welfare, scale)
 
 
 def _arrival_label(order: tuple) -> str:
@@ -1189,7 +1167,7 @@ def mech3_unit_demand(n: int, items: Sequence[str]) -> RandomizedMechanism:
     def build(order: tuple, domains: Sequence[Sequence[Valuation]]) -> Game:
         return ArrivalPricingGame(order, setting, domains, memo)
 
-    def shortcut(instance: Instance, order: tuple) -> Optional[int]:
+    def shortcut(instance: Instance, order: tuple) -> Optional[Number]:
         # the game prices items by the optimum of the reported
         # valuations; the kernel is that optimum for unit-demand rows
         # only, so additive rows are played through the game, and so is

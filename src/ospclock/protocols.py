@@ -77,7 +77,7 @@ class Outcome:
 
 def validate_outcome(setting: Setting, n: int, outcome: Outcome) -> None:
     if len(outcome.payments) != n:
-        raise ValueError("payment vector has wrong length")
+        raise ValueError(f"outcome has {len(outcome.payments)} payments for {n} bidders")
     check_allocation_for(setting, n, outcome.allocation)
 
 
@@ -225,7 +225,7 @@ class Protocol:
 def play(protocol: Protocol, behaviors: Sequence[Behavior]) -> tuple[Outcome, list]:
     """Follow a behavior profile from the root; return outcome and path."""
     if len(behaviors) != protocol.n:
-        raise ValueError("need one behavior per bidder")
+        raise ValueError(f"need one behavior per bidder: got {len(behaviors)} for {protocol.n}")
     u: NodeId = ()
     path = [u]
     while not protocol.is_leaf(u):
@@ -347,7 +347,10 @@ def _tabulation(protocol: Protocol, strategies: Sequence, domains: Sequence) -> 
     the identity of each strategy and domain valuation.  Each domain must
     be non-empty and suit the setting, checked when the record is made."""
     if len(strategies) != protocol.n or len(domains) != protocol.n:
-        raise ValueError("need one strategy and one domain per bidder")
+        raise ValueError(
+            f"need one strategy and one domain per bidder: got {len(strategies)} "
+            f"and {len(domains)} for {protocol.n}"
+        )
     doms = tuple(tuple(d) for d in domains)
     if not all(doms):
         raise ValueError("empty domain")
@@ -497,7 +500,7 @@ def run_game(game: Game, valuations: Sequence[Valuation]) -> tuple[Outcome, tupl
             raise _refusal("OSPCLOCK_PLAY_CAP", limit, f"play needs over {limit} steps")
         (msg,) = game.truthful_messages(state, (valuations[game.bidder(state)],))
         if not 0 <= msg < len(labels):
-            raise ValueError(f"message {msg} out of range")
+            raise ValueError(f"truthful message {msg} out of range for {len(labels)} messages")
         history.append(msg)
         state, labels = _decision(game, game.child(state, msg))
     return game.outcome(state), tuple(history)

@@ -368,7 +368,8 @@ class CombinatorialSetting:
         if not items:
             raise ValueError("need at least one item")
         if len(set(items)) != len(items):
-            raise ValueError("duplicate item names")
+            repeated = [j for j in dict.fromkeys(items) if items.count(j) > 1]
+            raise ValueError(f"duplicate item names {repeated}")
 
 
 Setting = Union[MultiUnitSetting, CombinatorialSetting]

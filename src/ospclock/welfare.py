@@ -110,7 +110,7 @@ class OptResult:
 def check_allocation_for(setting, n: int, alloc: Allocation) -> None:
     """Raise ValueError unless the allocation is feasible in the setting."""
     if len(alloc.bundles) != n:
-        raise ValueError("allocation has the wrong number of bidders")
+        raise ValueError(f"allocation has {len(alloc.bundles)} bundles for {n} bidders")
     if isinstance(setting, MultiUnitSetting):
         total = 0
         for q in alloc.bundles:

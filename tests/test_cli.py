@@ -411,6 +411,71 @@ def test_search_refuses_huge_menus_before_building_them(
     assert f"sweeps {size} valuations; cap 2000000 (override with OSPCLOCK_BRUTE_CAP)" in caplog.text
 
 
+SMALL_GRID = ("--n", "2", "--m", "2", "--values", "0,1,2")
+
+
+@pytest.mark.parametrize(
+    "mechanism, domain, worst",
+    [
+        ("grand-bundle", "single-minded", "1/2"),
+        ("random-bundles", "decreasing-marginals", "3/4"),
+        ("naive-max-price", "unit-demand", "1/4"),
+    ],
+)
+def test_search_sweeps_each_menu_domain(capsys, mechanism, domain, worst):
+    code, payload = run_json(
+        capsys, "search", "--mechanism", mechanism, "--domain", domain, *SMALL_GRID
+    )
+    assert code == 0
+    assert payload["worst_ratio"] == worst
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--mechanism", "mech3-unit-demand"), "mech3-unit-demand needs a combinatorial instance"),
+        (("--mechanism", "grand-bundle", "--demands", "1,3"), "demand 3 outside 1..2"),
+    ],
+    ids=["mech3-on-units", "demand-past-m"],
+)
+def test_search_on_single_minded_refuses_a_bad_request(capsys, caplog, argv, message):
+    code, out = run(capsys, "search", "--domain", "single-minded", *SMALL_GRID, *argv)
+    assert (code, out) == (2, "")
+    assert message in caplog.text
+
+
+def test_search_refuses_a_demand_that_is_not_an_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--mechanism", "grand-bundle", "--domain", "single-minded",
+              *SMALL_GRID, "--demands", "1,x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --demands: invalid literal for int()" in captured.err
+
+
+@pytest.mark.parametrize(
+    "domain, builder, size",
+    [
+        ("single-minded", "single_minded_domain", 6),
+        ("decreasing-marginals", "decreasing_marginal_domain", 6),
+        ("unit-demand", "unit_demand_domain", 9),
+    ],
+)
+def test_search_refuses_each_menu_past_the_brute_cap_before_building_it(
+    monkeypatch, capsys, caplog, domain, builder, size
+):
+    monkeypatch.setenv("OSPCLOCK_BRUTE_CAP", "5")
+    monkeypatch.setattr(cli, builder, mock.Mock(side_effect=AssertionError(builder)))
+    code, out = run(capsys, "search", "--mechanism", "grand-bundle", "--domain", domain,
+                    *SMALL_GRID)
+    assert (code, out) == (2, "")
+    assert (
+        f"--domain {domain} --m 2 sweeps {size} valuations; cap 5 "
+        "(override with OSPCLOCK_BRUTE_CAP)" in caplog.text
+    )
+
+
 def test_a_wrong_type_quotes_a_short_prefix_of_the_value(tmp_path, capsys, caplog):
     # the whole bidder list of sampling-200 has a repr of about 9.5 kB
     document = instance_to_json(load_instance("sampling-200"))

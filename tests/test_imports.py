@@ -7,13 +7,16 @@ the CLI epilog and the package, and each is read by one ``_cap`` call;
 no code but the scaling helper ``valuations._scale_to_ints`` calls
 ``lcm``; no code but the setting dispatch ``welfare._solve`` calls
 the multi-unit solver; no code but ``protocols._tabulate`` calls a
-strategy; only the entry points check a valuation's setting; and
-mech3 calls the item solver only through its witness memo."""
+strategy; only the entry points check a valuation's setting;
+mech3 calls the item solver only through its witness memo; and the
+max-price closed form, the constant-row reader and the split script
+are each written once."""
 
 import ast
 import re
 from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -363,20 +366,27 @@ def test_the_setting_check_runs_at_entry_points():
     }
 
 
-def method_callers(source: str, name: str) -> set:
-    """``Class.method`` (or the function) around each call by ``name``
-    in ``source``; nested functions count as their enclosing one."""
-    callers = set()
+def definitions_around(source: str, match: Callable[[ast.AST], bool]) -> set:
+    """``Class.method`` (or the function) around each node of ``source``
+    that ``match`` accepts; nested functions count as their enclosing one."""
+    found = set()
     for top in ast.parse(source).body:
         defs = top.body if isinstance(top, ast.ClassDef) else [top]
         for node in defs:
             if not isinstance(node, FUNCTIONS):
                 continue
             where = f"{top.name}.{node.name}" if node is not top else node.name
-            for inner in ast.walk(node):
-                if isinstance(inner, ast.Call) and call_name(inner) == name:
-                    callers.add(where)
-    return callers
+            if any(match(inner) for inner in ast.walk(node)):
+                found.add(where)
+    return found
+
+
+def method_callers(source: str, name: str) -> set:
+    """``Class.method`` (or the function) around each call by ``name``
+    in ``source``; nested functions count as their enclosing one."""
+    return definitions_around(
+        source, lambda node: isinstance(node, ast.Call) and call_name(node) == name
+    )
 
 
 def test_mech3_solves_run_through_the_witness_memo():
@@ -391,6 +401,22 @@ def test_mech3_solves_run_through_the_witness_memo():
         "ArrivalPricingGame._tie_answers",
         "ArrivalPricingGame._earliest_wins",
     }
+
+
+def test_the_max_price_layer_is_written_once():
+    """In ``mechanisms`` only ``_constant_rows`` reads a valuation's
+    ``constant``; only the one max-price closed form, ``_max_price_exact``,
+    calls ``_setter_expectation``; only the fair-coin split builds a
+    split's script; and no split re-checks its bidder count, which every
+    serve game checks when it is built."""
+    source = (ROOT / "src" / "ospclock" / "mechanisms.py").read_text()
+    readers = definitions_around(
+        source, lambda node: isinstance(node, ast.Attribute) and node.attr == "constant"
+    )
+    assert readers == {"_constant_rows"}
+    assert method_callers(source, "_setter_expectation") == {"_max_price_exact"}
+    assert method_callers(source, "_split_script") == {"_coin_split_mechanism"}
+    assert [line for line in source.splitlines() if "the split has" in line] == []
 
 
 def strategy_callers(package: dict) -> set:

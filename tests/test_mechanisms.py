@@ -26,9 +26,9 @@ from ospclock.mechanisms import (
     MaxPricePartitionGame,
     PartitionSaleGame,
     RandomizedMechanism,
-    _constant_integer_rows,
-    _mech2_exact,
-    _naive_constant_rows_exact,
+    _constant_rows,
+    _max_price_exact,
+    _split_script,
     arrivals_discarded,
     grand_bundle_auction,
     m1_2x2,
@@ -374,18 +374,34 @@ def test_mech3_identical_anonymous_values():
     assert mech.exact_expected_welfare(inst) == F(11, 3)
 
 
+def fractional_unit_demand_instances(count, seed):
+    """Seeded constant unit-demand rows in halves and thirds: 1-5
+    bidders over 1-3 items, zeros and ties included."""
+    values = tuple(F(k, d) for d in (2, 3) for k in range(7))
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n, m = rng.randint(1, 5), rng.randint(1, 3)
+        items = ("x", "y", "z")[:m]
+        vals = tuple(flat_unit_demand(items, rng.choice(values)) for _ in range(n))
+        out.append(Instance(CombinatorialSetting(items), vals))
+    return out
+
+
 def test_mech3_fast_path_matches_game():
     """Each arrival order's shortcut welfare is welfare_of of its game's
     outcome, on a flat market and on seeded constant rows (additive
-    rows, where the shortcut declines, and zeros included); so is the
-    expectation."""
+    rows, where the shortcut declines, zeros included, and unit-demand
+    rows in halves and thirds); so is the expectation."""
     items = ("x", "y", "z")
     flat = Instance(
         CombinatorialSetting(items), tuple(flat_unit_demand(items, c) for c in (3, 2, 2))
     )
-    for inst in (flat, *constant_row_instances(60)):
+    fractional = fractional_unit_demand_instances(60, 5)
+    assert sum(any(v.constant.denominator != 1 for v in i.valuations) for i in fractional) >= 40
+    for inst in (flat, *constant_row_instances(60), *fractional):
         mech = mech3_unit_demand(inst.n, inst.items)
-        answers = _constant_integer_rows(inst) is not None
+        answers = _constant_rows(inst, UnitDemandValuation) is not None
         for branch in mech.branches():
             game = branch.game([[v] for v in inst.valuations])
             played, _ = run_game(game, inst.valuations)
@@ -394,6 +410,26 @@ def test_mech3_fast_path_matches_game():
             assert fast == (welfare if answers else None), (inst, branch.label)
             assert branch.welfare(inst) == welfare, (inst, branch.label)
         assert mech.exact_expected_welfare(inst) == game_expected_welfare(mech, inst)
+
+
+def test_mech3_kernel_answers_fractional_constant_rows_under_monte_carlo(monkeypatch):
+    """On ``ud_failure_instance(16)`` with every value halved, the
+    kernel answers each drawn order with no game built, and ``mc_ratio``
+    reports what the played games give with the shortcut declining."""
+    base = ud_failure_instance(16)
+    halved = Instance(
+        base.setting, tuple(flat_unit_demand(base.items, v.constant / 2) for v in base.valuations)
+    )
+    def refuse(*args):
+        raise AssertionError("a game was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mechanisms, "ArrivalPricingGame", refuse)
+        fast = mc_ratio(mech3_unit_demand(16, base.items), halved, 20, 3)
+    monkeypatch.setattr(mechanisms, "_constant_row_ranking", lambda instance: None)
+    played = mc_ratio(mech3_unit_demand(16, base.items), halved, 20, 3)
+    assert (fast.ratio, fast.stderr) == (played.ratio, played.stderr)
+    assert fast.ratio == F(99, 200)
 
 
 def test_every_branch_outcome_is_its_game(monkeypatch):
@@ -564,12 +600,12 @@ def test_naive_fast_expectation_matches_branches():
         ),
         F(0),
     )
-    assert _naive_constant_rows_exact(inst) == generic == mech.exact_expected_welfare(inst)
+    assert _max_price_exact(inst, False) == generic == mech.exact_expected_welfare(inst)
     # seeded constant rows, additive rows, zeros and fractions included
     fractional = constant_row_instances(60, 12, (0, 1, 2, 3, F(5, 2), F(7, 3)))
     for inst in constant_row_instances(60) + fractional:
         mech = naive_max_price_ud(inst.n, inst.items)
-        assert _naive_constant_rows_exact(inst) is not None
+        assert _max_price_exact(inst, False) is not None
         assert mech.exact_expected_welfare(inst) == game_expected_welfare(mech, inst), inst
 
 
@@ -582,12 +618,12 @@ def test_naive_fast_path_lets_a_zero_sample_set_the_price():
         tuple(flat_unit_demand(items, c) for c in (0, 3, 0, 1, 3)),
     )
     mech = naive_max_price_ud(5, items)
-    assert _naive_constant_rows_exact(inst) == F(73, 32) == game_expected_welfare(mech, inst)
+    assert _max_price_exact(inst, False) == F(73, 32) == game_expected_welfare(mech, inst)
 
 
 def test_naive_fast_declines_varied_rows():
     inst = Instance(CombinatorialSetting(ITEMS), (unit_demand(2, 1), unit_demand(1, 1)))
-    assert _naive_constant_rows_exact(inst) is None
+    assert _max_price_exact(inst, False) is None
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +652,7 @@ def test_mech2_closed_form_matches_the_branch_games_on_additive_rows():
 
     for inst in seeded_max_price_instances(200, 5, row):
         mech = mech2_additive(inst.n, inst.items)
-        assert _mech2_exact(inst) == game_expected_welfare(mech, inst), inst
+        assert _max_price_exact(inst, True) == game_expected_welfare(mech, inst), inst
 
 
 def test_max_price_closed_forms_match_the_branch_games_on_constant_unit_demand_rows():
@@ -630,9 +666,9 @@ def test_max_price_closed_forms_match_the_branch_games_on_constant_unit_demand_r
     fractional = 0
     for inst in instances:
         mech = mech2_additive(inst.n, inst.items)
-        assert _mech2_exact(inst) == game_expected_welfare(mech, inst), inst
+        assert _max_price_exact(inst, True) == game_expected_welfare(mech, inst), inst
         naive = naive_max_price_ud(inst.n, inst.items)
-        assert _naive_constant_rows_exact(inst) == game_expected_welfare(naive, inst), inst
+        assert _max_price_exact(inst, False) == game_expected_welfare(naive, inst), inst
         fractional += any(v.constant.denominator != 1 for v in inst.valuations)
     assert fractional >= 20
 
@@ -643,7 +679,7 @@ def test_mech2_closed_form_declines_other_rows():
     table = {b: F(len(b)) for b in all_bundles(ITEMS)}
     explicit = (ExplicitValuation(ITEMS, table),) * 2
     for vals in (mixed, varied, explicit):
-        assert _mech2_exact(Instance(CombinatorialSetting(ITEMS), vals)) is None
+        assert _max_price_exact(Instance(CombinatorialSetting(ITEMS), vals), True) is None
 
 
 def test_mech2_on_one_late_valued_bidder_is_a_quarter_plus_two_to_the_minus_n():
@@ -1292,13 +1328,13 @@ def test_mech3_memo_ids_outlive_dropped_domains():
 
 def test_mech3_shortcut_resolves_rows_once_per_instance(monkeypatch):
     calls = []
-    rows = mechanisms._constant_integer_rows
+    rows = mechanisms._constant_row_ranking
 
     def counted_rows(instance):
         calls.append(instance)
         return rows(instance)
 
-    monkeypatch.setattr(mechanisms, "_constant_integer_rows", counted_rows)
+    monkeypatch.setattr(mechanisms, "_constant_row_ranking", counted_rows)
     flat = Instance(
         CombinatorialSetting(ITEMS), tuple(flat_unit_demand(ITEMS, c) for c in (3, 2, 2, 1))
     )
@@ -1420,30 +1456,33 @@ COMB = CombinatorialSetting(ITEMS)
 GAME_PINS = [
     (
         "sale-mixed",
-        lambda: PartitionSaleGame((0, 2), UNITS2, [SM3, SM3, [_sm(2, 2)], SM3]),
+        lambda: PartitionSaleGame(_split_script((0, 2), 4), UNITS2, [SM3, SM3, [_sm(2, 2)], SM3]),
         "28:173f9733c23ae1e5",
     ),
     (
         "sale-no-sample",
-        lambda: PartitionSaleGame((), UNITS2, [SM3, [_sm(1, 1)], SM3]),
+        lambda: PartitionSaleGame(_split_script((), 3), UNITS2, [SM3, [_sm(1, 1)], SM3]),
         "16:31d065de86740a8b",
     ),
     (
         "sale-all-sampled",
-        lambda: PartitionSaleGame((0, 1), UNITS2, [SM3, [_sm(1, 1)]]),
+        lambda: PartitionSaleGame(_split_script((0, 1), 2), UNITS2, [SM3, [_sm(1, 1)]]),
         "4:78f7c875efb09d3f",
     ),
     (
         "max-price-bundle",
         lambda: MaxPricePartitionGame(
-            (1, 2), COMB, [ADD3, ADD3, [additive(1, 1)], ADD3], bundles=True
+            _split_script((1, 2), 4), COMB, [ADD3, ADD3, [additive(1, 1)], ADD3], bundles=True
         ),
         "40:0a801bd72d1a4307",
     ),
     (
         "max-price-single",
         lambda: MaxPricePartitionGame(
-            (0, 1), COMB, [UD3, [unit_demand(2, 2)], UD3, UD3, UD3], bundles=False
+            _split_script((0, 1), 5),
+            COMB,
+            [UD3, [unit_demand(2, 2)], UD3, UD3, UD3],
+            bundles=False,
         ),
         "67:92428fd1aa71e1fc",
     ),
@@ -1475,12 +1514,12 @@ GAME_PINS = [
     (
         # an empty sample is priced at the root
         "max-price-bundle-no-sample",
-        lambda: MaxPricePartitionGame((), COMB, [ADD3, ADD3], bundles=True),
+        lambda: MaxPricePartitionGame(_split_script((), 2), COMB, [ADD3, ADD3], bundles=True),
         "13:5e8df8d8bdf72dec",
     ),
     (
         "max-price-single-no-sample",
-        lambda: MaxPricePartitionGame((), COMB, [UD3] * 3, bundles=False),
+        lambda: MaxPricePartitionGame(_split_script((), 3), COMB, [UD3] * 3, bundles=False),
         "22:c3dec8c1dd794640",
     ),
 ]
@@ -1500,29 +1539,39 @@ OVER_AC = UnitDemandValuation(("a", "c"), {"a": F(1), "c": F(2)})
 # (name, build from domains, the domain of bidders 0 and 2, bidder 1's
 # foreign valuation); bidder 1 is served in every game
 FOREIGN_DOMAINS = [
-    ("sale-3-units", lambda d: PartitionSaleGame((0,), UNITS2, d), SM3, make_single_minded(1, 1, 3)),
-    ("sale-items", lambda d: PartitionSaleGame((0,), UNITS2, d), SM3, unit_demand(1, 2)),
+    (
+        "sale-3-units",
+        lambda d: PartitionSaleGame(_split_script((0,), 3), UNITS2, d),
+        SM3,
+        make_single_minded(1, 1, 3),
+    ),
+    (
+        "sale-items",
+        lambda d: PartitionSaleGame(_split_script((0,), 3), UNITS2, d),
+        SM3,
+        unit_demand(1, 2),
+    ),
     (
         "max-price-bundle-units",
-        lambda d: MaxPricePartitionGame((0,), COMB, d, bundles=True),
+        lambda d: MaxPricePartitionGame(_split_script((0,), 3), COMB, d, bundles=True),
         ADD3,
         _sm(1, 1),
     ),
     (
         "max-price-bundle-items",
-        lambda d: MaxPricePartitionGame((0,), COMB, d, bundles=True),
+        lambda d: MaxPricePartitionGame(_split_script((0,), 3), COMB, d, bundles=True),
         ADD3,
         OVER_AC,
     ),
     (
         "max-price-single-units",
-        lambda d: MaxPricePartitionGame((0,), COMB, d, bundles=False),
+        lambda d: MaxPricePartitionGame(_split_script((0,), 3), COMB, d, bundles=False),
         UD3,
         _sm(1, 1),
     ),
     (
         "max-price-single-items",
-        lambda d: MaxPricePartitionGame((0,), COMB, d, bundles=False),
+        lambda d: MaxPricePartitionGame(_split_script((0,), 3), COMB, d, bundles=False),
         UD3,
         OVER_AC,
     ),
