@@ -155,10 +155,10 @@ def cmd_simulate(args) -> tuple:
     instance = _instance_from_args(args)
     mech = mechanism_for_instance(args.mechanism, instance)
     if args.exact:
-        welfare = mech.exact_expected_welfare(instance)
         best = opt(instance).value
         if best == 0:
             raise CliError("instance has zero optimal welfare")
+        welfare = mech.exact_expected_welfare(instance)
         report = RatioReport(welfare, best, welfare / best)
     else:
         report = mc_ratio(mech, instance, args.trials, args.seed)

@@ -246,11 +246,15 @@ def sampling_lemma_experiment(
     there, a lone pivotal bidder lands on one side only.  Both
     thresholds must lie in (0, 1].
 
-    Markets where every bidder wants just one unit get a closed form:
-    the values are scaled to ints once, by the lcm of their
-    denominators, and each side's optimum is its top-m sum along one
-    precomputed value order, compared with the scaled bar.  That keeps
-    hundreds of bidders comfortable.
+    Markets where every bidder wants just one unit get a closed form.
+    The values are scaled to ints once, by the lcm of their
+    denominators, and grouped into value classes, highest value first:
+    ``(value, members, size)`` with ``members`` a bitmask of bidders.  A
+    side's optimum is its top-m sum, read off one popcount of the split
+    mask per class, and compared with the scaled bar; the critical gate
+    compares the scaled values with the scaled, rounded-up cut.  A trial
+    costs O(classes) integer operations, so hundreds of bidders stay
+    cheap.
     """
     _check_share("critical_threshold", critical_threshold)
     _check_share("ratio_threshold", ratio_threshold)
@@ -259,28 +263,42 @@ def sampling_lemma_experiment(
     if steps is not None:
         m = instance.m
         scale, scaled = _scale_to_ints(steps)
-        # (bit, scaled value), highest value first
-        ranked = sorted(((1 << i, x) for i, x in enumerate(scaled)), key=lambda e: -e[1])
-        best = Fraction(sum(value for _, value in ranked[:m]), scale)
-        need = math.ceil(best * ratio_threshold * scale)  # the bar, scaled
+        members: dict = {}  # scaled value -> bitmask of its bidders
+        for i, x in enumerate(scaled):
+            members[x] = members.get(x, 0) | 1 << i
+        # (value, members, size), highest value first; zero adds nothing
+        classes = [
+            (x, members[x], members[x].bit_count())
+            for x in sorted(members, reverse=True)
+            if x
+        ]
+
+        def top_sums(mask: int) -> tuple[int, int]:
+            """Each side's top-m sum, inside ``mask`` and outside it."""
+            left_in = left_out = m
+            top_in = top_out = 0
+            for value, bits, size in classes:
+                k = (mask & bits).bit_count()
+                take = min(k, left_in)
+                top_in += take * value
+                left_in -= take
+                take = min(size - k, left_out)
+                top_out += take * value
+                left_out -= take
+                if not (left_in or left_out):
+                    break
+            return top_in, top_out
+
+        total = top_sums(-1)[0]  # every bidder on the inside
+        best = Fraction(total, scale)
+        need = math.ceil(ratio_threshold * total)  # the bar, scaled
 
         def joint(mask: int) -> bool:
-            got_in = got_out = top_in = top_out = 0
-            for bit, value in ranked:
-                if mask & bit:
-                    if got_in < m:
-                        top_in += value
-                        got_in += 1
-                elif got_out < m:
-                    top_out += value
-                    got_out += 1
-                # values are non-negative: a side's sum never falls
-                if top_in >= need and top_out >= need:
-                    return True
-                if got_in == m and got_out == m:
-                    break
+            top_in, top_out = top_sums(mask)
             return top_in >= need and top_out >= need
 
+        cut = math.ceil(critical_threshold * total)  # the critical share, scaled
+        critical = next((i for i, x in enumerate(scaled) if x >= cut), None)
     else:
         best = opt(instance).value
         setting, vals = instance.setting, instance.valuations
@@ -290,13 +308,16 @@ def sampling_lemma_experiment(
             outside = [v for i, v in enumerate(vals) if not mask >> i & 1]
             return _solve(setting, inside)[0] >= bar and _solve(setting, outside)[0] >= bar
 
-    critical = critical_threshold * best
-    for i in range(n):
-        if instance.grand_bundle_value(i) >= critical:
-            raise ValueError(
-                f"bidder {i} is critical at threshold {critical_threshold}; "
-                "the split guarantee does not apply"
-            )
+        share = critical_threshold * best
+        critical = next(
+            (i for i in range(n) if instance.grand_bundle_value(i) >= share), None
+        )
+
+    if critical is not None:
+        raise ValueError(
+            f"bidder {critical} is critical at threshold {critical_threshold}; "
+            "the split guarantee does not apply"
+        )
     bar = best * ratio_threshold
 
     if n <= 12:

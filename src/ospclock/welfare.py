@@ -19,7 +19,9 @@ each game checks its domains when it is built.  The solvers:
 * additive: each item goes to the smallest-index bidder of maximum
   value for it (the "i*_j" rule), independently per item.
 * unit-demand: one exact integer assignment solve whose tie digits
-  make the canonical witness its unique maximum.
+  make the canonical witness its unique maximum; when every bidder
+  values all items alike (``PerItemValuation.constant``) the optimum
+  and that same witness come in closed form, with no solve.
 * explicit or mixed combinatorial: DP over (bidder suffix, item mask).
 
 Ties are broken canonically per solver so every caller sees one fixed
@@ -341,6 +343,23 @@ def _ud_opt(
     return Fraction(total // shift, scale), assigned
 
 
+def _ud_constant_opt(
+    constants: Sequence[Fraction], items: Sequence[str]
+) -> tuple[Fraction, list[Optional[str]]]:
+    """``_ud_opt`` when bidder i values every item at ``constants[i]``.
+
+    The optimum seats the top min(n, m) bidders in (value desc, index
+    asc) order, the ones the tie digits prefer, and the digits hand the
+    seated bidders, in index order, the items in order.
+    """
+    ranked = sorted(range(len(constants)), key=lambda i: -constants[i])  # stable
+    seated = sorted(ranked[: len(items)])
+    assigned: list[Optional[str]] = [None] * len(constants)
+    for i, j in zip(seated, items):
+        assigned[i] = j
+    return sum((constants[i] for i in seated), ZERO), assigned
+
+
 # ---------------------------------------------------------------------------
 # General combinatorial solver (mask DP)
 
@@ -420,7 +439,11 @@ def _opt_items(valuations: Sequence, items: Sequence[str]) -> tuple[Fraction, li
     if all(isinstance(v, AdditiveValuation) for v in valuations):
         return _opt_additive(valuations, items)
     if all(isinstance(v, UnitDemandValuation) for v in valuations):
-        value, assigned = _ud_opt(valuations, items)
+        constants = [v.constant for v in valuations]
+        if None in constants:
+            value, assigned = _ud_opt(valuations, items)
+        else:
+            value, assigned = _ud_constant_opt(constants, items)
         return value, [frozenset() if j is None else frozenset({j}) for j in assigned]
     return _opt_mask_dp(valuations, items)
 

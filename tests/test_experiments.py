@@ -49,7 +49,7 @@ from ospclock.valuations import (
     check_class,
     make_single_minded,
 )
-from ospclock.welfare import opt, welfare_of
+from ospclock.welfare import opt, unit_step_values, welfare_of
 
 ITEMS = ("a", "b")
 SETTING_2x2 = CombinatorialSetting(ITEMS)
@@ -499,6 +499,78 @@ def test_sampling_gate_matches_on_both_code_paths():
             inst, trials=0, seed=0, critical_threshold=F(1, 3)
         )
     assert generic.probability == F(4070, 4096)
+
+
+# 30 unit bidders over 8 units: four positive value classes with mixed
+# denominators and a zero class, interleaved by bidder index.  A side
+# of a fair split holds about 12 positive bidders, so the 8-unit cap
+# binds on both sides.
+CLASS_MARKET = Instance(
+    MultiUnitSetting(8),
+    tuple(
+        make_single_minded([F(7, 3), F(3, 2), F(1), F(5, 6), F(0)][i % 5], 1, 8)
+        for i in range(30)
+    ),
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampling_class_path_matches_the_generic_path_under_monte_carlo(seed):
+    """The per-class popcount and the welfare-oracle route draw the same
+    splits and count the same hits."""
+    run = lambda: sampling_lemma_experiment(  # noqa: E731
+        CLASS_MARKET, 200, seed, critical_threshold=F(1, 2), ratio_threshold=F(3, 4)
+    )
+    fast = run()
+    with mock.patch("ospclock.experiments.unit_step_values", return_value=None):
+        generic = run()
+    assert not fast.exact and fast.trials == 200
+    assert fast.opt == generic.opt == 17  # six at 7/3 and two at 3/2
+    assert 0 < fast.probability < 1
+    assert fast.probability == generic.probability
+
+
+def test_sampling_gate_rounds_the_scaled_cut_up():
+    """Thirteen bidders: twelve at 1 and bidder 5 at 3/2, so OPT = 27/2
+    and the values scale by 2.  At 1/9 bidder 5 sits exactly on the
+    threshold and is critical; just above it nobody is.  At 5/54 the
+    scaled cut is 2.5: bidder 5 (3) is critical and the 1-bidders (2)
+    are not, which a rounded-down cut would miss.  Both code paths
+    agree."""
+    steps = [F(3, 2) if i == 5 else F(1) for i in range(13)]
+    inst = Instance(MultiUnitSetting(13), tuple(make_single_minded(x, 1, 13) for x in steps))
+    for patched in (False, True):
+        with mock.patch(
+            "ospclock.experiments.unit_step_values",
+            **({"return_value": None} if patched else {"wraps": unit_step_values}),
+        ):
+            for threshold in (F(1, 9), F(5, 54)):
+                with pytest.raises(ValueError, match=f"bidder 5 is critical at threshold {threshold}"):
+                    sampling_lemma_experiment(inst, 20, 0, critical_threshold=threshold)
+            rep = sampling_lemma_experiment(inst, 20, 0, critical_threshold=F(1, 9) + F(1, 10**6))
+            assert rep.opt == F(27, 2) and rep.trials == 20
+
+
+def test_large_fixture_runs_solve_no_matching_and_read_no_grand_bundle():
+    """The two Monte Carlo workloads do integer work only: mech3 on
+    ``ud-failure-16`` solves its constant-row optimum in closed form,
+    with no assignment solve, and ``sampling-200`` gates on scaled ints,
+    with no ``grand_bundle_value``.  Each seeded result is unchanged."""
+    ud = load_instance("ud-failure-16")
+    expected = {
+        0: (F(497, 1000), 0.006114282005635982),
+        1: (F(751, 1500), 0.005577467897545188),
+        2: (F(184, 375), 0.005761686995753654),
+    }
+    with mock.patch("ospclock.welfare._hungarian_max", side_effect=AssertionError):
+        for seed, pinned in expected.items():
+            rep = mc_ratio(mech3_unit_demand(16, ud.items), ud, 150, seed)
+            assert (rep.ratio, rep.stderr) == pinned, seed
+    flat = load_instance("sampling-200")
+    with mock.patch.object(Instance, "grand_bundle_value", side_effect=AssertionError):
+        for seed in (0, 1, 2):
+            rep = sampling_lemma_experiment(flat, 60, seed)
+            assert rep == SamplingReport(1.0, False, 60, F(200), F(1, 5)), seed
 
 
 def test_sampling_monte_carlo_needs_trials():

@@ -4,12 +4,14 @@ exits 2 with nothing on stdout, with a message that says what is wrong."""
 import json
 import re
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
 from ospclock.cli import main
 from ospclock.experiments import ProfileDistribution, cross_valuation_sets
 from ospclock.fixtures import SealedBidGame, sealed_bid_domains
+from ospclock.mechanisms import RandomizedMechanism
 from ospclock.osp import check_divergence_lemma, verify_osp
 from ospclock.protocols import (
     GaaGame,
@@ -55,6 +57,18 @@ def simulate_zero_opt(tmp_path):
     return main(["simulate", "--mechanism", "grand-bundle", "--instance", str(path), "--exact"])
 
 
+def simulate_zero_opt_before_any_game(tmp_path):
+    """Seven bidders who want nothing: mech3's 5,040 arrival orders are
+    never played, because the zero optimum is refused first."""
+    path = tmp_path / "zero7.json"
+    bidder = {"kind": "additive", "values": {"a": "0", "b": "0"}}
+    path.write_text(json.dumps({"setting": {"items": ["a", "b"]}, "bidders": [bidder] * 7}))
+    argv = ["simulate", "--mechanism", "mech3-unit-demand", "--instance", str(path), "--exact"]
+    refuse = AssertionError("exact welfare computed before the zero-OPT check")
+    with mock.patch.object(RandomizedMechanism, "exact_expected_welfare", side_effect=refuse):
+        return main(argv)
+
+
 def output_into_a_missing_directory(tmp_path):
     return main(["list-fixtures", "--output", str(tmp_path / "missing" / "out.json")])
 
@@ -79,6 +93,11 @@ SPEC = GaaSpec(UNITS2, (0, 0), (2, 2))
 # (id, the call, given a scratch directory; a pattern its message matches)
 REFUSALS = [
     ("simulate-zero-opt", simulate_zero_opt, "instance has zero optimal welfare"),
+    (
+        "simulate-zero-opt-first",
+        simulate_zero_opt_before_any_game,
+        "instance has zero optimal welfare",
+    ),
     (
         "output-missing-dir",
         output_into_a_missing_directory,

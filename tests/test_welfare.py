@@ -298,8 +298,8 @@ def canonical_ud_witness(inst, bidders, items):
 
 
 def test_unit_demand_witness_matches_definition():
-    """The assignment solve gives the canonical witness, on constant
-    rows as on varied ones."""
+    """``_opt_items`` gives the canonical witness, on constant rows (the
+    closed form) as on varied ones (the assignment solve)."""
     rng = random.Random(2026)
     for trial in range(400):
         n, m = rng.randint(1, 4), rng.randint(1, 3)
@@ -338,8 +338,8 @@ def _ud_constant_opt(rows, items):
 
 
 def test_constant_row_witness_matches_the_closed_form():
-    """On constant rows the assignment solve's value and witness are the
-    closed form's: zero values, ties and denominators 1-3, fewer and
+    """On constant rows ``_opt_items`` and ``opt`` give the closed form's
+    value and witness: zero values, ties and denominators 1-3, fewer and
     more bidders than items, restricted and unrestricted."""
     rng = random.Random(1403)
     shapes = set()
@@ -370,6 +370,28 @@ def test_constant_row_witness_matches_the_closed_form():
         assert (got, result) == (value, bundles)
         shapes.add((restricted, (len(ids) > len(chosen)) - (len(ids) < len(chosen))))
     assert shapes == {(r, c) for r in (False, True) for c in (-1, 0, 1)}
+
+
+def test_constant_row_closed_form_matches_the_assignment_solve():
+    """``welfare._ud_constant_opt`` against the general solve ``_ud_opt``,
+    value and witness, on every item subset in universe order (the way
+    mech3 passes its unsold items), and its value against brute force on
+    every subset of up to three items."""
+    rng = random.Random(3407)
+    shapes = set()
+    for _ in range(40):
+        n, m = rng.randint(1, 7), rng.randint(1, 5)
+        items = tuple("abcde"[:m])
+        rows = [F(rng.choice([0, 1, 1, 2, 3]), rng.choice([1, 2, 3])) for _ in range(n)]
+        vals = tuple(UnitDemandValuation(items, dict.fromkeys(items, x)) for x in rows)
+        for mask in range(1, 1 << m):
+            chosen = tuple(j for k, j in enumerate(items) if mask >> k & 1)
+            got = welfare._ud_constant_opt(rows, chosen)
+            assert got == welfare._ud_opt(vals, chosen), (rows, chosen)
+            if len(chosen) <= 3:  # brute force grows as (n + 1) ** len(chosen)
+                assert got[0] == _ud_brute_value(vals, chosen), (rows, chosen)
+            shapes.add((n > len(chosen)) - (n < len(chosen)))
+    assert shapes == {-1, 0, 1}
 
 
 # ---------------------------------------------------------------------------
