@@ -25,7 +25,10 @@ simulated branch is the same game run with singleton report domains,
 whose forced reports the protocol layer contracts (see
 :class:`~ospclock.protocols.Game`), so the tree and the play-out cannot
 disagree.  Every outcome comes from that play; a branch shortcut (mech3
-on constant rows) answers the branch's welfare only.
+on constant rows) answers the branch's welfare only, and so does a serve
+game's script walk (``SampleServeGame.truthful_welfare``), which steps
+through the same price rule, serving rules and truthful picks as the
+tree but reads no menu label and builds no outcome.
 
 Sampling: grand-bundle, three-item-dm, random-bundles, m1-2x2, m2-2x2
 and m3-2x2 use the default sampler, one ``weighted_index`` over their
@@ -108,8 +111,11 @@ class SupportElement:
     ``outcome`` always plays the branch game truthfully with singleton
     report domains, so every outcome comes from the verified transition
     code.  ``welfare`` is the one entry for a branch's welfare: the
-    shortcut's number when it answers, else ``welfare_of`` on the
-    played outcome.
+    shortcut's number when it answers; else it builds the branch game
+    once, with singleton report domains, and a serve game walks its
+    script to the welfare (``SampleServeGame.truthful_welfare``), while
+    any other game, such as a clock, is played by ``run_game`` and its
+    outcome valued by ``welfare_of``.
     """
 
     __slots__ = ("key", "probability", "build", "name", "shortcut")
@@ -141,7 +147,10 @@ class SupportElement:
             fast = self.shortcut(instance, self.key)
             if fast is not None:
                 return fast
-        return welfare_of(instance, self.outcome(instance).allocation)
+        game = self.game([[v] for v in instance.valuations])
+        if isinstance(game, SampleServeGame):
+            return game.truthful_welfare(instance.valuations)
+        return welfare_of(instance, run_game(game, instance.valuations)[0].allocation)
 
     def game(self, domains: Sequence[Sequence[Valuation]]) -> Game:
         return self.build(self.key, domains)
@@ -405,10 +414,11 @@ class SampleServeGame(Game):
     arrivals, then serves and hears each later arrival in turn
     (``_arrival_script``).
 
-    Prices come from one rule: a serve step that opens the script or
-    follows a report is priced by ``_price(reports, left)``, the reports
-    so far and the unsold supply; a serve step that follows a serve
-    keeps its price.  ``state.price`` is None exactly on report steps.
+    Prices come from one rule (``_step_price``): a serve step that opens
+    the script or follows a report is priced by ``_price(reports,
+    left)``, the reports so far and the unsold supply; a serve step that
+    follows a serve keeps its price.  ``state.price`` is None exactly on
+    report steps.
     ``_serve_labels`` and ``_serve_choices`` give a served bidder's menu
     and the truthful pick of each valuation in a batch,
     ``_serve(state, message)`` maps a pick to (bundle, payment, supply
@@ -422,6 +432,10 @@ class SampleServeGame(Game):
     the protocol and ``verify_osp`` read once per object.  Forced
     moves (a singleton domain, an empty menu) are single-message states,
     contracted by the protocol layer.
+
+    ``truthful_welfare`` walks the same steps for one truthful play:
+    ``child``'s price rule, serving rules and truthful picks, with no
+    state carried between steps, no menu labels and no outcome.
 
     Prices are computed from reported valuations directly, without
     ``Instance``'s checks, so the game checks its domains when it is
@@ -449,6 +463,7 @@ class SampleServeGame(Game):
         self.n = len(domains)
         self.setting = setting
         self.domains = domains
+        self._supply = setting.m if isinstance(setting, MultiUnitSetting) else setting.items
         # one flag per step, and a report-like sentinel for the leaf
         self._serves = tuple(s for _, s in script) + (False,)
         self._served = tuple(b for b, s in script if s)
@@ -497,18 +512,24 @@ class SampleServeGame(Game):
             out.append(k)
         return out
 
+    def _step_price(self, step: int, reports: tuple, left, price):
+        """The price of script step ``step``, given the step before it
+        had ``price`` (None before the first step): None on a report
+        step; on a serve step, ``price`` if the step before served, else
+        ``_price(reports, left)``."""
+        if not self._serves[step]:
+            return None
+        if price is None:
+            return self._price(reports, left)
+        return price
+
     def root_state(self) -> ServeState:
-        if isinstance(self.setting, MultiUnitSetting):
-            supply = self.setting.m
-        else:
-            supply = self.setting.items
-        price = self._price((), supply) if self._serves[0] else None
-        return ServeState(0, (), (), (), supply, price)
+        supply = self._supply
+        return ServeState(0, (), (), (), supply, self._step_price(0, (), supply, None))
 
     def child(self, state: ServeState, message: int) -> ServeState:
         step = state.step + 1
-        price = state.price
-        if price is None:
+        if state.price is None:
             reports = state.reports + ((self._bidders[state.step], message),)
             taken, payments, left = state.taken, state.payments, state.left
         else:
@@ -516,11 +537,40 @@ class SampleServeGame(Game):
             reports = state.reports
             taken = state.taken + (bundle,)
             payments = state.payments + (paid,)
-        if not self._serves[step]:
-            price = None
-        elif price is None:
-            price = self._price(reports, left)
+        price = self._step_price(step, reports, left, state.price)
         return ServeState(step, reports, taken, payments, left, price)
+
+    def truthful_welfare(self, valuations: Sequence[Valuation]) -> Fraction:
+        """The welfare of the truthful play on ``valuations``, one per
+        bidder, each in its bidder's domain.
+
+        The script is walked on local variables, with ``child``'s rules:
+        a report step appends the bidder's ``_reports``; a serve step asks
+        ``_serve_choices`` for a batch of one and ``_serve`` for the
+        bundle and the unsold supply, and adds the bundle's value; each
+        step is priced by ``_step_price``.  A forced move is asked too,
+        and its one truthful message is the 0 that the tree follows.  The
+        serving rules read a state's step, reports, unsold supply and
+        price, so the state they are handed leaves what was taken empty.
+        The sum skips empty bundles and starts from ``ZERO``, as
+        ``welfare_of`` does, so it is the same Fraction.
+        """
+        reports: tuple = ()
+        left = self._supply
+        price = self._step_price(0, reports, left, None)
+        total = ZERO
+        for step, bidder in enumerate(self._bidders):
+            v = valuations[bidder]
+            if price is None:
+                reports += ((bidder, self._reports(bidder, (v,))[0]),)
+            else:
+                state = ServeState(step, reports, (), (), left, price)
+                (message,) = self._serve_choices(state, (v,))
+                bundle, _, left = self._serve(state, message)
+                if bundle:
+                    total += v.value(bundle)
+            price = self._step_price(step + 1, reports, left, price)
+        return total
 
     def is_leaf(self, state: ServeState) -> bool:
         return state.step == self._end
@@ -638,7 +688,12 @@ class ItemSaleGame(SampleServeGame):
         return ("none",) + state.left
 
     def _serve(self, state: ServeState, message: int) -> tuple:
-        bundle = self._menu(state)[message]
+        if self.bundles:
+            bundle = self._menu(state)[message]
+        elif message:
+            bundle = frozenset((state.left[message - 1],))
+        else:
+            bundle = frozenset()
         if len(bundle) == 1:
             (item,) = bundle
             paid = state.price[item]

@@ -461,3 +461,25 @@ def test_strategies_are_called_in_one_place():
     strategies through the one tabulation walk, node by node."""
     package = {path.stem: path.read_text() for path in PACKAGE}
     assert strategy_callers(package) == {("protocols", "_tabulate")}
+
+
+def test_the_serve_transition_is_written_once():
+    """A serve game's tree and its script walk share one price rule and
+    one set of serving rules: only ``_step_price`` calls ``_price``, and
+    ``root_state``, ``child`` and ``truthful_welfare`` price their steps
+    with it; ``_serve`` is called by ``child`` and the walk, and the
+    truthful pick ``_serve_choices`` by ``truthful_messages`` and the
+    walk."""
+    source = (ROOT / "src" / "ospclock" / "mechanisms.py").read_text()
+    walk = "SampleServeGame.truthful_welfare"
+    assert method_callers(source, "_price") == {"SampleServeGame._step_price"}
+    assert method_callers(source, "_step_price") == {
+        "SampleServeGame.root_state",
+        "SampleServeGame.child",
+        walk,
+    }
+    assert method_callers(source, "_serve") == {"SampleServeGame.child", walk}
+    assert method_callers(source, "_serve_choices") == {
+        "SampleServeGame.truthful_messages",
+        walk,
+    }

@@ -19,7 +19,13 @@ from ospclock.experiments import (
     mc_ratio,
     ud_failure_instance,
 )
-from ospclock.fixtures import fixture_names, get_fixture, load_instance, unit_demand_domain
+from ospclock.fixtures import (
+    additive_domain,
+    fixture_names,
+    get_fixture,
+    load_instance,
+    unit_demand_domain,
+)
 from ospclock.mechanisms import (
     MECHANISM_NAMES,
     ArrivalPricingGame,
@@ -435,7 +441,10 @@ def test_mech3_kernel_answers_fractional_constant_rows_under_monte_carlo(monkeyp
 def test_every_branch_outcome_is_its_game(monkeypatch):
     """With every shortcut patched to raise, each branch's outcome is
     its game's play, for every registry mechanism on every catalog
-    instance whose support it can enumerate."""
+    instance whose support it can enumerate; with no shortcut, each
+    branch's welfare is that play's welfare, so a serve game's script
+    walk (``truthful_welfare``) agrees with ``run_game`` and
+    ``welfare_of`` on every branch."""
 
     def refuse(instance, key):
         raise AssertionError("a branch outcome consulted its shortcut")
@@ -457,6 +466,9 @@ def test_every_branch_outcome_is_its_game(monkeypatch):
                 game = branch.game([[v] for v in inst.valuations])
                 expected, _ = run_game(game, inst.valuations)
                 assert branch.outcome(inst) == expected, (fixture, name, branch.label)
+                monkeypatch.setattr(branch, "shortcut", None)
+                welfare = welfare_of(inst, expected.allocation)
+                assert branch.welfare(inst) == welfare, (fixture, name, branch.label)
             played.add(name)
     # no catalog instance has two bidders over two units, m1-2x2's shape
     assert played == set(MECHANISM_NAMES) - {"m1-2x2"}
@@ -1050,6 +1062,35 @@ def _serve_states(game, proto) -> list:
     return [s for s in proto.info.values() if not game.is_leaf(s) and s.price is not None]
 
 
+def test_item_sale_serves_each_menu_entry():
+    """On every serve state of the catalog mech2, naive max-price and
+    mech3 trees, message k serves the menu's k-th bundle and leaves the
+    rest of the unsold items, in per-item mode as in bundle mode."""
+    values = (0, 1, 2)
+    cases = [
+        (mech2_additive(2, ITEMS), additive_domain(ITEMS, values)),
+        (naive_max_price_ud(2, ITEMS), unit_demand_domain(ITEMS, values)),
+        (mech3_unit_demand(3, ITEMS), unit_demand_domain(ITEMS, values)[:6]),
+    ]
+    served = set()
+    for mech, domain in cases:
+        for branch in mech.branches():
+            game = branch.game([domain] * mech.n)
+            for state in _serve_states(game, materialize(game)):
+                menu = game._menu(state)
+                assert len(menu) == len(game.messages(state))
+                for k, bundle in enumerate(menu):
+                    got, _, left = game._serve(state, k)
+                    assert got == bundle, (mech.name, branch.label, state, k)
+                    assert left == tuple(j for j in state.left if j not in bundle)
+                    served.add((mech.name, game.bundles))
+    assert served == {
+        ("mech2-additive", True),
+        ("naive-max-price", False),
+        ("mech3-unit-demand", False),
+    }
+
+
 def test_arrival_price_cache_matches_fresh_games():
     """Every serve state's price, read from the shared memo, equals a fresh
     mechanism's solve of its market."""
@@ -1203,6 +1244,81 @@ def test_mech3_ties_on_seeded_domains_match_the_direct_solve(monkeypatch):
         frozenset({"AdditiveValuation"}),
         frozenset({"ExplicitValuation"}),
     }
+
+
+def test_mech3_script_walk_is_the_played_welfare_through_ties(monkeypatch):
+    """On seeded integer unit-demand markets over the grid 0..2, n = 4
+    and n = 5, with constant rows and with varied ones, every arrival
+    order's welfare with the shortcut off (the script walk) is its
+    played outcome's, and the walks meet zero-surplus ties on each kind
+    of market, every tie checked against a direct solve."""
+    ties = _checked_ties(monkeypatch)
+    rng = random.Random(35)
+    walked_ties = set()
+    for n in (4, 5):
+        for constant in (True, False):
+            for _ in range(2):
+                items = ("a", "b", "c")[: rng.choice((2, 3))]
+                if constant:
+                    rows = [[rng.randint(0, 2)] * len(items) for _ in range(n)]
+                else:
+                    rows = [[rng.randint(0, 2) for _ in items] for _ in range(n)]
+                vals = tuple(
+                    UnitDemandValuation(items, {j: F(x) for j, x in zip(items, row)})
+                    for row in rows
+                )
+                inst = Instance(CombinatorialSetting(items), vals)
+                singletons = [[v] for v in vals]
+                for branch in mech3_unit_demand(n, items).branches():
+                    monkeypatch.setattr(branch, "shortcut", None)
+                    start = len(ties)
+                    welfare = branch.welfare(inst)
+                    if len(ties) > start:
+                        walked_ties.add((n, constant))
+                    outcome, _ = run_game(branch.game(singletons), vals)
+                    assert welfare == welfare_of(inst, outcome.allocation), (rows, branch.key)
+    assert walked_ties == {(4, True), (4, False), (5, True), (5, False)}
+    assert {got for _, slot, got in ties if slot} == {True, False}
+
+
+def test_branch_welfare_builds_its_game_once(monkeypatch):
+    """One ``welfare`` call builds its branch game once.  A serve branch
+    (a mech1 split, a mech3 arrival order) walks that game's script, with
+    no ``run_game`` and no ``welfare_of``; a clock branch (grand-bundle)
+    plays that same game and values its outcome."""
+    multi = sm_instance((3, 1), (2, 2), m=2)
+    varied = Instance(
+        CombinatorialSetting(ITEMS), (unit_demand(2, 1), unit_demand(1, 2), unit_demand(0, 2))
+    )
+    cases = [
+        (mech1_single_minded(2, 2).branches()[2], multi, 0),
+        (mech3_unit_demand(3, ITEMS).branches()[0], varied, 0),
+        (grand_bundle_auction(2, MultiUnitSetting(2)).branches()[0], multi, 1),
+    ]
+    assert [type(b.key) for b, _, _ in cases] == [tuple, tuple, str]
+    for branch, inst, plays in cases:
+        expected = welfare_of(inst, branch.outcome(inst).allocation)
+        builds, played, valued = [], [], []
+
+        def counted(key, domains, build=branch.build):
+            builds.append(key)
+            return build(key, domains)
+
+        def counted_run(game, valuations, run=run_game):
+            played.append(game)
+            return run(game, valuations)
+
+        def counted_welfare(instance, alloc, welfare=welfare_of):
+            valued.append(alloc)
+            return welfare(instance, alloc)
+
+        monkeypatch.setattr(branch, "build", counted)
+        monkeypatch.setattr(mechanisms, "run_game", counted_run)
+        monkeypatch.setattr(mechanisms, "welfare_of", counted_welfare)
+        assert branch.welfare(inst) == expected
+        assert builds == [branch.key]
+        assert len(played) == len(valued) == plays
+        monkeypatch.undo()
 
 
 def test_mech3_best_item_runs_once_per_valuation_and_market(monkeypatch):
