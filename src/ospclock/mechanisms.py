@@ -7,10 +7,12 @@ is OSP on its own.  A :class:`RandomizedMechanism` therefore exposes
 * ``branches()`` — the exact support as :class:`SupportElement`s with
   rational probabilities, when the coin space is enumerable;
 * ``exact_expected_welfare(instance)`` — exact, by summing the support,
-  or by a closed form that lists no branch: the max-price sale
+  or by a path that lists no branch: the max-price sale
   (``_max_price_exact``; mech2 on additive or constant unit-demand rows,
   naive-max-price on constant rows) conditions on the price-setter
-  (``_setter_expectation``), at O(n^2) per column, so it answers at any n;
+  (``_setter_expectation``), at O(n^2) per column, so it answers at any
+  n; mech3 runs a DP over arrived sets (``ArrivalRules.expected_welfare``)
+  while its state bound fits the support cap;
 * ``sample_branch(rng)`` — a seeded draw with a documented coin order,
   for Monte Carlo at scales where enumeration is hopeless (there are
   16! arrival orders);
@@ -24,11 +26,12 @@ Simulation and verification share each branch's transition code: the
 simulated branch is the same game run with singleton report domains,
 whose forced reports the protocol layer contracts (see
 :class:`~ospclock.protocols.Game`), so the tree and the play-out cannot
-disagree.  Every outcome comes from that play; a branch shortcut (mech3
-on constant rows) answers the branch's welfare only, and so does a serve
-game's script walk (``SampleServeGame.truthful_welfare``), which steps
-through the same price rule, serving rules and truthful picks as the
-tree but reads no menu label and builds no outcome.
+disagree.  Every outcome comes from that play; a branch shortcut (mech3's
+constant-row kernel, or its walk of the instance's rule set,
+``ArrivalRules.walk``) answers the branch's welfare only, and so does a
+serve game's script walk (``SampleServeGame.truthful_welfare``); both
+walks step through the same price rule, serving rules and truthful picks
+as the tree but read no menu label and build no outcome.
 
 Sampling: grand-bundle, three-item-dm, random-bundles, m1-2x2, m2-2x2
 and m3-2x2 use the default sampler, one ``weighted_index`` over their
@@ -418,12 +421,13 @@ class SampleServeGame(Game):
     the script or follows a report is priced by ``_price(reports,
     left)``, the reports so far and the unsold supply; a serve step that
     follows a serve keeps its price.  ``state.price`` is None exactly on
-    report steps.
-    ``_serve_labels`` and ``_serve_choices`` give a served bidder's menu
-    and the truthful pick of each valuation in a batch,
-    ``_serve(state, message)`` maps a pick to (bundle, payment, supply
-    left), and ``outcome`` gives each served bidder that bundle at that
-    payment, and everyone else the empty bundle for nothing.  Outcomes
+    report steps.  The serving rules take the market as arguments, never
+    a state: ``_serve_labels(left)`` is a served bidder's menu,
+    ``_serve_choices(bidder, reports, left, price, valuations)`` the
+    truthful pick of each valuation in a batch, ``_serve(left, price,
+    message)`` maps a pick to (bundle, payment, supply left), and
+    ``outcome`` gives each served bidder that bundle at that payment,
+    and everyone else the empty bundle for nothing.  Outcomes
     are interned per game: leaves with the same bundles and the same
     payment objects (keyed by the bundles and each payment's ``id``)
     share one ``Outcome``, and the memo entry holds those payments, so
@@ -435,7 +439,7 @@ class SampleServeGame(Game):
 
     ``truthful_welfare`` walks the same steps for one truthful play:
     ``child``'s price rule, serving rules and truthful picks, with no
-    state carried between steps, no menu labels and no outcome.
+    state made, no menu labels and no outcome.
 
     Prices are computed from reported valuations directly, without
     ``Instance``'s checks, so the game checks its domains when it is
@@ -478,13 +482,15 @@ class SampleServeGame(Game):
     def _price(self, reports: tuple, left):
         raise NotImplementedError
 
-    def _serve(self, state: ServeState, message: int) -> tuple:
+    def _serve(self, left, price, message: int) -> tuple:
         raise NotImplementedError
 
-    def _serve_labels(self, state: ServeState) -> tuple:
+    def _serve_labels(self, left) -> tuple:
         raise NotImplementedError
 
-    def _serve_choices(self, state: ServeState, valuations: Sequence[Valuation]) -> list:
+    def _serve_choices(
+        self, bidder: int, reports: tuple, left, price, valuations: Sequence[Valuation]
+    ) -> list:
         raise NotImplementedError
 
     def _reports(self, bidder: int, valuations: Sequence[Valuation]) -> list:
@@ -533,7 +539,7 @@ class SampleServeGame(Game):
             reports = state.reports + ((self._bidders[state.step], message),)
             taken, payments, left = state.taken, state.payments, state.left
         else:
-            bundle, paid, left = self._serve(state, message)
+            bundle, paid, left = self._serve(state.left, state.price, message)
             reports = state.reports
             taken = state.taken + (bundle,)
             payments = state.payments + (paid,)
@@ -549,9 +555,7 @@ class SampleServeGame(Game):
         ``_serve_choices`` for a batch of one and ``_serve`` for the
         bundle and the unsold supply, and adds the bundle's value; each
         step is priced by ``_step_price``.  A forced move is asked too,
-        and its one truthful message is the 0 that the tree follows.  The
-        serving rules read a state's step, reports, unsold supply and
-        price, so the state they are handed leaves what was taken empty.
+        and its one truthful message is the 0 that the tree follows.
         The sum skips empty bundles and starts from ``ZERO``, as
         ``welfare_of`` does, so it is the same Fraction.
         """
@@ -564,9 +568,8 @@ class SampleServeGame(Game):
             if price is None:
                 reports += ((bidder, self._reports(bidder, (v,))[0]),)
             else:
-                state = ServeState(step, reports, (), (), left, price)
-                (message,) = self._serve_choices(state, (v,))
-                bundle, _, left = self._serve(state, message)
+                (message,) = self._serve_choices(bidder, reports, left, price, (v,))
+                bundle, _, left = self._serve(left, price, message)
                 if bundle:
                     total += v.value(bundle)
             price = self._step_price(step + 1, reports, left, price)
@@ -593,7 +596,7 @@ class SampleServeGame(Game):
 
     def messages(self, state: ServeState) -> tuple:
         if state.price is not None:
-            return self._serve_labels(state)
+            return self._serve_labels(state.left)
         bidder = self._bidders[state.step]
         labels = self._report_labels.get(bidder)
         if labels is None:
@@ -604,9 +607,10 @@ class SampleServeGame(Game):
         return labels
 
     def truthful_messages(self, state: ServeState, valuations: Sequence[Valuation]) -> list:
+        bidder = self._bidders[state.step]
         if state.price is not None:
-            return self._serve_choices(state, valuations)
-        return self._reports(self._bidders[state.step], valuations)
+            return self._serve_choices(bidder, state.reports, state.left, state.price, valuations)
+        return self._reports(bidder, valuations)
 
 
 def _split_script(sample: Sequence[int], n: int) -> tuple:
@@ -663,43 +667,44 @@ def _coin_split_mechanism(
     )
 
 
-class ItemSaleGame(SampleServeGame):
-    """A sample-then-serve game that sells items at per-item prices.
+class ItemSale:
+    """The serving rules of a sale of items at per-item prices.
 
-    ``state.price`` maps each unsold item to its price.  A served
-    bidder picks from a menu of unsold bundles: with ``bundles`` every
-    subset, smallest first, labelled by its items joined with ``+``;
-    otherwise nothing, then each unsold item alone, labelled by its
-    name.  The empty bundle is labelled ``none`` and free; a single
-    item costs its price object itself, and a larger bundle the sum of
-    its items' prices.
+    ``price`` maps each unsold item to its price.  A served bidder picks
+    from a menu of unsold bundles: with ``bundles`` every subset,
+    smallest first, labelled by its items joined with ``+``; otherwise
+    nothing, then each unsold item alone, labelled by its name.  The
+    empty bundle is labelled ``none`` and free; a single item costs its
+    price object itself, and a larger bundle the sum of its items'
+    prices.  A serve game mixes these in ahead of ``SampleServeGame``;
+    mech3's ``ArrivalRules`` use them with no game.
     """
 
     bundles = False
 
-    def _menu(self, state: ServeState) -> list:
+    def _menu(self, left: tuple) -> list:
         if self.bundles:
-            return all_bundles(state.left)
-        return [frozenset()] + [frozenset({j}) for j in state.left]
+            return all_bundles(left)
+        return [frozenset()] + [frozenset({j}) for j in left]
 
-    def _serve_labels(self, state: ServeState) -> tuple:
+    def _serve_labels(self, left: tuple) -> tuple:
         if self.bundles:
-            return tuple("+".join(sorted(b)) if b else "none" for b in self._menu(state))
-        return ("none",) + state.left
+            return tuple("+".join(sorted(b)) if b else "none" for b in self._menu(left))
+        return ("none",) + left
 
-    def _serve(self, state: ServeState, message: int) -> tuple:
+    def _serve(self, left: tuple, price: dict, message: int) -> tuple:
         if self.bundles:
-            bundle = self._menu(state)[message]
+            bundle = self._menu(left)[message]
         elif message:
-            bundle = frozenset((state.left[message - 1],))
+            bundle = frozenset((left[message - 1],))
         else:
             bundle = frozenset()
         if len(bundle) == 1:
             (item,) = bundle
-            paid = state.price[item]
+            paid = price[item]
         else:
-            paid = sum((state.price[j] for j in bundle), ZERO)
-        return bundle, paid, tuple(j for j in state.left if j not in bundle)
+            paid = sum((price[j] for j in bundle), ZERO)
+        return bundle, paid, tuple(j for j in left if j not in bundle)
 
 
 def _best_item(valuation: Valuation, unsold: tuple, prices: dict) -> tuple:
@@ -733,11 +738,23 @@ def preferred_quantity(v: MultiUnitValuation, remaining: int, price: Fraction) -
     exactly zero utility.  For decreasing-marginal valuations this
     equals the greedy rule "keep adding units while the marginal beats
     the price".
+
+    A quantity whose value does not rise is skipped: its utility is the
+    one before it less ``price`` >= 0, so it never strictly improves.  A
+    single-minded buyer's only candidate is her demand d, read off her
+    ``single_minded`` step (x, d).
     """
+    step = v.single_minded
+    if step is not None:
+        d = step.d
+        return d if d <= remaining and step.x - price * d > 0 else 0
     best_q = 0
-    best_u = ZERO
-    for q in range(1, remaining + 1):
-        u = v.value(q) - price * q
+    best_u = before = ZERO
+    for q, value in enumerate(v.values[:remaining], start=1):
+        if value == before:
+            continue
+        before = value
+        u = value - price * q
         if u > best_u:
             best_q, best_u = q, u
     return best_q
@@ -755,14 +772,16 @@ class PartitionSaleGame(SampleServeGame):
         reported = tuple(self.domains[b][k] for b, k in reports)
         return _solve(self.setting, reported)[0] / (10 * self.setting.m)
 
-    def _serve(self, state: ServeState, message: int) -> tuple:
-        return message, state.price * message, state.left - message
+    def _serve(self, left: int, price: Fraction, message: int) -> tuple:
+        return message, price * message, left - message
 
-    def _serve_labels(self, state: ServeState) -> tuple:
-        return tuple(f"take:{q}" for q in range(state.left + 1))
+    def _serve_labels(self, left: int) -> tuple:
+        return tuple(f"take:{q}" for q in range(left + 1))
 
-    def _serve_choices(self, state: ServeState, valuations: Sequence[Valuation]) -> list:
-        return [preferred_quantity(v, state.left, state.price) for v in valuations]
+    def _serve_choices(
+        self, bidder: int, reports: tuple, left: int, price: Fraction, valuations
+    ) -> list:
+        return [preferred_quantity(v, left, price) for v in valuations]
 
 
 def _partition_sale_mechanism(name: str, n: int, m: int) -> RandomizedMechanism:
@@ -789,7 +808,7 @@ def mech1_single_minded(n: int, m: int) -> RandomizedMechanism:
 # sample-and-max-price for combinatorial bidders (Mechanism 2 shape)
 
 
-class MaxPricePartitionGame(ItemSaleGame):
+class MaxPricePartitionGame(ItemSale, SampleServeGame):
     """Per-item prices set to the sampled bidders' maxima.
 
     Item j is priced at the highest sampled value; its price-setter is
@@ -818,29 +837,38 @@ class MaxPricePartitionGame(ItemSaleGame):
             for j in self.setting.items
         }
 
-    def _wants(self, state: ServeState, valuation: Valuation, item: str) -> bool:
+    def _wants(
+        self, bidder: int, reports: tuple, prices: dict, valuation: Valuation, item: str
+    ) -> bool:
         value = valuation.value({item})
-        price = state.price[item]
+        price = prices[item]
         if value != price:
             return value > price
         # an exact tie goes to her only if she precedes the price-setter
         setter = next(
-            (b for b, k in state.reports if self.domains[b][k].value({item}) == price), -1
+            (b for b, k in reports if self.domains[b][k].value({item}) == price), -1
         )
-        return self.bidder(state) < setter
+        return bidder < setter
 
-    def _serve_choices(self, state: ServeState, valuations: Sequence[Valuation]) -> list:
-        left = state.left
+    def _serve_choices(
+        self, bidder: int, reports: tuple, left: tuple, price: dict, valuations
+    ) -> list:
         if self.bundles:
-            menu = self._menu(state)
+            menu = self._menu(left)
             return [
-                menu.index(frozenset(j for j in left if self._wants(state, v, j)))
+                menu.index(
+                    frozenset(j for j in left if self._wants(bidder, reports, price, v, j))
+                )
                 for v in valuations
             ]
         out = []
         for v in valuations:
-            item, surplus = _best_item(v, left, state.price)
-            wants = surplus is not None and surplus >= 0 and self._wants(state, v, item)
+            item, surplus = _best_item(v, left, price)
+            wants = (
+                surplus is not None
+                and surplus >= 0
+                and self._wants(bidder, reports, price, v, item)
+            )
             out.append(1 + left.index(item) if wants else 0)
         return out
 
@@ -973,21 +1001,32 @@ def _arrival_script(order: Sequence[int]) -> tuple:
     return tuple(script[:-1])
 
 
-class ArrivalPricingGame(ItemSaleGame):
-    """Process bidders in a fixed arrival order with learned prices.
+class ArrivalRules(ItemSale):
+    """mech3's pricing and serving rules, on explicit arguments.
 
-    The first floor(n/e) arrivals only report.  Each later arrival
-    faces per-item prices equal to the welfare the observed bidders
-    lose if that item disappears — OPT(S, M) - OPT(S, M minus the
-    item) — takes an available item of positive surplus (highest
-    surplus, then earliest item), settles exact zero surplus by the
-    canonical optimum (take the earliest zero-surplus item only if the
-    canonical optimum over S plus herself assigns it to her), then
-    reports and joins S.  The last arrival's report is skipped: nobody
-    is left to price against it.
+    Every rule reads the market it is handed and nothing else:
+    ``_price(reports, unsold)``, ``_serve_choices(bidder, reports,
+    unsold, price, valuations)``, ``_tie_answers(bidder, reports, unsold,
+    ties)`` and ``ItemSale``'s per-item ``_serve(unsold, price,
+    message)``.  ``reports`` holds ``(bidder, k)`` pairs, each naming
+    entry k of the bidder's domain, in any order, and ``bidder`` is the
+    served one.  No rule reads an arrival order, so one rule set serves
+    every order: an ``ArrivalPricingGame`` is these rules plus one
+    order's script, and ``mech3_unit_demand`` keeps one rule set per
+    instance, each bidder's domain her one valuation, which plays any
+    drawn order (``walk``) and averages over all of them
+    (``expected_welfare``) with no game built.  Both serve an arrival by
+    ``_arrive``, the tree's price, truthful pick and ``_serve``.
+
+    Each arrival is priced per item at the welfare the observed bidders
+    lose if that item disappears, OPT(S, U) - OPT(S, U minus the item);
+    she takes an unsold item of positive surplus (highest surplus, then
+    earliest item) and settles exact zero surplus by the canonical
+    optimum: she takes her earliest zero-surplus item only if the
+    canonical optimum over S plus herself assigns it to her.
 
     Markets are solved once per memo, which ``mech3_unit_demand`` shares
-    among all its branch games (a game built directly gets its own).
+    among all its rule sets (a rule set built directly gets its own).
     The prices depend only on which valuations were reported and on the
     unsold items, so they are keyed by the sorted valuation ids.  Every
     solve goes through the witness memo (``_witness``), once per (ids of
@@ -999,7 +1038,7 @@ class ArrivalPricingGame(ItemSaleGame):
     no id is reused while the entry lives.  Price values are interned
     through the same memo, keyed by value, so equal prices of every
     market are one object, and a served bidder's payment for one item is
-    that object: the game's interned outcomes are then one per distinct
+    that object: a game's interned outcomes are then one per distinct
     outcome value.
 
     A zero-surplus tie in an all-unit-demand market is read off those
@@ -1009,12 +1048,12 @@ class ArrivalPricingGame(ItemSaleGame):
 
     def __init__(
         self,
-        order: Sequence[int],
-        setting: CombinatorialSetting,
         domains: Sequence[Sequence[Valuation]],
+        supply: tuple,
         memo: Optional[dict] = None,
     ) -> None:
-        super().__init__(_arrival_script(order), setting, domains)
+        self.domains = domains
+        self._supply = supply
         self._memo = {} if memo is None else memo
 
     def _price(self, reports: tuple, left: tuple) -> dict:
@@ -1048,21 +1087,20 @@ class ArrivalPricingGame(ItemSaleGame):
             lambda: _opt_items(valuations, items),
         )
 
-    def _tie_answers(self, state: ServeState, ties: list) -> list:
-        """For each ``(valuation, item, zero)`` tie at this serve state:
-        does the canonical optimum over S (the observed bidders, in index
-        order) plus the served bidder give her ``item``, her earliest
-        zero-surplus item?  ``zero`` is her zero-surplus items if she is
-        unit-demand, else None.  If S and she are all unit-demand, the
-        answer is read off S's witnesses (``_earliest_wins``) and kept
-        per (S, her slot, unsold items, ``zero``); any other market
-        solves S plus her.
+    def _tie_answers(self, bidder: int, reports: tuple, left: tuple, ties: list) -> list:
+        """For each ``(valuation, item, zero)`` tie of the served
+        ``bidder`` after ``reports``, with ``left`` unsold: does the
+        canonical optimum over S (the observed bidders, in index order)
+        plus her give her ``item``, her earliest zero-surplus item?
+        ``zero`` is her zero-surplus items if she is unit-demand, else
+        None.  If S and she are all unit-demand, the answer is read off
+        S's witnesses (``_earliest_wins``) and kept per (S, her slot,
+        unsold items, ``zero``); any other market solves S plus her.
         """
-        bidder = self.bidder(state)
-        reported = sorted(state.reports)  # one report per bidder
+        reported = sorted(reports)  # one report per bidder
         slot = bisect.bisect(reported, (bidder,))
         observed = tuple(self.domains[b][k] for b, k in reported)
-        left, memo = state.left, self._memo
+        memo = self._memo
         unit_demand = all(isinstance(v, UnitDemandValuation) for v in observed)
         answers = []
         for valuation, item, zero in ties:
@@ -1102,13 +1140,15 @@ class ArrivalPricingGame(ItemSaleGame):
         mine = prefix(zero[0])
         return mine <= prefix(None) and all(mine <= prefix(j) for j in zero[1:])
 
-    def _serve_choices(self, state: ServeState, valuations: Sequence[Valuation]) -> list:
-        # every serve step follows a report (or opens the script), so its
-        # price dict is the memo's for one market and its keys are the
-        # unsold items: the pair fixes the best item, the sign of its
-        # surplus, the message that takes it and, on a unit-demand tie,
-        # her zero-surplus items (``_memoized``, unrolled)
-        memo, price, left = self._memo, state.price, state.left
+    def _serve_choices(
+        self, bidder: int, reports: tuple, left: tuple, price: dict, valuations
+    ) -> list:
+        # every serve follows a report (or opens the play), so its price
+        # dict is the memo's for one market and its keys are the unsold
+        # items: the pair fixes the best item, the sign of its surplus,
+        # the message that takes it and, on a unit-demand tie, her
+        # zero-surplus items (``_memoized``, unrolled)
+        memo = self._memo
         out = []
         ties = None  # (position, (valuation, item, zero)) of each zero-surplus tie
         for v in valuations:
@@ -1131,11 +1171,121 @@ class ArrivalPricingGame(ItemSaleGame):
                 ties.append((len(out), (v, item, zero)))
             out.append(take)
         if ties:
-            answers = self._tie_answers(state, [tie for _, tie in ties])
+            answers = self._tie_answers(bidder, reports, left, [tie for _, tie in ties])
             for (k, _), takes in zip(ties, answers):
                 if not takes:
                     out[k] = 0
         return out
+
+    def _arrive(self, bidder: int, reports: tuple, left: tuple) -> tuple:
+        """The truthful serve step of ``bidder``, arriving after
+        ``reports`` with ``left`` unsold, her valuation her domain's first
+        entry: the value of what she takes, and the items left unsold.
+        The game's tree takes this step through ``child``: the same
+        price, the same pick and the same ``_serve``."""
+        v = self.domains[bidder][0]
+        price = self._price(reports, left)
+        (message,) = self._serve_choices(bidder, reports, left, price, (v,))
+        bundle, _, left = self._serve(left, price, message)
+        return (v.value(bundle) if bundle else ZERO), left
+
+    def walk(self, order: Sequence[int]) -> Fraction:
+        """The welfare of the truthful play in arrival ``order``, each
+        bidder reporting her domain's first entry.
+
+        The first ``arrivals_discarded(n)`` arrivals report; each later
+        one is served (``_arrive``) and then reports, as in
+        ``_arrival_script``.  Once nothing is unsold no later arrival
+        adds welfare, so the walk stops there.  The sum starts from
+        ``ZERO`` and adds what each buyer takes, as ``welfare_of`` does,
+        so it is the same Fraction as the played outcome's welfare.
+        """
+        cut = arrivals_discarded(len(order))
+        reports: tuple = ()
+        left = self._supply
+        total = ZERO
+        for pos, bidder in enumerate(order):
+            if pos >= cut:
+                if not left:
+                    break
+                gain, left = self._arrive(bidder, reports, left)
+                total += gain
+            reports += ((bidder, 0),)
+        return total
+
+    def expected_welfare(self) -> Fraction:
+        """The mean of ``walk`` over all n! arrival orders, by a DP over
+        (arrived set, unsold items).
+
+        After p arrivals the rest of a play depends only on the set of
+        arrived bidders and on the unsold items: prices are keyed by the
+        reported valuations, the tie rule reads the reports in index
+        order and the served bidder, whether the next arrival is served
+        depends on p alone, and she is uniform over the bidders still to
+        come.  This is Held & Karp's trade of orders for sets (J. SIAM
+        1962).  Layer p maps each (arrived bitmask, unsold) state to the
+        number of order prefixes that reach it, and each state is solved
+        once: a gain at step p is made by (n - p - 1)! orders per
+        prefix.  A state with nothing unsold adds nothing and is
+        dropped.  The sum is divided once by n!.
+        """
+        n = len(self.domains)
+        cut = arrivals_discarded(n)
+        layer = {(0, self._supply): 1}
+        total = ZERO  # n! times the expectation
+        for pos in range(n):
+            orders = math.factorial(n - pos - 1)  # completions of one prefix
+            after: dict = {}
+            for (arrived, left), ways in layer.items():
+                reports = tuple((b, 0) for b in range(n) if arrived >> b & 1)
+                for bidder in range(n):
+                    if arrived >> bidder & 1:
+                        continue
+                    unsold = left
+                    if pos >= cut:
+                        gain, unsold = self._arrive(bidder, reports, left)
+                        if gain:
+                            total += gain * (ways * orders)
+                    if unsold:
+                        key = (arrived | 1 << bidder, unsold)
+                        after[key] = after.get(key, 0) + ways
+            layer = after
+        return total / math.factorial(n)
+
+
+def _arrival_state_bound(n: int, m: int) -> int:
+    """The most states ``ArrivalRules.expected_welfare`` can solve for n
+    bidders over m items: after p arrivals at most max(0, p - cut) items
+    are sold, cut = ``arrivals_discarded(n)``, so layer p holds at most
+    C(n, p) arrived sets times the subsets of at most that many items,
+    sum_{p < n} C(n, p) * sum_{s <= min(m, p - cut)} C(m, s)."""
+    cut = arrivals_discarded(n)
+    return sum(
+        math.comb(n, p) * sum(math.comb(m, s) for s in range(min(m, max(0, p - cut)) + 1))
+        for p in range(n)
+    )
+
+
+class ArrivalPricingGame(ArrivalRules, SampleServeGame):
+    """Process bidders in a fixed arrival order with learned prices.
+
+    The first floor(n/e) arrivals only report.  Each later arrival is
+    served by ``ArrivalRules`` at the prices the reports so far set,
+    then reports and joins S.  The last arrival's report is skipped:
+    nobody is left to price against it.  A game built directly gets its
+    own memo; ``mech3_unit_demand``'s branch games share the
+    mechanism's.
+    """
+
+    def __init__(
+        self,
+        order: Sequence[int],
+        setting: CombinatorialSetting,
+        domains: Sequence[Sequence[Valuation]],
+        memo: Optional[dict] = None,
+    ) -> None:
+        SampleServeGame.__init__(self, _arrival_script(order), setting, domains)
+        self._memo = {} if memo is None else memo
 
 
 def _constant_row_ranking(instance: Instance) -> Optional[tuple]:
@@ -1207,33 +1357,56 @@ def mech3_unit_demand(n: int, items: Sequence[str]) -> RandomizedMechanism:
     """Uniform arrival order, observe floor(n/e), then price-and-serve.
 
     Sampling draws one uniform permutation (descending Fisher-Yates),
-    and the drawn order is the branch's key: on constant rows the kernel
-    answers its welfare with no label read and no game built.  The
-    exact support has n! branches and is only enumerable for small n;
-    Monte Carlo covers the rest.
+    and the drawn order is the branch's key.  A branch's welfare builds
+    no game: the kernel answers constant rows, and any other rows walk
+    the instance's rule set (``ArrivalRules.walk``), one per instance.
+    The exact expectation is that rule set's DP over arrived sets
+    (``ArrivalRules.expected_welfare``), refused with its state bound
+    past ``OSPCLOCK_SUPPORT_CAP`` unless the n! orders fit the cap, which
+    are then summed.  The enumerated support serves the trees.
     """
     setting = CombinatorialSetting(tuple(items))
     count = math.factorial(n)
     prob = Fraction(1, count)
-    # one memo for every branch: markets, canonical optima and each
-    # instance's constant-row ranking are resolved once per mechanism
+    # one memo for every branch game and rule set: markets, canonical
+    # optima and each instance's rows and rule set are resolved once per
+    # mechanism
     memo: dict = {}
 
     def build(order: tuple, domains: Sequence[Sequence[Valuation]]) -> Game:
         return ArrivalPricingGame(order, setting, domains, memo)
 
+    def resolve(instance: Instance) -> Optional[tuple]:
+        # the constant-row ranking (or None) and the rule set of an
+        # instance of this shape, whose valuations ``Instance`` checked
+        # against this setting; None for any other instance
+        if instance.n != n or instance.setting != setting:
+            return None
+        rules = ArrivalRules([[v] for v in instance.valuations], setting.items, memo)
+        return _constant_row_ranking(instance), rules
+
+    def resolved(instance: Instance) -> Optional[tuple]:
+        return _memoized(memo, ("rows", id(instance)), instance, lambda: resolve(instance))
+
     def shortcut(instance: Instance, order: tuple) -> Optional[Number]:
-        # the game prices items by the optimum of the reported
-        # valuations; the kernel is that optimum for unit-demand rows
-        # only, so additive rows are played through the game, and so is
-        # a wrong bidder count, which the game refuses
-        ranking = _memoized(
-            memo,
-            ("rows", id(instance)),
-            instance,
-            lambda: _constant_row_ranking(instance) if instance.n == n else None,
-        )
-        return None if ranking is None else _mech3_fast_welfare(ranking, order)
+        # an instance of another shape declines, and its game refuses it
+        known = resolved(instance)
+        if known is None:
+            return None
+        ranking, rules = known
+        if ranking is None:
+            return rules.walk(order)
+        return _mech3_fast_welfare(ranking, order)
+
+    def exact_fast(instance: Instance) -> Optional[Fraction]:
+        cap = _support_cap()
+        bound = _arrival_state_bound(n, len(setting.items))
+        if bound > cap:
+            if count <= cap:
+                return None
+            what = f"mech3-unit-demand's arrival DP has up to {bound} states"
+            raise _refusal("OSPCLOCK_SUPPORT_CAP", cap, what)
+        return resolved(instance)[1].expected_welfare()
 
     def element(order: tuple) -> SupportElement:
         return SupportElement(order, prob, build, _arrival_label, shortcut)
@@ -1245,7 +1418,7 @@ def mech3_unit_demand(n: int, items: Sequence[str]) -> RandomizedMechanism:
         return element(tuple(rng.shuffled(range(n))))
 
     return RandomizedMechanism(
-        "mech3-unit-demand", setting, n, count, branches_fn, sample_fn
+        "mech3-unit-demand", setting, n, count, branches_fn, sample_fn, exact_fast
     )
 
 

@@ -299,6 +299,68 @@ def test_mc_ratio_on_the_crowded_market_never_calls_welfare_of():
     assert rep == expected
 
 
+def general_unit_demand(n: int, seed: int) -> Instance:
+    """Seeded unit-demand rows over two items, values 0..3, so most rows
+    value the items unequally and mech3 leaves its constant-row kernel."""
+    rng = random.Random(seed)
+    vals = tuple(
+        UnitDemandValuation(ITEMS, {j: F(rng.randint(0, 3)) for j in ITEMS}) for _ in range(n)
+    )
+    return Instance(SETTING_2x2, vals)
+
+
+def test_mc_ratio_on_general_rows_sets_up_one_rule_set_per_instance(monkeypatch):
+    """On general mech3 rows every trial walks the instance's rule set:
+    ``mc_ratio`` builds one ``ArrivalRules`` per instance, however many
+    batches and trials, and no ``ArrivalPricingGame`` at all, and its
+    estimate is the one the per-order games give."""
+    from ospclock import mechanisms
+
+    first, second = general_unit_demand(6, 3), general_unit_demand(6, 4)
+    for inst in (first, second):
+        assert mechanisms._constant_rows(inst, UnitDemandValuation) is None
+    games = mech3_unit_demand(6, ITEMS)
+    for branch in games.branches():
+        branch.shortcut = None
+    expected = [mc_ratio(games, inst, 40, 2) for inst in (first, second)]
+    made = []
+
+    class Counted(mechanisms.ArrivalRules):
+        def __init__(self, *args):
+            made.append(args[0])
+            super().__init__(*args)
+
+    def refuse(*args):
+        raise AssertionError("a game was built")
+
+    monkeypatch.setattr(mechanisms, "ArrivalRules", Counted)
+    monkeypatch.setattr(mechanisms, "ArrivalPricingGame", refuse)
+    mech = mech3_unit_demand(6, ITEMS)
+    for seed in (2, 2, 5):
+        for k, inst in enumerate((first, second)):
+            rep = mc_ratio(mech, inst, 40, seed)
+            if seed == 2:
+                assert rep == expected[k]
+    assert [[v for (v,) in domains] for domains in made] == [
+        list(first.valuations),
+        list(second.valuations),
+    ]
+
+
+def test_mc_ratio_past_the_support_cap_brackets_the_dp():
+    """Nine general unit-demand bidders over two items: 9! orders are past
+    the support cap, so only Monte Carlo samples them, and the seeded
+    estimate lies within 3 stderr of the DP's exact value."""
+    inst = general_unit_demand(9, 9)
+    mech = mech3_unit_demand(9, ITEMS)
+    assert not mech.enumerable
+    assert sum(v.per_item["a"] != v.per_item["b"] for v in inst.valuations) >= 5
+    exact = mech.exact_expected_welfare(inst) / opt(inst).value
+    rep = mc_ratio(mech, inst, 400, 3)
+    assert exact == F(56899, 90720)
+    assert abs(float(rep.ratio - exact)) <= 3 * rep.stderr
+
+
 def test_mc_ratio_brackets_the_exact_value():
     inst = Instance(SETTING_2x2, (additive(3, 1), additive(2, 4)))
     mech = mech2_additive(2, ITEMS)

@@ -395,11 +395,11 @@ def test_mech3_solves_run_through_the_witness_memo():
     unit-demand tie rule and the direct tie solve of a market that is
     not all unit-demand, so every solve, a tie's included, is kept there."""
     source = (ROOT / "src" / "ospclock" / "mechanisms.py").read_text()
-    assert method_callers(source, "_opt_items") == {"ArrivalPricingGame._witness"}
+    assert method_callers(source, "_opt_items") == {"ArrivalRules._witness"}
     assert method_callers(source, "_witness") == {
-        "ArrivalPricingGame._solve_prices",
-        "ArrivalPricingGame._tie_answers",
-        "ArrivalPricingGame._earliest_wins",
+        "ArrivalRules._solve_prices",
+        "ArrivalRules._tie_answers",
+        "ArrivalRules._earliest_wins",
     }
 
 
@@ -469,17 +469,27 @@ def test_the_serve_transition_is_written_once():
     ``root_state``, ``child`` and ``truthful_welfare`` price their steps
     with it; ``_serve`` is called by ``child`` and the walk, and the
     truthful pick ``_serve_choices`` by ``truthful_messages`` and the
-    walk."""
+    walk.  mech3's rule set adds one caller of each, its serve step
+    ``_arrive``, which prices, picks and serves with the rules the tree
+    reads; its order walk and its DP over arrived sets serve only
+    through it, and only ``_serve_choices`` asks the tie rule."""
     source = (ROOT / "src" / "ospclock" / "mechanisms.py").read_text()
     walk = "SampleServeGame.truthful_welfare"
-    assert method_callers(source, "_price") == {"SampleServeGame._step_price"}
+    arrive = "ArrivalRules._arrive"
+    assert method_callers(source, "_price") == {"SampleServeGame._step_price", arrive}
     assert method_callers(source, "_step_price") == {
         "SampleServeGame.root_state",
         "SampleServeGame.child",
         walk,
     }
-    assert method_callers(source, "_serve") == {"SampleServeGame.child", walk}
+    assert method_callers(source, "_serve") == {"SampleServeGame.child", walk, arrive}
     assert method_callers(source, "_serve_choices") == {
         "SampleServeGame.truthful_messages",
         walk,
+        arrive,
     }
+    assert method_callers(source, "_arrive") == {
+        "ArrivalRules.walk",
+        "ArrivalRules.expected_welfare",
+    }
+    assert method_callers(source, "_tie_answers") == {"ArrivalRules._serve_choices"}

@@ -29,9 +29,12 @@ from ospclock.fixtures import (
 from ospclock.mechanisms import (
     MECHANISM_NAMES,
     ArrivalPricingGame,
+    ArrivalRules,
     MaxPricePartitionGame,
     PartitionSaleGame,
     RandomizedMechanism,
+    SampleServeGame,
+    _arrival_state_bound,
     _constant_rows,
     _max_price_exact,
     _split_script,
@@ -219,6 +222,44 @@ def test_preferred_quantity_is_greedy_for_decreasing_marginals(marginals, price)
     assert preferred_quantity(v, v.m, F(price)) == greedy
 
 
+def full_scan_quantity(v, remaining, price):
+    """``preferred_quantity`` as the scan over every quantity."""
+    best_q, best_u = 0, F(0)
+    for q in range(1, remaining + 1):
+        u = v.value(q) - price * q
+        if u > best_u:
+            best_q, best_u = q, u
+    return best_q
+
+
+def test_preferred_quantity_matches_the_full_scan():
+    """Skipping the quantities whose value does not rise, and reading a
+    single-minded buyer's step, picks what the scan over every quantity
+    picks: on seeded monotone and single-minded valuations with flat
+    runs, at price 0, at prices that tie a quantity's utility with 0 or
+    with another quantity's, and with less supply than the valuation's
+    units."""
+    rng = random.Random(21)
+    kinds = set()
+    for _ in range(400):
+        m = rng.randint(1, 6)
+        if rng.random() < 0.4:
+            v = make_single_minded(rng.randint(0, 6), rng.randint(1, m), m)
+        else:
+            steps = [rng.choice((0, 0, 1, 2, 3)) for _ in range(m)]
+            v = MultiUnitValuation(tuple(itertools.accumulate(steps)))
+        kinds.add(v.single_minded is not None)
+        q, r = rng.randint(1, m), rng.randint(1, m)
+        prices = {F(0), F(rng.randint(0, 4), rng.randint(1, 3)), v.value(q) / q}
+        if q != r:  # equal utility at q and r
+            prices.add(abs(v.value(r) - v.value(q)) / abs(r - q))
+        for price in prices:
+            for remaining in range(m + 1):
+                want = full_scan_quantity(v, remaining, price)
+                assert preferred_quantity(v, remaining, price) == want, (v, remaining, price)
+    assert kinds == {True, False}
+
+
 def test_mech2_crossed_interests():
     inst = Instance(CombinatorialSetting(ITEMS), (additive(3, 0), additive(0, 3)))
     mech = mech2_additive(2, ITEMS)
@@ -397,25 +438,28 @@ def fractional_unit_demand_instances(count, seed):
 def test_mech3_fast_path_matches_game():
     """Each arrival order's shortcut welfare is welfare_of of its game's
     outcome, on a flat market and on seeded constant rows (additive
-    rows, where the shortcut declines, zeros included, and unit-demand
-    rows in halves and thirds); so is the expectation."""
+    rows, zeros included, and unit-demand rows in halves and thirds):
+    the kernel's on constant unit-demand rows, the instance rule set's
+    walk on the others; so is the expectation, the DP over arrived
+    sets, against the branch games."""
     items = ("x", "y", "z")
     flat = Instance(
         CombinatorialSetting(items), tuple(flat_unit_demand(items, c) for c in (3, 2, 2))
     )
     fractional = fractional_unit_demand_instances(60, 5)
     assert sum(any(v.constant.denominator != 1 for v in i.valuations) for i in fractional) >= 40
+    kernel = set()
     for inst in (flat, *constant_row_instances(60), *fractional):
         mech = mech3_unit_demand(inst.n, inst.items)
-        answers = _constant_rows(inst, UnitDemandValuation) is not None
+        kernel.add(_constant_rows(inst, UnitDemandValuation) is not None)
         for branch in mech.branches():
             game = branch.game([[v] for v in inst.valuations])
             played, _ = run_game(game, inst.valuations)
             welfare = welfare_of(inst, played.allocation)
-            fast = branch.shortcut(inst, branch.key)
-            assert fast == (welfare if answers else None), (inst, branch.label)
+            assert branch.shortcut(inst, branch.key) == welfare, (inst, branch.label)
             assert branch.welfare(inst) == welfare, (inst, branch.label)
         assert mech.exact_expected_welfare(inst) == game_expected_welfare(mech, inst)
+    assert kernel == {True, False}
 
 
 def test_mech3_kernel_answers_fractional_constant_rows_under_monte_carlo(monkeypatch):
@@ -754,6 +798,17 @@ def test_max_price_closed_forms_on_the_crowded_market(n, mech2, naive):
     assert naive_max_price_ud(n, inst.items).exact_expected_welfare(inst) == naive
 
 
+def test_mech3_dp_on_the_crowded_market_past_the_support_cap():
+    """README's mech3 row: 9! orders are past the cap, the DP's state
+    bound is not, and mech3 keeps exactly half the optimum."""
+    inst = ud_failure_instance(9)
+    mech = mech3_unit_demand(9, inst.items)
+    assert not mech.enumerable
+    assert _arrival_state_bound(9, 9) == 30_760
+    assert mech.exact_expected_welfare(inst) == 6
+    assert opt(inst).value == 12
+
+
 @pytest.mark.parametrize("row", ["varied unit-demand", "explicit"])
 def test_mech2_past_the_support_cap_still_refuses_other_rows(row):
     items = ("a", "b")
@@ -1077,10 +1132,10 @@ def test_item_sale_serves_each_menu_entry():
         for branch in mech.branches():
             game = branch.game([domain] * mech.n)
             for state in _serve_states(game, materialize(game)):
-                menu = game._menu(state)
+                menu = game._menu(state.left)
                 assert len(menu) == len(game.messages(state))
                 for k, bundle in enumerate(menu):
-                    got, _, left = game._serve(state, k)
+                    got, _, left = game._serve(state.left, state.price, k)
                     assert got == bundle, (mech.name, branch.label, state, k)
                     assert left == tuple(j for j in state.left if j not in bundle)
                     served.add((mech.name, game.bundles))
@@ -1173,22 +1228,21 @@ def _checked_ties(monkeypatch) -> list:
     list gets one ``(valuation classes, slot, answer)`` per tie.
     """
     seen = []
-    real = ArrivalPricingGame._tie_answers
+    real = ArrivalRules._tie_answers
 
-    def checked(self, state, ties):
-        answers = real(self, state, ties)
-        bidder = self.bidder(state)
-        reported = sorted(state.reports)
+    def checked(self, bidder, reports, left, ties):
+        answers = real(self, bidder, reports, left, ties)
+        reported = sorted(reports)
         slot = sum(1 for b, _ in reported if b < bidder)
         observed = [self.domains[b][k] for b, k in reported]
         for (valuation, item, _), got in zip(ties, answers, strict=True):
             valuations = observed[:slot] + [valuation] + observed[slot:]
-            want = item in _opt_items(valuations, state.left)[1][slot]
-            assert got == want, (state, valuation, item)
+            want = item in _opt_items(valuations, left)[1][slot]
+            assert got == want, (bidder, reports, left, valuation, item)
             seen.append((frozenset(type(v).__name__ for v in valuations), slot, got))
         return answers
 
-    monkeypatch.setattr(ArrivalPricingGame, "_tie_answers", checked)
+    monkeypatch.setattr(ArrivalRules, "_tie_answers", checked)
     return seen
 
 
@@ -1249,9 +1303,11 @@ def test_mech3_ties_on_seeded_domains_match_the_direct_solve(monkeypatch):
 def test_mech3_script_walk_is_the_played_welfare_through_ties(monkeypatch):
     """On seeded integer unit-demand markets over the grid 0..2, n = 4
     and n = 5, with constant rows and with varied ones, every arrival
-    order's welfare with the shortcut off (the script walk) is its
-    played outcome's, and the walks meet zero-surplus ties on each kind
-    of market, every tie checked against a direct solve."""
+    order's welfare is its played outcome's, walked on the instance's
+    rule set (``ArrivalRules.walk``, no game) and walked down the
+    order's game script (the shortcut off); the rule-set walks meet
+    zero-surplus ties on each kind of market, every tie checked against
+    a direct solve."""
     ties = _checked_ties(monkeypatch)
     rng = random.Random(35)
     walked_ties = set()
@@ -1269,40 +1325,141 @@ def test_mech3_script_walk_is_the_played_welfare_through_ties(monkeypatch):
                 )
                 inst = Instance(CombinatorialSetting(items), vals)
                 singletons = [[v] for v in vals]
+                rules = ArrivalRules(singletons, items)
                 for branch in mech3_unit_demand(n, items).branches():
-                    monkeypatch.setattr(branch, "shortcut", None)
                     start = len(ties)
-                    welfare = branch.welfare(inst)
+                    walked = rules.walk(branch.key)
                     if len(ties) > start:
                         walked_ties.add((n, constant))
                     outcome, _ = run_game(branch.game(singletons), vals)
-                    assert welfare == welfare_of(inst, outcome.allocation), (rows, branch.key)
+                    welfare = welfare_of(inst, outcome.allocation)
+                    assert walked == welfare, (rows, branch.key)
+                    monkeypatch.setattr(branch, "shortcut", None)
+                    assert branch.welfare(inst) == welfare, (rows, branch.key)
     assert walked_ties == {(4, True), (4, False), (5, True), (5, False)}
     assert {got for _, slot, got in ties if slot} == {True, False}
 
 
+def dp_rows(rng, n: int, items: tuple, kind: str) -> Instance:
+    """Seeded rows over 0..2: unit-demand, additive, or a mix of
+    unit-demand, additive and explicit valuations."""
+    kinds = ("unit_demand", "additive", "explicit") if kind == "mixed" else (kind,)
+    vals = []
+    for _ in range(n):
+        values = {j: F(rng.randint(0, 2)) for j in items}
+        pick = rng.choice(kinds)
+        if pick == "unit_demand":
+            vals.append(UnitDemandValuation(items, values))
+        elif pick == "additive":
+            vals.append(AdditiveValuation(items, values))
+        else:
+            table = {
+                frozenset(b): sum((values[j] for j in b), F(0)) + (len(b) > 1)
+                for b in all_bundles(items)
+            }
+            vals.append(ExplicitValuation(items, table))
+    return Instance(CombinatorialSetting(items), tuple(vals))
+
+
+def test_mech3_dp_equals_enumeration_with_the_shortcut_off(monkeypatch):
+    """mech3's exact expectation, the DP over (arrived set, unsold
+    items), equals the probability-weighted welfare of the n! branch
+    games, each walked down its script with the shortcut off, on seeded
+    rows with n <= 7: unit-demand rows with zero-surplus ties (each
+    checked against a direct solve, and both answers met), additive
+    rows and mixed rows.  The DP serves from no more states than its
+    bound: each distinct (arrived, unsold) market it serves is one."""
+    served, ties = [], []
+    arrive = ArrivalRules._arrive
+
+    def counted(self, bidder, reports, left):
+        served.append((tuple(sorted(reports)), left))
+        return arrive(self, bidder, reports, left)
+
+    rng = random.Random(36)
+    cases = [(n, kind) for n in (2, 3, 4, 5, 6) for kind in ("unit_demand", "additive", "mixed")]
+    cases += [(7, "unit_demand"), (7, "mixed")]
+    for n, kind in cases:
+        items = ("a", "b", "c")[: rng.choice((2, 3))]
+        inst = dp_rows(rng, n, items, kind)
+        mech = mech3_unit_demand(n, items)
+        del served[:]
+        with pytest.MonkeyPatch.context() as patch:
+            dp_ties = _checked_ties(patch)
+            patch.setattr(ArrivalRules, "_arrive", counted)
+            exact = mech.exact_expected_welfare(inst)
+        ties += dp_ties
+        assert len(set(served)) <= _arrival_state_bound(n, len(items))
+        total = F(0)
+        for branch in mech.branches():
+            monkeypatch.setattr(branch, "shortcut", None)
+            total += branch.probability * branch.welfare(inst)
+        assert type(exact) is F and exact == total, (n, kind)
+        if kind == "unit_demand":
+            assert dp_ties, n
+    assert {got for kinds, slot, got in ties if kinds == UD and slot} == {True, False}
+
+
+def test_mech3_dp_refuses_past_the_cap_before_any_state(monkeypatch):
+    """Past ``OSPCLOCK_SUPPORT_CAP`` the DP refuses before it builds a
+    state, naming its state bound, unless the n! orders fit the cap:
+    then they are summed, to the DP's value."""
+    inst = ud_failure_instance(16)
+    mech = mech3_unit_demand(16, inst.items)
+    bound = _arrival_state_bound(16, 16)
+    assert bound > 50_000
+    small = Instance(
+        CombinatorialSetting(ITEMS), (unit_demand(2, 1), unit_demand(1, 1), unit_demand(0, 2),
+                                      unit_demand(1, 2))
+    )
+    dp = mech3_unit_demand(4, ITEMS).exact_expected_welfare(small)
+    assert _arrival_state_bound(4, 2) == 39
+
+    def refuse(self):
+        raise AssertionError("a DP state was built")
+
+    monkeypatch.setattr(ArrivalRules, "expected_welfare", refuse)
+    pattern = (
+        rf"mech3-unit-demand's arrival DP has up to {bound} states; "
+        r"cap 50000 \(override with OSPCLOCK_SUPPORT_CAP\)"
+    )
+    with pytest.raises(SizeCapError, match=pattern):
+        mech.exact_expected_welfare(inst)
+    monkeypatch.setenv("OSPCLOCK_SUPPORT_CAP", "38")
+    assert mech3_unit_demand(4, ITEMS).exact_expected_welfare(small) == dp
+    monkeypatch.setenv("OSPCLOCK_SUPPORT_CAP", "23")
+    with pytest.raises(SizeCapError, match="arrival DP has up to 39 states; cap 23"):
+        mech3_unit_demand(4, ITEMS).exact_expected_welfare(small)
+
+
 def test_branch_welfare_builds_its_game_once(monkeypatch):
-    """One ``welfare`` call builds its branch game once.  A serve branch
-    (a mech1 split, a mech3 arrival order) walks that game's script, with
-    no ``run_game`` and no ``welfare_of``; a clock branch (grand-bundle)
-    plays that same game and values its outcome."""
+    """One ``welfare`` call builds its branch game at most once.  A mech1
+    split walks its game's script, with no ``run_game`` and no
+    ``welfare_of``; a mech3 arrival order on varied rows walks the
+    instance's rule set and builds no game at all; a clock branch
+    (grand-bundle) plays its game and values its outcome."""
     multi = sm_instance((3, 1), (2, 2), m=2)
     varied = Instance(
         CombinatorialSetting(ITEMS), (unit_demand(2, 1), unit_demand(1, 2), unit_demand(0, 2))
     )
     cases = [
-        (mech1_single_minded(2, 2).branches()[2], multi, 0),
-        (mech3_unit_demand(3, ITEMS).branches()[0], varied, 0),
-        (grand_bundle_auction(2, MultiUnitSetting(2)).branches()[0], multi, 1),
+        (mech1_single_minded(2, 2).branches()[2], multi, 1, 0),
+        (mech3_unit_demand(3, ITEMS).branches()[0], varied, 0, 0),
+        (grand_bundle_auction(2, MultiUnitSetting(2)).branches()[0], multi, 1, 1),
     ]
-    assert [type(b.key) for b, _, _ in cases] == [tuple, tuple, str]
-    for branch, inst, plays in cases:
+    assert [type(b.key) for b, _, _, _ in cases] == [tuple, tuple, str]
+    for branch, inst, games, plays in cases:
         expected = welfare_of(inst, branch.outcome(inst).allocation)
-        builds, played, valued = [], [], []
+        builds, made, played, valued = [], [], [], []
+        serve_init = SampleServeGame.__init__
 
         def counted(key, domains, build=branch.build):
             builds.append(key)
             return build(key, domains)
+
+        def counted_init(self, *args, **kwargs):
+            made.append(self)
+            serve_init(self, *args, **kwargs)
 
         def counted_run(game, valuations, run=run_game):
             played.append(game)
@@ -1313,10 +1470,12 @@ def test_branch_welfare_builds_its_game_once(monkeypatch):
             return welfare(instance, alloc)
 
         monkeypatch.setattr(branch, "build", counted)
+        monkeypatch.setattr(SampleServeGame, "__init__", counted_init)
         monkeypatch.setattr(mechanisms, "run_game", counted_run)
         monkeypatch.setattr(mechanisms, "welfare_of", counted_welfare)
         assert branch.welfare(inst) == expected
-        assert builds == [branch.key]
+        assert builds == [branch.key] * games
+        assert len(made) == (games if isinstance(branch.key, tuple) else 0)
         assert len(played) == len(valued) == plays
         monkeypatch.undo()
 

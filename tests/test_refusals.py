@@ -69,6 +69,13 @@ def simulate_zero_opt_before_any_game(tmp_path):
         return main(argv)
 
 
+def simulate_mech3_exact_past_the_cap(tmp_path):
+    """mech3's exact DP on ``ud-failure-16``: its state bound is past
+    the support cap, and so are the 16! orders."""
+    argv = ["simulate", "--exact", "--mechanism", "mech3-unit-demand", "--fixture", "ud-failure-16"]
+    return main(argv)
+
+
 def output_into_a_missing_directory(tmp_path):
     return main(["list-fixtures", "--output", str(tmp_path / "missing" / "out.json")])
 
@@ -97,6 +104,12 @@ REFUSALS = [
         "simulate-zero-opt-first",
         simulate_zero_opt_before_any_game,
         "instance has zero optimal welfare",
+    ),
+    (
+        "simulate-mech3-dp-past-cap",
+        simulate_mech3_exact_past_the_cap,
+        r"mech3-unit-demand's arrival DP has up to \d+ states; "
+        r"cap 50000 \(override with OSPCLOCK_SUPPORT_CAP\)",
     ),
     (
         "output-missing-dir",
