@@ -26,12 +26,13 @@ Simulation and verification share each branch's transition code: the
 simulated branch is the same game run with singleton report domains,
 whose forced reports the protocol layer contracts (see
 :class:`~ospclock.protocols.Game`), so the tree and the play-out cannot
-disagree.  Every outcome comes from that play; a branch shortcut (mech3's
-constant-row kernel, or its walk of the instance's rule set,
-``ArrivalRules.walk``) answers the branch's welfare only, and so does a
-serve game's script walk (``SampleServeGame.truthful_welfare``); both
-walks step through the same price rule, serving rules and truthful picks
-as the tree but read no menu label and build no outcome.
+disagree.  Every outcome comes from that play.  A serve game is a
+script played on a rule set (``SampleServeGame(script, rules)``), and
+every serve branch's shortcut walks its script on a rule set of the
+instance's valuations (``ServeRules.walk``): the same price rule,
+serving rules and truthful picks as the tree, with no menu label read
+and no outcome built.  mech3's constant-row kernel answers its constant
+rows instead.  A shortcut answers the branch's welfare only.
 
 Sampling: grand-bundle, three-item-dm, random-bundles, m1-2x2, m2-2x2
 and m3-2x2 use the default sampler, one ``weighted_index`` over their
@@ -114,11 +115,8 @@ class SupportElement:
     ``outcome`` always plays the branch game truthfully with singleton
     report domains, so every outcome comes from the verified transition
     code.  ``welfare`` is the one entry for a branch's welfare: the
-    shortcut's number when it answers; else it builds the branch game
-    once, with singleton report domains, and a serve game walks its
-    script to the welfare (``SampleServeGame.truthful_welfare``), while
-    any other game, such as a clock, is played by ``run_game`` and its
-    outcome valued by ``welfare_of``.
+    shortcut's number when it answers (a serve branch walks its script
+    on the instance's rule set), else ``welfare_of`` of the outcome.
     """
 
     __slots__ = ("key", "probability", "build", "name", "shortcut")
@@ -150,10 +148,7 @@ class SupportElement:
             fast = self.shortcut(instance, self.key)
             if fast is not None:
                 return fast
-        game = self.game([[v] for v in instance.valuations])
-        if isinstance(game, SampleServeGame):
-            return game.truthful_welfare(instance.valuations)
-        return welfare_of(instance, run_game(game, instance.valuations)[0].allocation)
+        return welfare_of(instance, self.outcome(instance).allocation)
 
     def game(self, domains: Sequence[Sequence[Valuation]]) -> Game:
         return self.build(self.key, domains)
@@ -404,80 +399,36 @@ class ServeState(NamedTuple):
     price: object  # None on a report step, else the serve step's price
 
 
-class SampleServeGame(Game):
-    """A script of steps: some bidders report, the rest are served.
+class ServeRules:
+    """A serve game's rules, on explicit arguments: one price rule and
+    the serving rules, with no script and no tree.
 
-    ``script`` is a tuple of ``(bidder, serves)`` steps played in order.
-    A report step (``serves`` false) has the bidder name the index of a
-    valuation in the bidder's declared domain (``report:k``); a serve
-    step has the bidder pick from the subclass's menu.  A fair-coin
-    split reports its sample in ascending order, then serves the rest of
-    the mechanism's n bidders (``_split_script``, built by
-    ``_coin_split_mechanism``); mech3 reports its first floor(n/e)
-    arrivals, then serves and hears each later arrival in turn
-    (``_arrival_script``).
+    ``domains`` holds each bidder's valuations, and ``reports`` holds
+    ``(bidder, k)`` pairs, each naming entry k of the bidder's domain.
+    A subclass writes the rules, each reading the market it is handed
+    and nothing else: ``_price(reports, left)`` prices a serve from the
+    reports so far and the unsold supply ``left`` (a unit count or an
+    item tuple); ``_serve_labels(left)`` is a served bidder's menu;
+    ``_serve_choices(bidder, reports, left, price, valuations)`` is the
+    truthful pick of each valuation in a batch, for the served
+    ``bidder``; and ``_serve(left, price, message)`` maps a pick to
+    (bundle, payment, supply left).
 
-    Prices come from one rule (``_step_price``): a serve step that opens
-    the script or follows a report is priced by ``_price(reports,
-    left)``, the reports so far and the unsold supply; a serve step that
-    follows a serve keeps its price.  ``state.price`` is None exactly on
-    report steps.  The serving rules take the market as arguments, never
-    a state: ``_serve_labels(left)`` is a served bidder's menu,
-    ``_serve_choices(bidder, reports, left, price, valuations)`` the
-    truthful pick of each valuation in a batch, ``_serve(left, price,
-    message)`` maps a pick to (bundle, payment, supply left), and
-    ``outcome`` gives each served bidder that bundle at that payment,
-    and everyone else the empty bundle for nothing.  Outcomes
-    are interned per game: leaves with the same bundles and the same
-    payment objects (keyed by the bundles and each payment's ``id``)
-    share one ``Outcome``, and the memo entry holds those payments, so
-    no id in a live key is reused.  A tree then holds one leaf object
-    per distinct outcome wherever equal payments are one object, which
-    the protocol and ``verify_osp`` read once per object.  Forced
-    moves (a singleton domain, an empty menu) are single-message states,
-    contracted by the protocol layer.
-
-    ``truthful_welfare`` walks the same steps for one truthful play:
-    ``child``'s price rule, serving rules and truthful picks, with no
-    state made, no menu labels and no outcome.
-
-    Prices are computed from reported valuations directly, without
-    ``Instance``'s checks, so the game checks its domains when it is
-    built: one per bidder of the script, else a ``ValueError`` naming
-    both counts, and each against the setting, a foreign valuation
-    refused with its bidder named.  This is the one bidder-count check
-    of every serve game: a script names every bidder of its mechanism.
+    A script is a sequence of ``(bidder, serves)`` steps.  A split's sample
+    reports in ascending order, then the rest of the mechanism's n
+    bidders are served (``_split_script``); mech3's first floor(n/e)
+    arrivals report, then each later arrival is served and reports
+    (``_arrival_script``).  ``_step_price`` prices a step, and the tree
+    (``SampleServeGame``) and ``walk`` both read it.  ``walk`` plays a
+    script truthfully with no game, each bidder reporting her domain's
+    first entry, and serves through ``_arrive``: the tree's truthful
+    pick and ``_serve``.
     """
 
-    def __init__(
-        self,
-        script: Sequence[tuple],
-        setting: Setting,
-        domains: Sequence[Sequence[Valuation]],
-    ) -> None:
-        self._bidders = tuple(b for b, _ in script)
-        bidders = len(set(self._bidders))
-        if len(domains) != bidders:
-            raise ValueError(
-                f"the script has {bidders} bidders but {len(domains)} domains were given"
-            )
-        for i, domain in enumerate(domains):
-            for v in domain:
-                _check_compatible(setting, i, v)
-        self.n = len(domains)
+    def __init__(self, setting: Setting, domains: Sequence[Sequence[Valuation]]) -> None:
         self.setting = setting
         self.domains = domains
         self._supply = setting.m if isinstance(setting, MultiUnitSetting) else setting.items
-        # one flag per step, and a report-like sentinel for the leaf
-        self._serves = tuple(s for _, s in script) + (False,)
-        self._served = tuple(b for b, s in script if s)
-        self._end = len(script)
-        # bidder -> {id of a domain entry: index of its first equal entry}
-        self._report_at: dict = {}
-        # bidder -> her report step's labels, one per domain entry
-        self._report_labels: dict = {}
-        # (taken, ids of payments) -> (payments, their shared Outcome)
-        self._outcomes: dict = {}
 
     def _price(self, reports: tuple, left):
         raise NotImplementedError
@@ -492,6 +443,107 @@ class SampleServeGame(Game):
         self, bidder: int, reports: tuple, left, price, valuations: Sequence[Valuation]
     ) -> list:
         raise NotImplementedError
+
+    def _step_price(self, serves: bool, reports: tuple, left, price):
+        """The price of a script step, given the step before it had
+        ``price`` (None after a report, or before the first step): None
+        on a report step; on a serve step, ``price`` if the step before
+        served, else ``_price(reports, left)``."""
+        if not serves:
+            return None
+        if price is None:
+            return self._price(reports, left)
+        return price
+
+    def _arrive(self, bidder: int, reports: tuple, left, price) -> tuple:
+        """The truthful serve step of ``bidder`` at ``price``, after
+        ``reports`` with ``left`` unsold, her valuation her domain's
+        first entry: the value of what she takes, and the supply left.
+        The tree takes this step through ``truthful_messages`` and
+        ``child``: the same pick and the same ``_serve``."""
+        v = self.domains[bidder][0]
+        (message,) = self._serve_choices(bidder, reports, left, price, (v,))
+        bundle, _, left = self._serve(left, price, message)
+        return (v.value(bundle) if bundle else ZERO), left
+
+    def walk(self, script: Sequence[tuple]) -> Fraction:
+        """The welfare of the truthful play of ``script``, each bidder
+        reporting her domain's first entry.
+
+        A report step appends ``(bidder, 0)``; a serve step is
+        ``_arrive``; each step is priced by ``_step_price``.  Once
+        nothing is unsold no later step adds welfare, so the walk stops
+        there.  The sum starts from ``ZERO`` and adds what each buyer
+        takes, as ``welfare_of`` does, so it is the same Fraction as the
+        played outcome's welfare.
+        """
+        reports: tuple = ()
+        left = self._supply
+        price = None
+        total = ZERO
+        for bidder, serves in script:
+            if not left:
+                break
+            price = self._step_price(serves, reports, left, price)
+            if price is None:
+                reports += ((bidder, 0),)
+            else:
+                gain, left = self._arrive(bidder, reports, left, price)
+                total += gain
+        return total
+
+
+class SampleServeGame(Game):
+    """The tree of a script played on a rule set: at a report step the
+    bidder names the index of a valuation in her declared domain
+    (``report:k``); at a serve step she picks from the rules' menu.
+
+    Every step is priced by the rules' ``_step_price``, so
+    ``state.price`` is None exactly on report steps.  ``outcome`` gives
+    each served bidder her bundle at her payment, and everyone else the
+    empty bundle for nothing.  Outcomes are interned per game: leaves
+    with the same bundles and the same payment objects (keyed by the
+    bundles and each payment's ``id``) share one ``Outcome``, and the
+    memo entry holds those payments, so no id in a live key is reused.
+    A tree then holds one leaf object per distinct outcome wherever
+    equal payments are one object, which the protocol and
+    ``verify_osp`` read once per object.  Forced moves (a singleton
+    domain, an empty menu) are single-message states, contracted by the
+    protocol layer.
+
+    The rules compute prices from reported valuations directly, without
+    ``Instance``'s checks, so the game checks its domains when it is
+    built: one per bidder of the script, else a ``ValueError`` naming
+    both counts, and each against the setting, a foreign valuation
+    refused with its bidder named.  This is the one bidder-count check
+    of every serve game: a script names every bidder of its mechanism.
+    """
+
+    def __init__(self, script: Sequence[tuple], rules: ServeRules) -> None:
+        self._bidders = tuple(b for b, _ in script)
+        bidders = len(set(self._bidders))
+        domains = rules.domains
+        if len(domains) != bidders:
+            raise ValueError(
+                f"the script has {bidders} bidders but {len(domains)} domains were given"
+            )
+        for i, domain in enumerate(domains):
+            for v in domain:
+                _check_compatible(rules.setting, i, v)
+        self.n = len(domains)
+        self.setting = rules.setting
+        self.domains = domains
+        self.rules = rules
+        # one flag per step, and a report-like sentinel for the leaf
+        self._serves = tuple(s for _, s in script) + (False,)
+        self._served = tuple(b for b, s in script if s)
+        self._end = len(script)
+        # bidder -> {id of a domain entry: index of its first equal entry}
+        self._report_at: dict = {}
+        # bidder -> her report step's labels, one per domain entry
+        self._report_labels: dict = {}
+        # (taken, ids of payments) -> (payments, their shared Outcome)
+        self._outcomes: dict = {}
 
     def _reports(self, bidder: int, valuations: Sequence[Valuation]) -> list:
         """The truthful report of each valuation: the index of its first
@@ -518,20 +570,10 @@ class SampleServeGame(Game):
             out.append(k)
         return out
 
-    def _step_price(self, step: int, reports: tuple, left, price):
-        """The price of script step ``step``, given the step before it
-        had ``price`` (None before the first step): None on a report
-        step; on a serve step, ``price`` if the step before served, else
-        ``_price(reports, left)``."""
-        if not self._serves[step]:
-            return None
-        if price is None:
-            return self._price(reports, left)
-        return price
-
     def root_state(self) -> ServeState:
-        supply = self._supply
-        return ServeState(0, (), (), (), supply, self._step_price(0, (), supply, None))
+        supply = self.rules._supply
+        price = self.rules._step_price(self._serves[0], (), supply, None)
+        return ServeState(0, (), (), (), supply, price)
 
     def child(self, state: ServeState, message: int) -> ServeState:
         step = state.step + 1
@@ -539,41 +581,12 @@ class SampleServeGame(Game):
             reports = state.reports + ((self._bidders[state.step], message),)
             taken, payments, left = state.taken, state.payments, state.left
         else:
-            bundle, paid, left = self._serve(state.left, state.price, message)
+            bundle, paid, left = self.rules._serve(state.left, state.price, message)
             reports = state.reports
             taken = state.taken + (bundle,)
             payments = state.payments + (paid,)
-        price = self._step_price(step, reports, left, state.price)
+        price = self.rules._step_price(self._serves[step], reports, left, state.price)
         return ServeState(step, reports, taken, payments, left, price)
-
-    def truthful_welfare(self, valuations: Sequence[Valuation]) -> Fraction:
-        """The welfare of the truthful play on ``valuations``, one per
-        bidder, each in its bidder's domain.
-
-        The script is walked on local variables, with ``child``'s rules:
-        a report step appends the bidder's ``_reports``; a serve step asks
-        ``_serve_choices`` for a batch of one and ``_serve`` for the
-        bundle and the unsold supply, and adds the bundle's value; each
-        step is priced by ``_step_price``.  A forced move is asked too,
-        and its one truthful message is the 0 that the tree follows.
-        The sum skips empty bundles and starts from ``ZERO``, as
-        ``welfare_of`` does, so it is the same Fraction.
-        """
-        reports: tuple = ()
-        left = self._supply
-        price = self._step_price(0, reports, left, None)
-        total = ZERO
-        for step, bidder in enumerate(self._bidders):
-            v = valuations[bidder]
-            if price is None:
-                reports += ((bidder, self._reports(bidder, (v,))[0]),)
-            else:
-                (message,) = self._serve_choices(bidder, reports, left, price, (v,))
-                bundle, _, left = self._serve(left, price, message)
-                if bundle:
-                    total += v.value(bundle)
-            price = self._step_price(step + 1, reports, left, price)
-        return total
 
     def is_leaf(self, state: ServeState) -> bool:
         return state.step == self._end
@@ -596,7 +609,7 @@ class SampleServeGame(Game):
 
     def messages(self, state: ServeState) -> tuple:
         if state.price is not None:
-            return self._serve_labels(state.left)
+            return self.rules._serve_labels(state.left)
         bidder = self._bidders[state.step]
         labels = self._report_labels.get(bidder)
         if labels is None:
@@ -609,7 +622,9 @@ class SampleServeGame(Game):
     def truthful_messages(self, state: ServeState, valuations: Sequence[Valuation]) -> list:
         bidder = self._bidders[state.step]
         if state.price is not None:
-            return self._serve_choices(bidder, state.reports, state.left, state.price, valuations)
+            return self.rules._serve_choices(
+                bidder, state.reports, state.left, state.price, valuations
+            )
         return self._reports(bidder, valuations)
 
 
@@ -627,15 +642,18 @@ def _coin_split_mechanism(
     name: str,
     setting: Setting,
     n: int,
-    build: Callable[[tuple, Sequence[Sequence[Valuation]]], Game],
+    rules: Callable[[Sequence[Sequence[Valuation]]], ServeRules],
     grand_arm: bool,
     exact_fast: Optional[Callable[[Instance], Optional[Fraction]]] = None,
 ) -> RandomizedMechanism:
     """Fair coins split the bidders into a sample and the served rest.
 
-    ``build(script, domains)`` builds the game of one split, whose
-    script is ``_split_script(sample, n)`` for the mechanism's n, so
-    the game refuses domains for any other count.  Each
+    ``rules(domains)`` makes the mechanism's rule set.  A split's script
+    is ``_split_script(sample, n)`` for the mechanism's n: its game plays
+    the script on the rule set of its domains, so it refuses domains for
+    any other count, and its shortcut walks the script on a rule set of
+    the instance's valuations, made per call.  The shortcut declines an
+    instance of another shape, which the game then refuses.  Each
     bidder flips one coin, in ascending index order, and 0 sends the
     bidder into the sample; the n coins are one ``coin_mask(n)``.  With
     ``grand_arm`` an arm coin comes first: 0 runs the grand-bundle
@@ -647,12 +665,17 @@ def _coin_split_mechanism(
         head = _clock_branches(setting, [_grand_arm(setting, n, Fraction(1, 2))])
     prob = Fraction(1, 2 ** (n + len(head)))
 
-    def split_game(sample: tuple, domains: Sequence[Sequence[Valuation]]) -> Game:
-        return build(_split_script(sample, n), domains)
+    def build(sample: tuple, domains: Sequence[Sequence[Valuation]]) -> Game:
+        return SampleServeGame(_split_script(sample, n), rules(domains))
+
+    def shortcut(instance: Instance, sample: tuple) -> Optional[Number]:
+        if instance.n != n or instance.setting != setting:
+            return None
+        return rules([[v] for v in instance.valuations]).walk(_split_script(sample, n))
 
     def element(mask: int) -> SupportElement:
         sample = tuple(i for i in range(n) if mask >> i & 1)
-        return SupportElement(sample, prob, split_game, _sample_label)
+        return SupportElement(sample, prob, build, _sample_label, shortcut)
 
     def branches_fn() -> list:
         return head + [element(mask) for mask in range(2 ** n)]
@@ -667,7 +690,7 @@ def _coin_split_mechanism(
     )
 
 
-class ItemSale:
+class ItemSale(ServeRules):
     """The serving rules of a sale of items at per-item prices.
 
     ``price`` maps each unsold item to its price.  A served bidder picks
@@ -676,8 +699,8 @@ class ItemSale:
     nothing, then each unsold item alone, labelled by its name.  The
     empty bundle is labelled ``none`` and free; a single item costs its
     price object itself, and a larger bundle the sum of its items'
-    prices.  A serve game mixes these in ahead of ``SampleServeGame``;
-    mech3's ``ArrivalRules`` use them with no game.
+    prices.  mech2 and naive max-price (``MaxPriceRules``) and mech3
+    (``ArrivalRules``) sell this way.
     """
 
     bundles = False
@@ -760,7 +783,7 @@ def preferred_quantity(v: MultiUnitValuation, remaining: int, price: Fraction) -
     return best_q
 
 
-class PartitionSaleGame(SampleServeGame):
+class PartitionSaleRules(ServeRules):
     """Discard-and-learn sale for one fair-coin partition.
 
     The optimum welfare O of the sample alone prices every unit at
@@ -787,10 +810,10 @@ class PartitionSaleGame(SampleServeGame):
 def _partition_sale_mechanism(name: str, n: int, m: int) -> RandomizedMechanism:
     setting = MultiUnitSetting(m)
 
-    def build(script: tuple, domains: Sequence[Sequence[Valuation]]) -> Game:
-        return PartitionSaleGame(script, setting, domains)
+    def rules(domains: Sequence[Sequence[Valuation]]) -> ServeRules:
+        return PartitionSaleRules(setting, domains)
 
-    return _coin_split_mechanism(name, setting, n, build, grand_arm=True)
+    return _coin_split_mechanism(name, setting, n, rules, grand_arm=True)
 
 
 def mech1_single_minded(n: int, m: int) -> RandomizedMechanism:
@@ -808,7 +831,7 @@ def mech1_single_minded(n: int, m: int) -> RandomizedMechanism:
 # sample-and-max-price for combinatorial bidders (Mechanism 2 shape)
 
 
-class MaxPricePartitionGame(ItemSale, SampleServeGame):
+class MaxPriceRules(ItemSale):
     """Per-item prices set to the sampled bidders' maxima.
 
     Item j is priced at the highest sampled value; its price-setter is
@@ -822,13 +845,12 @@ class MaxPricePartitionGame(ItemSale, SampleServeGame):
 
     def __init__(
         self,
-        script: Sequence[tuple],
         setting: CombinatorialSetting,
         domains: Sequence[Sequence[Valuation]],
         bundles: bool,
     ) -> None:
+        super().__init__(setting, domains)
         self.bundles = bundles
-        super().__init__(script, setting, domains)
 
     def _price(self, reports: tuple, left: tuple) -> dict:
         reported = [self.domains[b][k] for b, k in reports]
@@ -937,14 +959,14 @@ def _max_price_mechanism(
 ) -> RandomizedMechanism:
     setting = CombinatorialSetting(tuple(items))
 
-    def build(script: tuple, domains: Sequence[Sequence[Valuation]]) -> Game:
-        return MaxPricePartitionGame(script, setting, domains, bundles)
+    def rules(domains: Sequence[Sequence[Valuation]]) -> ServeRules:
+        return MaxPriceRules(setting, domains, bundles)
 
     def exact_fast(instance: Instance) -> Optional[Fraction]:
         return _max_price_exact(instance, bundles)
 
     return _coin_split_mechanism(
-        name, setting, n, build, grand_arm=False, exact_fast=exact_fast
+        name, setting, n, rules, grand_arm=False, exact_fast=exact_fast
     )
 
 
@@ -990,33 +1012,32 @@ def _memoized(memo: dict, key: tuple, held, solve: Callable[[], object]):
     return hit[1]
 
 
-def _arrival_script(order: Sequence[int]) -> tuple:
+def _arrival_script(order: Sequence[int]) -> list:
     """The first floor(n/e) arrivals report; each later one is served,
     then reports.  The last arrival's report is dropped: nobody is left
     to price against it."""
     cut = arrivals_discarded(len(order))
     script = [(b, False) for b in order[:cut]]
     for b in order[cut:]:
-        script += [(b, True), (b, False)]
-    return tuple(script[:-1])
+        script.append((b, True))
+        script.append((b, False))
+    del script[-1:]
+    return script
 
 
 class ArrivalRules(ItemSale):
-    """mech3's pricing and serving rules, on explicit arguments.
+    """mech3's pricing and serving rules.
 
-    Every rule reads the market it is handed and nothing else:
-    ``_price(reports, unsold)``, ``_serve_choices(bidder, reports,
-    unsold, price, valuations)``, ``_tie_answers(bidder, reports, unsold,
-    ties)`` and ``ItemSale``'s per-item ``_serve(unsold, price,
-    message)``.  ``reports`` holds ``(bidder, k)`` pairs, each naming
-    entry k of the bidder's domain, in any order, and ``bidder`` is the
-    served one.  No rule reads an arrival order, so one rule set serves
-    every order: an ``ArrivalPricingGame`` is these rules plus one
-    order's script, and ``mech3_unit_demand`` keeps one rule set per
-    instance, each bidder's domain her one valuation, which plays any
-    drawn order (``walk``) and averages over all of them
+    Besides ``ServeRules``' rules and ``ItemSale``'s per-item
+    ``_serve``, the tie rule ``_tie_answers(bidder, reports, unsold,
+    ties)`` reads the market it is handed and nothing else; ``reports``
+    may come in any order.  No rule reads an arrival order, so one rule
+    set serves every order: a branch game is ``_arrival_script(order)``
+    played on these rules, and ``mech3_unit_demand`` keeps one rule set
+    per instance, each bidder's domain her one valuation, which walks
+    any drawn order's script (``walk``) and averages over all orders
     (``expected_welfare``) with no game built.  Both serve an arrival by
-    ``_arrive``, the tree's price, truthful pick and ``_serve``.
+    ``_arrive``.
 
     Each arrival is priced per item at the welfare the observed bidders
     lose if that item disappears, OPT(S, U) - OPT(S, U minus the item);
@@ -1048,12 +1069,11 @@ class ArrivalRules(ItemSale):
 
     def __init__(
         self,
+        setting: CombinatorialSetting,
         domains: Sequence[Sequence[Valuation]],
-        supply: tuple,
         memo: Optional[dict] = None,
     ) -> None:
-        self.domains = domains
-        self._supply = supply
+        super().__init__(setting, domains)
         self._memo = {} if memo is None else memo
 
     def _price(self, reports: tuple, left: tuple) -> dict:
@@ -1177,45 +1197,9 @@ class ArrivalRules(ItemSale):
                     out[k] = 0
         return out
 
-    def _arrive(self, bidder: int, reports: tuple, left: tuple) -> tuple:
-        """The truthful serve step of ``bidder``, arriving after
-        ``reports`` with ``left`` unsold, her valuation her domain's first
-        entry: the value of what she takes, and the items left unsold.
-        The game's tree takes this step through ``child``: the same
-        price, the same pick and the same ``_serve``."""
-        v = self.domains[bidder][0]
-        price = self._price(reports, left)
-        (message,) = self._serve_choices(bidder, reports, left, price, (v,))
-        bundle, _, left = self._serve(left, price, message)
-        return (v.value(bundle) if bundle else ZERO), left
-
-    def walk(self, order: Sequence[int]) -> Fraction:
-        """The welfare of the truthful play in arrival ``order``, each
-        bidder reporting her domain's first entry.
-
-        The first ``arrivals_discarded(n)`` arrivals report; each later
-        one is served (``_arrive``) and then reports, as in
-        ``_arrival_script``.  Once nothing is unsold no later arrival
-        adds welfare, so the walk stops there.  The sum starts from
-        ``ZERO`` and adds what each buyer takes, as ``welfare_of`` does,
-        so it is the same Fraction as the played outcome's welfare.
-        """
-        cut = arrivals_discarded(len(order))
-        reports: tuple = ()
-        left = self._supply
-        total = ZERO
-        for pos, bidder in enumerate(order):
-            if pos >= cut:
-                if not left:
-                    break
-                gain, left = self._arrive(bidder, reports, left)
-                total += gain
-            reports += ((bidder, 0),)
-        return total
-
     def expected_welfare(self) -> Fraction:
-        """The mean of ``walk`` over all n! arrival orders, by a DP over
-        (arrived set, unsold items).
+        """The mean of ``walk`` over the scripts of all n! arrival
+        orders, by a DP over (arrived set, unsold items).
 
         After p arrivals the rest of a play depends only on the set of
         arrived bidders and on the unsold items: prices are keyed by the
@@ -1226,8 +1210,10 @@ class ArrivalRules(ItemSale):
         1962).  Layer p maps each (arrived bitmask, unsold) state to the
         number of order prefixes that reach it, and each state is solved
         once: a gain at step p is made by (n - p - 1)! orders per
-        prefix.  A state with nothing unsold adds nothing and is
-        dropped.  The sum is divided once by n!.
+        prefix.  A serve step of an arrival script opens it or follows a
+        report, so it is priced afresh, once per state.  A state with
+        nothing unsold adds nothing and is dropped.  The sum is divided
+        once by n!.
         """
         n = len(self.domains)
         cut = arrivals_discarded(n)
@@ -1238,12 +1224,13 @@ class ArrivalRules(ItemSale):
             after: dict = {}
             for (arrived, left), ways in layer.items():
                 reports = tuple((b, 0) for b in range(n) if arrived >> b & 1)
+                price = self._step_price(pos >= cut, reports, left, None)
                 for bidder in range(n):
                     if arrived >> bidder & 1:
                         continue
                     unsold = left
-                    if pos >= cut:
-                        gain, unsold = self._arrive(bidder, reports, left)
+                    if price is not None:
+                        gain, unsold = self._arrive(bidder, reports, left, price)
                         if gain:
                             total += gain * (ways * orders)
                     if unsold:
@@ -1264,28 +1251,6 @@ def _arrival_state_bound(n: int, m: int) -> int:
         math.comb(n, p) * sum(math.comb(m, s) for s in range(min(m, max(0, p - cut)) + 1))
         for p in range(n)
     )
-
-
-class ArrivalPricingGame(ArrivalRules, SampleServeGame):
-    """Process bidders in a fixed arrival order with learned prices.
-
-    The first floor(n/e) arrivals only report.  Each later arrival is
-    served by ``ArrivalRules`` at the prices the reports so far set,
-    then reports and joins S.  The last arrival's report is skipped:
-    nobody is left to price against it.  A game built directly gets its
-    own memo; ``mech3_unit_demand``'s branch games share the
-    mechanism's.
-    """
-
-    def __init__(
-        self,
-        order: Sequence[int],
-        setting: CombinatorialSetting,
-        domains: Sequence[Sequence[Valuation]],
-        memo: Optional[dict] = None,
-    ) -> None:
-        SampleServeGame.__init__(self, _arrival_script(order), setting, domains)
-        self._memo = {} if memo is None else memo
 
 
 def _constant_row_ranking(instance: Instance) -> Optional[tuple]:
@@ -1359,11 +1324,12 @@ def mech3_unit_demand(n: int, items: Sequence[str]) -> RandomizedMechanism:
     Sampling draws one uniform permutation (descending Fisher-Yates),
     and the drawn order is the branch's key.  A branch's welfare builds
     no game: the kernel answers constant rows, and any other rows walk
-    the instance's rule set (``ArrivalRules.walk``), one per instance.
-    The exact expectation is that rule set's DP over arrived sets
-    (``ArrivalRules.expected_welfare``), refused with its state bound
-    past ``OSPCLOCK_SUPPORT_CAP`` unless the n! orders fit the cap, which
-    are then summed.  The enumerated support serves the trees.
+    the order's script (``_arrival_script``) on the instance's rule set,
+    one per instance.  The exact expectation is that rule set's DP over
+    arrived sets (``ArrivalRules.expected_welfare``), refused with its
+    state bound past ``OSPCLOCK_SUPPORT_CAP`` unless the n! orders fit
+    the cap, which are then summed.  The enumerated support serves the
+    trees.
     """
     setting = CombinatorialSetting(tuple(items))
     count = math.factorial(n)
@@ -1374,7 +1340,7 @@ def mech3_unit_demand(n: int, items: Sequence[str]) -> RandomizedMechanism:
     memo: dict = {}
 
     def build(order: tuple, domains: Sequence[Sequence[Valuation]]) -> Game:
-        return ArrivalPricingGame(order, setting, domains, memo)
+        return SampleServeGame(_arrival_script(order), ArrivalRules(setting, domains, memo))
 
     def resolve(instance: Instance) -> Optional[tuple]:
         # the constant-row ranking (or None) and the rule set of an
@@ -1382,7 +1348,7 @@ def mech3_unit_demand(n: int, items: Sequence[str]) -> RandomizedMechanism:
         # against this setting; None for any other instance
         if instance.n != n or instance.setting != setting:
             return None
-        rules = ArrivalRules([[v] for v in instance.valuations], setting.items, memo)
+        rules = ArrivalRules(setting, [[v] for v in instance.valuations], memo)
         return _constant_row_ranking(instance), rules
 
     def resolved(instance: Instance) -> Optional[tuple]:
@@ -1395,7 +1361,7 @@ def mech3_unit_demand(n: int, items: Sequence[str]) -> RandomizedMechanism:
             return None
         ranking, rules = known
         if ranking is None:
-            return rules.walk(order)
+            return rules.walk(_arrival_script(order))
         return _mech3_fast_welfare(ranking, order)
 
     def exact_fast(instance: Instance) -> Optional[Fraction]:

@@ -73,9 +73,12 @@ def _cap(name: str, default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+    if cap < 0:
+        raise ValueError(f"{name} must not be negative, got {raw!r}")
+    return cap
 
 
 def _brute_cap() -> int:

@@ -27,11 +27,13 @@ from ospclock.experiments import (
 from ospclock.fixtures import fixture_names, get_fixture, load_instance, unit_demand_domain
 from ospclock.mechanisms import (
     MECHANISM_NAMES,
+    SampleServeGame,
     SupportElement,
     grand_bundle_auction,
     m1_2x2,
     m2_2x2,
     m3_2x2,
+    mech1_single_minded,
     mech2_additive,
     mech3_unit_demand,
     mechanism_for_instance,
@@ -282,8 +284,8 @@ def test_mc_ratio_past_the_support_cap_plays_every_trial(monkeypatch):
 
 def test_mc_ratio_on_the_crowded_market_never_calls_welfare_of():
     """mech3's constant-row shortcut hands mc_ratio each branch's
-    welfare, so no trial formats a label, builds an
-    ``ArrivalPricingGame`` or re-values an allocation."""
+    welfare, so no trial formats a label, builds a serve game
+    (``SampleServeGame``) or re-values an allocation."""
     inst = ud_failure_instance(16)
     expected = mc_ratio(mech3_unit_demand(16, inst.items), inst, trials=300, seed=5)
     with mock.patch(
@@ -291,7 +293,7 @@ def test_mc_ratio_on_the_crowded_market_never_calls_welfare_of():
     ) as in_mechanisms, mock.patch(
         "ospclock.mechanisms._arrival_label", side_effect=AssertionError
     ) as labels, mock.patch(
-        "ospclock.mechanisms.ArrivalPricingGame", side_effect=AssertionError
+        "ospclock.mechanisms.SampleServeGame.__init__", side_effect=AssertionError
     ) as games:
         rep = mc_ratio(mech3_unit_demand(16, inst.items), inst, trials=300, seed=5)
     patched = (in_mechanisms, labels, games)
@@ -312,7 +314,7 @@ def general_unit_demand(n: int, seed: int) -> Instance:
 def test_mc_ratio_on_general_rows_sets_up_one_rule_set_per_instance(monkeypatch):
     """On general mech3 rows every trial walks the instance's rule set:
     ``mc_ratio`` builds one ``ArrivalRules`` per instance, however many
-    batches and trials, and no ``ArrivalPricingGame`` at all, and its
+    batches and trials, and no ``SampleServeGame`` at all, and its
     estimate is the one the per-order games give."""
     from ospclock import mechanisms
 
@@ -326,15 +328,15 @@ def test_mc_ratio_on_general_rows_sets_up_one_rule_set_per_instance(monkeypatch)
     made = []
 
     class Counted(mechanisms.ArrivalRules):
-        def __init__(self, *args):
-            made.append(args[0])
-            super().__init__(*args)
+        def __init__(self, setting, domains, memo):
+            made.append(domains)
+            super().__init__(setting, domains, memo)
 
     def refuse(*args):
         raise AssertionError("a game was built")
 
     monkeypatch.setattr(mechanisms, "ArrivalRules", Counted)
-    monkeypatch.setattr(mechanisms, "ArrivalPricingGame", refuse)
+    monkeypatch.setattr(mechanisms.SampleServeGame, "__init__", refuse)
     mech = mech3_unit_demand(6, ITEMS)
     for seed in (2, 2, 5):
         for k, inst in enumerate((first, second)):
@@ -345,6 +347,19 @@ def test_mc_ratio_on_general_rows_sets_up_one_rule_set_per_instance(monkeypatch)
         list(first.valuations),
         list(second.valuations),
     ]
+
+
+def test_mc_ratio_of_a_split_builds_no_game(monkeypatch):
+    """Each drawn mech1 split walks its script on a rule set of the
+    instance, so 40 trials on ``sampling-200`` build no serve game and
+    report what the played games gave: 181/800 of OPT."""
+
+    def refuse(*args):
+        raise AssertionError("a game was built")
+
+    monkeypatch.setattr(SampleServeGame, "__init__", refuse)
+    rep = mc_ratio(mech1_single_minded(200, 200), load_instance("sampling-200"), 40, seed=5)
+    assert (rep.ratio, rep.stderr) == (F(181, 800), 0.038837703169729274)
 
 
 def test_mc_ratio_past_the_support_cap_brackets_the_dp():

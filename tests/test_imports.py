@@ -464,32 +464,29 @@ def test_strategies_are_called_in_one_place():
 
 
 def test_the_serve_transition_is_written_once():
-    """A serve game's tree and its script walk share one price rule and
-    one set of serving rules: only ``_step_price`` calls ``_price``, and
-    ``root_state``, ``child`` and ``truthful_welfare`` price their steps
-    with it; ``_serve`` is called by ``child`` and the walk, and the
-    truthful pick ``_serve_choices`` by ``truthful_messages`` and the
-    walk.  mech3's rule set adds one caller of each, its serve step
-    ``_arrive``, which prices, picks and serves with the rules the tree
-    reads; its order walk and its DP over arrived sets serve only
-    through it, and only ``_serve_choices`` asks the tie rule."""
+    """A serve game's tree and every walk share one price rule and one
+    set of serving rules: only the price-step rule ``_step_price`` calls
+    ``_price``, and the tree (``root_state``, ``child``), the rule set's
+    script walk and mech3's DP price their steps with it; ``_serve`` and
+    the truthful pick ``_serve_choices`` are called by the tree
+    (``child``, ``truthful_messages``) and by the rule set's serve step
+    ``_arrive``; the walk and the DP serve only through ``_arrive``; and
+    only mech3's ``_serve_choices`` asks the tie rule."""
     source = (ROOT / "src" / "ospclock" / "mechanisms.py").read_text()
-    walk = "SampleServeGame.truthful_welfare"
-    arrive = "ArrivalRules._arrive"
-    assert method_callers(source, "_price") == {"SampleServeGame._step_price", arrive}
+    walk = "ServeRules.walk"
+    dp = "ArrivalRules.expected_welfare"
+    arrive = "ServeRules._arrive"
+    assert method_callers(source, "_price") == {"ServeRules._step_price"}
     assert method_callers(source, "_step_price") == {
         "SampleServeGame.root_state",
         "SampleServeGame.child",
         walk,
+        dp,
     }
-    assert method_callers(source, "_serve") == {"SampleServeGame.child", walk, arrive}
+    assert method_callers(source, "_serve") == {"SampleServeGame.child", arrive}
     assert method_callers(source, "_serve_choices") == {
         "SampleServeGame.truthful_messages",
-        walk,
         arrive,
     }
-    assert method_callers(source, "_arrive") == {
-        "ArrivalRules.walk",
-        "ArrivalRules.expected_welfare",
-    }
+    assert method_callers(source, "_arrive") == {walk, dp}
     assert method_callers(source, "_tie_answers") == {"ArrivalRules._serve_choices"}

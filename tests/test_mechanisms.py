@@ -28,12 +28,12 @@ from ospclock.fixtures import (
 )
 from ospclock.mechanisms import (
     MECHANISM_NAMES,
-    ArrivalPricingGame,
     ArrivalRules,
-    MaxPricePartitionGame,
-    PartitionSaleGame,
+    MaxPriceRules,
+    PartitionSaleRules,
     RandomizedMechanism,
     SampleServeGame,
+    _arrival_script,
     _arrival_state_bound,
     _constant_rows,
     _max_price_exact,
@@ -474,7 +474,7 @@ def test_mech3_kernel_answers_fractional_constant_rows_under_monte_carlo(monkeyp
         raise AssertionError("a game was built")
 
     with monkeypatch.context() as patch:
-        patch.setattr(mechanisms, "ArrivalPricingGame", refuse)
+        patch.setattr(SampleServeGame, "__init__", refuse)
         fast = mc_ratio(mech3_unit_demand(16, base.items), halved, 20, 3)
     monkeypatch.setattr(mechanisms, "_constant_row_ranking", lambda instance: None)
     played = mc_ratio(mech3_unit_demand(16, base.items), halved, 20, 3)
@@ -485,19 +485,21 @@ def test_mech3_kernel_answers_fractional_constant_rows_under_monte_carlo(monkeyp
 def test_every_branch_outcome_is_its_game(monkeypatch):
     """With every shortcut patched to raise, each branch's outcome is
     its game's play, for every registry mechanism on every catalog
-    instance whose support it can enumerate; with no shortcut, each
-    branch's welfare is that play's welfare, so a serve game's script
-    walk (``truthful_welfare``) agrees with ``run_game`` and
+    instance whose support it can enumerate; with its own shortcut, each
+    branch's welfare is that play's welfare, so each shortcut met (a
+    split's script walk, mech3's walk) agrees with ``run_game`` and
     ``welfare_of`` on every branch."""
 
     def refuse(instance, key):
         raise AssertionError("a branch outcome consulted its shortcut")
 
     played = set()
+    shortcuts = set()
     for fixture in fixture_names():
         if get_fixture(fixture).kind != "instance":
             continue
         inst = load_instance(fixture)
+        mech3 = "mech3-walk" if _constant_rows(inst, UnitDemandValuation) is None else "kernel"
         for name in MECHANISM_NAMES:
             try:
                 mech = mechanism_for_instance(name, inst)
@@ -506,16 +508,23 @@ def test_every_branch_outcome_is_its_game(monkeypatch):
             if not mech.enumerable:
                 continue
             for branch in mech.branches():
+                shortcut = branch.shortcut
                 monkeypatch.setattr(branch, "shortcut", refuse)
                 game = branch.game([[v] for v in inst.valuations])
                 expected, _ = run_game(game, inst.valuations)
                 assert branch.outcome(inst) == expected, (fixture, name, branch.label)
-                monkeypatch.setattr(branch, "shortcut", None)
+                monkeypatch.setattr(branch, "shortcut", shortcut)
                 welfare = welfare_of(inst, expected.allocation)
                 assert branch.welfare(inst) == welfare, (fixture, name, branch.label)
+                if shortcut is not None:
+                    assert shortcut(inst, branch.key) == welfare, (fixture, name, branch.label)
+                    shortcuts.add(mech3 if name == "mech3-unit-demand" else "split-walk")
             played.add(name)
     # no catalog instance has two bidders over two units, m1-2x2's shape
     assert played == set(MECHANISM_NAMES) - {"m1-2x2"}
+    # the kernel's constant rows are all past the support cap here;
+    # test_mech3_fast_path_matches_game ties the kernel to the play
+    assert shortcuts == {"split-walk", "mech3-walk"}
 
 
 def test_mech3_two_bidders_nobody_observed():
@@ -774,7 +783,7 @@ def test_mech2_closed_form_plays_no_branch(monkeypatch):
         raise AssertionError("the closed form enumerated or built a game")
 
     monkeypatch.setattr(RandomizedMechanism, "branches", refuse)
-    monkeypatch.setattr(mechanisms, "MaxPricePartitionGame", refuse)
+    monkeypatch.setattr(SampleServeGame, "__init__", refuse)
     inst = formula_additive_instance(200, 20)
     welfare = mech2_additive(200, inst.items).exact_expected_welfare(inst)
     assert welfare == F(
@@ -1132,13 +1141,13 @@ def test_item_sale_serves_each_menu_entry():
         for branch in mech.branches():
             game = branch.game([domain] * mech.n)
             for state in _serve_states(game, materialize(game)):
-                menu = game._menu(state.left)
+                menu = game.rules._menu(state.left)
                 assert len(menu) == len(game.messages(state))
                 for k, bundle in enumerate(menu):
-                    got, _, left = game._serve(state.left, state.price, k)
+                    got, _, left = game.rules._serve(state.left, state.price, k)
                     assert got == bundle, (mech.name, branch.label, state, k)
                     assert left == tuple(j for j in state.left if j not in bundle)
-                    served.add((mech.name, game.bundles))
+                    served.add((mech.name, game.rules.bundles))
     assert served == {
         ("mech2-additive", True),
         ("naive-max-price", False),
@@ -1158,8 +1167,8 @@ def test_arrival_price_cache_matches_fresh_games():
         assert serve
         for state in serve:
             fresh = mech3_unit_demand(3, ITEMS).branches()[k].game(domains)
-            assert not fresh._memo
-            assert state.price == fresh._price(state.reports, state.left)
+            assert not fresh.rules._memo
+            assert state.price == fresh.rules._price(state.reports, state.left)
 
 
 def test_mech3_branch_games_solve_each_market_once(monkeypatch):
@@ -1172,8 +1181,8 @@ def test_mech3_branch_games_solve_each_market_once(monkeypatch):
     is of some serve state's observed bidders alone.
     """
     markets, asked, solves = [], [], []
-    solve_prices = ArrivalPricingGame._solve_prices
-    witness = ArrivalPricingGame._witness
+    solve_prices = ArrivalRules._solve_prices
+    witness = ArrivalRules._witness
     solver = mechanisms._opt_items
 
     def counted_prices(self, reports, unsold):
@@ -1193,8 +1202,8 @@ def test_mech3_branch_games_solve_each_market_once(monkeypatch):
         solves.append((tuple(map(id, valuations)), items))
         return solver(valuations, items)
 
-    monkeypatch.setattr(ArrivalPricingGame, "_solve_prices", counted_prices)
-    monkeypatch.setattr(ArrivalPricingGame, "_witness", counted_witness)
+    monkeypatch.setattr(ArrivalRules, "_solve_prices", counted_prices)
+    monkeypatch.setattr(ArrivalRules, "_witness", counted_witness)
     monkeypatch.setattr(mechanisms, "_opt_items", counted_solver)
     domains = [[unit_demand(a, b) for a, b in UD_VALUES]] * 3
     observed = set()
@@ -1303,11 +1312,12 @@ def test_mech3_ties_on_seeded_domains_match_the_direct_solve(monkeypatch):
 def test_mech3_script_walk_is_the_played_welfare_through_ties(monkeypatch):
     """On seeded integer unit-demand markets over the grid 0..2, n = 4
     and n = 5, with constant rows and with varied ones, every arrival
-    order's welfare is its played outcome's, walked on the instance's
-    rule set (``ArrivalRules.walk``, no game) and walked down the
-    order's game script (the shortcut off); the rule-set walks meet
-    zero-surplus ties on each kind of market, every tie checked against
-    a direct solve."""
+    order's welfare is its played outcome's, walked as the order's
+    script on the instance's rule set (``ArrivalRules.walk``, no game)
+    and answered by the branch's own shortcut (the kernel on constant
+    rows, the mechanism's rule-set walk on varied ones); the rule-set
+    walks meet zero-surplus ties on each kind of market, every tie
+    checked against a direct solve."""
     ties = _checked_ties(monkeypatch)
     rng = random.Random(35)
     walked_ties = set()
@@ -1325,16 +1335,15 @@ def test_mech3_script_walk_is_the_played_welfare_through_ties(monkeypatch):
                 )
                 inst = Instance(CombinatorialSetting(items), vals)
                 singletons = [[v] for v in vals]
-                rules = ArrivalRules(singletons, items)
+                rules = ArrivalRules(CombinatorialSetting(items), singletons)
                 for branch in mech3_unit_demand(n, items).branches():
                     start = len(ties)
-                    walked = rules.walk(branch.key)
+                    walked = rules.walk(_arrival_script(branch.key))
                     if len(ties) > start:
                         walked_ties.add((n, constant))
                     outcome, _ = run_game(branch.game(singletons), vals)
                     welfare = welfare_of(inst, outcome.allocation)
                     assert walked == welfare, (rows, branch.key)
-                    monkeypatch.setattr(branch, "shortcut", None)
                     assert branch.welfare(inst) == welfare, (rows, branch.key)
     assert walked_ties == {(4, True), (4, False), (5, True), (5, False)}
     assert {got for _, slot, got in ties if slot} == {True, False}
@@ -1364,7 +1373,7 @@ def dp_rows(rng, n: int, items: tuple, kind: str) -> Instance:
 def test_mech3_dp_equals_enumeration_with_the_shortcut_off(monkeypatch):
     """mech3's exact expectation, the DP over (arrived set, unsold
     items), equals the probability-weighted welfare of the n! branch
-    games, each walked down its script with the shortcut off, on seeded
+    games, each played with the shortcut off, on seeded
     rows with n <= 7: unit-demand rows with zero-surplus ties (each
     checked against a direct solve, and both answers met), additive
     rows and mixed rows.  The DP serves from no more states than its
@@ -1372,9 +1381,9 @@ def test_mech3_dp_equals_enumeration_with_the_shortcut_off(monkeypatch):
     served, ties = [], []
     arrive = ArrivalRules._arrive
 
-    def counted(self, bidder, reports, left):
+    def counted(self, bidder, reports, left, price):
         served.append((tuple(sorted(reports)), left))
-        return arrive(self, bidder, reports, left)
+        return arrive(self, bidder, reports, left, price)
 
     rng = random.Random(36)
     cases = [(n, kind) for n in (2, 3, 4, 5, 6) for kind in ("unit_demand", "additive", "mixed")]
@@ -1434,20 +1443,22 @@ def test_mech3_dp_refuses_past_the_cap_before_any_state(monkeypatch):
 
 def test_branch_welfare_builds_its_game_once(monkeypatch):
     """One ``welfare`` call builds its branch game at most once.  A mech1
-    split walks its game's script, with no ``run_game`` and no
-    ``welfare_of``; a mech3 arrival order on varied rows walks the
-    instance's rule set and builds no game at all; a clock branch
-    (grand-bundle) plays its game and values its outcome."""
+    or mech2 split and a mech3 arrival order on varied rows walk their
+    script on a rule set of the instance and build no game, with no
+    ``run_game`` and no ``welfare_of``; a clock branch (grand-bundle)
+    plays its game and values its outcome."""
     multi = sm_instance((3, 1), (2, 2), m=2)
     varied = Instance(
         CombinatorialSetting(ITEMS), (unit_demand(2, 1), unit_demand(1, 2), unit_demand(0, 2))
     )
+    priced = Instance(CombinatorialSetting(ITEMS), (additive(1, 2), additive(2, 1)))
     cases = [
-        (mech1_single_minded(2, 2).branches()[2], multi, 1, 0),
+        (mech1_single_minded(2, 2).branches()[2], multi, 0, 0),
+        (mech2_additive(2, ITEMS).branches()[1], priced, 0, 0),
         (mech3_unit_demand(3, ITEMS).branches()[0], varied, 0, 0),
         (grand_bundle_auction(2, MultiUnitSetting(2)).branches()[0], multi, 1, 1),
     ]
-    assert [type(b.key) for b, _, _, _ in cases] == [tuple, tuple, str]
+    assert [type(b.key) for b, _, _, _ in cases] == [tuple, tuple, tuple, str]
     for branch, inst, games, plays in cases:
         expected = welfare_of(inst, branch.outcome(inst).allocation)
         builds, made, played, valued = [], [], [], []
@@ -1475,7 +1486,7 @@ def test_branch_welfare_builds_its_game_once(monkeypatch):
         monkeypatch.setattr(mechanisms, "welfare_of", counted_welfare)
         assert branch.welfare(inst) == expected
         assert builds == [branch.key] * games
-        assert len(made) == (games if isinstance(branch.key, tuple) else 0)
+        assert made == []
         assert len(played) == len(valued) == plays
         monkeypatch.undo()
 
@@ -1510,7 +1521,8 @@ def test_mech3_best_item_runs_once_per_valuation_and_market(monkeypatch):
     assert serves * len(domains[0]) > len(calls)
     monkeypatch.undo()
     for branch in mech3_unit_demand(3, ITEMS).branches():
-        game = ArrivalPricingGame(branch.key, CombinatorialSetting(ITEMS), domains, memo=None)
+        rules = ArrivalRules(CombinatorialSetting(ITEMS), domains)
+        game = SampleServeGame(_arrival_script(branch.key), rules)
         assert tabulated(game)[0] == tables[branch.key], branch.label
 
 
@@ -1522,7 +1534,8 @@ def test_mech3_report_is_the_first_equal_domain_entry():
     copy = unit_demand(0, 1)
     assert a == a_again and a is not a_again and copy == b and copy is not b
     domains = [[a, b, a_again], [b, a], [a, b]]
-    game = ArrivalPricingGame((0, 1, 2), CombinatorialSetting(ITEMS), domains)
+    rules = ArrivalRules(CombinatorialSetting(ITEMS), domains)
+    game = SampleServeGame(_arrival_script((0, 1, 2)), rules)
     root = game.root_state()
     assert root.price is None and game.bidder(root) == 0
     assert game.truthful_messages(root, [a, b, a_again, copy]) == [0, 1, 0, 1]
@@ -1541,7 +1554,9 @@ def test_mech3_refuses_a_domain_over_other_items():
     other = UnitDemandValuation(("a", "c"), {"a": F(1), "c": F(2)})
     domains = [[unit_demand(1, 2)], [unit_demand(0, 1), other], [unit_demand(2, 2)]]
     with pytest.raises(ValueError, match="bidder 1: item universe mismatch"):
-        ArrivalPricingGame((0, 1, 2), CombinatorialSetting(ITEMS), domains)
+        SampleServeGame(
+            _arrival_script((0, 1, 2)), ArrivalRules(CombinatorialSetting(ITEMS), domains)
+        )
 
 
 def _tree_record(game, domains) -> tuple:
@@ -1596,7 +1611,7 @@ def test_mech3_memo_ids_outlive_dropped_domains():
     gc.collect()
     second = _check_shared_against_fresh(mech, ((1, 0), (2, 1), (0, 2), (2, 2)))
     assert not first & second
-    memo = mech.branches()[0].game([[unit_demand(0, 0)]] * 3)._memo
+    memo = mech.branches()[0].game([[unit_demand(0, 0)]] * 3).rules._memo
     held = {id(v) for key, entry in memo.items() if key[0] != "rows" for v in entry[0]}
     assert first <= held and second <= held
 
@@ -1731,70 +1746,83 @@ COMB = CombinatorialSetting(ITEMS)
 GAME_PINS = [
     (
         "sale-mixed",
-        lambda: PartitionSaleGame(_split_script((0, 2), 4), UNITS2, [SM3, SM3, [_sm(2, 2)], SM3]),
+        lambda: SampleServeGame(
+            _split_script((0, 2), 4), PartitionSaleRules(UNITS2, [SM3, SM3, [_sm(2, 2)], SM3])
+        ),
         "28:173f9733c23ae1e5",
     ),
     (
         "sale-no-sample",
-        lambda: PartitionSaleGame(_split_script((), 3), UNITS2, [SM3, [_sm(1, 1)], SM3]),
+        lambda: SampleServeGame(
+            _split_script((), 3), PartitionSaleRules(UNITS2, [SM3, [_sm(1, 1)], SM3])
+        ),
         "16:31d065de86740a8b",
     ),
     (
         "sale-all-sampled",
-        lambda: PartitionSaleGame(_split_script((0, 1), 2), UNITS2, [SM3, [_sm(1, 1)]]),
+        lambda: SampleServeGame(
+            _split_script((0, 1), 2), PartitionSaleRules(UNITS2, [SM3, [_sm(1, 1)]])
+        ),
         "4:78f7c875efb09d3f",
     ),
     (
         "max-price-bundle",
-        lambda: MaxPricePartitionGame(
-            _split_script((1, 2), 4), COMB, [ADD3, ADD3, [additive(1, 1)], ADD3], bundles=True
+        lambda: SampleServeGame(
+            _split_script((1, 2), 4),
+            MaxPriceRules(COMB, [ADD3, ADD3, [additive(1, 1)], ADD3], bundles=True),
         ),
         "40:0a801bd72d1a4307",
     ),
     (
         "max-price-single",
-        lambda: MaxPricePartitionGame(
+        lambda: SampleServeGame(
             _split_script((0, 1), 5),
-            COMB,
-            [UD3, [unit_demand(2, 2)], UD3, UD3, UD3],
-            bundles=False,
+            MaxPriceRules(COMB, [UD3, [unit_demand(2, 2)], UD3, UD3, UD3], bundles=False),
         ),
         "67:92428fd1aa71e1fc",
     ),
     (
         "arrival-3",
-        lambda: ArrivalPricingGame((2, 0, 1), COMB, [[unit_demand(1, 2)], UD3, UD3]),
+        lambda: SampleServeGame(
+            _arrival_script((2, 0, 1)), ArrivalRules(COMB, [[unit_demand(1, 2)], UD3, UD3])
+        ),
         "34:60b5de25f9105039",
     ),
     (
         "arrival-4-one-item",
-        lambda: ArrivalPricingGame(
-            (1, 3, 0, 2),
-            CombinatorialSetting(("a",)),
-            [[_ud1(1)], [_ud1(2)], [_ud1(x) for x in (0, 1, 2)], [_ud1(x) for x in (0, 1, 2)]],
+        lambda: SampleServeGame(
+            _arrival_script((1, 3, 0, 2)),
+            ArrivalRules(
+                CombinatorialSetting(("a",)),
+                [[_ud1(1)], [_ud1(2)], [_ud1(x) for x in (0, 1, 2)], [_ud1(x) for x in (0, 1, 2)]],
+            ),
         ),
         "21:cc66ee669034fdba",
     ),
     (
         # nobody is discarded: the root is a serve step
         "arrival-2-no-reports",
-        lambda: ArrivalPricingGame((1, 0), COMB, [UD3, UD3]),
+        lambda: SampleServeGame(_arrival_script((1, 0)), ArrivalRules(COMB, [UD3, UD3])),
         "34:e06ab596cbdc31dc",
     ),
     (
         "arrival-1",
-        lambda: ArrivalPricingGame((0,), COMB, [UD3]),
+        lambda: SampleServeGame(_arrival_script((0,)), ArrivalRules(COMB, [UD3])),
         "4:c28bffd9769acfe3",
     ),
     (
         # an empty sample is priced at the root
         "max-price-bundle-no-sample",
-        lambda: MaxPricePartitionGame(_split_script((), 2), COMB, [ADD3, ADD3], bundles=True),
+        lambda: SampleServeGame(
+            _split_script((), 2), MaxPriceRules(COMB, [ADD3, ADD3], bundles=True)
+        ),
         "13:5e8df8d8bdf72dec",
     ),
     (
         "max-price-single-no-sample",
-        lambda: MaxPricePartitionGame(_split_script((), 3), COMB, [UD3] * 3, bundles=False),
+        lambda: SampleServeGame(
+            _split_script((), 3), MaxPriceRules(COMB, [UD3] * 3, bundles=False)
+        ),
         "22:c3dec8c1dd794640",
     ),
 ]
@@ -1816,41 +1844,46 @@ OVER_AC = UnitDemandValuation(("a", "c"), {"a": F(1), "c": F(2)})
 FOREIGN_DOMAINS = [
     (
         "sale-3-units",
-        lambda d: PartitionSaleGame(_split_script((0,), 3), UNITS2, d),
+        lambda d: SampleServeGame(_split_script((0,), 3), PartitionSaleRules(UNITS2, d)),
         SM3,
         make_single_minded(1, 1, 3),
     ),
     (
         "sale-items",
-        lambda d: PartitionSaleGame(_split_script((0,), 3), UNITS2, d),
+        lambda d: SampleServeGame(_split_script((0,), 3), PartitionSaleRules(UNITS2, d)),
         SM3,
         unit_demand(1, 2),
     ),
     (
         "max-price-bundle-units",
-        lambda d: MaxPricePartitionGame(_split_script((0,), 3), COMB, d, bundles=True),
+        lambda d: SampleServeGame(_split_script((0,), 3), MaxPriceRules(COMB, d, bundles=True)),
         ADD3,
         _sm(1, 1),
     ),
     (
         "max-price-bundle-items",
-        lambda d: MaxPricePartitionGame(_split_script((0,), 3), COMB, d, bundles=True),
+        lambda d: SampleServeGame(_split_script((0,), 3), MaxPriceRules(COMB, d, bundles=True)),
         ADD3,
         OVER_AC,
     ),
     (
         "max-price-single-units",
-        lambda d: MaxPricePartitionGame(_split_script((0,), 3), COMB, d, bundles=False),
+        lambda d: SampleServeGame(_split_script((0,), 3), MaxPriceRules(COMB, d, bundles=False)),
         UD3,
         _sm(1, 1),
     ),
     (
         "max-price-single-items",
-        lambda d: MaxPricePartitionGame(_split_script((0,), 3), COMB, d, bundles=False),
+        lambda d: SampleServeGame(_split_script((0,), 3), MaxPriceRules(COMB, d, bundles=False)),
         UD3,
         OVER_AC,
     ),
-    ("arrival-units", lambda d: ArrivalPricingGame((0, 1, 2), COMB, d), UD3, _sm(1, 1)),
+    (
+        "arrival-units",
+        lambda d: SampleServeGame(_arrival_script((0, 1, 2)), ArrivalRules(COMB, d)),
+        UD3,
+        _sm(1, 1),
+    ),
 ]
 
 

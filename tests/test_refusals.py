@@ -2,6 +2,7 @@
 exits 2 with nothing on stdout, with a message that says what is wrong."""
 
 import json
+import os
 import re
 from fractions import Fraction as F
 from unittest import mock
@@ -76,6 +77,14 @@ def simulate_mech3_exact_past_the_cap(tmp_path):
     return main(argv)
 
 
+def simulate_with_a_negative_play_cap(tmp_path):
+    """A play cap of -1 is refused before any play: a play's step count
+    never equals it, so it would lift the limit."""
+    argv = ["simulate", "--mechanism", "grand-bundle", "--fixture", "sampling-10", "--trials", "3"]
+    with mock.patch.dict(os.environ, {"OSPCLOCK_PLAY_CAP": "-1"}):
+        return main(argv)
+
+
 def output_into_a_missing_directory(tmp_path):
     return main(["list-fixtures", "--output", str(tmp_path / "missing" / "out.json")])
 
@@ -110,6 +119,11 @@ REFUSALS = [
         simulate_mech3_exact_past_the_cap,
         r"mech3-unit-demand's arrival DP has up to \d+ states; "
         r"cap 50000 \(override with OSPCLOCK_SUPPORT_CAP\)",
+    ),
+    (
+        "simulate-negative-play-cap",
+        simulate_with_a_negative_play_cap,
+        "OSPCLOCK_PLAY_CAP must not be negative, got '-1'",
     ),
     (
         "output-missing-dir",

@@ -495,6 +495,18 @@ def test_every_cap_refusal_names_its_variable(monkeypatch, site):
     assert f"cap {low}" in str(refused.value)
 
 
+@pytest.mark.parametrize(
+    "site", ["support", "tree-materialize", "play", "profile", "brute-multiunit", "opt"]
+)
+def test_a_negative_cap_is_refused_with_its_variable(monkeypatch, site):
+    """A negative cap would lift or break its limit (a play cap of -1 is
+    never reached), so each of the six variables refuses one, named."""
+    name, _, request = CAP_SITES[site]
+    monkeypatch.setenv(name, "-1")
+    with pytest.raises(ValueError, match=f"^{name} must not be negative, got '-1'$"):
+        request()
+
+
 def test_unit_demand_zero_value_match_is_canonical():
     """Bidder 0 is matched even at zero value when that stays optimal."""
     items = ("a", "b")
